@@ -10,8 +10,8 @@ Walks the HTTP transport over wire protocol v1:
 3. answer selections over a persistent keep-alive connection
    (``POST /v1/select``, then a coalesced ``POST /v1/select_many``);
 4. read the live counters from ``GET /v1/stats`` and ``GET /healthz``;
-5. shut down gracefully with ``aclose()`` — in-flight work drains, worker
-   processes are reaped.
+5. shut down gracefully with ``aclose()`` — in-flight work drains and the
+   service closes.
 
 Everything uses :func:`repro.api.http_call`, a tiny stdlib client helper —
 any HTTP client (curl, requests, a browser) speaks the same protocol.
@@ -98,7 +98,7 @@ async def main() -> None:
         writer.close()
 
     # -- 5. the async-with exit already drained and closed everything -----
-    print("server drained and closed; no workers left behind")
+    print("server drained and closed")
 
 
 if __name__ == "__main__":

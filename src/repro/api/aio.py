@@ -23,25 +23,17 @@ a batch, so 64 coalesced AltrM requests cost roughly one sweep, not 64.
 * An :class:`asyncio.Lock` serialises all engine access (batches, pool
   commands, explains), so the engine and registry are never entered
   concurrently with a registry mutation.
-* When the wrapped service shards its execution
-  (:class:`~repro.service.shard.ShardedExecutor`, the ``workers=`` knob),
-  the drainer **fans each coalesced batch out across the shards**: the
-  batch is partitioned by the requests' pool identity and the parts are
-  answered by concurrent ``select_many`` worker threads, so parent-side
-  planning of one part overlaps with shard compute of another instead of
-  funnelling everything through a single ``to_thread`` call.
 
-Responses are **bit-identical** to sequential dispatch: batching and
-sharding change only *when* and *where* queries run, and the engine itself
-guarantees batched, sharded and scalar execution agree.
+Responses are **bit-identical** to sequential dispatch: batching changes
+only *when* queries run, and the engine itself guarantees batched and
+scalar execution agree.
 
 Lifecycle: :meth:`AsyncJuryService.aclose` is the graceful-termination
 path — new ``select()`` calls are refused, the queued backlog drains
-through the drainer, and the wrapped service's worker processes are
-reaped.  A request cancelled *while queued* is skipped when the next batch
-is assembled, so abandoned clients cost no engine work; ``stats()`` reads
-lock-free counters and stays answerable while a long batch holds the
-engine lock.
+through the drainer, and the wrapped service is closed.  A request
+cancelled *while queued* is skipped when the next batch is assembled, so
+abandoned clients cost no engine work; ``stats()`` reads lock-free
+counters and stays answerable while a long batch holds the engine lock.
 """
 
 from __future__ import annotations
@@ -54,7 +46,6 @@ from dataclasses import replace
 from repro.api.protocol import PoolCommand, SelectionRequest, SelectionResponse
 from repro.api.service import JuryService
 from repro.errors import ServiceClosedError
-from repro.service.sched import balance_groups
 
 __all__ = ["AsyncJuryService"]
 
@@ -79,8 +70,7 @@ class AsyncJuryService:
         Bound on in-flight requests; further ``select()`` callers suspend
         until capacity frees up.
     **service_options:
-        Forwarded to :class:`JuryService` when no service is given —
-        notably ``workers=N`` for sharded execution.
+        Forwarded to :class:`JuryService` when no service is given.
 
     Examples
     --------
@@ -236,11 +226,10 @@ class AsyncJuryService:
         Stops accepting new ``select()`` calls (they raise
         :class:`~repro.errors.ServiceClosedError`), lets the in-flight
         batch finish and the drainer answer everything still queued, awaits
-        the drainer task, then closes the wrapped service — reaping any
-        worker shard processes and flushing (and, when service-owned,
-        closing) the durable pool catalog so every acknowledged mutation is
-        on stable storage before the process exits.  Idempotent; safe to
-        call with requests in every state.
+        the drainer task, then closes the wrapped service — flushing (and,
+        when service-owned, closing) the durable pool catalog so every
+        acknowledged mutation is on stable storage before the process
+        exits.  Idempotent; safe to call with requests in every state.
         """
         self._closed = True
         drainer = self._drainer
@@ -254,7 +243,7 @@ class AsyncJuryService:
             _, future = self._pending.popleft()
             if not future.done():
                 future.cancel()
-        # Worker-pool shutdown joins processes; keep it off the event loop.
+        # Closing the catalog fsyncs; keep it off the event loop.
         await asyncio.to_thread(self._service.close)
 
     # ------------------------------------------------------------------
@@ -264,74 +253,6 @@ class AsyncJuryService:
         """Ensure a drainer task is alive while requests are pending."""
         if self._drainer is None or self._drainer.done():
             self._drainer = asyncio.get_running_loop().create_task(self._drain())
-
-    def _shard_fanout(self) -> int:
-        """How many concurrent ``select_many`` parts a batch splits into.
-
-        A degraded executor (``in_process``) gets no fan-out: splitting
-        would fragment the single-pass stacked sweeps for zero parallelism.
-        """
-        executor = self._service.engine.executor
-        if executor is None or executor.in_process:
-            return 1
-        return executor.workers
-
-    @staticmethod
-    def _pool_key(request: SelectionRequest) -> object:
-        """Grouping key keeping same-pool requests in one batch part."""
-        if request.pool is not None:
-            return request.pool
-        return tuple(j.juror_id for j in request.candidates)
-
-    async def _answer_batch(
-        self, requests: list[SelectionRequest]
-    ) -> list[SelectionResponse]:
-        """Answer one coalesced batch, fanning out across shards if any.
-
-        With a sharded engine the batch is partitioned by pool identity
-        into up to ``workers`` parts answered by concurrent ``select_many``
-        threads (the engine's internal lock makes that safe).  How pools
-        map to parts follows the engine's scheduling policy: under ``hash``
-        each pool key hashes to a fixed part (the oracle placement); under
-        ``cost`` the pool groups are LPT-balanced by request count
-        (:func:`repro.service.sched.balance_groups`), so a Zipf-popular
-        pool no longer drags its whole hash bucket's tail.  Either way the
-        engine's scheduler then places each part's payloads on shards, so
-        worker-cache affinity is preserved regardless of the fan-out split.
-        """
-        fanout = min(self._shard_fanout(), len(requests))
-        if fanout <= 1:
-            return await asyncio.to_thread(self._service.select_many, requests)
-        parts: list[list[tuple[int, SelectionRequest]]] = [[] for _ in range(fanout)]
-        if self._service.engine.scheduler_policy == "cost":
-            groups: dict[object, list[tuple[int, SelectionRequest]]] = {}
-            for position, request in enumerate(requests):
-                groups.setdefault(self._pool_key(request), []).append(
-                    (position, request)
-                )
-            grouped = list(groups.values())
-            assignment = balance_groups([len(g) for g in grouped], fanout)
-            for group, part in zip(grouped, assignment):
-                parts[part].extend(group)
-        else:
-            for position, request in enumerate(requests):
-                parts[hash(self._pool_key(request)) % fanout].append(
-                    (position, request)
-                )
-        parts = [part for part in parts if part]
-        answered = await asyncio.gather(
-            *(
-                asyncio.to_thread(
-                    self._service.select_many, [request for _, request in part]
-                )
-                for part in parts
-            )
-        )
-        responses: list[SelectionResponse | None] = [None] * len(requests)
-        for part, part_responses in zip(parts, answered):
-            for (position, _), response in zip(part, part_responses):
-                responses[position] = response
-        return responses  # type: ignore[return-value]
 
     async def _drain(self) -> None:
         # One drainer at a time: it exits only after observing an empty
@@ -355,7 +276,9 @@ class AsyncJuryService:
             self._batches += 1
             async with self._engine_lock:
                 try:
-                    responses = await self._answer_batch(requests)
+                    responses = await asyncio.to_thread(
+                        self._service.select_many, requests
+                    )
                 except asyncio.CancelledError:
                     # Loop shutdown: cancel the in-flight waiters and honour
                     # the cancellation instead of draining the backlog.

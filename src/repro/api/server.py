@@ -30,10 +30,7 @@ Endpoints (all bodies are JSON; protocol shapes from :mod:`repro.api`):
     exact-enumeration batch.  Surfaces every cache tier: the prefix-sweep
     cache, the planner's memoised choice, and the answer frontier's
     hit/miss/build/repair/rebuild lifecycle (``frontier`` +
-    ``engine.frontier_hits``).  The ``scheduler`` block reports the shard
-    scheduling policy (``cost``/``hash``) with per-shard assigned cost,
-    busy seconds, steals, split sub-payloads and the realized
-    ``assigned_cost_skew``, so load balance is observable over HTTP.
+    ``engine.frontier_hits``).
 ``GET /healthz``
     Pure liveness: counters only, no engine, no locks, no threads.
 
@@ -45,9 +42,8 @@ shed rather than suspended.
 
 **Graceful shutdown.**  :meth:`HttpServer.aclose` (the SIGTERM path of the
 ``repro-select http`` CLI) stops accepting, closes idle keep-alive
-connections, lets every in-flight request finish, drains the service
-through :meth:`AsyncJuryService.aclose`, and reaps any worker shard
-processes — no orphaned workers, no abandoned futures.
+connections, lets every in-flight request finish, and drains the service
+through :meth:`AsyncJuryService.aclose` — no abandoned futures.
 """
 
 from __future__ import annotations
@@ -169,7 +165,7 @@ class HttpServer:
         Largest accepted request body (413 beyond it).
     **service_options:
         Forwarded to :class:`AsyncJuryService` when no service is given —
-        ``max_batch``, ``max_pending``, ``workers``, ``cache_size``.
+        ``max_batch``, ``max_pending``, ``cache_size``.
 
     Examples
     --------
@@ -252,7 +248,7 @@ class HttpServer:
 
         Stops accepting, closes idle keep-alive connections, waits for
         in-flight requests to answer, then drains and closes the wrapped
-        service (which reaps any worker shard processes).  Idempotent.
+        service.  Idempotent.
         """
         if self._closed:
             return

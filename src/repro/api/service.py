@@ -38,18 +38,6 @@ from repro.service.registry import LivePool, PoolRegistry
 __all__ = ["JuryService"]
 
 
-def _workers_from_env() -> int | None:
-    """Shard-count default from ``REPRO_WORKERS`` (unset/invalid -> None)."""
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    if not raw:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        return None
-    return workers if workers > 1 else None
-
-
 def _data_dir_from_env() -> str | None:
     """Durable-catalog default from ``REPRO_DATA_DIR`` (unset/blank -> None)."""
     raw = os.environ.get("REPRO_DATA_DIR", "").strip()
@@ -67,8 +55,8 @@ class JuryService:
     engine:
         Advanced: adopt an existing :class:`BatchSelectionEngine`.  It must
         have been constructed with a registry (which becomes the service's
-        registry); mutually exclusive with ``cache_size``/
-        ``frontier_size``/``workers``.
+        registry); mutually exclusive with ``cache_size`` and
+        ``frontier_size``.
     cache_size:
         Prefix-sweep cache capacity for the internally built engine.
     frontier_size:
@@ -77,16 +65,6 @@ class JuryService:
         plan→operator path).  When omitted, the ``REPRO_FRONTIER_CACHE``
         environment flag decides (enabled by default) — which is how CI
         pins the no-cache oracle path across the whole suite.
-    workers:
-        Shard count for the internally built engine: ``> 1`` fans every
-        query model out across that many worker processes partitioned by
-        pool fingerprint (see :class:`~repro.service.shard.ShardedExecutor`).
-        When omitted, the ``REPRO_WORKERS`` environment variable supplies
-        the default — which is how CI exercises the sharded path across the
-        whole suite — and an unset variable means in-process execution.
-    max_workers:
-        Deprecated alias for ``workers`` (the PR 1 knob that parallelised
-        exact queries only; it now shards every model).
     data_dir:
         Directory for a durable :class:`~repro.storage.PoolCatalog`.  The
         service builds (and **owns** — :meth:`close` closes it) a catalog
@@ -100,13 +78,6 @@ class JuryService:
         Advanced: adopt an existing :class:`~repro.storage.PoolCatalog`
         instead of building one from ``data_dir``.  The caller keeps
         ownership (:meth:`close` flushes but does not close it).
-    scheduler:
-        Shard scheduling policy for the internally built engine: ``"cost"``
-        (planner-costed bin-packing with query splitting and stealing) or
-        ``"hash"`` (static fingerprint hashing, the oracle path).  When
-        omitted, the ``REPRO_SCHEDULER`` environment variable decides
-        (default ``cost``).  Selections are bit-identical under every
-        policy.
 
     Examples
     --------
@@ -126,16 +97,9 @@ class JuryService:
         engine: BatchSelectionEngine | None = None,
         cache_size: int | None = None,
         frontier_size: int | None = None,
-        workers: int | None = None,
-        max_workers: int | None = None,
         data_dir=None,
         catalog=None,
-        scheduler: str | None = None,
     ) -> None:
-        if workers is not None and max_workers is not None:
-            raise ValueError("pass either workers or max_workers, not both")
-        if max_workers is not None:
-            workers = max_workers
         if data_dir is not None and catalog is not None:
             raise ValueError("pass either data_dir or catalog, not both")
         if registry is not None and (data_dir is not None or catalog is not None):
@@ -145,15 +109,9 @@ class JuryService:
         self._catalog = None
         self._owns_catalog = False
         if engine is not None:
-            if (
-                cache_size is not None
-                or frontier_size is not None
-                or workers is not None
-                or scheduler is not None
-            ):
+            if cache_size is not None or frontier_size is not None:
                 raise ValueError(
-                    "pass either an engine or cache_size/frontier_size/"
-                    "workers/scheduler, not both"
+                    "pass either an engine or cache_size/frontier_size, not both"
                 )
             if data_dir is not None or catalog is not None:
                 raise ValueError(
@@ -169,8 +127,6 @@ class JuryService:
             self._catalog = getattr(self._registry, "catalog", None)
             self._engine = engine
         else:
-            if workers is None:
-                workers = _workers_from_env()
             if (
                 registry is None
                 and catalog is None
@@ -195,12 +151,7 @@ class JuryService:
                 options["cache_size"] = cache_size
             if frontier_size is not None:
                 options["frontier_size"] = frontier_size
-            self._engine = BatchSelectionEngine(
-                max_workers=workers,
-                registry=self._registry,
-                scheduler=scheduler,
-                **options,
-            )
+            self._engine = BatchSelectionEngine(registry=self._registry, **options)
 
     @property
     def engine(self) -> BatchSelectionEngine:
@@ -229,17 +180,14 @@ class JuryService:
             self._catalog.flush()
 
     def close(self) -> None:
-        """Release the engine's worker shard processes and durable state.
+        """Release the service's durable state.
 
-        Every entry point that builds a service with ``workers > 1`` (or
-        under ``REPRO_WORKERS``) must close it — the CLI modes do so in
-        ``try/finally`` — or worker processes outlive the work.  A
-        service-owned catalog (built from ``data_dir``/``REPRO_DATA_DIR``)
+        A service-owned catalog (built from ``data_dir``/``REPRO_DATA_DIR``)
         is flushed and closed; an adopted one is only flushed, since the
-        caller may still hold pools from it.  Idempotent; an in-process,
-        in-memory service closes as a no-op.
+        caller may still hold pools from it.  The CLI modes close their
+        service in ``try/finally``.  Idempotent; an in-memory service
+        closes as a no-op.
         """
-        self._engine.close()
         if self._catalog is not None and not self._catalog.closed:
             if self._owns_catalog:
                 self._catalog.close()
@@ -362,10 +310,9 @@ class JuryService:
         elif command.action == "drop":
             pool = self._registry.drop(command.name)
             if pool.size:
-                # Symmetric eviction: every parent-side cache keyed by this
-                # fingerprint (sweep profile *and* answer frontier) plus,
-                # under sharded execution, every worker-local cache via
-                # broadcast (older versions' entries age out via LRU).
+                # Symmetric eviction: every cache keyed by this fingerprint
+                # (sweep profile *and* answer frontier); older versions'
+                # entries age out via LRU.
                 self._engine.invalidate_profile(pool.fingerprint)
         else:  # update
             pool = self._registry.get(command.name)
@@ -449,13 +396,7 @@ class JuryService:
         ``kernels`` block reports the compiled-kernel registry
         (:func:`repro.core.kernels.stats_snapshot`): requested/active
         backend, per-kernel dispatch counters, availability and the
-        measured crossovers.  The ``scheduler`` block
-        (:meth:`~repro.service.batch.BatchSelectionEngine.scheduler_stats`)
-        reports the placement policy, per-shard assigned cost / busy
-        seconds / steals / split sub-payloads / queue depth, and the
-        realized ``assigned_cost_skew`` (max/mean).  Under sharded
-        execution the payload additionally gains ``workers`` and the full
-        per-shard ``shards`` utilisation table.
+        measured crossovers.
 
         The per-pool listing covers the pools **in memory**: everything for
         an in-memory registry, the LRU-resident subset for a catalog-backed
@@ -505,22 +446,11 @@ class JuryService:
                 "batch_sweeps": engine.stats.batch_sweeps,
                 "pools_swept": engine.stats.pools_swept,
                 "live_profiles": engine.stats.live_profiles,
-                "sharded_queries": engine.stats.sharded_queries,
-                "shard_batches": engine.stats.shard_batches,
                 "frontier_hits": engine.stats.frontier_hits,
                 "kernel_backend": engine.stats.kernel_backend,
-                "scheduler_policy": engine.stats.scheduler_policy,
-                "split_queries": engine.stats.split_queries,
-                "stolen_units": engine.stats.stolen_units,
             },
             "kernels": kernels.stats_snapshot(),
-            "scheduler": engine.scheduler_stats(),
         }
         if self._catalog is not None:
             payload["catalog"] = self._catalog.stats_snapshot()
-        executor = engine.executor
-        if executor is not None:
-            payload["workers"] = executor.workers
-            payload["in_process"] = executor.in_process
-            payload["shards"] = executor.utilisation()
         return payload

@@ -25,12 +25,10 @@ numeric backends, cost-model inputs — *without* executing it:
     repro-select explain candidates.csv --exact --json
 
 Batch mode answers many selection queries in one pass through the service's
-batch engine (vectorized sweeps, shared-pool caching, optional process pool
-for exact queries):
+batch engine (vectorized sweeps, shared-pool caching):
 
     repro-select batch queries.jsonl                     # JSONL to stdout
     repro-select batch queries.jsonl --out results.jsonl
-    repro-select batch queries.jsonl --workers 4         # sharded execution
 
 Batch input is JSON Lines; blank lines and ``#`` comments are skipped.
 A row *without* a ``"task"`` key defines a named shared pool:
@@ -87,16 +85,16 @@ connection into one async service (coalesced batching, bounded queues,
 structured 503s under overload):
 
     repro-select http                                    # 127.0.0.1:8732
-    repro-select http --host 0.0.0.0 --port 80 --workers 4
+    repro-select http --host 0.0.0.0 --port 80
 
 Endpoints: ``POST /v1/select``, ``POST /v1/select_many``, ``POST /v1/pool``,
 ``GET /v1/stats``, ``GET /healthz``.  The server prints
 ``serving on http://host:port`` once bound (``--port 0`` picks an ephemeral
 port) and drains gracefully on SIGTERM/SIGINT: in-flight requests finish,
-worker shards are reaped, then the process exits 0.
+the service is closed, then the process exits 0.
 
 Every subcommand closes its service on the way out — normal exit, EOF or
-Ctrl-C — so no worker shard processes outlive the CLI.
+Ctrl-C — so a durable catalog is always flushed.
 
 ``batch``, ``serve``, ``http`` and ``explain`` are reserved words in the
 first argument position; to select from a CSV file with one of those names,
@@ -109,7 +107,6 @@ import argparse
 import asyncio
 import csv
 import json
-import os
 import signal
 import sys
 from collections.abc import Mapping, Sequence
@@ -127,7 +124,6 @@ from repro.api import (
 from repro.core import kernels
 from repro.core.juror import Juror
 from repro.errors import ReproError
-from repro.service.sched import SCHEDULER_POLICIES
 
 __all__ = [
     "load_candidates_csv",
@@ -246,16 +242,11 @@ def run_batch(args: argparse.Namespace) -> int:
         return 1
 
     _apply_kernel_backend(args)
-    service = JuryService(
-        workers=args.workers,
-        frontier_size=0 if getattr(args, "no_frontier", False) else None,
-        scheduler=_apply_scheduler(args),
-    )
+    service = JuryService(frontier_size=0 if getattr(args, "no_frontier", False) else None)
     try:
         return _run_batch_rows(args, source, text, service)
     finally:
-        # Reap the worker shards on every exit path — success, fatal row
-        # errors and Ctrl-C alike — so no processes outlive the CLI.
+        # Close on every exit path — success, fatal row errors and Ctrl-C.
         service.close()
 
 
@@ -393,17 +384,8 @@ def _build_batch_parser() -> argparse.ArgumentParser:
         default=None,
         help="write result JSONL here instead of stdout",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker shards executing the queries (all models), partitioned "
-        "by pool fingerprint; results are bit-identical to in-process "
-        "execution (default: REPRO_WORKERS env var, else in-process)",
-    )
     _add_no_frontier_flag(parser)
     _add_kernel_backend_flag(parser)
-    _add_scheduler_flag(parser)
     return parser
 
 
@@ -447,45 +429,10 @@ def _add_kernel_backend_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_kernel_backend(args: argparse.Namespace) -> None:
-    """Pin the session kernel backend before the service is constructed.
-
-    Also exported through the environment so worker shard processes
-    (``--workers``) inherit the same choice on spawn.
-    """
+    """Pin the session kernel backend before the service is constructed."""
     choice = getattr(args, "kernel_backend", None)
-    if choice is None:
-        return
-    os.environ["REPRO_KERNEL_BACKEND"] = choice
-    kernels.set_kernel_backend(choice)
-
-
-def _add_scheduler_flag(parser: argparse.ArgumentParser) -> None:
-    """The shard-scheduling policy selector shared by batch/serve/http."""
-    parser.add_argument(
-        "--scheduler",
-        choices=SCHEDULER_POLICIES,
-        default=None,
-        dest="scheduler",
-        help="shard scheduling policy: 'cost' bin-packs queries across "
-        "worker shards by planner cost (with exact-query splitting and "
-        "work stealing), 'hash' partitions statically by pool fingerprint; "
-        "selections are bit-identical under either policy "
-        "(default: REPRO_SCHEDULER env var, else cost)",
-    )
-
-
-def _apply_scheduler(args: argparse.Namespace) -> str | None:
-    """Pin the scheduling policy before the service is constructed.
-
-    Also exported through the environment so any late construction path
-    (and child processes) sees the same choice.  Returns the explicit
-    choice, or ``None`` to defer to ``REPRO_SCHEDULER``/the default.
-    """
-    choice = getattr(args, "scheduler", None)
-    if choice is None:
-        return None
-    os.environ["REPRO_SCHEDULER"] = choice
-    return choice
+    if choice is not None:
+        kernels.set_kernel_backend(choice)
 
 
 # ----------------------------------------------------------------------
@@ -601,18 +548,16 @@ def run_serve(args: argparse.Namespace, *, stdin=None, stdout=None) -> int:
     _apply_kernel_backend(args)
     service = JuryService(
         cache_size=args.cache_size,
-        workers=args.workers,
         frontier_size=0 if getattr(args, "no_frontier", False) else None,
         data_dir=getattr(args, "data_dir", None),
-        scheduler=_apply_scheduler(args),
     )
     try:
         return _serve_session(source, sink, service)
     except KeyboardInterrupt:
         return 130
     finally:
-        # Reap the worker shards on every exit path — EOF, 'quit' and
-        # Ctrl-C alike — so no processes outlive the session.
+        # Close on every exit path — EOF, 'quit' and Ctrl-C alike — so a
+        # durable catalog is flushed before the session ends.
         service.close()
 
 
@@ -699,19 +644,9 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         help="prefix-sweep cache capacity (default: engine default)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker shards executing the selections (all models), "
-        "partitioned by pool fingerprint; results are bit-identical to "
-        "in-process execution (default: REPRO_WORKERS env var, else "
-        "in-process)",
-    )
     _add_data_dir_flag(parser)
     _add_no_frontier_flag(parser)
     _add_kernel_backend_flag(parser)
-    _add_scheduler_flag(parser)
     return parser
 
 
@@ -730,10 +665,8 @@ async def _serve_http(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         cache_size=args.cache_size,
-        workers=args.workers,
         frontier_size=0 if getattr(args, "no_frontier", False) else None,
         data_dir=getattr(args, "data_dir", None),
-        scheduler=_apply_scheduler(args),
     )
     server = HttpServer(
         service,
@@ -760,7 +693,7 @@ async def _serve_http(args: argparse.Namespace) -> int:
         )
     finally:
         # Graceful drain: stop accepting, answer in-flight requests, close
-        # the service and reap its worker shards.
+        # the service.
         await server.aclose()
         serve_task.cancel()
         stop_task.cancel()
@@ -820,18 +753,9 @@ def _build_http_parser() -> argparse.ArgumentParser:
         default=None,
         help="prefix-sweep cache capacity (default: engine default)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker shards executing the selections, partitioned by pool "
-        "fingerprint; bit-identical to in-process execution (default: "
-        "REPRO_WORKERS env var, else in-process)",
-    )
     _add_data_dir_flag(parser)
     _add_no_frontier_flag(parser)
     _add_kernel_backend_flag(parser)
-    _add_scheduler_flag(parser)
     return parser
 
 

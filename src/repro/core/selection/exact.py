@@ -47,7 +47,6 @@ from repro.errors import EmptyCandidateSetError, InfeasibleSelectionError
 
 __all__ = [
     "enumerate_optimal",
-    "enumerate_best_in_range",
     "branch_and_bound_optimal",
     "select_jury_optimal",
 ]
@@ -157,90 +156,6 @@ def enumerate_optimal(
         )
     members = tuple(ordered[i] for i in best_indices)
     return _result(members, best_jer, "OPT-enumerate", budget, stats)
-
-
-def enumerate_best_in_range(
-    candidates,
-    budget: float | None = None,
-    *,
-    max_size: int | None = None,
-    first_lo: int = 0,
-    first_hi: int | None = None,
-) -> tuple[tuple[int, ...] | None, float, SelectionStats]:
-    """Best feasible jury whose *smallest* member index lies in ``[first_lo, first_hi)``.
-
-    Range-partitioned slice of :func:`enumerate_optimal` for the cost-aware
-    shard scheduler: a heavy exact-enumeration query is split into candidate
-    ranges, each shard enumerates only the combinations whose first (lowest)
-    candidate index falls inside its range, and the parent folds the partial
-    winners back together.  Because the ranges partition the first-index axis,
-    the union of the per-range search spaces is exactly the full enumeration's
-    search space, and because both this function and the parent's merge use
-    :func:`_improves_indices`' comparator (JER epsilon, then size, then
-    lexicographic member ids), the merged winner is bit-identical to
-    :func:`enumerate_optimal`'s — pinned by the scheduler's split suite.
-
-    Returns ``(best_indices, best_jer, stats)`` with ``best_indices=None``
-    when no feasible jury starts in the range (never raises for mere
-    range-infeasibility; the parent raises once all ranges come back empty).
-    Cost accumulation and JER evaluation go through the same block-vectorized
-    kernels as :func:`enumerate_optimal`, so per-combination arithmetic — and
-    the summed ``juries_considered``/``jer_evaluations`` counters across a
-    partition — match the unsplit run exactly.
-    """
-    eps, reqs, ordered = _columns(candidates)
-    n_total = int(eps.size)
-    if n_total == 0:
-        raise EmptyCandidateSetError("cannot enumerate an empty candidate set")
-    if n_total > _ENUMERATION_LIMIT:
-        raise ValueError(
-            f"enumerate_optimal is limited to N <= {_ENUMERATION_LIMIT} candidates "
-            f"(got {n_total}); use branch_and_bound_optimal instead"
-        )
-    b = math.inf if budget is None else validate_budget(budget)
-    limit = n_total if max_size is None else min(max_size, n_total)
-    lo = max(0, int(first_lo))
-    hi = n_total if first_hi is None else min(int(first_hi), n_total)
-
-    stats = SelectionStats()
-    start = time.perf_counter()
-    best_indices: tuple[int, ...] | None = None
-    best_jer = math.inf
-    for k in range(1, limit + 1, 2):
-        for first in range(lo, hi):
-            if n_total - first < k:
-                break
-            if k == 1:
-                combos = iter(((first,),))
-            else:
-                combos = (
-                    (first,) + rest
-                    for rest in itertools.combinations(range(first + 1, n_total), k - 1)
-                )
-            while True:
-                block = list(itertools.islice(combos, _ENUM_BLOCK))
-                if not block:
-                    break
-                idx = np.array(block, dtype=np.intp)
-                stats.juries_considered += idx.shape[0]
-                # Sequential left-to-right accumulation, matching
-                # enumerate_optimal (and the scalar chain) exactly.
-                costs = np.zeros(idx.shape[0], dtype=np.float64)
-                for col in range(k):
-                    costs += reqs[idx[:, col]]
-                feasible = np.nonzero(costs <= b)[0]
-                if feasible.size == 0:
-                    continue
-                chosen = idx[feasible]
-                jers = batch_jury_jer(eps[chosen])
-                stats.jer_evaluations += chosen.shape[0]
-                for row in range(chosen.shape[0]):
-                    combo_indices = tuple(int(i) for i in chosen[row])
-                    jer = float(jers[row])
-                    if _improves_indices(jer, combo_indices, best_jer, best_indices, ordered):
-                        best_jer, best_indices = jer, combo_indices
-    stats.elapsed_seconds = time.perf_counter() - start
-    return best_indices, best_jer, stats
 
 
 def _improves_indices(

@@ -40,7 +40,6 @@ from repro.plan.cost import (
     estimate_plan_cost,
     frontier_break_even,
     frontier_eligible,
-    plan_cost,
 )
 from repro.plan.frontier import (
     DEFAULT_FRONTIER_CACHE_SIZE,
@@ -77,7 +76,6 @@ __all__ = [
     "frontier_cache_size_from_env",
     "frontier_eligible",
     "normalize_model",
-    "plan_cost",
     "plan_query",
     "planner_cache_info",
 ]

@@ -62,9 +62,6 @@ __all__ = [
     "exact_operator_for",
     "affordable_count",
     "estimate_plan_cost",
-    "plan_cost",
-    "KERNEL_BACKEND_SPEEDUP",
-    "MAX_SCHEDULING_COST",
     "frontier_build_ops",
     "frontier_probe_ops",
     "frontier_scan_ops",
@@ -206,52 +203,6 @@ def frontier_eligible(model: str, pool_size: int) -> bool:
     crossover (see :func:`frontier_break_even`).
     """
     return model == "altr" and pool_size >= FRONTIER_MIN_POOL
-
-
-#: Calibration factors for the scheduling weight: roughly how many times
-#: faster than the NumPy reference each compiled kernel backend executes the
-#: hot kernels (``BENCH_kernels.json``: ~10x on the PayALG scan, ~14x on the
-#: prefix sweep at 1,000-candidate pools; the numba JIT trails the native
-#: build slightly).  Only *relative* magnitudes matter — the scheduler
-#: bin-packs weights against each other, never against wall-clock.
-KERNEL_BACKEND_SPEEDUP = {"numpy": 1.0, "numba": 8.0, "native": 12.0}
-
-#: Ceiling on scheduling weights.  Saturated enumeration estimates are
-#: ``math.inf`` (the magnitude *is* the message for the planner), but a
-#: bin-packing scheduler needs finite, comparable weights.
-MAX_SCHEDULING_COST = 1e15
-
-def plan_cost(plan) -> float:
-    """Calibrated scheduling weight of one planned query.
-
-    Collapses a plan's :class:`PlanCost` estimates to a single float the
-    shard scheduler (:mod:`repro.service.sched`) can bin-pack: the chosen
-    operator's estimated kernel operations, divided by the measured speedup
-    of the kernel backend the plan will execute on — so an exact enumeration
-    dispatched to the native backend weighs less than the same enumeration
-    on NumPy, matching its realized wall-clock share.
-
-    ``plan`` is duck-typed: anything exposing ``operator``,
-    ``kernel_backend`` and a :class:`PlanCost` ``cost`` qualifies — both
-    :class:`~repro.plan.planner.SelectionPlan` and the shard layer's
-    :class:`~repro.service.shard.PlanPayload` do.  Pure and deterministic;
-    always finite and >= 1.0.
-    """
-    cost: PlanCost = plan.cost
-    ops = None
-    for operator, estimate in cost.estimates:
-        if operator == plan.operator:
-            ops = estimate
-            break
-    if ops is None:
-        # Operator absent from the estimates (e.g. a frontier-probe plan or
-        # a hand-built payload): fall back to the preferred estimate, then
-        # to pool size.
-        ops = cost.estimates[0][1] if cost.estimates else float(cost.pool_size)
-    if not math.isfinite(ops) or ops > MAX_SCHEDULING_COST:
-        ops = MAX_SCHEDULING_COST
-    speedup = KERNEL_BACKEND_SPEEDUP.get(getattr(plan, "kernel_backend", "numpy"), 1.0)
-    return max(1.0, ops / speedup)
 
 
 def _enumeration_ops(n: int, limit: int) -> float:

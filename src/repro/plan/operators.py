@@ -49,11 +49,9 @@ def _run_altr(
     if profile is None:
         profile = prefix_jer_profile(plan.view.eps, backend=plan.kernel_backend)
     ns, jers = profile
-    # Pick the winning prefix size first so an unmaterialised view (a shard
-    # worker's reconstructed payload) inflates only the selected jurors.
     best = best_odd_prefix(ns, jers, max_size=plan.max_size)
     return result_from_sweep_profile(
-        plan.view.members(best[0]), ns, jers, max_size=plan.max_size, best=best
+        plan.view.ordered[: best[0]], ns, jers, max_size=plan.max_size, best=best
     )
 
 

@@ -9,8 +9,8 @@ tie-break) order —
 * ``ids``  — juror-id tie-break keys.
 
 Operators work on these arrays directly; :class:`~repro.core.juror.Juror`
-objects survive only at API boundaries, materialised lazily through
-:attr:`PoolView.ordered` when a :class:`SelectionResult` needs members.
+objects survive only at API boundaries, carried alongside as
+:attr:`PoolView.ordered` for when a :class:`SelectionResult` needs members.
 Views built from an existing :class:`~repro.service.pool.CandidatePool`
 share its already-sorted arrays, so planning adds no re-sort or re-hash.
 """
@@ -51,15 +51,14 @@ class PoolView:
     3
     """
 
-    __slots__ = ("eps", "reqs", "_ids", "_ordered", "_fingerprint", "pool_id")
+    __slots__ = ("eps", "reqs", "ordered", "_ids", "_fingerprint", "pool_id")
 
     def __init__(
         self,
         eps: np.ndarray,
         reqs: np.ndarray,
         *,
-        ordered: tuple[Juror, ...] | None = None,
-        ids: tuple[str, ...] | None = None,
+        ordered: tuple[Juror, ...],
         fingerprint: str | None = None,
         pool_id: str | None = None,
     ) -> None:
@@ -71,8 +70,9 @@ class PoolView:
             )
         self.eps = _read_only(np.asarray(eps, dtype=np.float64))
         self.reqs = _read_only(np.asarray(reqs, dtype=np.float64))
-        self._ids = ids
-        self._ordered = ordered
+        #: Members as :class:`Juror` objects, parallel to ``eps``/``reqs``.
+        self.ordered = ordered
+        self._ids: tuple[str, ...] | None = None
         self._fingerprint = fingerprint
         self.pool_id = pool_id
 
@@ -141,29 +141,6 @@ class PoolView:
         return self._ids
 
     @property
-    def ordered(self) -> tuple[Juror, ...]:
-        """Members as :class:`Juror` objects (materialised lazily)."""
-        if self._ordered is None:
-            self._ordered = self.members(self.size)
-        return self._ordered
-
-    def members(self, count: int) -> tuple[Juror, ...]:
-        """The first ``count`` members in Lemma 3 order.
-
-        Unlike slicing :attr:`ordered`, an unmaterialised view builds only
-        the ``count`` requested :class:`Juror` objects — the AltrM operator
-        uses this to inflate just the winning prefix instead of the whole
-        pool (the worker shards never need the rest).
-        """
-        if self._ordered is not None:
-            return self._ordered[:count]
-        ids = self._ids or tuple(f"candidate-{i}" for i in range(count))
-        return tuple(
-            Juror(float(e), float(r), juror_id=i)
-            for e, r, i in zip(self.eps[:count], self.reqs[:count], ids)
-        )
-
-    @property
     def fingerprint(self) -> str:
         """Content hash (same scheme as :func:`pool_fingerprint`)."""
         if self._fingerprint is None:
@@ -172,18 +149,11 @@ class PoolView:
 
     def take(self, mask: np.ndarray, *, suffix: str = "subset") -> "PoolView":
         """Sub-view of the rows selected by a boolean mask (order preserved)."""
-        ordered = None
-        if self._ordered is not None:
-            ordered = tuple(j for j, keep in zip(self._ordered, mask) if keep)
-        ids = None
-        if self._ids is not None:
-            ids = tuple(i for i, keep in zip(self._ids, mask) if keep)
         label = f"{self.pool_id}/{suffix}" if self.pool_id else None
         return PoolView(
             self.eps[mask],
             self.reqs[mask],
-            ordered=ordered,
-            ids=ids,
+            ordered=tuple(j for j, keep in zip(self.ordered, mask) if keep),
             pool_id=label,
         )
 

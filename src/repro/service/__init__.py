@@ -6,20 +6,8 @@ restructures the execution path for that workload shape:
 
 :class:`BatchSelectionEngine`
     Accepts a batch of :class:`SelectionQuery` objects (mixed AltrM / PayM /
-    exact, shared or per-task candidate pools) and executes them through
-    vectorized kernels and a per-pool prefix-sweep cache — in-process, or
-    fanned out across worker shards via a :class:`ShardedExecutor`.
-:class:`ShardedExecutor`
-    Multi-process execution strategy: queries are planned in the parent and
-    executed across ``N`` worker processes, each with a worker-local sweep
-    cache (:mod:`repro.service.shard`).
-:class:`WorkScheduler`
-    The scheduling policy layer (:mod:`repro.service.sched`): ``cost``
-    bin-packs planned payloads across shards by planner cost estimates —
-    splitting heavy exact enumerations into candidate-range sub-payloads
-    and letting idle shards steal queued work — while ``hash`` reproduces
-    the static fingerprint partitioning.  Selections are bit-identical
-    under every policy.
+    exact, shared or per-task candidate pools) and executes them in-process
+    through vectorized kernels and a per-pool prefix-sweep cache.
 :class:`CandidatePool`
     An immutable, fingerprinted candidate set shareable across queries.
 :class:`LivePool` / :class:`PoolRegistry`
@@ -47,8 +35,6 @@ from repro.service.batch import BatchSelectionEngine, QueryOutcome, SelectionQue
 from repro.service.cache import PrefixSweepCache
 from repro.service.pool import CandidatePool, as_pool
 from repro.service.registry import LivePool, LivePoolStats, PoolRegistry
-from repro.service.sched import SCHEDULER_POLICIES, WorkScheduler
-from repro.service.shard import ShardedExecutor
 
 __all__ = [
     "BatchSelectionEngine",
@@ -59,8 +45,5 @@ __all__ = [
     "LivePoolStats",
     "PoolRegistry",
     "PrefixSweepCache",
-    "SCHEDULER_POLICIES",
-    "ShardedExecutor",
-    "WorkScheduler",
     "as_pool",
 ]

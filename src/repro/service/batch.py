@@ -15,11 +15,10 @@ path the engine adds the batch-shaped optimisations:
 * **Repeat AltrM queries** are answered from the answer-frontier cache
   (:mod:`repro.plan.frontier`): the engine probes it during batch assembly,
   *before* planning, and a hit is one ``np.searchsorted`` — no
-  ``plan_query``, no ``execute_plan``, and under sharded execution no
-  worker round trip (hits shrink the shard payloads).  Frontiers are
-  materialised the first time a pool's profile is resolved and delta-
-  repaired by live pools across churn; results are bit-identical to the
-  plan pipeline, tie-break included.
+  ``plan_query``, no ``execute_plan``.  Frontiers are materialised the
+  first time a pool's profile is resolved and delta-repaired by live pools
+  across churn; results are bit-identical to the plan pipeline, tie-break
+  included.
 * **AltrM queries** are answered from odd-prefix JER profiles.  Distinct
   pools of equal size are stacked into one matrix and swept together by the
   vectorized 2-D kernel (:func:`repro.core.jer.batch_prefix_jer_sweep`);
@@ -32,18 +31,8 @@ path the engine adds the batch-shaped optimisations:
 * **Exact queries** execute the enumeration / branch-and-bound operator the
   cost model picks.
 
-Execution strategy: with ``executor=None`` (and ``max_workers`` unset or
-``<= 1``) everything above runs in-process.  With a
-:class:`~repro.service.shard.ShardedExecutor` (or ``max_workers > 1``, which
-builds one), *all* models are fanned out across worker processes partitioned
-by pool fingerprint: the parent still resolves pools and plans every query —
-so the deterministic operator choice stays centralised — and ships columnar
-:class:`~repro.service.shard.PlanPayload` objects to the shards, each of
-which keeps a worker-local sweep cache.  This replaces the PR 1 ad-hoc
-process pool that covered exact queries only.
-
-Results are **bit-identical** to the single-query selectors in every mode —
-sequential, sharded, and the degraded in-process fallback all run the same
+Everything runs in-process, one engine pass at a time.  Results are
+**bit-identical** to the single-query selectors: both run the same
 plan->operator pipeline over the same columnar arrays, so they cannot
 diverge.  :meth:`BatchSelectionEngine.plan` returns the plan for a query
 *without* executing it (the ``repro-select explain`` surface).
@@ -54,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +53,7 @@ from repro.core.jer import batch_prefix_jer_sweep
 from repro.core.juror import Juror
 from repro.core.selection.base import SelectionResult
 from repro.plan import SelectionPlan, execute_plan, normalize_model, plan_query
-from repro.plan.cost import frontier_eligible, plan_cost
+from repro.plan.cost import frontier_eligible
 from repro.plan.frontier import (
     AnswerFrontier,
     FrontierCache,
@@ -73,14 +62,6 @@ from repro.plan.frontier import (
 from repro.service.cache import DEFAULT_CACHE_SIZE, PrefixSweepCache
 from repro.service.pool import CandidatePool
 from repro.service.registry import LivePool, PoolRegistry
-from repro.service.sched import WorkScheduler
-from repro.service.shard import (
-    PlanPayload,
-    PoolColumns,
-    ShardedExecutor,
-    merge_split_answers,
-    rebuild_result,
-)
 
 __all__ = ["SelectionQuery", "QueryOutcome", "BatchSelectionEngine"]
 
@@ -164,8 +145,7 @@ class SelectionQuery:
 class QueryOutcome:
     """Result slot for one query of a batch: either a result or an error.
 
-    ``exception`` carries the failure itself — raised in-process or inside a
-    worker shard, it crosses the boundary intact — so transports report a
+    ``exception`` carries the failure itself, so transports report a
     structured code + message (see :attr:`error_info`) instead of parsing
     strings.  (The legacy flat ``.error`` message string was removed after
     its one-release deprecation window; read ``error_info.message``.)
@@ -206,26 +186,12 @@ class EngineStats:
     batch_sweeps: int = 0
     pools_swept: int = 0
     live_profiles: int = 0
-    #: Queries answered by worker shards (sharded execution only).
-    sharded_queries: int = 0
-    #: Shard batches dispatched (one per shard touched per engine pass).
-    shard_batches: int = 0
-    #: Queries answered from the answer frontier — no plan, no kernel, and
-    #: (under sharded execution) no worker round trip.
+    #: Queries answered from the answer frontier — no plan, no kernel.
     frontier_hits: int = 0
     #: Compiled-kernel backend large kernel calls dispatch to
     #: (``numpy``/``numba``/``native``) — resolved and warmed at engine
     #: construction so JIT/cc compile time never lands in query timings.
     kernel_backend: str = "numpy"
-    #: Shard scheduling policy in force (``cost`` or ``hash``); selections
-    #: are bit-identical under both, only placement/timing differ.
-    scheduler_policy: str = "cost"
-    #: Heavy exact-enumeration queries split into candidate-range
-    #: sub-payloads across shards (cost policy, sharded execution only).
-    split_queries: int = 0
-    #: Work units executed by a shard other than the one they were packed
-    #: onto (idle-shard stealing; cost policy only).
-    stolen_units: int = 0
 
 
 class BatchSelectionEngine:
@@ -237,39 +203,20 @@ class BatchSelectionEngine:
         Capacity of the per-engine prefix-sweep cache (profiles retained
         across :meth:`run` calls).  ``0`` disables cross-run caching;
         within one batch, pools are still deduplicated by fingerprint.
-        Under sharded execution the engine cache relays live-pool profiles;
-        cold sweeps live in the worker-local caches instead.
     frontier_size:
         Capacity of the answer-frontier cache
         (:class:`~repro.plan.frontier.FrontierCache`): one materialised
         budget→jury frontier per pool fingerprint, probed *before* planning
         so repeat AltrM queries are answered by binary search — no
-        ``plan_query``, no ``execute_plan``, and under sharded execution no
-        worker round trip.  ``0`` disables it (the oracle configuration);
-        ``None`` (default) defers to the ``REPRO_FRONTIER_CACHE``
-        environment flag (enabled unless the flag is falsy).
-    max_workers:
-        Convenience: ``> 1`` builds a
-        :class:`~repro.service.shard.ShardedExecutor` with that many worker
-        shards (mutually exclusive with ``executor``).
-    executor:
-        Execution strategy.  ``None`` runs everything in-process; a
-        :class:`~repro.service.shard.ShardedExecutor` fans every model out
-        across fingerprint-partitioned worker processes.
+        ``plan_query``, no ``execute_plan``.  ``0`` disables it (the oracle
+        configuration); ``None`` (default) defers to the
+        ``REPRO_FRONTIER_CACHE`` environment flag (enabled unless the flag
+        is falsy).
     registry:
         Optional :class:`~repro.service.registry.PoolRegistry` against which
         ``pool_name`` queries are resolved.  Live pools contribute their
         delta-maintained sweep profiles on cache misses, so a churned pool
         costs one partial repair instead of a full engine-side sweep.
-    scheduler:
-        Shard scheduling policy: ``"cost"`` (planner-costed bin-packing
-        with query splitting and stealing), ``"hash"`` (static fingerprint
-        hashing, the oracle path), or ``None`` (default) to defer to the
-        ``REPRO_SCHEDULER`` environment variable (default ``cost``).
-        Selections are bit-identical under every policy; only placement and
-        timing differ.  Ignored without an executor, except that the
-        sequential path still reports its policy and single-slot
-        utilisation through :meth:`scheduler_stats`.
 
     Examples
     --------
@@ -286,38 +233,20 @@ class BatchSelectionEngine:
         *,
         cache_size: int = DEFAULT_CACHE_SIZE,
         frontier_size: int | None = None,
-        max_workers: int | None = None,
-        executor: ShardedExecutor | None = None,
         registry: PoolRegistry | None = None,
-        scheduler: str | None = None,
     ) -> None:
-        if executor is not None and max_workers is not None:
-            raise ValueError("pass either an executor or max_workers, not both")
-        if executor is None and max_workers is not None and max_workers > 1:
-            executor = ShardedExecutor(max_workers)
-        self._sched = WorkScheduler(scheduler)
-        # Sequential-path bookkeeping mirroring the per-shard counters, so
-        # scheduler_stats() is meaningful with and without an executor.
-        self._seq_assigned_cost = 0.0
-        self._seq_busy_seconds = 0.0
         self._cache = PrefixSweepCache(maxsize=cache_size)
         if frontier_size is None:
             frontier_size = frontier_cache_size_from_env()
         self._frontier = FrontierCache(maxsize=frontier_size)
-        self._executor = executor
         self._registry = registry
-        # Guards parent-side shared state (cache, stats, planning) when the
-        # async drainer fans concurrent select_many calls across shards; the
-        # lock is released while waiting on shard futures, so parent-side
-        # work overlaps with worker compute.
+        # Serialises engine passes and evictions: the caches, frontier and
+        # stats are shared, unsynchronised state.
         self._lock = threading.Lock()
         # Activate (compile + bitwise-verify + warm) the configured kernel
         # backend up front: queries must never pay first-call compile cost,
         # and stats report the backend before the first query runs.
-        self.stats = EngineStats(
-            kernel_backend=kernels.ensure_ready(),
-            scheduler_policy=self._sched.policy,
-        )
+        self.stats = EngineStats(kernel_backend=kernels.ensure_ready())
 
     @property
     def cache(self) -> PrefixSweepCache:
@@ -330,86 +259,20 @@ class BatchSelectionEngine:
         return self._frontier
 
     @property
-    def executor(self) -> ShardedExecutor | None:
-        """The sharded execution strategy, if any."""
-        return self._executor
-
-    @property
     def registry(self) -> PoolRegistry | None:
         """The registry ``pool_name`` queries resolve against (if any)."""
         return self._registry
 
-    @property
-    def scheduler_policy(self) -> str:
-        """The shard scheduling policy in force (``cost`` or ``hash``)."""
-        return self._sched.policy
-
-    def scheduler_stats(self) -> dict:
-        """The scheduler's view of realized load balance.
-
-        Returns the policy, per-shard placement counters (assigned
-        scheduling cost, realized busy seconds, steals, split sub-payloads,
-        queue depth high-water), the split/steal totals, and
-        ``assigned_cost_skew`` — max/mean per-shard assigned cost, the
-        number the cost policy exists to keep near 1.0 where hashing
-        skews.  Without an executor the sequential path reports one
-        virtual slot, so the block is always present and comparable.
-        """
-        if self._executor is not None:
-            keys = (
-                "shard",
-                "assigned_cost",
-                "busy_seconds",
-                "stolen",
-                "split_payloads",
-                "queue_depth",
-            )
-            per_shard = [
-                {key: slot[key] for key in keys}
-                for slot in self._executor.utilisation()
-            ]
-        else:
-            with self._lock:
-                per_shard = [
-                    {
-                        "shard": 0,
-                        "assigned_cost": self._seq_assigned_cost,
-                        "busy_seconds": self._seq_busy_seconds,
-                        "stolen": 0,
-                        "split_payloads": 0,
-                        "queue_depth": 0,
-                    }
-                ]
-        costs = [slot["assigned_cost"] for slot in per_shard]
-        mean = sum(costs) / len(costs) if costs else 0.0
-        skew = max(costs) / mean if mean > 0 else 1.0
-        return {
-            "policy": self._sched.policy,
-            "workers": len(per_shard),
-            "splits": self.stats.split_queries,
-            "steals": sum(slot["stolen"] for slot in per_shard),
-            "assigned_cost_skew": skew,
-            "per_shard": per_shard,
-        }
-
     def invalidate_profile(self, fingerprint: str) -> None:
         """Evict a pool's cached answers everywhere they may live.
 
-        Symmetric by construction: *every* parent-side structure keyed by
-        this fingerprint — the prefix-sweep cache and the answer-frontier
-        cache — is cleared, and under sharded execution the eviction is
-        broadcast to every worker-local cache, so dropping a registry pool
-        frees its state in all shards, not just the parent.
+        Symmetric by construction: *every* structure keyed by this
+        fingerprint — the prefix-sweep cache and the answer-frontier cache —
+        is cleared.
         """
-        self._cache.invalidate(fingerprint)
-        self._frontier.invalidate(fingerprint)
-        if self._executor is not None:
-            self._executor.invalidate(fingerprint)
-
-    def close(self) -> None:
-        """Release the executor's dedicated worker processes, if any."""
-        if self._executor is not None:
-            self._executor.close()
+        with self._lock:
+            self._cache.invalidate(fingerprint)
+            self._frontier.invalidate(fingerprint)
 
     def _resolve(self, query: SelectionQuery) -> tuple[CandidatePool, LivePool | None]:
         """Resolve a query to a frozen pool (plus its live pool, if any)."""
@@ -473,9 +336,7 @@ class BatchSelectionEngine:
         the error while the rest of the batch completes; with
         ``raise_errors=True`` the first failure propagates as an exception.
 
-        Concurrent calls are safe when the engine has an executor (the async
-        drainer's shard fan-out relies on this); the sequential path assumes
-        one caller at a time, as before.
+        Concurrent calls are safe: the engine lock serialises whole passes.
         """
         batch = list(queries)
         outcomes: list[QueryOutcome] = [
@@ -495,38 +356,11 @@ class BatchSelectionEngine:
                         raise
                     outcomes[index].exception = exc
 
-        if self._executor is not None:
-            self._run_sharded(resolved, outcomes, raise_errors)
-            return outcomes
-
-        altr_items = [item for item in resolved if item[1].model == "altr"]
-        other_items = [item for item in resolved if item[1].model != "altr"]
-        self._run_altr(altr_items, outcomes, raise_errors)
-        self._run_serial(other_items, outcomes, raise_errors)
+            altr_items = [item for item in resolved if item[1].model == "altr"]
+            other_items = [item for item in resolved if item[1].model != "altr"]
+            self._run_altr(altr_items, outcomes, raise_errors)
+            self._run_serial(other_items, outcomes, raise_errors)
         return outcomes
-
-    # ------------------------------------------------------------------
-    # sharded execution: plan in the parent, execute in the worker shards
-    # ------------------------------------------------------------------
-    def _known_profile(
-        self, pool: CandidatePool, live: LivePool | None
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """A sweep profile the parent already holds (cache hit or live pool).
-
-        Cold pools return ``None`` — the worker computes and caches the
-        sweep, which is exactly the work sharding parallelises.
-        """
-        cached = self._cache.get(pool.fingerprint)
-        if cached is not None:
-            self._adopt_frontier(pool, live, cached)
-            return cached
-        if live is not None:
-            profile = live.sweep_profile()
-            self._cache.put(pool.fingerprint, *profile)
-            self.stats.live_profiles += 1
-            self._adopt_frontier(pool, live, profile)
-            return profile
-        return None
 
     # ------------------------------------------------------------------
     # answer frontier: O(log n) repeat queries, probed before planning
@@ -601,87 +435,6 @@ class BatchSelectionEngine:
         self.stats.frontier_hits += 1
         return True
 
-    def _run_sharded(
-        self,
-        items: Sequence[tuple[int, SelectionQuery, CandidatePool, LivePool | None]],
-        outcomes: list[QueryOutcome],
-        raise_errors: bool,
-    ) -> None:
-        assert self._executor is not None
-        with self._lock:
-            payloads: list[tuple[int, PlanPayload]] = []
-            blocks: dict[str, PoolColumns] = {}
-            probed: set[str] = set()  # pools whose known profile was looked up
-            for index, query, pool, live in items:
-                try:
-                    # Frontier hits short-circuit before the query reaches a
-                    # shard: no plan, no payload, no worker round trip.
-                    if self._frontier_answer(query, pool, outcomes[index], raise_errors):
-                        continue
-                    plan = self._plan_for(query, pool)
-                    fingerprint = pool.fingerprint
-                    is_altr = plan.operator == "altr-sweep"
-                    profile = None
-                    if is_altr and fingerprint not in probed:
-                        probed.add(fingerprint)
-                        profile = self._known_profile(pool, live)
-                    block = blocks.get(fingerprint)
-                    if block is None:
-                        blocks[fingerprint] = PoolColumns.from_view(
-                            plan.view,
-                            fingerprint=fingerprint,
-                            need_ids=not is_altr,
-                            profile=profile,
-                        )
-                    else:
-                        if not is_altr and block.ids is None:
-                            # First non-AltrM query on this pool: its solver
-                            # tie-breaks on juror ids, so the block gains them.
-                            block = replace(block, ids=plan.view.ids)
-                        if profile is not None and block.profile is None:
-                            block = replace(block, profile=profile)
-                        blocks[fingerprint] = block
-                    payloads.append(
-                        (index, PlanPayload.from_plan(plan, fingerprint=fingerprint))
-                    )
-                except Exception as exc:
-                    if raise_errors:
-                        raise
-                    outcomes[index].exception = exc
-        # Placement policy: the scheduler turns the planned payloads into
-        # per-shard work units (bin-packed + split under "cost", the static
-        # fingerprint hash under "hash"); the executor runs them (stealing
-        # only under "cost") and split sub-answers fold back to one answer
-        # per query before inflation.
-        units, splits = self._sched.build(payloads, blocks, self._executor)
-        raw_answers, report = self._executor.run_schedule(
-            units, steal=self._sched.steal_enabled
-        )
-        answers = merge_split_answers(raw_answers, units, blocks)
-        with self._lock:
-            self.stats.shard_batches += report.shards_used
-            self.stats.split_queries += splits
-            self.stats.stolen_units += report.steals
-            pools = {index: pool for index, _, pool, _ in items}
-            for index, answer, elapsed in answers:
-                outcomes[index].elapsed_seconds = elapsed
-                if isinstance(answer, BaseException):
-                    outcomes[index].exception = answer
-                else:
-                    # Workers ship member *positions*; inflate them against
-                    # the parent's own Juror objects — the same objects the
-                    # sequential path would have selected.
-                    result = rebuild_result(pools[index].ordered, answer)
-                    # Same convention as the sequential paths: the result's
-                    # stats carry the per-query wall time.
-                    result.stats.elapsed_seconds = elapsed
-                    outcomes[index].result = result
-                    self.stats.sharded_queries += 1
-        if raise_errors:
-            for outcome in outcomes:
-                if outcome.exception is not None:
-                    raise outcome.exception
-
     # ------------------------------------------------------------------
     # AltrM: shared vectorized sweeps
     # ------------------------------------------------------------------
@@ -754,16 +507,13 @@ class BatchSelectionEngine:
             start = time.perf_counter()
             try:
                 plan = self._plan_for(query, pool)
-                self._seq_assigned_cost += plan_cost(plan)
                 result = execute_plan(plan, profile=profiles[pool.fingerprint])
             except Exception as exc:
-                self._seq_busy_seconds += time.perf_counter() - start
                 if raise_errors:
                     raise
                 outcomes[index].exception = exc
                 continue
             elapsed = time.perf_counter() - start
-            self._seq_busy_seconds += elapsed
             result.stats.elapsed_seconds = elapsed
             outcomes[index].result = result
             outcomes[index].elapsed_seconds = elapsed
@@ -781,15 +531,12 @@ class BatchSelectionEngine:
             start = time.perf_counter()
             try:
                 plan = self._plan_for(query, pool)
-                self._seq_assigned_cost += plan_cost(plan)
                 result = execute_plan(plan)
             except Exception as exc:
-                self._seq_busy_seconds += time.perf_counter() - start
                 if raise_errors:
                     raise
                 outcomes[index].exception = exc
                 continue
             elapsed = time.perf_counter() - start
-            self._seq_busy_seconds += elapsed
             outcomes[index].result = result
             outcomes[index].elapsed_seconds = elapsed

@@ -194,10 +194,12 @@ class TestPoolCommands:
             "hits", "misses", "evictions", "builds", "repairs", "rebuilds",
         } <= stats["frontier"].keys()
         assert stats["engine"]["queries_run"] == 1
-        assert {
+        assert set(stats["engine"]) == {
             "queries_run", "batch_sweeps", "pools_swept", "live_profiles",
-            "sharded_queries", "shard_batches", "frontier_hits",
-        } <= stats["engine"].keys()
+            "frontier_hits", "kernel_backend",
+        }
+        # One execution path: no scheduler, shard or worker blocks.
+        assert not {"scheduler", "shards", "workers", "in_process"} & stats.keys()
 
 
 class TestConstruction:

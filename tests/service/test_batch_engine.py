@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -263,28 +266,50 @@ class TestErrorHandling:
         assert result.stats.elapsed_seconds >= 0.0
 
 
-class TestProcessPool:
-    def test_parallel_exact_matches_inline(self, rng):
-        pools = [tuple(_pool_jurors(rng, 9, priced=True)) for _ in range(4)]
-        queries = [
-            SelectionQuery(task_id=f"e{i}", candidates=c, model="exact", budget=3.0)
-            for i, c in enumerate(pools)
+class TestConcurrentRuns:
+    def test_threads_share_one_engine_without_duplicate_work(self, rng):
+        """Concurrent run() calls are serialised by the engine lock: threads
+        racing on the same cold pools sweep each one exactly once, every
+        later query is a frontier hit, and every answer matches a private
+        engine's."""
+        threads, rounds, passes, width = 8, 10, 2, 16
+        batches = [
+            [
+                SelectionQuery(task_id=f"r{r}-q{q}", pool=CandidatePool(_pool_jurors(rng, 101)))
+                for q in range(width)
+            ]
+            for r in range(rounds)
         ]
-        inline = BatchSelectionEngine().run(list(queries))
-        parallel = BatchSelectionEngine(max_workers=2).run(list(queries))
-        for a, b in zip(inline, parallel):
-            assert a.ok and b.ok
-            assert a.result.jer == pytest.approx(b.result.jer, abs=1e-15)
-            assert a.result.juror_ids == b.result.juror_ids
 
-    def test_parallel_exact_captures_infeasible(self):
-        pricey = (Juror(0.2, 99.0, juror_id="rich"),)
-        queries = [
-            SelectionQuery(
-                task_id=f"e{i}", candidates=pricey, model="exact", budget=1.0
-            )
-            for i in range(2)
-        ]
-        outcomes = BatchSelectionEngine(max_workers=2).run(queries)
-        assert all(not o.ok for o in outcomes)
-        assert all("affordable" in o.error_info.message for o in outcomes)
+        def answers(engine, batch):
+            return [(o.result.juror_ids, o.result.jer) for o in engine.run(batch)]
+
+        expected = [answers(BatchSelectionEngine(), batch) for batch in batches]
+        # The frontier pinned on, so repeats are frontier hits under any env.
+        engine = BatchSelectionEngine(frontier_size=rounds * width)
+        got: list[list] = [[] for _ in range(rounds)]
+        cold = threading.Barrier(threads)
+
+        def worker() -> None:
+            for r, batch in enumerate(batches):
+                cold.wait()  # every thread races on this round's cold pools
+                for _ in range(passes):
+                    got[r].append(answers(engine, batch))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert got == [[answer] * (threads * passes) for answer in expected]
+        swept = rounds * width
+        assert engine.stats.queries_run == threads * passes * swept
+        assert engine.stats.batch_sweeps == rounds
+        assert engine.stats.pools_swept == swept
+        assert engine.stats.frontier_hits == engine.stats.queries_run - swept

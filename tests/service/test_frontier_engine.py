@@ -5,8 +5,7 @@ pinned here:
 
 * **It actually short-circuits** — a repeat AltrM query is answered without
   ``execute_plan`` ever running (asserted by monkeypatching a call counter
-  over the engine's kernel entry point) and, under sharded execution,
-  without a worker round trip (``sharded_queries`` stays flat).
+  over the engine's kernel entry point).
 * **It is invisible in the answers** — across arbitrary churn sequences the
   frontier-enabled engine returns selections bit-identical (juror ids, JER
   to the last bit, algorithm label, work counters) to a frontier-disabled
@@ -308,45 +307,6 @@ class TestDropEviction:
         hot = service.select(SelectionRequest(task_id="hot2", pool="P"))
         assert hot.jer == repeat.jer and engine.frontier.hits == 2
         service.close()
-
-
-class TestShardedShortCircuit:
-    def test_repeat_query_skips_the_worker_round_trip(self):
-        registry = PoolRegistry()
-        registry.create("P", _jurors(EPS))
-        engine = BatchSelectionEngine(
-            registry=registry, max_workers=2, frontier_size=128
-        )
-        try:
-            cold = engine.run([_query("cold")])[0]
-            assert cold.ok
-            sharded_after_cold = engine.stats.sharded_queries
-            warm = engine.run([_query("warm")])[0]
-            assert warm.ok
-            # The hit never built a payload: no new worker round trip.
-            assert engine.stats.sharded_queries == sharded_after_cold
-            assert engine.stats.frontier_hits == 1
-            _assert_outcomes_identical(cold, warm)
-        finally:
-            engine.close()
-
-    def test_sharded_hits_match_the_sequential_oracle(self):
-        registry = PoolRegistry()
-        registry.create("P", _jurors(EPS))
-        sharded = BatchSelectionEngine(
-            registry=registry, max_workers=2, frontier_size=128
-        )
-        oracle_registry = PoolRegistry()
-        oracle_registry.create("P", _jurors(EPS))
-        oracle = BatchSelectionEngine(registry=oracle_registry, frontier_size=0)
-        try:
-            for task in ("cold", "warm", "capped"):
-                cap = 3 if task == "capped" else None
-                lhs = sharded.run([_query(task, max_size=cap)])[0]
-                rhs = oracle.run([_query(task, max_size=cap)])[0]
-                _assert_outcomes_identical(lhs, rhs)
-        finally:
-            sharded.close()
 
 
 class TestDisabledFrontier:

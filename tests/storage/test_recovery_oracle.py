@@ -166,6 +166,4 @@ def test_recovered_pool_bit_identical_to_oracle(
     assert [j.juror_id for j in outcome_r.result.jury] == [
         j.juror_id for j in outcome_o.result.jury
     ]
-    engine_r.close()
-    engine_o.close()
     recovered_catalog.close()

@@ -116,29 +116,16 @@ class TestRoundTrip:
         assert main(["batch", str(path)]) == 0
         assert len(_parse_output(capsys)) == 1
 
-    def test_workers_flag_accepted(self, tmp_path, capsys):
-        path = _write_jsonl(
-            tmp_path,
-            [
-                {"task": f"t{i}", "candidates": _candidates_json(),
-                 "model": "exact", "budget": 1.0}
-                for i in range(3)
-            ],
-        )
-        assert main(["batch", str(path), "--workers", "2"]) == 0
-        rows = _parse_output(capsys)
-        assert len(rows) == 3 and all(r["status"] == "ok" for r in rows)
-
     @pytest.mark.parametrize("choice", ["auto", "numpy", "numba", "native"])
-    def test_kernel_backend_flag_composes(
-        self, tmp_path, capsys, monkeypatch, choice
-    ):
-        """``--kernel-backend`` must compose with ``--workers`` and
-        ``--no-frontier``, produce identical selections regardless of the
-        chosen backend, and export the choice for worker shards."""
+    def test_kernel_backend_flag_composes(self, tmp_path, capsys, choice):
+        """``--kernel-backend`` must compose with ``--no-frontier``, produce
+        identical selections regardless of the chosen backend, and leave the
+        process environment alone."""
+        import os
+
         from repro.core import kernels
 
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        env_before = os.environ.get("REPRO_KERNEL_BACKEND")
         path = _write_jsonl(
             tmp_path,
             [
@@ -152,7 +139,6 @@ class TestRoundTrip:
             args = [
                 "batch", str(path),
                 "--kernel-backend", choice,
-                "--workers", "2",
                 "--no-frontier",
             ]
             assert main(args) == 0
@@ -163,13 +149,9 @@ class TestRoundTrip:
                 {k: v for k, v in r.items() if k != "timings"} for r in rs
             ]
             assert strip(rows) == strip(baseline)
-            # The flag is exported so spawned worker shards inherit it.
-            import os
-
-            assert os.environ.get("REPRO_KERNEL_BACKEND") == choice
+            assert os.environ.get("REPRO_KERNEL_BACKEND") == env_before
         finally:
-            # _apply_kernel_backend mutates process-global session state;
-            # monkeypatch restores the env var, this restores the mode.
+            # _apply_kernel_backend mutates process-global session state.
             kernels.set_kernel_backend(None)
 
 
@@ -286,8 +268,8 @@ class TestLegacyModeUnaffected:
 
 class TestWorkerReaping:
     def test_batch_closes_its_service_on_exit(self, tmp_path, capsys, monkeypatch):
-        """No worker shard outlives the CLI: run_batch closes the service on
-        every exit path, including row-error exits."""
+        """run_batch closes the service on every exit path, including
+        row-error exits."""
         from repro.api import JuryService
 
         closed = []

@@ -13,14 +13,11 @@ from __future__ import annotations
 import io
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
-
-import pytest
 
 from repro.api import JuryService, SelectionRequest
 from repro.cli import _build_http_parser, _build_serve_parser, run_serve
@@ -35,7 +32,7 @@ def _drive(lines, **options):
     text = "\n".join(
         line if isinstance(line, str) else json.dumps(line) for line in lines
     )
-    args = SimpleNamespace(cache_size=None, workers=None, **options)
+    args = SimpleNamespace(cache_size=None, **options)
     out = io.StringIO()
     code = run_serve(args, stdin=io.StringIO(text + "\n"), stdout=out)
     rows = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -123,7 +120,6 @@ class TestCrashRecoverySmoke:
         data_dir = str(tmp_path / "cat")
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-        env.pop("REPRO_WORKERS", None)  # keep the subprocess single-process
         proc = subprocess.Popen(
             [
                 sys.executable, "-c",
@@ -197,10 +193,7 @@ class TestCrashRecoverySmoke:
         registry = PoolRegistry()
         registry._pools["P1"] = oracle
         engine = BatchSelectionEngine(registry=registry)
-        try:
-            outcome = engine.run([SelectionQuery(task_id="t", pool_name="P1")])[0]
-        finally:
-            engine.close()
+        outcome = engine.run([SelectionQuery(task_id="t", pool_name="P1")])[0]
         assert outcome.ok
         assert response["jer"] == outcome.result.jer  # bitwise
         assert [m["id"] for m in response["members"]] == [

@@ -2,8 +2,7 @@
 
 The in-process protocol behaviour is covered by ``tests/api/test_server.py``;
 these tests cover the CLI shell around it: argument defaults, the announce
-line, and the real-process lifecycle — SIGTERM drains gracefully, exits 0
-and reaps every worker shard process.
+line, and the real-process lifecycle — SIGTERM drains gracefully and exits 0.
 """
 
 from __future__ import annotations
@@ -59,13 +58,11 @@ class TestParser:
         assert args.host == "127.0.0.1" and args.port == 8732
         assert args.max_batch == 128 and args.max_pending == 1024
         assert args.max_connections == 512
-        assert args.workers is None and args.cache_size is None
+        assert args.cache_size is None
 
     def test_knobs_parse(self):
-        args = _build_http_parser().parse_args(
-            ["--port", "0", "--workers", "3", "--max-pending", "7"]
-        )
-        assert args.port == 0 and args.workers == 3 and args.max_pending == 7
+        args = _build_http_parser().parse_args(["--port", "0", "--max-pending", "7"])
+        assert args.port == 0 and args.max_pending == 7
 
 
 class TestServerProcess:
@@ -75,8 +72,7 @@ class TestServerProcess:
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro.cli",
-                "http", "--port", "0", "--workers", "2",
+                sys.executable, "-m", "repro.cli", "http", "--port", "0",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -92,7 +88,7 @@ class TestServerProcess:
                 proc.kill()
             proc.wait(timeout=30)
 
-    def test_sigterm_drains_exits_zero_and_reaps_workers(self, server):
+    def test_sigterm_drains_and_exits_zero(self, server):
         proc, base = server
         answer = _post(
             base,
@@ -104,22 +100,17 @@ class TestServerProcess:
         stats = _get(base, "/v1/stats")
         assert stats["async"]["answered"] == 1
         assert stats["server"]["requests_served"] >= 1
-        assert [slot["shard"] for slot in stats["shards"]] == [0, 1]
-        pids = [pid for slot in stats["shards"] for pid in slot["pids"]]
 
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 0
         assert "drained, shutting down" in proc.stderr.read()
-        for pid in pids:  # the worker shard processes died with the server
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
 
     def test_healthz_and_bit_identity_over_subprocess(self, server):
         proc, base = server
         health = _get(base, "/healthz")
         assert health["ok"] is True and health["status"] == "serving"
 
-        # Same request twice (sharded subprocess) — deterministic answer.
+        # Same request twice — deterministic answer.
         payload = {"v": 1, "task": "t", "candidates": CANDIDATES}
         first = _post(base, "/v1/select", payload)
         second = _post(base, "/v1/select", payload)

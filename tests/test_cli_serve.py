@@ -17,7 +17,7 @@ def _drive(lines: list[dict | str], **options) -> tuple[list[dict], int]:
     text = "\n".join(
         line if isinstance(line, str) else json.dumps(line) for line in lines
     )
-    args = SimpleNamespace(cache_size=None, workers=None, **options)
+    args = SimpleNamespace(cache_size=None, **options)
     out = io.StringIO()
     code = run_serve(args, stdin=io.StringIO(text + "\n"), stdout=out)
     rows = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -246,12 +246,10 @@ class TestServeSession:
 
     def test_parser_defaults(self):
         args = _build_serve_parser().parse_args([])
-        assert args.cache_size is None and args.workers is None
+        assert args.cache_size is None
         assert args.no_frontier is False
-        args = _build_serve_parser().parse_args(
-            ["--cache-size", "4", "--workers", "2", "--no-frontier"]
-        )
-        assert args.cache_size == 4 and args.workers == 2
+        args = _build_serve_parser().parse_args(["--cache-size", "4", "--no-frontier"])
+        assert args.cache_size == 4
         assert args.no_frontier is True
 
 
@@ -269,7 +267,7 @@ class TestServeViaMain:
 
 
 class TestWorkerReaping:
-    """No worker shard outlives the session: EOF, quit and Ctrl-C all close."""
+    """EOF, quit and Ctrl-C all close the service."""
 
     @staticmethod
     def _count_closes(monkeypatch):
@@ -302,6 +300,6 @@ class TestWorkerReaping:
             def __next__(self):
                 raise KeyboardInterrupt
 
-        args = SimpleNamespace(cache_size=None, workers=None)
+        args = SimpleNamespace(cache_size=None)
         code = run_serve(args, stdin=InterruptingStdin(), stdout=io.StringIO())
         assert code == 130 and closed == [True]
