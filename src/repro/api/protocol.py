@@ -26,10 +26,12 @@ transports never re-implement their own parsers.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.api.codes import error_code
-from repro.core.juror import Juror
+from repro.core.juror import Juror, JurorColumns
 from repro.core.selection.base import SelectionResult
 from repro.errors import ProtocolError
 from repro.plan import normalize_model
@@ -99,7 +101,7 @@ def _decode_candidates(
                 field=field_name,
                 position=position,
             ) from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise _located(
                 f"candidate #{position}: {exc}",
                 where,
@@ -107,6 +109,50 @@ def _decode_candidates(
                 position=position,
             ) from exc
     return tuple(jurors)
+
+
+def _float_column(values: list) -> np.ndarray | None:
+    """JSON numbers as float64, exactly as ``float()`` converts each one.
+
+    ``None`` for anything but plain floats and ints (bools, strings, nulls),
+    which are left to the scalar decoder.  A huge integer raises
+    :class:`OverflowError`, as ``float()`` does.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return np.array(values, dtype=np.float64)
+    if kinds <= {float, int}:
+        return np.array([float(v) for v in values], dtype=np.float64)
+    return None
+
+
+def _decode_candidate_columns(value: object, where: str) -> JurorColumns:
+    """Decode a wire candidate array straight into checked columns.
+
+    The one place inline candidate values are checked: every row must be an
+    object with an ``id`` (non-empty after ``str()``) and an ``error_rate``
+    finite in (0, 1), and its ``requirement`` (default 0.0) must be finite
+    and >= 0 — what :class:`Juror` checks, done column-wise.  When any row
+    fails, or holds values other than plain JSON numbers, the array goes
+    through :func:`_decode_candidates`, so the error raised is its located
+    :class:`ProtocolError`, message and ``detail`` included.
+    """
+    if isinstance(value, list) and value and set(map(type, value)) == {dict}:
+        try:
+            ids = tuple(map(str, [row["id"] for row in value]))
+            eps = _float_column([row["error_rate"] for row in value])
+            reqs = _float_column([row.get("requirement", 0.0) for row in value])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            eps = reqs = None
+        if (
+            eps is not None
+            and reqs is not None
+            and all(ids)
+            and np.all((eps > 0.0) & (eps < 1.0))
+            and np.all(np.isfinite(reqs) & (reqs >= 0.0))
+        ):
+            return JurorColumns(ids, eps, reqs)
+    return JurorColumns.from_jurors(_decode_candidates(value, where))
 
 
 # ----------------------------------------------------------------------
@@ -161,16 +207,19 @@ class SelectionRequest:
     """One "whom should we ask?" request (wire protocol v1).
 
     Exactly one candidate source must be given: inline ``candidates`` or a
-    registry ``pool`` name.  ``explain=True`` asks for the physical plan
-    instead of an executed selection (the response carries ``plan`` and no
-    members).  Construction canonicalises the payload — the model string is
+    registry ``pool`` name.  Inline candidates are held as
+    :class:`~repro.core.juror.JurorColumns` — decoded once into checked
+    columns, with :class:`Juror` objects built only for the members an
+    answer returns; a tuple of jurors is accepted and converted.
+    ``explain=True`` asks for the physical plan instead of an executed
+    selection (the response carries ``plan`` and no members).  Construction canonicalises the payload — the model string is
     parsed through the plan layer's single parser, numbers are coerced — so
     ``from_dict(request.to_dict()) == request`` holds for every valid
     request.
     """
 
     task_id: str = "task"
-    candidates: tuple[Juror, ...] | None = None
+    candidates: JurorColumns | None = None
     pool: str | None = None
     model: str = "altr"
     budget: float | None = None
@@ -182,12 +231,15 @@ class SelectionRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "task_id", str(self.task_id))
         if self.candidates is not None:
-            members = tuple(self.candidates)
-            if not members:
+            if not isinstance(self.candidates, JurorColumns):
+                members = tuple(self.candidates)
+                if not all(isinstance(j, Juror) for j in members):
+                    raise ValueError("all candidates must be Juror instances")
+                object.__setattr__(
+                    self, "candidates", JurorColumns.from_jurors(members)
+                )
+            if not self.candidates:
                 raise ValueError("'candidates' must be a non-empty array")
-            if not all(isinstance(j, Juror) for j in members):
-                raise ValueError("all candidates must be Juror instances")
-            object.__setattr__(self, "candidates", members)
         if self.pool is not None and (
             not isinstance(self.pool, str) or not self.pool
         ):
@@ -222,7 +274,13 @@ class SelectionRequest:
         if self.pool is not None:
             payload["pool"] = self.pool
         else:
-            payload["candidates"] = [_encode_juror(j) for j in self.candidates]
+            columns = self.candidates
+            payload["candidates"] = [
+                {"id": juror_id, "error_rate": eps, "requirement": req}
+                for juror_id, eps, req in zip(
+                    columns.ids, columns.eps.tolist(), columns.reqs.tolist()
+                )
+            ]
         payload["model"] = self.model
         if self.budget is not None:
             payload["budget"] = self.budget
@@ -246,14 +304,14 @@ class SelectionRequest:
             raise _located(
                 f"request must be a JSON object, got {type(obj).__name__}", where
             )
-        candidates: tuple[Juror, ...] | None = None
+        candidates: JurorColumns | None = None
         pool: str | None = None
         if "pool" in obj and "candidates" in obj:
             raise _located("give either 'pool' or 'candidates', not both", where)
         if "pool" in obj:
             pool = str(obj["pool"])
         elif "candidates" in obj:
-            candidates = _decode_candidates(obj["candidates"], where)
+            candidates = _decode_candidate_columns(obj["candidates"], where)
         else:
             raise _located(
                 "request needs a 'pool' reference or inline 'candidates'", where
@@ -272,7 +330,7 @@ class SelectionRequest:
                 method=str(obj.get("method", "auto")),
                 explain=bool(obj.get("explain", False)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             detail = getattr(exc, "detail", None)
             if detail is not None:  # already a located ProtocolError
                 raise
@@ -467,7 +525,7 @@ class PoolCommand:
 
     action: str
     name: str
-    candidates: tuple[Juror, ...] | None = None
+    candidates: tuple[Juror, ...] | JurorColumns | None = None
     add: tuple[Juror, ...] = ()
     remove: tuple[str, ...] = ()
     updates: tuple[tuple[str, float | None, float | None], ...] = ()
@@ -481,7 +539,9 @@ class PoolCommand:
             )
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("pool command needs a non-empty 'name'")
-        if self.candidates is not None:
+        if self.candidates is not None and not isinstance(
+            self.candidates, JurorColumns
+        ):
             object.__setattr__(self, "candidates", tuple(self.candidates))
         if self.action == "create" and not self.candidates:
             raise ValueError("pool create needs 'candidates'")
@@ -583,7 +643,7 @@ class PoolCommand:
                         None if req is None else float(req),
                     )
                 )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise _located(
                     f"set entry #{position}: {exc}",
                     where,

@@ -231,18 +231,21 @@ class JuryService:
         :meth:`BatchSelectionEngine.run` pass, so shared and same-sized
         pools are swept together by the vectorized 2-D kernel; explain
         requests are planned without executing.  Each response carries the
-        referenced pool's version at dispatch time.
+        referenced pool's version at dispatch time; a pool that cannot be
+        resolved (say, one whose lazy recovery fails) fails only the
+        requests that name it.
         """
         batch = list(requests)
         responses: list[SelectionResponse | None] = [None] * len(batch)
-        versions = [self._pool_version(request) for request in batch]
+        versions: list[int | None] = [None] * len(batch)
         queries: list[SelectionQuery] = []
         positions: list[int] = []
         for index, request in enumerate(batch):
             if request.explain:
-                responses[index] = self._explain_one(request, versions[index])
+                responses[index] = self._explain_one(request)
                 continue
             try:
+                versions[index] = self._pool_version(request)
                 queries.append(self._to_query(request))
             except Exception as exc:
                 responses[index] = SelectionResponse.from_error(
@@ -267,11 +270,10 @@ class JuryService:
                 )
         return responses  # type: ignore[return-value]
 
-    def _explain_one(
-        self, request: SelectionRequest, pool_version: int | None
-    ) -> SelectionResponse:
+    def _explain_one(self, request: SelectionRequest) -> SelectionResponse:
         start = time.perf_counter()
         try:
+            pool_version = self._pool_version(request)
             plan = self._engine.plan(self._to_query(request))
         except Exception as exc:
             return SelectionResponse.from_error(
@@ -290,7 +292,7 @@ class JuryService:
         The request's own ``explain`` flag is irrelevant here; the response
         embeds the physical plan under ``plan``.
         """
-        return self._explain_one(request, self._pool_version(request))
+        return self._explain_one(request)
 
     # ------------------------------------------------------------------
     # pool commands

@@ -8,6 +8,10 @@ a payment ``requirement``.
 A :class:`Jury` is an odd-sized set of jurors that can hold a majority vote.
 Juries are immutable; selection algorithms construct new juries rather than
 mutating existing ones.
+
+A :class:`JurorColumns` is a candidate list held as parallel id / error-rate
+/ requirement columns, the form a decoded request and a pool view carry;
+it builds a :class:`Juror` only for a member somebody reads.
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ def _next_auto_id() -> str:
     return f"juror-{next(_juror_counter)}"
 
 
-def ensure_unique_ids(members: Sequence["Juror"], *, where: str = "jury") -> None:
-    """Raise :class:`InvalidJuryError` if two members share a juror id."""
-    ids = [j.juror_id for j in members]
+def ensure_unique_ids(ids: Sequence[str], *, where: str = "jury") -> None:
+    """Raise :class:`InvalidJuryError` naming the first repeated juror id."""
     if len(set(ids)) != len(ids):
         seen: set[str] = set()
         dup = next(i for i in ids if i in seen or seen.add(i))
@@ -83,6 +86,22 @@ class Juror:
                 f"juror_id must be a non-empty string, got {self.juror_id!r}"
             )
 
+    @classmethod
+    def _trusted(cls, error_rate: float, requirement: float, juror_id: str) -> "Juror":
+        """Build a juror from values already checked as ``__post_init__`` would.
+
+        The members of a :class:`JurorColumns` come from columns validated
+        once, at the edge; re-running the checks per member would repeat
+        that work for every juror an answer returns.
+        """
+        juror = object.__new__(cls)
+        object.__setattr__(
+            juror,
+            "__dict__",
+            {"error_rate": error_rate, "requirement": requirement, "juror_id": juror_id},
+        )
+        return juror
+
     @property
     def accuracy(self) -> float:
         """Probability of voting correctly, ``1 - epsilon_i``."""
@@ -108,6 +127,135 @@ class Juror:
             f"Juror(id={self.juror_id!r}, epsilon={self.error_rate:.4g}, "
             f"r={self.requirement:.4g})"
         )
+
+
+def _frozen_column(values) -> np.ndarray:
+    column = np.asarray(values, dtype=np.float64).view()
+    column.flags.writeable = False
+    return column
+
+
+class JurorColumns(Sequence):
+    """An immutable candidate list held as parallel columns.
+
+    ``ids``, ``eps`` and ``reqs`` hold the juror ids, error rates and payment
+    requirements in list order.  Indexing or iterating yields :class:`Juror`
+    objects, each built on first access and cached, so a consumer that reads
+    only the columns never pays for them.  The columns are trusted: build
+    one with :meth:`from_jurors`, or from values checked exactly as
+    :class:`Juror` checks them (the wire decoder in
+    :mod:`repro.api.protocol` is that check).  Equal to the tuple of the
+    same jurors in the same order.
+
+    >>> columns = JurorColumns(("a", "b"), [0.1, 0.2], [0.0, 1.5])
+    >>> columns[1]
+    Juror(id='b', epsilon=0.2, r=1.5)
+    >>> columns == (Juror(0.1, juror_id="a"), Juror(0.2, 1.5, juror_id="b"))
+    True
+    """
+
+    __slots__ = ("ids", "eps", "reqs", "_jurors")
+
+    def __init__(
+        self,
+        ids: Iterable[str],
+        eps,
+        reqs,
+        *,
+        jurors: tuple[Juror, ...] | None = None,
+    ) -> None:
+        self.ids: tuple[str, ...] = ids if isinstance(ids, tuple) else tuple(ids)
+        self.eps = _frozen_column(eps)
+        self.reqs = _frozen_column(reqs)
+        if not len(self.ids) == self.eps.size == self.reqs.size:
+            raise ValueError("ids, eps and reqs must be parallel columns")
+        # Either every member as given, or the members built so far by index.
+        self._jurors: tuple[Juror, ...] | dict[int, Juror] = (
+            {} if jurors is None else jurors
+        )
+
+    @classmethod
+    def from_jurors(cls, jurors: Iterable[Juror]) -> "JurorColumns":
+        """Columns over existing jurors, which the sequence then hands out."""
+        if isinstance(jurors, JurorColumns):
+            return jurors
+        members = tuple(jurors)
+        if not all(isinstance(j, Juror) for j in members):
+            raise InvalidJuryError("all pool members must be Juror instances")
+        return cls(
+            tuple(j.juror_id for j in members),
+            [j.error_rate for j in members],
+            [j.requirement for j in members],
+            jurors=members,
+        )
+
+    def take(self, indices) -> "JurorColumns":
+        """The rows at ``indices`` (an integer array), in that order."""
+        positions = np.asarray(indices, dtype=np.intp)
+        picked = positions.tolist()
+        jurors = self._jurors
+        return JurorColumns(
+            tuple(map(self.ids.__getitem__, picked)),
+            self.eps[positions],
+            self.reqs[positions],
+            jurors=tuple(jurors[i] for i in picked)
+            if isinstance(jurors, tuple)
+            else None,
+        )
+
+    def _members(self, positions: range) -> tuple[Juror, ...]:
+        built = self._jurors
+        rows = np.arange(positions.start, positions.stop, positions.step)
+        eps = self.eps[rows].tolist()
+        reqs = self.reqs[rows].tolist()
+        members = []
+        for index, error_rate, requirement in zip(positions, eps, reqs):
+            juror = built.get(index)
+            if juror is None:
+                # setdefault keeps the first juror stored for a slot, so
+                # threads racing on one index all get the same object.
+                juror = built.setdefault(
+                    index, Juror._trusted(error_rate, requirement, self.ids[index])
+                )
+            members.append(juror)
+        return tuple(members)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        jurors = self._jurors
+        if isinstance(jurors, tuple):
+            return jurors[index]
+        positions = range(len(self.ids))[index]
+        if isinstance(positions, range):
+            return self._members(positions)
+        return self._members(range(positions, positions + 1))[0]
+
+    def __iter__(self) -> Iterator[Juror]:
+        if isinstance(self._jurors, tuple):
+            return iter(self._jurors)
+        return iter(self._members(range(len(self.ids))))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, JurorColumns):
+            return (
+                self.ids == other.ids
+                and np.array_equal(self.eps, other.eps)
+                and np.array_equal(self.reqs, other.reqs)
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"JurorColumns(size={len(self.ids)})"
+
+
+__all__.append("JurorColumns")
 
 
 class Jury:
@@ -143,7 +291,7 @@ class Jury:
             raise InvalidJuryError("a jury must contain at least one juror")
         if not all(isinstance(j, Juror) for j in members):
             raise InvalidJuryError("all jury members must be Juror instances")
-        ensure_unique_ids(members, where="jury")
+        ensure_unique_ids([j.juror_id for j in members], where="jury")
         if not allow_even:
             validate_odd_size(len(members))
         self._jurors: tuple[Juror, ...] = members

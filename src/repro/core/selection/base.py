@@ -12,6 +12,8 @@ import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.juror import Juror, Jury
 
 __all__ = ["SelectionStats", "SelectionResult", "candidate_key"]
@@ -111,21 +113,44 @@ def sorted_candidates(candidates: Sequence[Juror]) -> list[Juror]:
     return sorted(candidates, key=candidate_key)
 
 
-def pool_fingerprint(ordered: Sequence[Juror]) -> str:
-    """Content hash of an *ordered* candidate list.
+def lemma3_order(ids: Sequence[str], eps: np.ndarray) -> np.ndarray:
+    """Indices that sort candidate columns exactly as :func:`sorted_candidates`.
+
+    A stable argsort on the error rates; when two rates are equal the ids
+    break the tie in Python ``str`` order, as :func:`candidate_key` does.
+    """
+    order = np.argsort(eps, kind="stable")
+    ranked = eps[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        rates = eps.tolist()
+        order = np.array(
+            sorted(range(len(rates)), key=lambda i: (rates[i], ids[i])),
+            dtype=np.intp,
+        )
+    return order
+
+
+def columns_fingerprint(ids: Sequence[str], eps, reqs) -> str:
+    """Content hash of candidate columns in pool order.
 
     The batch engine (:mod:`repro.service`) keys its prefix-sweep cache on
     this fingerprint so that queries sharing a candidate pool are swept only
-    once.  The hash covers the fields that influence any selector's output —
-    id, error rate, and payment requirement, in order — so two pools collide
-    only when they are interchangeable for every selection algorithm.
+    once; the durable catalog (:mod:`repro.storage`) checks recovered
+    snapshots against it.  It is blake2b-128 over the member count, the
+    little-endian float64 bytes of ``eps`` and of ``reqs``, the length of
+    each id in code points, and the ids themselves encoded as UTF-8 with
+    ``surrogatepass`` — so every ``str`` hashes, lone surrogates and NULs
+    included.  It covers every field that influences a selector's output,
+    so two pools collide only when they are interchangeable for every
+    selection algorithm.
     """
     digest = hashlib.blake2b(digest_size=16)
-    for juror in ordered:
-        digest.update(
-            f"{juror.juror_id}\x1f{juror.error_rate!r}\x1f{juror.requirement!r}\x1e".encode()
-        )
+    digest.update(len(ids).to_bytes(8, "little"))
+    digest.update(np.ascontiguousarray(eps, dtype="<f8").tobytes())
+    digest.update(np.ascontiguousarray(reqs, dtype="<f8").tobytes())
+    digest.update(np.fromiter(map(len, ids), dtype="<u8", count=len(ids)).tobytes())
+    digest.update("".join(ids).encode("utf-8", "surrogatepass"))
     return digest.hexdigest()
 
 
-__all__.extend(["sorted_candidates", "pool_fingerprint"])
+__all__.extend(["sorted_candidates", "lemma3_order", "columns_fingerprint"])

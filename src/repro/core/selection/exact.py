@@ -58,17 +58,16 @@ _ENUMERATION_LIMIT = 20
 _ENUM_BLOCK = 512
 
 
-def _columns(candidates) -> tuple[np.ndarray, np.ndarray, Sequence[Juror]]:
-    """Columnar (eps, reqs, ordered members) in Lemma 3 order.
+def _view(candidates):
+    """The candidates as a Lemma-3-sorted :class:`~repro.plan.view.PoolView`.
 
-    Since the plan-layer refactor this shares the PayM greedy's coercion, so
-    plain sequences get the same up-front validation (Juror instances,
-    unique ids) on every operator.
+    Shares the PayM greedy's coercion, so plain sequences get the same
+    up-front validation (Juror instances, unique ids) on every operator.
     """
     # Local import: the plan layer imports this module for its operators.
-    from repro.plan.view import as_columns
+    from repro.plan.view import as_view
 
-    return as_columns(candidates)
+    return as_view(candidates)
 
 
 def _result(
@@ -108,7 +107,8 @@ def enumerate_optimal(
     InfeasibleSelectionError
         If no odd-sized jury is affordable.
     """
-    eps, reqs, ordered = _columns(candidates)
+    view = _view(candidates)
+    eps, reqs, ids = view.eps, view.reqs, view.ids
     n_total = int(eps.size)
     if n_total == 0:
         raise EmptyCandidateSetError("cannot enumerate an empty candidate set")
@@ -146,7 +146,7 @@ def enumerate_optimal(
             for row in range(chosen.shape[0]):
                 combo_indices = tuple(int(i) for i in chosen[row])
                 jer = float(jers[row])
-                if _improves_indices(jer, combo_indices, best_jer, best_indices, ordered):
+                if _improves(jer, combo_indices, best_jer, best_indices, ids):
                     best_jer, best_indices = jer, combo_indices
     stats.elapsed_seconds = time.perf_counter() - start
 
@@ -154,43 +154,25 @@ def enumerate_optimal(
         raise InfeasibleSelectionError(
             f"no odd-sized jury is affordable within budget {b:g}"
         )
-    members = tuple(ordered[i] for i in best_indices)
+    members = tuple(view.ordered[i] for i in best_indices)
     return _result(members, best_jer, "OPT-enumerate", budget, stats)
 
 
-def _improves_indices(
+def _improves(
     jer: float,
     indices: tuple[int, ...],
     best_jer: float,
     best_indices: tuple[int, ...] | None,
-    ordered: Sequence[Juror],
+    ids: Sequence[str],
 ) -> bool:
-    """Index-tuple counterpart of :func:`_improves` (same tie-break rule)."""
+    """Whether a jury beats the incumbent: lower JER, then on a tie within
+    ``1e-15`` the smaller jury, then the lexicographically smaller ids."""
     if jer < best_jer - 1e-15:
         return True
     if abs(jer - best_jer) <= 1e-15 and best_indices is not None:
         if len(indices) != len(best_indices):
             return len(indices) < len(best_indices)
-        return tuple(ordered[i].juror_id for i in indices) < tuple(
-            ordered[i].juror_id for i in best_indices
-        )
-    return False
-
-
-def _improves(
-    jer: float,
-    members: tuple[Juror, ...],
-    best_jer: float,
-    best_members: tuple[Juror, ...] | None,
-) -> bool:
-    if jer < best_jer - 1e-15:
-        return True
-    if abs(jer - best_jer) <= 1e-15 and best_members is not None:
-        if len(members) != len(best_members):
-            return len(members) < len(best_members)
-        return tuple(j.juror_id for j in members) < tuple(
-            j.juror_id for j in best_members
-        )
+        return tuple(ids[i] for i in indices) < tuple(ids[i] for i in best_indices)
     return False
 
 
@@ -208,7 +190,8 @@ def branch_and_bound_optimal(
     ``use_jer_bound=False`` to disable the monotonicity bound (cost and count
     pruning remain) — useful for ablation benchmarks.
     """
-    eps, reqs, ordered = _columns(candidates)
+    view = _view(candidates)
+    eps, reqs = view.eps, view.reqs
     if eps.size == 0:
         raise EmptyCandidateSetError("cannot optimise an empty candidate set")
     b = math.inf if budget is None else validate_budget(budget)
@@ -221,12 +204,12 @@ def branch_and_bound_optimal(
 
     stats = SelectionStats()
     start = time.perf_counter()
-    best: dict[str, object] = {"jer": math.inf, "members": None}
+    best: dict[str, object] = {"jer": math.inf, "indices": None}
 
     for k in range(1, limit + 1, 2):
         threshold = majority_threshold(k)
         _bb_search(
-            ordered,
+            view.ids,
             eps,
             reqs,
             cheapest_sum,
@@ -239,12 +222,12 @@ def branch_and_bound_optimal(
         )
     stats.elapsed_seconds = time.perf_counter() - start
 
-    if best["members"] is None:
+    if best["indices"] is None:
         raise InfeasibleSelectionError(
             f"no odd-sized jury is affordable within budget {b:g}"
         )
     return _result(
-        best["members"],  # type: ignore[arg-type]
+        tuple(view.ordered[i] for i in best["indices"]),  # type: ignore[union-attr]
         float(best["jer"]),  # type: ignore[arg-type]
         "OPT-branch-and-bound",
         budget,
@@ -264,7 +247,7 @@ def _suffix_cheapest_sums(reqs: np.ndarray) -> list[np.ndarray]:
 
 
 def _bb_search(
-    ordered: Sequence[Juror],
+    ids: Sequence[str],
     eps: np.ndarray,
     reqs: np.ndarray,
     cheapest_sum: list[np.ndarray],
@@ -286,9 +269,9 @@ def _bb_search(
                 return
             stats.jer_evaluations += 1
             jer = tail_probability(pmf, threshold)
-            members = tuple(ordered[i] for i in chosen)
-            if _improves(jer, members, float(best["jer"]), best["members"]):  # type: ignore[arg-type]
-                best["jer"], best["members"] = jer, members
+            indices = tuple(chosen)
+            if _improves(jer, indices, float(best["jer"]), best["indices"], ids):  # type: ignore[arg-type]
+                best["jer"], best["indices"] = jer, indices
             return
         need = k - picked
         if index >= n_total or n_total - index < need:
@@ -300,7 +283,7 @@ def _bb_search(
         # candidates (the immediate suffix, since eps is sorted ascending)
         # lower-bounds every completion's JER by coordinate-wise monotonicity.
         # The whole completion block is folded in with one convolve_pmf.
-        if use_jer_bound and best["members"] is not None:
+        if use_jer_bound and best["indices"] is not None:
             stats.bound_checks += 1
             bound_pmf = convolve_pmf(pmf, eps[index : index + need])
             if tail_probability(bound_pmf, threshold) >= float(best["jer"]) - 1e-15:

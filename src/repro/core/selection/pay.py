@@ -13,7 +13,8 @@ Pairs keep the size odd, which Majority Voting requires.  This module
 implements the paper's first-fit pairing faithfully (``variant="paper"``)
 plus a steepest-descent variant used for ablations (``variant="improved"``)
 that, at each step, admits the affordable pair with the best JER instead of
-the first one that helps.
+the first one that helps, and returns the first-fit jury instead when that
+one is better.
 
 Since the plan-layer refactor the greedy is *columnar*: it runs on the
 struct-of-arrays :class:`~repro.plan.view.PoolView` (error-rate and
@@ -77,7 +78,9 @@ def select_jury_pay(
     variant:
         ``"paper"`` reproduces Algorithm 4's first-fit pairing;
         ``"improved"`` is a steepest-descent ablation that evaluates every
-        affordable pair at each enlargement step and admits the best one.
+        affordable pair at each enlargement step and admits the best one;
+        it falls back to the first-fit jury when that one is better, so it
+        is never worse than ``"paper"``.
 
     Returns
     -------
@@ -143,7 +146,11 @@ def run_pay_greedy(
     compiled backends run the whole paper scan in one call, bit-identical
     to the blocked NumPy scan by the activation self-check.
     """
-    eps_sorted, reqs_sorted, members = _columns(candidates)
+    # Local import: the plan layer imports this module for its operators.
+    from repro.plan.view import as_view
+
+    view = as_view(candidates)
+    eps_sorted, reqs_sorted = view.eps, view.reqs
     b = validate_budget(budget)
     if variant not in ("paper", "improved"):
         raise ValueError(f"unknown variant {variant!r}; expected 'paper' or 'improved'")
@@ -173,28 +180,20 @@ def run_pay_greedy(
     current_jer = _tail(pmf, 1)
     stats.jer_evaluations += 1
 
+    seed = (list(selected), g_eps, g_req, seed_index + 1, accumulated, b, pmf, current_jer)
+    paper = _paper_scan(*seed, stats, backend)
     if variant == "paper":
-        impl = _kernels.backend_for("pay_scan", int(g_eps.size), forced=backend)
-        if impl.compiled:
-            pairs, accumulated, current_jer, considered, evals = impl.pay_scan(
-                g_eps, g_req, b, seed_index + 1, accumulated, pmf, current_jer
-            )
-            selected += [int(p) for p in pairs]
-            stats.juries_considered += considered
-            stats.jer_evaluations += evals
-        else:
-            selected, accumulated, current_jer = _paper_pairing(
-                selected, g_eps, g_req, seed_index + 1, accumulated, b,
-                pmf, current_jer, stats,
-            )
+        selected, accumulated, current_jer = paper
     else:
-        selected, accumulated, current_jer = _improved_pairing(
-            selected, g_eps, g_req, seed_index + 1, accumulated, b,
-            pmf, current_jer, stats,
-        )
+        selected, accumulated, current_jer = _improved_pairing(*seed, stats)
+        # Steepest descent can strand itself where first-fit does not; the
+        # ablation promises never to be worse, so the paper jury wins when
+        # it is strictly better under the shared tie-break.
+        if paper[2] < current_jer - JER_IMPROVEMENT_EPS:
+            selected, accumulated, current_jer = paper
 
     stats.elapsed_seconds = time.perf_counter() - start
-    jury = Jury([members[order[pos]] for pos in selected])
+    jury = Jury([view.ordered[order[pos]] for pos in selected])
     return SelectionResult(
         jury=jury,
         jer=float(current_jer),
@@ -205,12 +204,31 @@ def run_pay_greedy(
     )
 
 
-def _columns(candidates) -> tuple[np.ndarray, np.ndarray, Sequence[Juror]]:
-    """Columnar (eps, reqs, members) in Lemma 3 order from either source."""
-    # Local import: the plan layer imports this module for its operators.
-    from repro.plan.view import as_columns
-
-    return as_columns(candidates)
+def _paper_scan(
+    selected: list[int],
+    g_eps: np.ndarray,
+    g_req: np.ndarray,
+    scan_from: int,
+    accumulated: float,
+    budget: float,
+    pmf: np.ndarray,
+    current_jer: float,
+    stats: SelectionStats,
+    backend: str | None,
+) -> tuple[list[int], float, float]:
+    """The paper's first-fit scan on the compiled backend or in NumPy."""
+    impl = _kernels.backend_for("pay_scan", int(g_eps.size), forced=backend)
+    if not impl.compiled:
+        return _paper_pairing(
+            list(selected), g_eps, g_req, scan_from, accumulated, budget,
+            pmf, current_jer, stats,
+        )
+    pairs, accumulated, current_jer, considered, evals = impl.pay_scan(
+        g_eps, g_req, budget, scan_from, accumulated, pmf, current_jer
+    )
+    stats.juries_considered += considered
+    stats.jer_evaluations += evals
+    return selected + [int(p) for p in pairs], accumulated, current_jer
 
 
 def _tail(pmf: np.ndarray, threshold: int) -> float:
@@ -316,8 +334,9 @@ def _improved_pairing(
     jury are scored (block-wise: one partner extension, then one fan-out
     convolution over the remaining candidates) and the one with the lowest
     JER is admitted, provided it improves on the incumbent.  Quadratic in
-    the candidate count per step but strictly dominates the first-fit rule
-    in solution quality.
+    the candidate count per step.  Greedy descent alone can end worse than
+    the first-fit rule, so :func:`run_pay_greedy` keeps whichever of the
+    two juries is better.
     """
     pool = list(range(scan_from, g_eps.size))
     improved = True

@@ -15,9 +15,11 @@ path the engine adds the batch-shaped optimisations:
 * **Repeat AltrM queries** are answered from the answer-frontier cache
   (:mod:`repro.plan.frontier`): the engine probes it during batch assembly,
   *before* planning, and a hit is one ``np.searchsorted`` — no
-  ``plan_query``, no ``execute_plan``.  Frontiers are materialised the
-  first time a pool's profile is resolved and delta-repaired by live pools
-  across churn; results are bit-identical to the plan pipeline, tie-break
+  ``plan_query``, no ``execute_plan``.  Registry pools adopt their live
+  frontier whenever their profile is resolved (delta-repaired across
+  churn); a frozen pool gets a frontier on its second sighting, when its
+  profile comes out of the sweep cache, so one-shot inline pools never pay
+  for one.  Results are bit-identical to the plan pipeline, tie-break
   included.
 * **AltrM queries** are answered from odd-prefix JER profiles.  Distinct
   pools of equal size are stacked into one matrix and swept together by the
@@ -50,7 +52,7 @@ import numpy as np
 from repro._validation import validate_budget
 from repro.core import kernels
 from repro.core.jer import batch_prefix_jer_sweep
-from repro.core.juror import Juror
+from repro.core.juror import Juror, JurorColumns
 from repro.core.selection.base import SelectionResult
 from repro.plan import SelectionPlan, execute_plan, normalize_model, plan_query
 from repro.plan.cost import frontier_eligible
@@ -75,8 +77,9 @@ class SelectionQuery:
     task_id:
         Caller-chosen identifier echoed back on the outcome.
     candidates:
-        Inline candidate jurors; mutually exclusive with ``pool`` and
-        ``pool_name``.
+        Inline candidate jurors, or the
+        :class:`~repro.core.juror.JurorColumns` a decoded request carries;
+        mutually exclusive with ``pool`` and ``pool_name``.
     pool:
         A shared :class:`CandidatePool`.  Queries referencing the same pool
         object (or pools with equal fingerprints) share one prefix sweep.
@@ -100,7 +103,7 @@ class SelectionQuery:
     """
 
     task_id: str
-    candidates: tuple[Juror, ...] | None = None
+    candidates: JurorColumns | Sequence[Juror] | None = None
     pool: CandidatePool | None = None
     pool_name: str | None = None
     model: str = "altr"
@@ -376,7 +379,8 @@ class BatchSelectionEngine:
         Live pools hand over their own delta-maintained frontier (repaired,
         not rebuilt, across churn); frozen pools get a fresh build from the
         profile — an ``O(entries)`` running-argmin pass, which the cost
-        model's break-even says amortises after a single repeat probe.
+        model's break-even says amortises after a single repeat probe.  The
+        caller offers frozen pools only on their second sighting.
         Ineligible shapes (non-AltrM is handled by the callers; pools below
         the build-vs-probe crossover here) are skipped.
         """
@@ -458,6 +462,8 @@ class BatchSelectionEngine:
             return
         profiles: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         missing: dict[str, CandidatePool] = {}
+        # Pools whose profile came out of the sweep cache: seen before.
+        repeats: set[str] = set()
         for _, _, pool, live in items:
             fingerprint = pool.fingerprint
             if fingerprint in profiles or fingerprint in missing:
@@ -465,6 +471,7 @@ class BatchSelectionEngine:
             cached = self._cache.get(fingerprint)
             if cached is not None:
                 profiles[fingerprint] = cached
+                repeats.add(fingerprint)
             elif live is not None:
                 # The live pool delta-maintains its own profile: reuse it
                 # (and its unchanged prefix rows) instead of resweeping.
@@ -492,8 +499,10 @@ class BatchSelectionEngine:
                 profiles[pool.fingerprint] = profile
                 self._cache.put(pool.fingerprint, *profile)
 
-        # Materialise answer frontiers for every pool touched this pass, so
-        # the *next* repeat query probes in O(log n) instead of re-planning.
+        # Materialise answer frontiers for the registry pools and the
+        # repeat frozen pools touched this pass, so the *next* query probes
+        # in O(log n) instead of re-planning.  A frozen pool seen once gets
+        # none: most never come back, and the LRU would only evict it.
         if self._frontier.enabled:
             adopted: set[str] = set()
             for _, _, pool, live in items:
@@ -501,7 +510,8 @@ class BatchSelectionEngine:
                 if fingerprint in adopted:
                     continue
                 adopted.add(fingerprint)
-                self._adopt_frontier(pool, live, profiles[fingerprint])
+                if live is not None or fingerprint in repeats:
+                    self._adopt_frontier(pool, live, profiles[fingerprint])
 
         for index, query, pool, _ in items:
             start = time.perf_counter()

@@ -13,9 +13,8 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.juror import Juror, ensure_unique_ids
-from repro.core.selection.base import pool_fingerprint, sorted_candidates
-from repro.errors import EmptyCandidateSetError, InvalidJuryError
+from repro.core.juror import Juror, JurorColumns
+from repro.plan.view import PoolView
 
 __all__ = ["CandidatePool", "as_pool"]
 
@@ -26,10 +25,13 @@ class CandidatePool:
     Parameters
     ----------
     candidates:
-        The candidate jurors.  They are re-sorted into the deterministic
-        Lemma 3 ordering (error rate ascending, id tie-break), so two pools
-        with the same members in different input orders are identical —
-        same fingerprint, same sweep, same selections.
+        The candidate jurors: any iterable of :class:`Juror`, or the
+        :class:`~repro.core.juror.JurorColumns` a decoded request carries
+        (used as they are — no juror is built for them).  They are
+        re-sorted into the deterministic Lemma 3 ordering (error rate
+        ascending, id tie-break), so two pools with the same members in
+        different input orders are identical — same fingerprint, same
+        sweep, same selections.
     pool_id:
         Optional human-readable label (e.g. the JSONL pool name); purely
         cosmetic, not part of the fingerprint.
@@ -45,21 +47,20 @@ class CandidatePool:
     __slots__ = ("_ordered", "_eps", "_fingerprint", "_view", "pool_id")
 
     def __init__(
-        self, candidates: Iterable[Juror], *, pool_id: str | None = None
+        self,
+        candidates: "JurorColumns | Iterable[Juror]",
+        *,
+        pool_id: str | None = None,
     ) -> None:
-        members = tuple(candidates)
-        if not members:
-            raise EmptyCandidateSetError("a candidate pool must not be empty")
-        if not all(isinstance(j, Juror) for j in members):
-            raise InvalidJuryError("all pool members must be Juror instances")
-        ensure_unique_ids(members, where="candidate pool")
-        ordered = tuple(sorted_candidates(members))
-        self._ordered: tuple[Juror, ...] = ordered
-        self._eps = np.array([j.error_rate for j in ordered], dtype=np.float64)
+        view = PoolView.from_columns(
+            JurorColumns.from_jurors(candidates), pool_id=pool_id
+        )
+        self._view: PoolView | None = view
+        self._ordered: Sequence[Juror] = view.ordered
+        self._eps = view.eps
         # Computed lazily: only the AltrM sweep cache consults it, so PayM /
         # exact / single-query paths never pay for the hash.
         self._fingerprint: str | None = None
-        self._view = None
         self.pool_id = pool_id
 
     @classmethod
@@ -80,6 +81,7 @@ class CandidatePool:
         from the :class:`Juror` objects.  The array is adopted as-is, so it
         must be parallel to ``ordered`` and never mutated by the caller
         (live pools replace, rather than rewrite, their cached vector).
+        The columnar view is built only when a plan needs it.
         """
         pool = object.__new__(cls)
         pool._ordered = tuple(ordered)
@@ -95,7 +97,7 @@ class CandidatePool:
 
     # ------------------------------------------------------------------
     @property
-    def ordered(self) -> tuple[Juror, ...]:
+    def ordered(self) -> Sequence[Juror]:
         """Members in Lemma 3 (ascending error-rate) order."""
         return self._ordered
 
@@ -115,22 +117,18 @@ class CandidatePool:
     def fingerprint(self) -> str:
         """Content hash identifying this pool for caching purposes."""
         if self._fingerprint is None:
-            self._fingerprint = pool_fingerprint(self._ordered)
+            self._fingerprint = self.view.fingerprint
         return self._fingerprint
 
     @property
-    def view(self):
+    def view(self) -> PoolView:
         """Columnar :class:`~repro.plan.view.PoolView` over this pool.
 
-        Shares the pool's sorted member tuple and cached error-rate vector,
-        so planning a query against a pool adds no re-sort or re-hash; the
+        Shares the pool's sorted members and cached error-rate vector, so
+        planning a query against a pool adds no re-sort or re-hash; the
         view is built once and reused by every plan that targets the pool.
         """
         if self._view is None:
-            # Local import: repro.plan imports the selection layer, which
-            # must stay importable without the service package.
-            from repro.plan.view import PoolView
-
             self._view = PoolView.from_sorted(
                 self._ordered,
                 error_rates=self._eps,
@@ -157,7 +155,7 @@ class CandidatePool:
 
 
 def as_pool(
-    candidates: "CandidatePool | Sequence[Juror]", *, pool_id: str | None = None
+    candidates: "CandidatePool | Iterable[Juror]", *, pool_id: str | None = None
 ) -> CandidatePool:
     """Coerce a candidate sequence (or pass through a pool) to a pool."""
     if isinstance(candidates, CandidatePool):

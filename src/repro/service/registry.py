@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.core.jer import resume_prefix_sweep
 from repro.core.juror import Juror
-from repro.core.selection.base import candidate_key, pool_fingerprint
+from repro.core.selection.base import candidate_key, columns_fingerprint
 from repro.errors import EmptyCandidateSetError, InvalidJuryError, PoolNotFoundError
 from repro.plan.frontier import AnswerFrontier
 from repro.service.pool import CandidatePool
@@ -210,7 +210,11 @@ class LivePool:
         relies on to restore cache hits after a revert.
         """
         if self._fingerprint is None:
-            self._fingerprint = pool_fingerprint(self._ordered)
+            self._fingerprint = columns_fingerprint(
+                [j.juror_id for j in self._ordered],
+                self.error_rates,
+                [j.requirement for j in self._ordered],
+            )
         return self._fingerprint
 
     def snapshot(self) -> CandidatePool:

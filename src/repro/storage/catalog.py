@@ -30,7 +30,7 @@ On-disk layout::
           META.json                 # {"v": 1, "name": ..., "dropped": ...}
           wal.log                   # repro.storage.wal format
           snap-000000000042/        # repro.storage.snapshot format
-            MANIFEST.json  eps.npy  reqs.npy  ids.npy
+            MANIFEST.json  eps.npy  reqs.npy  ids.npy  id_lengths.npy
 
 Residency is an LRU of at most ``max_resident`` open pools: the catalog
 can index far more pools than fit in RAM, opening each on first access
@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.juror import Juror
-from repro.core.selection.base import pool_fingerprint
 from repro.errors import InvalidJuryError, PoolNotFoundError, StorageError
 from repro.service.registry import LivePool
 from repro.storage.snapshot import (

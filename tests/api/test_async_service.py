@@ -128,6 +128,39 @@ class TestConcurrencyBitIdentity:
         assert [r.status for r in responses] == ["ok", "ok", "ok", "error"]
         assert responses[-1].error.code == "pool-not-found"
 
+    def test_unrecoverable_pool_fails_only_its_own_request(self, tmp_path):
+        """A pool whose lazy recovery raises shares one coalesced batch with
+        an inline select: only the request naming it gets an error."""
+        setup = JuryService(data_dir=tmp_path)
+        rng = np.random.default_rng(DEFAULT_SEED)
+        setup.pool(
+            PoolCommand(
+                action="create", name="broken",
+                candidates=_make_candidates(rng, 9, "b"),
+            )
+        )
+        setup.close()
+        # Still indexed, but with no snapshot and no WAL to recover from.
+        [pool_dir] = (tmp_path / "pools").iterdir()
+        (pool_dir / "wal.log").write_bytes(b"")
+        inline = _mixed_stream(1)[0]
+
+        async def run():
+            service = AsyncJuryService(JuryService(data_dir=tmp_path))
+            try:
+                responses = await service.select_many(
+                    [inline, SelectionRequest(task_id="broken", pool="broken")]
+                )
+                return responses, service.stats_snapshot()["async"]["batches"]
+            finally:
+                await service.aclose()
+
+        (good, broken), batches = asyncio.run(run())
+        assert batches == 1
+        assert _normalise(good) == _normalise(JuryService().select(inline))
+        assert broken.status == "error"
+        assert broken.error.code == "storage-corrupt"
+
 
 class TestPoolAndBackpressure:
     def test_pool_commands_and_selects_interleave(self):

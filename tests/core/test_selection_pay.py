@@ -118,6 +118,24 @@ class TestSelectJuryPay:
             return
         assert improved.jer <= paper.jer + 1e-10
 
+    def test_improved_keeps_the_paper_jury_when_descent_strands(self):
+        """Steepest descent alone ends at {j2, j4, j3} (JER 0.07126) here,
+        worse than first-fit's {j2, j1, j7, j6, j4} (JER 0.06785); the
+        improved variant must return the better of the two."""
+        rows = [
+            ("j0", 0.43, 0.664), ("j1", 0.253, 0.095), ("j2", 0.184, 0.102),
+            ("j3", 0.167, 0.98), ("j4", 0.14, 0.565), ("j5", 0.229, 0.664),
+            ("j6", 0.21, 0.325), ("j7", 0.286, 0.22), ("j8", 0.593, 0.87),
+        ]
+        cands = [Juror(eps, req, juror_id=jid) for jid, eps, req in rows]
+        paper = select_jury_pay(cands, budget=1.82, variant="paper")
+        improved = select_jury_pay(cands, budget=1.82, variant="improved")
+        assert paper.juror_ids == ("j2", "j1", "j7", "j6", "j4")
+        assert round(paper.jer, 5) == 0.06785
+        assert improved.juror_ids == paper.juror_ids
+        assert improved.jer == paper.jer
+        assert improved.algorithm == "PayALG-improved"
+
     def test_greedy_can_be_suboptimal(self):
         """A crafted instance where first-fit pairing misses the optimum.
 

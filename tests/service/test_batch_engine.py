@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api import SelectionRequest
 from repro.core.juror import Juror, jurors_from_arrays
 from repro.core.selection.altr import select_jury_altr
 from repro.core.selection.exact import select_jury_optimal
@@ -266,13 +267,53 @@ class TestErrorHandling:
         assert result.stats.elapsed_seconds >= 0.0
 
 
+def _answers(engine, batch):
+    return [(o.result.juror_ids, o.result.jer) for o in engine.run(batch)]
+
+
+def _race_one_engine(batches, expected, threads=8, passes=2):
+    """Every thread runs every batch ``passes`` times on one shared engine,
+    all threads starting each round together on its cold pools."""
+    rounds, width = len(batches), len(batches[0])
+    # The frontier pinned on, so repeats are frontier hits under any env.
+    engine = BatchSelectionEngine(frontier_size=rounds * width)
+    got: list[list] = [[] for _ in range(rounds)]
+    cold = threading.Barrier(threads)
+
+    def worker() -> None:
+        for r, batch in enumerate(batches):
+            cold.wait()  # every thread races on this round's cold pools
+            for _ in range(passes):
+                got[r].append(_answers(engine, batch))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(threads)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    assert got == [[answer] * (threads * passes) for answer in expected]
+    swept = rounds * width
+    assert engine.stats.queries_run == threads * passes * swept
+    assert engine.stats.batch_sweeps == rounds
+    assert engine.stats.pools_swept == swept
+    assert engine.stats.frontier_hits == engine.stats.queries_run - 2 * swept
+    return engine
+
+
 class TestConcurrentRuns:
     def test_threads_share_one_engine_without_duplicate_work(self, rng):
         """Concurrent run() calls are serialised by the engine lock: threads
-        racing on the same cold pools sweep each one exactly once, every
-        later query is a frontier hit, and every answer matches a private
-        engine's."""
-        threads, rounds, passes, width = 8, 10, 2, 16
+        racing on the same cold pools sweep each one exactly once, the
+        second query on a pool builds its frontier from the cached profile,
+        every later one is a frontier hit, and every answer matches a
+        private engine's."""
+        rounds, width = 10, 16
         batches = [
             [
                 SelectionQuery(task_id=f"r{r}-q{q}", pool=CandidatePool(_pool_jurors(rng, 101)))
@@ -280,36 +321,40 @@ class TestConcurrentRuns:
             ]
             for r in range(rounds)
         ]
+        expected = [_answers(BatchSelectionEngine(), batch) for batch in batches]
+        _race_one_engine(batches, expected)
 
-        def answers(engine, batch):
-            return [(o.result.juror_ids, o.result.jer) for o in engine.run(batch)]
+    def test_threads_share_wire_decoded_pools(self, rng):
+        """The same race on pools decoded from the wire, whose members are
+        built on first access: answers match, and every answer hands out
+        the pool's one cached object per member."""
+        rounds, width = 6, 8
+        rows = [
+            [
+                [{"id": j.juror_id, "error_rate": j.error_rate} for j in _pool_jurors(rng, 101)]
+                for _ in range(width)
+            ]
+            for _ in range(rounds)
+        ]
 
-        expected = [answers(BatchSelectionEngine(), batch) for batch in batches]
-        # The frontier pinned on, so repeats are frontier hits under any env.
-        engine = BatchSelectionEngine(frontier_size=rounds * width)
-        got: list[list] = [[] for _ in range(rounds)]
-        cold = threading.Barrier(threads)
+        def decoded():
+            return [
+                [
+                    SelectionQuery(
+                        task_id=f"r{r}-q{q}",
+                        pool=CandidatePool(
+                            SelectionRequest.from_dict({"candidates": cands}).candidates
+                        ),
+                    )
+                    for q, cands in enumerate(batch)
+                ]
+                for r, batch in enumerate(rows)
+            ]
 
-        def worker() -> None:
-            for r, batch in enumerate(batches):
-                cold.wait()  # every thread races on this round's cold pools
-                for _ in range(passes):
-                    got[r].append(answers(engine, batch))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=worker) for _ in range(threads)]
-            for thread in workers:
-                thread.start()
-            for thread in workers:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in workers)
-        assert got == [[answer] * (threads * passes) for answer in expected]
-        swept = rounds * width
-        assert engine.stats.queries_run == threads * passes * swept
-        assert engine.stats.batch_sweeps == rounds
-        assert engine.stats.pools_swept == swept
-        assert engine.stats.frontier_hits == engine.stats.queries_run - swept
+        expected = [_answers(BatchSelectionEngine(), batch) for batch in decoded()]
+        batches = decoded()
+        engine = _race_one_engine(batches, expected)
+        for batch in batches:
+            for query, outcome in zip(batch, engine.run(batch)):
+                members = outcome.result.jury.jurors
+                assert all(a is b for a, b in zip(members, query.pool.ordered))

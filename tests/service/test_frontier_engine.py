@@ -346,10 +346,15 @@ class TestDisabledFrontier:
 class TestInlinePools:
     def test_inline_repeats_hit_by_fingerprint(self):
         """Inline candidate sets with equal fingerprints share one frontier,
-        exactly as they share one sweep profile."""
+        exactly as they share one sweep profile.  The frontier is built on
+        the second sighting (profile out of the sweep cache), so the third
+        query is the first hit."""
         engine = BatchSelectionEngine(frontier_size=128)
         jurors = _jurors(EPS)
         first = engine.run([SelectionQuery(task_id="a", candidates=jurors)])[0]
         second = engine.run([SelectionQuery(task_id="b", candidates=jurors)])[0]
+        assert engine.stats.frontier_hits == 0
+        third = engine.run([SelectionQuery(task_id="c", candidates=jurors)])[0]
         assert engine.stats.frontier_hits == 1
         _assert_outcomes_identical(first, second)
+        _assert_outcomes_identical(first, third)

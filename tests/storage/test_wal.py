@@ -12,7 +12,6 @@ garbage.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import zlib
 from pathlib import Path
