@@ -2,8 +2,8 @@
 
 Every benchmark that commits a ``BENCH_*.json`` artifact writes it through
 :func:`write_artifact`, which stamps one uniform ``host`` metadata block
-(cpu count, platform, interpreter and numpy/numba versions, the active
-compiled-kernel backend) plus a UTC timestamp — so artifacts recorded on
+(cpu count, platform, interpreter and numpy versions, the active
+kernel backend) plus a UTC timestamp — so artifacts recorded on
 different machines or PRs stay comparable, and a perf number can always be
 traced back to the backend that produced it.
 
@@ -30,7 +30,7 @@ import numpy as np  # noqa: E402
 
 from repro.core import kernels  # noqa: E402
 
-# Activate (compile + bitwise-verify + warm) the configured kernel backend
+# Activate (compile + bitwise-verify + warm) the native kernel backend
 # before any bench starts timing — the same up-front activation the engines
 # perform at construction, so first-dispatch compile/self-check cost never
 # lands inside a timed region.
@@ -67,12 +67,6 @@ def _git_commit() -> str | None:
 
 def host_metadata() -> dict:
     """The uniform ``host`` block stamped into every ``BENCH_*.json``."""
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "git_commit": _git_commit(),
         "cpus": os.cpu_count() or 1,
@@ -80,9 +74,8 @@ def host_metadata() -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": numba_version,
         "kernel_backend": kernels.ensure_ready(),
-        "kernel_backends_available": list(kernels.available_backends()),
+        "kernel_backends_available": kernels.stats_snapshot()["available"],
     }
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Kernel-backend benchmark: compiled JER/PMF kernels vs the NumPy reference.
+"""Kernel-backend benchmark: native JER/PMF kernels vs the NumPy reference.
 
-Scenario: the two hot loops the compiled backends exist for, at the pool
+Scenario: the two hot loops the native backend exists for, at the pool
 sizes the paper's experiments run at (~1,000 candidates):
 
 * **sweep** — the batched odd-prefix JER sweep behind every AltrM query
@@ -9,15 +9,15 @@ sizes the paper's experiments run at (~1,000 candidates):
   1,001-candidate pool and at stacked 2-D batches (the batch engine's
   shape).
 * **pay_scan** — the PayALG paper scan behind every PayM query
-  (:func:`repro.core.selection.pay.run_pay_greedy`), whose pair trials a
-  compiled backend scores in one fused call.
+  (:func:`repro.core.selection.pay.run_pay_greedy`), seeded as that
+  function seeds it; the native backend runs the whole scan in one call.
 * **score_block** — the blocked trial scorer the improved PayALG variant
   and the exact solvers lean on.
 
-Each workload runs the NumPy reference backend against every available
-compiled backend (numba and/or the cc-compiled native backend) and
-verifies the outputs **bit-identical** — the same invariant the backends'
-activation self-check enforces, re-checked here on the benchmark inputs.
+Each workload calls the NumPy reference backend object and the native
+backend object directly and verifies the outputs **bit-identical** — the
+same invariant the activation self-check enforces, re-checked here on the
+benchmark inputs.
 A machine-readable ``BENCH_kernels.json`` artifact is written with the
 uniform host-metadata block.
 
@@ -26,10 +26,9 @@ Run:  PYTHONPATH=src python benchmarks/bench_kernels.py [--smoke]
 
 ``--smoke`` shrinks the workload for CI smoke jobs (bit-identity is still
 enforced; the speedup bar is not).  The full-size acceptance bar is >= 3x
-over NumPy on the sweep or the PayM scan at the 1,000-candidate pool for
-at least one compiled backend; when no compiled backend is available the
-bench records that in the artifact and exits 0 (the degradation path is
-itself a supported configuration).
+over NumPy on the sweep or the PayM scan at the 1,000-candidate pool; when
+the native backend is unavailable the bench records why in the artifact
+and exits 0 (the degradation path is itself a supported configuration).
 """
 
 from __future__ import annotations
@@ -46,9 +45,11 @@ import numpy as np  # noqa: E402
 from _common import verification_failure, write_artifact  # noqa: E402
 from repro.core import kernels  # noqa: E402
 from repro.core.jer import extend_pmf  # noqa: E402
-from repro.core.juror import Juror  # noqa: E402
-from repro.core.selection.pay import run_pay_greedy  # noqa: E402
+from repro.core.kernels._reference import NumpyBackend  # noqa: E402
+from repro.core.kernels._verify import _reference_pay_scan  # noqa: E402
 from repro.testing import BENCH_SEED  # noqa: E402
+
+REFERENCE = NumpyBackend()
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -68,18 +69,16 @@ def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def bench_sweep(rng, batch: int, pool_size: int, repeats: int, backend: str) -> dict:
+def bench_sweep(rng, batch: int, pool_size: int, repeats: int, native) -> dict:
     eps = rng.uniform(0.05, 0.6, size=(batch, pool_size))
-    reference = kernels.backend_for("sweep", pool_size, forced="numpy")
-    compiled = kernels.backend_for("sweep", pool_size, forced=backend)
-    expected = reference.sweep(eps)
-    got = compiled.sweep(eps)
+    expected = REFERENCE.sweep(eps)
+    got = native.sweep(eps)
     identical = _bits_equal(expected, got)
-    numpy_seconds = _best_of(lambda: reference.sweep(eps), repeats)
-    compiled_seconds = _best_of(lambda: compiled.sweep(eps), repeats)
+    numpy_seconds = _best_of(lambda: REFERENCE.sweep(eps), repeats)
+    compiled_seconds = _best_of(lambda: native.sweep(eps), repeats)
     return {
         "kernel": "sweep",
-        "backend": backend,
+        "backend": native.name,
         "batch": batch,
         "pool_size": pool_size,
         "numpy_seconds": numpy_seconds,
@@ -89,34 +88,29 @@ def bench_sweep(rng, batch: int, pool_size: int, repeats: int, backend: str) -> 
     }
 
 
-def _normalise_pay(result) -> tuple:
-    return (
-        result.juror_ids,
-        result.jer.hex(),  # bitwise, not approximate
-        result.stats.juries_considered,
-        result.stats.jer_evaluations,
-    )
+def _normalise_pay(scan: tuple) -> tuple:
+    pairs, accumulated, jer, considered, evaluations = scan
+    # bitwise, not approximate
+    return (pairs.tolist(), accumulated.hex(), jer.hex(), considered, evaluations)
 
 
-def bench_pay(rng, pool_size: int, budget: float, repeats: int, backend: str) -> dict:
+def bench_pay(rng, pool_size: int, budget: float, repeats: int, native) -> dict:
     eps = rng.uniform(0.05, 0.45, size=pool_size)
     reqs = rng.uniform(0.01, 0.05, size=pool_size)
-    jurors = [
-        Juror(float(e), float(r), juror_id=f"w{i}")
-        for i, (e, r) in enumerate(zip(eps, reqs))
-    ]
-    expected = _normalise_pay(run_pay_greedy(jurors, budget, backend="numpy"))
-    got = _normalise_pay(run_pay_greedy(jurors, budget, backend=backend))
+    # The scan as run_pay_greedy seeds it: ascending eps*r order, the
+    # first candidate admitted, the rest scanned for affordable pairs.
+    order = np.argsort(eps * reqs, kind="stable")
+    g_eps, g_req = eps[order], reqs[order]
+    pmf = extend_pmf(np.ones(1), float(g_eps[0]))
+    args = (g_eps, g_req, budget, 1, float(g_req[0]), pmf, float(pmf[1]))
+    expected = _normalise_pay(_reference_pay_scan(*args))
+    got = _normalise_pay(native.pay_scan(*args))
     identical = expected == got
-    numpy_seconds = _best_of(
-        lambda: run_pay_greedy(jurors, budget, backend="numpy"), repeats
-    )
-    compiled_seconds = _best_of(
-        lambda: run_pay_greedy(jurors, budget, backend=backend), repeats
-    )
+    numpy_seconds = _best_of(lambda: _reference_pay_scan(*args), repeats)
+    compiled_seconds = _best_of(lambda: native.pay_scan(*args), repeats)
     return {
         "kernel": "pay_scan",
-        "backend": backend,
+        "backend": native.name,
         "pool_size": pool_size,
         "budget": budget,
         "numpy_seconds": numpy_seconds,
@@ -126,28 +120,24 @@ def bench_pay(rng, pool_size: int, budget: float, repeats: int, backend: str) ->
     }
 
 
-def bench_score_block(
-    rng, jury_size: int, block: int, repeats: int, backend: str
-) -> dict:
+def bench_score_block(rng, jury_size: int, block: int, repeats: int, native) -> dict:
     base = np.ones(1, dtype=np.float64)
     for e in rng.uniform(0.05, 0.45, size=jury_size):
         base = extend_pmf(base, float(e))
     eps = rng.uniform(0.05, 0.45, size=block)
     threshold = (jury_size + 2) // 2
-    reference = kernels.backend_for("score_block", block * (base.size + 1), forced="numpy")
-    compiled = kernels.backend_for("score_block", block * (base.size + 1), forced=backend)
-    ref_jers, ref_rows = reference.score_block(base, eps, threshold)
-    got_jers, got_rows = compiled.score_block(base, eps, threshold)
+    ref_jers, ref_rows = REFERENCE.score_block(base, eps, threshold)
+    got_jers, got_rows = native.score_block(base, eps, threshold)
     identical = _bits_equal(ref_jers, got_jers) and _bits_equal(ref_rows, got_rows)
     numpy_seconds = _best_of(
-        lambda: reference.score_block(base, eps, threshold), repeats
+        lambda: REFERENCE.score_block(base, eps, threshold), repeats
     )
     compiled_seconds = _best_of(
-        lambda: compiled.score_block(base, eps, threshold), repeats
+        lambda: native.score_block(base, eps, threshold), repeats
     )
     return {
         "kernel": "score_block",
-        "backend": backend,
+        "backend": native.name,
         "jury_size": jury_size,
         "block": block,
         "numpy_seconds": numpy_seconds,
@@ -181,24 +171,22 @@ def main(argv=None) -> int:
     if args.smoke:
         pool_size, repeats, batches, block = 151, 2, (1, 4), 120
 
-    active = kernels.ensure_ready()
-    compiled_backends = [
-        name for name in kernels.available_backends() if name != "numpy"
-    ]
+    native = kernels.native_backend()
+    snapshot = kernels.stats_snapshot()
     print(
         f"bench_kernels: pool {pool_size}, repeats {repeats} "
         f"({'smoke' if args.smoke else 'full'} mode); active backend "
-        f"{active!r}, compiled available: {compiled_backends or 'none'}"
+        f"{snapshot['active']!r}"
     )
 
     rows: list[dict] = []
     rng = np.random.default_rng(BENCH_SEED)
-    for backend in compiled_backends:
+    if native is not None:
         for batch in batches:
-            rows.append(bench_sweep(rng, batch, pool_size, repeats, backend))
-        rows.append(bench_pay(rng, pool_size - 1, args.budget, repeats, backend))
+            rows.append(bench_sweep(rng, batch, pool_size, repeats, native))
+        rows.append(bench_pay(rng, pool_size - 1, args.budget, repeats, native))
         rows.append(
-            bench_score_block(rng, min(pool_size, 201), block, repeats, backend)
+            bench_score_block(rng, min(pool_size, 201), block, repeats, native)
         )
 
     for row in rows:
@@ -209,7 +197,7 @@ def main(argv=None) -> int:
         )
         verdict = "identical" if row["verified_identical"] else "DIVERGED"
         print(
-            f"  {row['kernel']:<12} [{row['backend']}] {shape:<28} "
+            f"  {row['kernel']:<12} {shape:<28} "
             f"numpy {row['numpy_seconds'] * 1e3:9.3f} ms   "
             f"{row['backend']} {row['compiled_seconds'] * 1e3:9.3f} ms   "
             f"{row['speedup']:6.2f}x  ({verdict})"
@@ -228,9 +216,8 @@ def main(argv=None) -> int:
         {
             "benchmark": "kernels",
             "mode": "smoke" if args.smoke else "full",
-            "requested_backend": kernels.requested_backend(),
-            "active_backend": active,
-            "backend_status": kernels.backend_status(),
+            "active_backend": snapshot["active"],
+            "unavailable": snapshot["unavailable"],
             "workload": {
                 "pool_size": pool_size,
                 "batches": list(batches),
@@ -246,12 +233,12 @@ def main(argv=None) -> int:
 
     if not all(row["verified_identical"] for row in rows):
         return verification_failure(
-            "a compiled kernel diverged from the NumPy reference"
+            "a native kernel diverged from the NumPy reference"
         )
-    if not compiled_backends:
+    if native is None:
         print(
-            "  note: no compiled backend available on this host — NumPy "
-            "reference numbers only"
+            "  note: native backend unavailable on this host "
+            f"({snapshot['unavailable']['native']}) — nothing to compare"
         )
         return 0
     if not args.smoke and (anchor is None or anchor < 3.0):

@@ -4,10 +4,9 @@ Kept as a classic ``setup.py`` (no ``pyproject.toml``) so that
 ``pip install -e . --no-use-pep517`` works in offline environments whose
 pip/setuptools lack PEP 660 editable-wheel support.
 
-The compiled kernel backends are optional: the ``native`` backend needs
-only a C compiler at runtime, while the numba JIT backend installs via
-the ``compiled`` extra (``pip install -e ".[compiled]"``).  Without
-either, every kernel runs on the NumPy reference implementation.
+The ``native`` kernel backend needs only a C compiler at runtime: it
+builds ``repro_kernels.c`` on first use and caches the library.  Without a
+compiler, every kernel runs on the NumPy reference implementation.
 """
 
 from setuptools import find_packages, setup
@@ -28,12 +27,6 @@ setup(
     include_package_data=True,
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
-    extras_require={
-        # Optional JIT backend for the hot JER/PMF kernels; see the
-        # "Compiled kernels" section of the README.  Absence degrades
-        # gracefully to the cc-built native backend or NumPy.
-        "compiled": ["numba>=0.58"],
-    },
     entry_points={
         "console_scripts": ["repro-select=repro.cli:main"],
     },

@@ -121,7 +121,6 @@ from repro.api import (
     SelectionResponse,
     error_code,
 )
-from repro.core import kernels
 from repro.core.juror import Juror
 from repro.errors import ReproError
 
@@ -241,7 +240,6 @@ def run_batch(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    _apply_kernel_backend(args)
     service = JuryService(frontier_size=0 if getattr(args, "no_frontier", False) else None)
     try:
         return _run_batch_rows(args, source, text, service)
@@ -385,7 +383,6 @@ def _build_batch_parser() -> argparse.ArgumentParser:
         help="write result JSONL here instead of stdout",
     )
     _add_no_frontier_flag(parser)
-    _add_kernel_backend_flag(parser)
     return parser
 
 
@@ -411,28 +408,6 @@ def _add_no_frontier_flag(parser: argparse.ArgumentParser) -> None:
         "full plan->operator path (results are bit-identical either way; "
         "equivalent to REPRO_FRONTIER_CACHE=0)",
     )
-
-
-def _add_kernel_backend_flag(parser: argparse.ArgumentParser) -> None:
-    """The compiled-kernel backend selector shared by batch/serve/http."""
-    parser.add_argument(
-        "--kernel-backend",
-        choices=kernels.BACKEND_CHOICES,
-        default=None,
-        dest="kernel_backend",
-        help="compiled backend for the hot JER/PMF kernels: 'auto' prefers "
-        "a verified compiled backend past the measured crossovers, "
-        "'numpy'/'numba'/'native' force one (an unavailable forced backend "
-        "falls back to numpy); results are bit-identical on every backend "
-        "(default: REPRO_KERNEL_BACKEND env var, else auto)",
-    )
-
-
-def _apply_kernel_backend(args: argparse.Namespace) -> None:
-    """Pin the session kernel backend before the service is constructed."""
-    choice = getattr(args, "kernel_backend", None)
-    if choice is not None:
-        kernels.set_kernel_backend(choice)
 
 
 # ----------------------------------------------------------------------
@@ -545,7 +520,6 @@ def run_serve(args: argparse.Namespace, *, stdin=None, stdout=None) -> int:
     """
     source = sys.stdin if stdin is None else stdin
     sink = sys.stdout if stdout is None else stdout
-    _apply_kernel_backend(args)
     service = JuryService(
         cache_size=args.cache_size,
         frontier_size=0 if getattr(args, "no_frontier", False) else None,
@@ -646,7 +620,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     )
     _add_data_dir_flag(parser)
     _add_no_frontier_flag(parser)
-    _add_kernel_backend_flag(parser)
     return parser
 
 
@@ -660,7 +633,6 @@ async def _serve_http(args: argparse.Namespace) -> int:
     from repro.api.aio import AsyncJuryService
     from repro.api.server import HttpServer
 
-    _apply_kernel_backend(args)
     service = AsyncJuryService(
         max_batch=args.max_batch,
         max_pending=args.max_pending,
@@ -755,7 +727,6 @@ def _build_http_parser() -> argparse.ArgumentParser:
     )
     _add_data_dir_flag(parser)
     _add_no_frontier_flag(parser)
-    _add_kernel_backend_flag(parser)
     return parser
 
 

@@ -41,9 +41,9 @@ execution path produces bit-identical probabilities.
 
 Since the compiled-kernel refactor the batch/block kernels here are thin
 validating wrappers that dispatch through the backend registry in
-:mod:`repro.core.kernels` — NumPy reference, numba JIT, or cc-compiled
-native code, all held to bitwise equality by an activation self-check, with
-cost-model crossovers deciding per call under ``REPRO_KERNEL_BACKEND=auto``.
+:mod:`repro.core.kernels` — the NumPy reference or cc-compiled native code,
+held to bitwise equality by an activation self-check, with measured size
+crossovers deciding per call.
 
 For *live* workloads (candidate pools that churn between queries, see
 :mod:`repro.service.registry`), three delta kernels maintain Carelessness
@@ -304,9 +304,7 @@ class PrefixJERSweeper:
         return best_n, best_jer
 
 
-def batch_prefix_jer_sweep(
-    error_rate_matrix, *, backend: str | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def batch_prefix_jer_sweep(error_rate_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Prefix-JER sweep over a whole batch of candidate pools at once.
 
     The scalar :class:`PrefixJERSweeper` extends one Carelessness pmf by one
@@ -322,11 +320,6 @@ def batch_prefix_jer_sweep(
         rates of pool ``b`` in sweep order (AltrALG feeds the ascending-``eps``
         order mandated by Lemma 3).  All pools must share the same length;
         group pools by size before calling.
-    backend:
-        Optional concrete kernel-backend name (``"numpy"``/``"numba"``/
-        ``"native"``) threaded in from a :class:`~repro.plan.planner.
-        SelectionPlan`.  ``None`` dispatches through the session mode and
-        the cost-model crossovers (:mod:`repro.core.kernels`).
 
     Returns
     -------
@@ -371,7 +364,7 @@ def batch_prefix_jer_sweep(
         )
 
     ns = np.arange(1, n_total + 1, 2, dtype=np.int64)
-    impl = _kernels.backend_for("sweep", n_total, forced=backend)
+    impl = _kernels.backend_for("sweep", n_total)
     return ns, impl.sweep(eps)
 
 
@@ -415,22 +408,19 @@ def batch_jury_jer(error_rate_matrix) -> np.ndarray:
     return impl.jury_jer(eps, threshold)
 
 
-def prefix_jer_profile(
-    error_rates: Iterable[float], *, backend: str | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def prefix_jer_profile(error_rates: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
     """Odd-prefix JER profile of a single ordered candidate list.
 
     Thin wrapper over :func:`batch_prefix_jer_sweep` with a batch of one —
     the scalar selection path and the batch engine therefore share one
-    kernel and produce bit-identical numbers.  ``backend`` threads a plan's
-    kernel-backend choice through to the sweep dispatch.
+    kernel and produce bit-identical numbers.
 
     >>> ns, jers = prefix_jer_profile([0.1, 0.2, 0.2, 0.3, 0.3])
     >>> list(zip(ns.tolist(), [round(float(v), 4) for v in jers]))
     [(1, 0.1), (3, 0.072), (5, 0.0704)]
     """
     eps = validate_error_rates(error_rates, name="error rates")
-    ns, jers = batch_prefix_jer_sweep(eps[np.newaxis, :], backend=backend)
+    ns, jers = batch_prefix_jer_sweep(eps[np.newaxis, :])
     return ns, jers[0]
 
 

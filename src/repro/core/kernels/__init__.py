@@ -1,86 +1,53 @@
-"""Compiled kernel backends for the hot JER/PMF kernels.
+"""Kernel backends for the hot JER/PMF kernels.
 
-This package gives the four hottest kernels of the engine — the batch
-prefix-JER sweep, the batch jury-JER scorer, the pmf extend/convolve
-family, and the PayALG pair-trial scan — optional *compiled* execution
-backends behind one registry:
+The four hottest kernels of the engine — the batch prefix-JER sweep, the
+batch jury-JER scorer, the pmf extend/convolve family, and the PayALG
+pair-trial scan — dispatch through this registry to one of two backends:
 
 ``numpy``
     The reference implementations (:mod:`._reference`): the exact NumPy
     loops the engine has always run.  Always available.
-``numba``
-    ``@njit(cache=True)`` mirrors (:mod:`._numba`).  Available when
-    numba is importable (``pip install .[compiled]``).
 ``native``
-    C kernels compiled at activation with the system compiler and bound
-    via ctypes (:mod:`._native`).  Available when a C compiler is on
-    PATH — no Python build dependencies.
+    C kernels compiled with the system compiler and bound via ctypes
+    (:mod:`._native`).  Needs a C compiler on PATH — no Python build
+    dependencies.
 
-Selection is by ``REPRO_KERNEL_BACKEND`` (or
-:func:`set_kernel_backend` / the CLI ``--kernel-backend`` flag):
+Native is activated once per process: build (or reuse the cached
+library), warm-up, then the bitwise self-check of :mod:`._verify`, which
+must reproduce the NumPy reference on a battery crossing every
+algorithmic boundary, so every execution path stays bit-identical to the
+scalar oracles — the repo's standing invariant (tolerance pinned as
+``KERNEL_EQUIVALENCE_ULPS`` in :mod:`repro.testing`).  If any step fails,
+every call runs on the reference and the reason is reported under
+``stats_snapshot()["unavailable"]["native"]`` (and from there in
+``JuryService.stats()`` and ``GET /v1/stats``).
 
-``auto`` (default)
-    Prefer ``numba``, then ``native``; dispatch each call through the
-    cost-model crossovers below so tiny inputs keep the low-overhead
-    NumPy path and large inputs take the compiled path.
-``numpy`` / ``numba`` / ``native``
-    Force one backend for *every* call regardless of size (the forced
-    modes the cross-backend test suites run under).  Requesting a
-    backend that is unavailable on this host **degrades gracefully** to
-    ``numpy``; the reason is recorded and surfaced in
-    :func:`stats_snapshot` (and from there in ``JuryService.stats()``
-    and ``GET /v1/stats``).
-
-Activation discipline: a compiled backend only becomes dispatchable
-after :mod:`._verify` reproduces the NumPy reference **bitwise** on a
-battery crossing every algorithmic boundary, so every execution path
-stays bit-identical to the scalar oracles — the repo's standing
-invariant (tolerance pinned as ``KERNEL_EQUIVALENCE_ULPS`` in
-:mod:`repro.testing`).  A host where that fails simply keeps the
-reference backend.
-
-The crossover constants were measured on the build host like
-``AUTO_CBA_THRESHOLD`` / ``FFT_CROSSOVER`` (see
-``benchmarks/bench_kernels.py``); :mod:`repro.plan.cost` re-exports
-them so ``explain`` output can name the backend a query will take.
+Each call picks its backend from the input size it observes: native past
+the kernel's measured crossover below, NumPy under it.  The crossovers
+were measured on the build host like ``AUTO_CBA_THRESHOLD`` /
+``FFT_CROSSOVER`` (see ``benchmarks/bench_kernels.py``).
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from contextlib import contextmanager
 
 from repro.core.kernels._reference import NumpyBackend
 
 __all__ = [
-    "BACKEND_CHOICES",
-    "COMPILED_BACKEND_PREFERENCE",
     "COMPILED_SWEEP_CROSSOVER",
     "COMPILED_PAY_CROSSOVER",
     "COMPILED_BLOCK_CROSSOVER",
     "KERNEL_NAMES",
-    "available_backends",
     "backend_for",
-    "backend_status",
+    "dispatch_counts",
     "ensure_ready",
     "kernel_backend_for",
     "lazy_activations",
-    "requested_backend",
+    "native_backend",
     "reset_dispatch_counters",
-    "resolution_token",
-    "set_kernel_backend",
     "stats_snapshot",
-    "use_backend",
 ]
-
-#: Valid values of ``REPRO_KERNEL_BACKEND`` / ``--kernel-backend``.
-BACKEND_CHOICES = ("auto", "numpy", "numba", "native")
-
-#: Probe order under ``auto``: numba is the first-class compiled backend
-#: (portable, pip-installable); the cc-built native backend is the
-#: zero-dependency fallback.
-COMPILED_BACKEND_PREFERENCE = ("numba", "native")
 
 #: Kernels that dispatch through the registry.  ``sweep`` is
 #: ``batch_prefix_jer_sweep``, ``jury_jer`` is ``batch_jury_jer``,
@@ -91,27 +58,27 @@ KERNEL_NAMES = ("sweep", "jury_jer", "extend_block", "score_block", "convolve", 
 
 # -- measured crossovers (build host: 1-CPU container, numpy 2.4.6) ----------
 #
-# Below these sizes the compiled call's fixed overhead (ctypes/numba entry,
+# Below these sizes the native call's fixed overhead (ctypes entry,
 # argument marshalling) exceeds the win over the vectorized NumPy path;
-# above them the compiled path wins and keeps widening (the NumPy sweep
-# pays one Python-level loop iteration per juror, the compiled sweep does
-# not).  Measured against the native backend with best-of timing loops
-# (same method as benchmarks/bench_kernels.py and the historical
-# AUTO_CBA_THRESHOLD / FFT_CROSSOVER calibrations).
+# above them the native path wins and keeps widening (the NumPy sweep
+# pays one Python-level loop iteration per juror, the native sweep does
+# not).  Measured with best-of timing loops (same method as
+# benchmarks/bench_kernels.py and the historical AUTO_CBA_THRESHOLD /
+# FFT_CROSSOVER calibrations).
 
-#: Pool size at which the compiled prefix sweep overtakes NumPy: always.
+#: Pool size at which the native prefix sweep overtakes NumPy: always.
 #: The NumPy sweep pays one Python-level fold iteration per juror, so the
-#: compiled path already wins at 2 candidates (11us vs 18us) and never
+#: native path already wins at 2 candidates (11us vs 18us) and never
 #: falls behind — there is no size below which NumPy is preferable.
 COMPILED_SWEEP_CROSSOVER = 0
 
-#: Pool size at which the compiled PayALG pairing scan overtakes the
+#: Pool size at which the native PayALG pairing scan overtakes the
 #: blocked NumPy scan.  Measured: NumPy edges ahead at 4 candidates
-#: (57us vs 61us), compiled wins from 8 on (73us vs 176us) and widens to
+#: (57us vs 61us), native wins from 8 on (73us vs 176us) and widens to
 #: ~10x at 1,000.
 COMPILED_PAY_CROSSOVER = 8
 
-#: Matrix *elements* (rows x width) at which the compiled block kernels
+#: Matrix *elements* (rows x width) at which the native block kernels
 #: (jury_jer / extend_block / score_block / convolve) overtake NumPy's
 #: 2-D vectorized forms, which amortise per-call overhead much better
 #: than the Python-loop sweep does.  Measured on extend_pmf_block, the
@@ -121,97 +88,57 @@ COMPILED_PAY_CROSSOVER = 8
 #: so this shared bound is conservative for it.
 COMPILED_BLOCK_CROSSOVER = 1024
 
+_UNPROBED = object()
+
 _lock = threading.RLock()
 _numpy_backend = NumpyBackend()
-_requested: str | None = None  # None -> not yet read from the environment
-_env_note: str | None = None
-_probed: dict[str, object | None] = {}
-_probing: set[str] = set()  # activations in flight (re-entrancy guard)
-_reasons: dict[str, str] = {}
+_native_backend: object = _UNPROBED  # the verified backend, or None
+_native_reason: str | None = None  # why native is unavailable
+_activating = False  # re-entrancy guard while the self-check runs
 _dispatch_counts: dict[tuple[str, str], int] = {}
 _lazy_activations = 0
 
 
-def _read_env() -> str:
-    global _env_note
-    raw = os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip().lower() or "auto"
-    if raw not in BACKEND_CHOICES:
-        _env_note = f"ignored invalid REPRO_KERNEL_BACKEND={raw!r}; using 'auto'"
-        return "auto"
-    _env_note = None
-    return raw
+def _activate(*, lazy: bool):
+    """Build, warm and bitwise-verify the native backend, once.
 
-
-def _probe(name: str, *, lazy: bool) -> object | None:
-    """Load + warm + bitwise-verify backend ``name``, memoised.
-
-    On any failure the backend is marked unavailable with the exception
-    as its reason; dispatch then falls back to the reference backend.
+    Returns the backend, or None when any step failed (the exception is
+    kept as the unavailability reason) or while activation is running.
     """
-    global _lazy_activations
-    if name == "numpy":
-        return _numpy_backend
+    global _native_backend, _native_reason, _activating, _lazy_activations
+    if _native_backend is not _UNPROBED:
+        return _native_backend
     with _lock:
-        if name in _probed:
-            return _probed[name]
-        if name in _probing:
+        if _native_backend is not _UNPROBED:
+            return _native_backend
+        if _activating:
             # Re-entrant dispatch: the verify battery runs reference
             # implementations that call the public kernel wrappers, which
             # would otherwise re-activate the backend mid-activation (and
             # let the backend under test compute its own "reference").
             # During activation every dispatch degrades to NumPy.
             return None
-        _probing.add(name)
+        _activating = True
         try:
-            if name == "numba":
-                from repro.core.kernels._numba import load_numba_backend
-
-                backend = load_numba_backend()
-            elif name == "native":
-                from repro.core.kernels._native import load_native_backend
-
-                backend = load_native_backend()
-            else:
-                raise ValueError(f"unknown kernel backend {name!r}")
-            backend.warmup()
+            from repro.core.kernels._native import load_native_backend
             from repro.core.kernels._verify import verify_backend
 
+            backend = load_native_backend()
+            backend.warmup()
             verify_backend(backend)
         except Exception as exc:  # noqa: BLE001 - any failure means "unavailable"
-            _probed[name] = None
-            _reasons[name] = f"{type(exc).__name__}: {exc}"
+            _native_backend = None
+            _native_reason = f"{type(exc).__name__}: {exc}"
         else:
-            _probed[name] = backend
+            _native_backend = backend
             if lazy:
                 # A compile happened inside a dispatch, not at startup —
                 # the cold-start test asserts this stays zero when
                 # services call ensure_ready() up front.
                 _lazy_activations += 1
         finally:
-            _probing.discard(name)
-        return _probed[name]
-
-
-def _mode() -> str:
-    global _requested
-    with _lock:
-        if _requested is None:
-            _requested = _read_env()
-        return _requested
-
-
-def _active_compiled(*, lazy: bool) -> object | None:
-    """The compiled backend the current mode resolves to, or None."""
-    mode = _mode()
-    if mode == "numpy":
-        return None
-    if mode in ("numba", "native"):
-        return _probe(mode, lazy=lazy)
-    for name in COMPILED_BACKEND_PREFERENCE:
-        backend = _probe(name, lazy=lazy)
-        if backend is not None:
-            return backend
-    return None
+            _activating = False
+        return _native_backend
 
 
 def _crossed(kernel: str, size: int) -> bool:
@@ -222,27 +149,15 @@ def _crossed(kernel: str, size: int) -> bool:
     return size >= COMPILED_BLOCK_CROSSOVER
 
 
-def backend_for(kernel: str, size: int, *, forced: str | None = None):
+def backend_for(kernel: str, size: int):
     """Resolve the backend a kernel call dispatches to, counting it.
 
     ``size`` is the kernel's cost driver: pool size for ``sweep`` and
-    ``pay_scan``, matrix elements for the block kernels.  ``forced``
-    overrides the session mode with a concrete backend name — how a
-    :class:`~repro.plan.planner.SelectionPlan` threads its chosen
-    backend into execution.  Forced modes (session-level or via
-    ``forced``) bypass the size crossovers so a forced-on test run
-    exercises the compiled path everywhere; ``auto`` applies them.
+    ``pay_scan``, matrix elements for the block kernels.  Calls past the
+    kernel's crossover run native when it is available; the rest run on
+    the reference.
     """
-    mode = forced if forced is not None else _mode()
-    if mode == "numpy":
-        backend = _numpy_backend
-    elif mode in ("numba", "native"):
-        backend = _probe(mode, lazy=True) or _numpy_backend
-    else:
-        backend = None
-        if _crossed(kernel, size):
-            backend = _active_compiled(lazy=True)
-        backend = backend or _numpy_backend
+    backend = (_activate(lazy=True) if _crossed(kernel, size) else None) or _numpy_backend
     with _lock:
         key = (kernel, backend.name)
         _dispatch_counts[key] = _dispatch_counts.get(key, 0) + 1
@@ -251,77 +166,37 @@ def backend_for(kernel: str, size: int, *, forced: str | None = None):
 
 def kernel_backend_for(kernel: str, size: int) -> str:
     """Predict (without counting) the backend :func:`backend_for` would
-    choose under the current mode — the cost model's planning view."""
-    mode = _mode()
-    if mode == "numpy":
-        return "numpy"
-    if mode in ("numba", "native"):
-        backend = _probe(mode, lazy=False)
-        return backend.name if backend is not None else "numpy"
+    choose — the cost model's planning view."""
     if not _crossed(kernel, size):
         return "numpy"
-    backend = _active_compiled(lazy=False)
+    backend = _activate(lazy=False)
     return backend.name if backend is not None else "numpy"
 
 
-def requested_backend() -> str:
-    """The session's requested mode (``auto``/``numpy``/``numba``/``native``)."""
-    return _mode()
+def native_backend():
+    """The verified native backend, or None when it is unavailable.
 
-
-def set_kernel_backend(name: str | None) -> None:
-    """Set the session's backend mode; ``None`` re-reads the environment."""
-    global _requested
-    if name is not None and name not in BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of {BACKEND_CHOICES}"
-        )
-    with _lock:
-        _requested = name  # None -> lazily re-read from env on next use
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of backends that pass activation on this host (probes all)."""
-    names = ["numpy"]
-    for name in COMPILED_BACKEND_PREFERENCE:
-        if _probe(name, lazy=False) is not None:
-            names.append(name)
-    return tuple(sorted(names))
-
-
-def backend_status() -> dict[str, str | None]:
-    """Probe result per backend: ``None`` when usable, else the reason."""
-    status: dict[str, str | None] = {"numpy": None}
-    for name in COMPILED_BACKEND_PREFERENCE:
-        backend = _probe(name, lazy=False)
-        status[name] = None if backend is not None else _reasons.get(name)
-    return status
+    The first call activates it; see :func:`ensure_ready`.
+    """
+    return _activate(lazy=False)
 
 
 def ensure_ready() -> str:
-    """Probe and warm the session's backend eagerly (service startup).
+    """Activate the native backend eagerly (service startup).
 
     Returns the name of the backend large inputs will dispatch to, so
     callers (``EngineStats``, benchmarks) can record the active backend.
-    Calling this before serving queries is what keeps JIT/cc compile
-    time out of per-query timings — the cold-start guarantee.
+    Calling this before serving queries is what keeps cc compile time
+    out of per-query timings — the cold-start guarantee.
     """
-    backend = _active_compiled(lazy=False)
+    backend = native_backend()
     return backend.name if backend is not None else "numpy"
 
 
-def resolution_token() -> str:
-    """Cache key fragment capturing everything backend resolution depends
-    on: the requested mode and the backend it currently resolves to.  The
-    planner's memo includes this so cached plans can never carry a stale
-    ``kernel_backend``."""
-    return f"{_mode()}|{ensure_ready()}"
-
-
 def lazy_activations() -> int:
-    """How many compiled-backend activations happened inside a dispatch
-    (i.e. NOT via :func:`ensure_ready` at startup).  Zero on every
-    well-behaved service path."""
+    """How many native activations happened inside a dispatch (i.e. NOT
+    via :func:`ensure_ready` at startup).  Zero on every well-behaved
+    service path."""
     return _lazy_activations
 
 
@@ -342,15 +217,11 @@ def dispatch_counts() -> dict[str, dict[str, int]]:
 def stats_snapshot() -> dict:
     """The observability payload surfaced by ``JuryService.stats()``,
     the serve ``stats`` verb, and ``GET /v1/stats``."""
-    snapshot = {
-        "requested": _mode(),
-        "active": ensure_ready(),
-        "available": list(available_backends()),
-        "unavailable": {
-            name: reason
-            for name, reason in backend_status().items()
-            if reason is not None
-        },
+    active = ensure_ready()
+    return {
+        "active": active,
+        "available": sorted({"numpy", active}),
+        "unavailable": {} if active == "native" else {"native": _native_reason},
         "dispatch": dispatch_counts(),
         "lazy_activations": lazy_activations(),
         "crossovers": {
@@ -359,33 +230,3 @@ def stats_snapshot() -> dict:
             "block_elements": COMPILED_BLOCK_CROSSOVER,
         },
     }
-    if _env_note:
-        snapshot["env_note"] = _env_note
-    return snapshot
-
-
-@contextmanager
-def use_backend(name: str | None):
-    """Temporarily force a backend mode (test helper)."""
-    global _requested
-    with _lock:
-        previous = _requested
-    set_kernel_backend(name)
-    try:
-        yield
-    finally:
-        with _lock:
-            _requested = previous
-
-
-def _reset_for_tests() -> None:
-    """Forget mode, probes, and counters so env changes take effect."""
-    global _requested, _lazy_activations, _env_note
-    with _lock:
-        _requested = None
-        _env_note = None
-        _probed.clear()
-        _probing.clear()
-        _reasons.clear()
-        _dispatch_counts.clear()
-        _lazy_activations = 0

@@ -4,8 +4,10 @@ Builds a small shared library from the shipped C source
 (``repro_kernels.c``, installed as package data next to this module) at
 activation time using whatever system compiler is present
 (``cc``/``gcc``/``clang``), caches the ``.so`` keyed by a hash of the
-source + flags, and binds it via :mod:`ctypes` — stdlib only, no
-build-time dependencies.
+source + flags + compiler, and binds it via :mod:`ctypes` — stdlib only,
+no build-time dependencies.  The cache directory (``REPRO_KERNEL_CACHE_DIR``,
+default ``<tmp>/repro-kernels-<uid>``) is created 0o700 and only loaded
+from while it stays private to the current user.
 
 Bit-identity discipline
 -----------------------
@@ -41,6 +43,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 from pathlib import Path
@@ -75,34 +78,73 @@ def _find_compiler() -> str | None:
 
 
 def _cache_dir() -> Path:
+    """The cache directory, created 0o700, once it is safe to load from.
+
+    The default path is predictable and a library's constructors run at
+    ``dlopen`` — before the self-check could refuse it — so a directory
+    that someone else could have written to is refused: a symlink, one
+    owned by another user, or one that is group- or world-writable.
+    """
     override = os.environ.get("REPRO_KERNEL_CACHE_DIR")
     if override:
-        return Path(override)
-    uid = getattr(os, "getuid", lambda: "na")()
-    return Path(tempfile.gettempdir()) / f"repro-kernels-{uid}"
+        cache = Path(override)
+    else:
+        uid = getattr(os, "getuid", lambda: "na")()
+        cache = Path(tempfile.gettempdir()) / f"repro-kernels-{uid}"
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = os.lstat(cache)
+    if stat.S_ISLNK(info.st_mode):
+        raise PermissionError(f"kernel cache {cache} is a symlink")
+    if info.st_uid != os.geteuid():
+        raise PermissionError(
+            f"kernel cache {cache} is owned by uid {info.st_uid}, not {os.geteuid()}"
+        )
+    if info.st_mode & 0o022:
+        raise PermissionError(
+            f"kernel cache {cache} is group- or world-writable "
+            f"(mode {stat.S_IMODE(info.st_mode):o})"
+        )
+    return cache
+
+
+def _library_name(source: str, compiler: str) -> str:
+    """Cache file name: keyed by the source, the flags and the compiler."""
+    tag = hashlib.sha256(
+        (source + "\x00" + " ".join(_CFLAGS) + "\x00" + compiler).encode()
+    ).hexdigest()[:16]
+    return f"repro_kernels_{tag}.so"
 
 
 def _build_library(compiler: str) -> Path:
     """Compile the shipped source to a cached .so, atomically."""
     source = _read_source()
-    tag = hashlib.sha256(
-        (source + "\x00" + " ".join(_CFLAGS) + "\x00" + compiler).encode()
-    ).hexdigest()[:16]
     cache = _cache_dir()
-    cache.mkdir(parents=True, exist_ok=True)
-    lib_path = cache / f"repro_kernels_{tag}.so"
-    if lib_path.exists():
+    lib_path = cache / _library_name(source, compiler)
+    try:
+        info = os.lstat(lib_path)
+    except FileNotFoundError:
+        pass
+    else:
+        if not stat.S_ISREG(info.st_mode) or info.st_uid != os.geteuid():
+            raise PermissionError(
+                f"kernel library {lib_path} is not a regular file owned by uid "
+                f"{os.geteuid()}"
+            )
         return lib_path
-    src_path = cache / f"repro_kernels_{tag}.c"
-    src_path.write_text(source, encoding="utf-8")
-    tmp_path = cache / f".repro_kernels_{tag}.{os.getpid()}.so"
-    cmd = [compiler, *_CFLAGS, "-o", str(tmp_path), str(src_path)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"kernel compile failed ({compiler}): {proc.stderr.strip()[:500]}"
-        )
-    os.replace(tmp_path, lib_path)
+    # Every process compiles its own copy of the source: a shared source
+    # path could be truncated by a concurrent cold start while this
+    # compiler reads it.  Only the finished library is published.
+    with tempfile.TemporaryDirectory(prefix=".build-", dir=cache) as scratch:
+        src_path = Path(scratch) / "repro_kernels.c"
+        src_path.write_text(source, encoding="utf-8")
+        tmp_path = Path(scratch) / lib_path.name
+        cmd = [compiler, *_CFLAGS, "-o", str(tmp_path), str(src_path)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"kernel compile failed ({compiler}): {proc.stderr.strip()[:500]}"
+            )
+        os.replace(tmp_path, lib_path)
     return lib_path
 
 

@@ -133,7 +133,6 @@ def run_pay_greedy(
     budget: float,
     *,
     variant: str = "paper",
-    backend: str | None = None,
 ) -> SelectionResult:
     """Execute the PayALG greedy on columnar candidate data.
 
@@ -141,10 +140,9 @@ def run_pay_greedy(
     and served.  ``candidates`` may be a
     :class:`~repro.plan.view.PoolView` (the plan layer's columnar pools) or
     a plain sequence of :class:`Juror` objects (validated and decomposed
-    here).  ``backend`` threads a plan's kernel-backend choice into the
-    pairing-scan dispatch (``None`` = session mode + cost-model crossover);
-    compiled backends run the whole paper scan in one call, bit-identical
-    to the blocked NumPy scan by the activation self-check.
+    here).  Past the pay-scan crossover the native backend runs the whole
+    paper scan in one call, bit-identical to the blocked NumPy scan by the
+    activation self-check.
     """
     # Local import: the plan layer imports this module for its operators.
     from repro.plan.view import as_view
@@ -181,7 +179,7 @@ def run_pay_greedy(
     stats.jer_evaluations += 1
 
     seed = (list(selected), g_eps, g_req, seed_index + 1, accumulated, b, pmf, current_jer)
-    paper = _paper_scan(*seed, stats, backend)
+    paper = _paper_scan(*seed, stats)
     if variant == "paper":
         selected, accumulated, current_jer = paper
     else:
@@ -214,10 +212,9 @@ def _paper_scan(
     pmf: np.ndarray,
     current_jer: float,
     stats: SelectionStats,
-    backend: str | None,
 ) -> tuple[list[int], float, float]:
     """The paper's first-fit scan on the compiled backend or in NumPy."""
-    impl = _kernels.backend_for("pay_scan", int(g_eps.size), forced=backend)
+    impl = _kernels.backend_for("pay_scan", int(g_eps.size))
     if not impl.compiled:
         return _paper_pairing(
             list(selected), g_eps, g_req, scan_from, accumulated, budget,

@@ -14,23 +14,24 @@ scattered across the execution layer:
   affordable under the budget — an unaffordable candidate can never join a
   feasible jury, so budget tightness shrinks the enumeration frontier),
   branch and bound beyond.
-* ``kernel`` backend (:mod:`repro.core.kernels` registry): which compiled
+* ``kernel`` backend (:mod:`repro.core.kernels` registry): which
   implementation the model's *hot* kernel dispatches to at this pool size —
   NumPy below the measured crossovers
   (:data:`~repro.core.kernels.COMPILED_SWEEP_CROSSOVER` for the AltrM
   sweep, :data:`~repro.core.kernels.COMPILED_PAY_CROSSOVER` for the PayALG
   pairing scan, :data:`~repro.core.kernels.COMPILED_BLOCK_CROSSOVER`
-  elements for the exact solvers' block kernels), the active compiled
-  backend (numba or native) beyond.
+  elements for the exact solvers' block kernels), native beyond when it
+  is available.
 * answer frontier (:mod:`repro.plan.frontier`): the build-vs-probe
   crossover — :func:`frontier_eligible` admits AltrM queries over pools of
   at least :data:`FRONTIER_MIN_POOL` candidates, and
   :func:`frontier_break_even` says after how many repeat probes
   materialising the frontier beats re-scanning the profile.
 
-Every function here is pure and deterministic; :mod:`repro.plan.planner`
-memoises the combined choice, which is what makes plans cheap to recompute
-and trivially cacheable.
+Every function here except :func:`kernel_backend_for` (which asks whether
+the native backend activated) is pure and deterministic;
+:mod:`repro.plan.planner` memoises their combined choice, which is what
+makes plans cheap to recompute and trivially cacheable.
 """
 
 from __future__ import annotations
@@ -42,17 +43,9 @@ import numpy as np
 
 from repro.core import kernels as _kernels
 from repro.core.jer import AUTO_CBA_THRESHOLD
-from repro.core.kernels import (
-    COMPILED_BLOCK_CROSSOVER,
-    COMPILED_PAY_CROSSOVER,
-    COMPILED_SWEEP_CROSSOVER,
-)
 from repro.core.poisson_binomial import FFT_CROSSOVER
 
 __all__ = [
-    "COMPILED_BLOCK_CROSSOVER",
-    "COMPILED_PAY_CROSSOVER",
-    "COMPILED_SWEEP_CROSSOVER",
     "ENUMERATION_CROSSOVER",
     "FRONTIER_MIN_POOL",
     "PlanCost",
@@ -128,8 +121,6 @@ def kernel_backend_for(model: str, pool_size: int) -> str:
     sizes are runtime-dependent; the model uses ``pool_size ** 2`` elements
     as the planning estimate (one enumeration block of ``pool_size``-juries),
     while the actual per-call dispatch re-decides from true block sizes.
-    Resolution honours the session mode: forced modes name the forced
-    backend (or its fallback), ``auto`` applies the measured crossovers.
     """
     if model == "altr":
         return _kernels.kernel_backend_for("sweep", pool_size)

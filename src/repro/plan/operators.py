@@ -47,7 +47,7 @@ def _run_altr(
     plan: SelectionPlan, profile: tuple[np.ndarray, np.ndarray] | None
 ) -> SelectionResult:
     if profile is None:
-        profile = prefix_jer_profile(plan.view.eps, backend=plan.kernel_backend)
+        profile = prefix_jer_profile(plan.view.eps)
     ns, jers = profile
     best = best_odd_prefix(ns, jers, max_size=plan.max_size)
     return result_from_sweep_profile(
@@ -92,12 +92,7 @@ def execute_plan(
     if plan.operator == "altr-sweep":
         result = _run_altr(plan, profile)
     elif plan.operator in ("pay-greedy", "pay-greedy-improved"):
-        result = run_pay_greedy(
-            plan.view,
-            plan.budget,
-            variant=plan.variant,
-            backend=plan.kernel_backend,
-        )
+        result = run_pay_greedy(plan.view, plan.budget, variant=plan.variant)
     elif plan.operator == "exact-enumerate":
         result = enumerate_optimal(
             _affordable_subview(plan.view, plan.budget),

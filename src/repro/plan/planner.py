@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro._validation import validate_budget
-from repro.core import kernels as _kernels
 from repro.core.jer import JER_IMPROVEMENT_EPS
 from repro.plan.cost import (
     PlanCost,
@@ -80,7 +79,7 @@ class SelectionPlan:
     the tie-break tolerance.  The *physical* half is what the cost model
     chose: the ``operator`` to run, the ``jer``/``pmf`` backends the
     auto dispatchers resolve to at this pool size, the ``kernel_backend``
-    the hot kernel will execute on (``numpy``/``numba``/``native``, see
+    the hot kernel will execute on (``numpy``/``native``, see
     :mod:`repro.core.kernels`), plus the
     :class:`~repro.plan.cost.PlanCost` estimates behind the choice.
     """
@@ -138,16 +137,8 @@ def _choose(
     max_size: int | None,
     variant: str,
     method: str,
-    kernel_token: str,
-) -> tuple[str, str, str, str, PlanCost]:
-    """Memoised (operator, jer/pmf/kernel backends, cost) for a query shape.
-
-    ``kernel_token`` is :func:`repro.core.kernels.resolution_token` — it
-    captures the session's kernel-backend mode and what it resolves to, so
-    a mode switch (``set_kernel_backend`` / ``--kernel-backend``) can never
-    serve a stale ``kernel_backend`` out of this memo.
-    """
-    del kernel_token  # participates in the cache key only
+) -> tuple[str, str, str, PlanCost]:
+    """Memoised (operator, jer/pmf backends, cost) for a query shape."""
     if model == "altr":
         operator = "altr-sweep"
     elif model == "pay":
@@ -169,8 +160,7 @@ def _choose(
     # at every jury size (it never dispatches through jury_error_rate), so
     # the jer backend it effectively uses is always the DP arithmetic.
     jer_backend = "dp" if model == "pay" else jer_backend_for(pool_size)
-    kernel_backend = kernel_backend_for(model, pool_size)
-    return operator, jer_backend, pmf_backend_for(pool_size), kernel_backend, cost
+    return operator, jer_backend, pmf_backend_for(pool_size), cost
 
 
 def planner_cache_info():
@@ -237,14 +227,8 @@ def plan_query(
         )
     normalized_budget = None if budget is None else validate_budget(budget)
     affordable = affordable_count(view.reqs, normalized_budget)
-    operator, jer_backend, pmf_backend, kernel_backend, cost = _choose(
-        canonical,
-        view.size,
-        affordable,
-        max_size,
-        variant,
-        method,
-        _kernels.resolution_token(),
+    operator, jer_backend, pmf_backend, cost = _choose(
+        canonical, view.size, affordable, max_size, variant, method
     )
     return SelectionPlan(
         task_id=task_id,
@@ -257,6 +241,8 @@ def plan_query(
         operator=operator,
         jer_backend=jer_backend,
         pmf_backend=pmf_backend,
-        kernel_backend=kernel_backend,
+        # Outside the memo: it depends on whether native activated, which
+        # is process state rather than query shape.
+        kernel_backend=kernel_backend_for(canonical, view.size),
         cost=cost,
     )

@@ -191,9 +191,9 @@ class EngineStats:
     live_profiles: int = 0
     #: Queries answered from the answer frontier — no plan, no kernel.
     frontier_hits: int = 0
-    #: Compiled-kernel backend large kernel calls dispatch to
-    #: (``numpy``/``numba``/``native``) — resolved and warmed at engine
-    #: construction so JIT/cc compile time never lands in query timings.
+    #: Kernel backend large kernel calls dispatch to (``numpy``/``native``)
+    #: — resolved and warmed at engine construction so cc compile time
+    #: never lands in query timings.
     kernel_backend: str = "numpy"
 
 

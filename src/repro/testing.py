@@ -39,8 +39,8 @@ PMF_ATOL = 1e-10
 #: which keeps adversarial chains below ~1e-12 with a wide safety margin.
 DECONV_ATOL = 1e-8
 
-#: Permitted ULP divergence between kernel backends (numpy vs numba vs
-#: native): **zero**.  The compiled kernels replicate NumPy's pairwise
+#: Permitted ULP divergence between kernel backends (numpy vs native):
+#: **zero**.  The native kernels replicate NumPy's pairwise
 #: summation and ufunc evaluation order exactly, and a backend that fails
 #: the bitwise activation self-check (:mod:`repro.core.kernels._verify`) is
 #: deactivated rather than tolerated — so cross-backend tests assert

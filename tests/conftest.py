@@ -13,6 +13,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.juror import Juror
 from repro.testing import DEFAULT_SEED, ORACLE_ATOL, PMF_ATOL
 
@@ -37,6 +38,23 @@ def _isolated_data_dir(monkeypatch):
         "REPRO_DATA_DIR", tempfile.mkdtemp(prefix="case-", dir=root)
     )
     yield
+
+
+@pytest.fixture
+def native():
+    """The activated native kernel backend; skips where it is unavailable."""
+    backend = kernels.native_backend()
+    if backend is None:
+        reason = kernels.stats_snapshot()["unavailable"]["native"]
+        pytest.skip(f"native backend unavailable: {reason}")
+    return backend
+
+
+@pytest.fixture
+def native_unavailable(monkeypatch):
+    """The kernel registry as on a host where native failed to activate."""
+    monkeypatch.setattr(kernels, "_native_backend", None)
+    monkeypatch.setattr(kernels, "_native_reason", "RuntimeError: disabled by test")
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
-"""Cross-backend bit-identity and registry behaviour for ``repro.core.kernels``.
+"""Native-vs-reference bit-identity and registry behaviour for ``repro.core.kernels``.
 
-Every available backend (numpy reference, numba JIT, cc-built native) is
-parametrized through the same oracle comparisons in one pytest session;
-backends that fail activation on this host are *skipped with the recorded
-reason*, never silently dropped.  The equivalence contract is bit-identity
+The native backend object is called side by side with the NumPy reference
+object, on shapes on both sides of every dispatch crossover; whole
+selections are compared with native active and with it unavailable (the
+registry monkeypatched by the ``native_unavailable`` fixture).  Where
+native cannot activate on a host, the tests that need it skip with the
+recorded reason.  The equivalence contract is bit-identity
 (:data:`repro.testing.KERNEL_EQUIVALENCE_ULPS` is pinned to zero): a
 backend that cannot reproduce NumPy's floating-point results exactly is
 deactivated by its self-check, not tolerated by a looser assertion here.
@@ -12,221 +14,157 @@ deactivated by its self-check, not tolerated by a looser assertion here.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import kernels
-from repro.core.jer import (
-    batch_jury_jer,
-    batch_prefix_jer_sweep,
-    convolve_pmf,
-    extend_pmf,
-    extend_pmf_block,
-    prefix_jer_profile,
-)
+from repro.core.jer import extend_pmf, prefix_jer_profile
 from repro.core.juror import Juror
+from repro.core.kernels._reference import NumpyBackend
+from repro.core.kernels._verify import _reference_pay_scan
+from repro.core.selection.altr import select_jury_altr
+from repro.core.selection.exact import select_jury_optimal
 from repro.core.selection.pay import run_pay_greedy
 from repro.testing import KERNEL_EQUIVALENCE_ULPS
 
-COMPILED_NAMES = ("numba", "native")
+REFERENCE = NumpyBackend()
 
 #: (batch, pool) shapes covering the sweep's odd/even and recursion edges.
 SWEEP_SHAPES = ((1, 1), (2, 3), (3, 17), (1, 64), (2, 65), (1, 129), (1, 515))
 
-
-def _compiled_params():
-    """One param per compiled backend; unavailable ones skip with reason."""
-    status = kernels.backend_status()
-    params = []
-    for name in COMPILED_NAMES:
-        reason = status.get(name)
-        if reason is None:
-            params.append(pytest.param(name))
-        else:
-            params.append(
-                pytest.param(
-                    name,
-                    marks=pytest.mark.skip(
-                        reason=f"{name} backend unavailable: {reason}"
-                    ),
-                )
-            )
-    return params
+#: Pool sizes straddling the pay-scan crossover and the pairwise regimes.
+PAY_POOLS = (3, 7, 8, 13, 25, 120, 311)
 
 
 def _bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(np.asarray(a, dtype=np.float64)).tobytes()
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend_mode():
-    """Leave the session mode untouched for the rest of the suite."""
-    yield
-    kernels.set_kernel_backend(None)
+def _pool(rng, size: int) -> list[Juror]:
+    eps = rng.uniform(0.02, 0.48, size=size)
+    reqs = np.round(rng.uniform(0.5, 3.0, size=size), 3)
+    return [
+        Juror(float(e), float(r), juror_id=f"w{i}")
+        for i, (e, r) in enumerate(zip(eps, reqs))
+    ]
+
+
+def _budget(jurors: list[Juror]) -> float:
+    # Affordable by construction: at least the priciest single candidate,
+    # so tiny pools cannot raise InfeasibleSelectionError.
+    reqs = [j.requirement for j in jurors]
+    return float(max(sum(reqs) / 4.0, max(reqs)))
+
+
+def _fingerprint(result) -> tuple:
+    return (
+        result.juror_ids,
+        result.jer.hex(),
+        result.stats.juries_considered,
+        result.stats.jer_evaluations,
+    )
 
 
 def test_equivalence_contract_is_bit_identity():
     assert KERNEL_EQUIVALENCE_ULPS == 0
 
 
-class TestCrossBackendBitIdentity:
-    @pytest.mark.parametrize("backend", _compiled_params())
-    def test_sweep(self, backend, rng):
+class TestNativeMatchesReference:
+    """The two backend objects called directly, below and past every crossover."""
+
+    def test_sweep(self, native, rng):
         for batch, pool in SWEEP_SHAPES:
             eps = rng.uniform(0.01, 0.6, size=(batch, pool))
-            ns_ref, ref = batch_prefix_jer_sweep(eps, backend="numpy")
-            ns_got, got = batch_prefix_jer_sweep(eps, backend=backend)
-            assert np.array_equal(ns_ref, ns_got)
-            assert _bits(ref) == _bits(got), (batch, pool)
+            assert _bits(REFERENCE.sweep(eps)) == _bits(native.sweep(eps)), (batch, pool)
 
-    @pytest.mark.parametrize("backend", _compiled_params())
-    def test_jury_jer(self, backend, rng):
+    def test_jury_jer(self, native, rng):
         for batch, size in ((1, 1), (4, 3), (8, 17), (2, 65), (3, 129)):
             eps = rng.uniform(0.01, 0.6, size=(batch, size))
-            with kernels.use_backend("numpy"):
-                ref = batch_jury_jer(eps)
-            with kernels.use_backend(backend):
-                got = batch_jury_jer(eps)
-            assert _bits(ref) == _bits(got), (batch, size)
+            threshold = (size + 1) // 2
+            assert _bits(REFERENCE.jury_jer(eps, threshold)) == _bits(
+                native.jury_jer(eps, threshold)
+            ), (batch, size)
 
-    @pytest.mark.parametrize("backend", _compiled_params())
-    def test_extend_block_and_convolve(self, backend, rng):
+    def test_extend_score_and_convolve_blocks(self, native, rng):
         base = np.ones(1, dtype=np.float64)
         for e in rng.uniform(0.05, 0.45, size=12):
             base = extend_pmf(base, float(e))
-        eps = rng.uniform(0.05, 0.45, size=200)
-        with kernels.use_backend("numpy"):
-            ref_block = extend_pmf_block(base, eps)
-            ref_conv = convolve_pmf(base, eps[:9])
-        with kernels.use_backend(backend):
-            got_block = extend_pmf_block(base, eps)
-            got_conv = convolve_pmf(base, eps[:9])
-        assert _bits(ref_block) == _bits(got_block)
-        assert _bits(ref_conv) == _bits(got_conv)
+        threshold = (base.size + 1) // 2
+        # 9 x 14 = 126 elements sits far below the block crossover; 200 x 14
+        # sits past it.
+        for k in (1, 9, 200):
+            eps = rng.uniform(0.05, 0.45, size=k)
+            assert _bits(REFERENCE.extend_block(base, eps)) == _bits(
+                native.extend_block(base, eps)
+            ), k
+            ref_jers, ref_rows = REFERENCE.score_block(base, eps, threshold)
+            got_jers, got_rows = native.score_block(base, eps, threshold)
+            assert _bits(ref_jers) == _bits(got_jers), k
+            assert _bits(ref_rows) == _bits(got_rows), k
+            assert _bits(REFERENCE.convolve(base, eps)) == _bits(
+                native.convolve(base, eps)
+            ), k
 
-    @pytest.mark.parametrize("backend", _compiled_params())
-    def test_pay_greedy_selection(self, backend, rng):
-        for pool in (3, 25, 120, 311):
-            eps = rng.uniform(0.02, 0.48, size=pool)
-            reqs = np.round(rng.uniform(0.5, 3.0, size=pool), 3)
-            jurors = [
-                Juror(float(e), float(r), juror_id=f"w{i}")
-                for i, (e, r) in enumerate(zip(eps, reqs))
-            ]
-            # Affordable by construction: at least the priciest single
-            # candidate, so tiny pools cannot raise InfeasibleSelectionError.
-            budget = float(max(np.sum(reqs) / 4.0, np.max(reqs)))
-            ref = run_pay_greedy(jurors, budget, backend="numpy")
-            got = run_pay_greedy(jurors, budget, backend=backend)
-            assert ref.juror_ids == got.juror_ids, pool
-            assert ref.jer.hex() == got.jer.hex()
-            assert (
-                ref.stats.juries_considered == got.stats.juries_considered
-            )
-            assert ref.stats.jer_evaluations == got.stats.jer_evaluations
+    def test_pay_scan(self, native, rng):
+        for size in PAY_POOLS:
+            eps = rng.uniform(0.02, 0.48, size=size)
+            reqs = np.round(rng.uniform(0.5, 3.0, size=size), 3)
+            order = np.argsort(eps * reqs, kind="stable")
+            g_eps, g_req = eps[order], reqs[order]
+            pmf = extend_pmf(np.ones(1), float(g_eps[0]))
+            args = (g_eps, g_req, float(np.sum(reqs) / 4.0), 1, float(g_req[0]),
+                    pmf, float(pmf[1]))
+            ref = _reference_pay_scan(*args)
+            got = native.pay_scan(*args)
+            assert ref[0].tolist() == got[0].tolist(), size
+            assert (ref[1].hex(), ref[2].hex()) == (got[1].hex(), got[2].hex()), size
+            assert ref[3:] == got[3:], size
 
-    @pytest.mark.parametrize("backend", _compiled_params())
-    def test_profile_thread_through(self, backend, rng):
-        eps = rng.uniform(0.05, 0.6, size=251)
-        ns_ref, ref = prefix_jer_profile(eps, backend="numpy")
-        ns_got, got = prefix_jer_profile(eps, backend=backend)
-        assert np.array_equal(ns_ref, ns_got)
-        assert _bits(ref) == _bits(got)
+
+def _select_everything(rng) -> list[tuple]:
+    """AltrM, PayM (both variants) and exact answers on pools of every regime."""
+    answers = []
+    for size in PAY_POOLS + (121,):
+        jurors = _pool(rng, size)
+        budget = _budget(jurors)
+        answers.append(_fingerprint(select_jury_altr(jurors)))
+        for variant in ("paper", "improved"):
+            answers.append(_fingerprint(run_pay_greedy(jurors, budget, variant=variant)))
+        ns, jers = prefix_jer_profile([j.error_rate for j in jurors])
+        answers.append((ns.tolist(), _bits(jers)))
+        # Exact only on small pools; the unbudgeted 13-candidate enumeration
+        # scores blocks past the block crossover.
+        if size <= 13:
+            answers.append(_fingerprint(select_jury_optimal(jurors, budget=budget)))
+            answers.append(_fingerprint(select_jury_optimal(jurors)))
+    return answers
+
+
+class TestWholeSelections:
+    def test_selections_match_with_native_unavailable(self, native, rng, request):
+        seed_state = rng.bit_generator.state
+        kernels.reset_dispatch_counters()
+        with_native = _select_everything(rng)
+        counts = kernels.dispatch_counts()
+        assert set(counts["sweep"]) == {"native"}
+        for kernel in ("pay_scan", "score_block", "jury_jer"):
+            assert set(counts[kernel]) == {"native", "numpy"}, kernel
+
+        request.getfixturevalue("native_unavailable")
+        rng.bit_generator.state = seed_state
+        kernels.reset_dispatch_counters()
+        without = _select_everything(rng)
+        counts = kernels.dispatch_counts()
+        assert {b for per_kernel in counts.values() for b in per_kernel} == {"numpy"}
+        assert with_native == without
 
 
 class TestRegistry:
-    def test_available_always_includes_numpy(self):
-        assert "numpy" in kernels.available_backends()
-
-    def test_backend_status_reports_reason_or_none(self):
-        status = kernels.backend_status()
-        assert status["numpy"] is None
-        for name in COMPILED_NAMES:
-            reason = status[name]
-            assert reason is None or (
-                isinstance(reason, str) and reason
-            )
-
-    def test_forced_mode_bypasses_crossovers(self):
-        compiled = [n for n in kernels.available_backends() if n != "numpy"]
-        if not compiled:
-            pytest.skip("no compiled backend available on this host")
-        name = compiled[0]
-        with kernels.use_backend(name):
-            # Size 1 is far below every crossover; forced modes ignore them.
-            assert kernels.backend_for("pay_scan", 1).name == name
-            assert kernels.kernel_backend_for("pay_scan", 1) == name
-
-    def test_auto_mode_applies_pay_crossover(self):
-        compiled = [n for n in kernels.available_backends() if n != "numpy"]
-        with kernels.use_backend("auto"):
-            below = kernels.kernel_backend_for(
-                "pay_scan", kernels.COMPILED_PAY_CROSSOVER - 1
-            )
-            above = kernels.kernel_backend_for(
-                "pay_scan", kernels.COMPILED_PAY_CROSSOVER
-            )
-        assert below == "numpy"
-        if compiled:
-            assert above != "numpy"
-        else:
-            assert above == "numpy"
-
-    def test_forcing_unavailable_backend_falls_back_to_numpy(self):
-        unavailable = [
-            name
-            for name, reason in kernels.backend_status().items()
-            if reason is not None
-        ]
-        if not unavailable:
-            pytest.skip("every backend is available on this host")
-        with kernels.use_backend(unavailable[0]):
-            assert kernels.backend_for("sweep", 10_000).name == "numpy"
-            assert kernels.kernel_backend_for("sweep", 10_000) == "numpy"
-
-    def test_numpy_mode_never_dispatches_compiled(self, rng):
-        eps = rng.uniform(0.05, 0.6, size=(1, 99))
-        with kernels.use_backend("numpy"):
-            kernels.reset_dispatch_counters()
-            batch_prefix_jer_sweep(eps)
-            counts = kernels.dispatch_counts()
-        assert set(counts["sweep"]) == {"numpy"}
-
-    def test_dispatch_counters_accumulate_per_kernel(self, rng):
-        eps = rng.uniform(0.05, 0.6, size=(1, 41))
-        kernels.reset_dispatch_counters()
-        expected = kernels.kernel_backend_for("sweep", 41)
-        batch_prefix_jer_sweep(eps)
-        batch_prefix_jer_sweep(eps)
-        counts = kernels.dispatch_counts()
-        assert counts["sweep"][expected] == 2
-
-    def test_set_kernel_backend_rejects_unknown_names(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.set_kernel_backend("fortran")
-
-    def test_env_var_sets_requested_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        kernels._reset_for_tests()
-        try:
-            assert kernels.requested_backend() == "numpy"
-        finally:
-            monkeypatch.delenv("REPRO_KERNEL_BACKEND")
-            kernels._reset_for_tests()
-
-    def test_invalid_env_var_falls_back_to_auto_with_note(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "turbo")
-        kernels._reset_for_tests()
-        try:
-            assert kernels.requested_backend() == "auto"
-            assert "turbo" in kernels.stats_snapshot()["env_note"]
-        finally:
-            monkeypatch.delenv("REPRO_KERNEL_BACKEND")
-            kernels._reset_for_tests()
-
     def test_stats_snapshot_shape(self):
         snapshot = kernels.stats_snapshot()
-        assert snapshot["requested"] in kernels.BACKEND_CHOICES
-        assert snapshot["active"] in ("numpy",) + COMPILED_NAMES
+        assert set(snapshot) == {
+            "active", "available", "unavailable", "dispatch",
+            "lazy_activations", "crossovers",
+        }
+        assert snapshot["active"] in ("numpy", "native")
         assert "numpy" in snapshot["available"]
         assert set(snapshot["crossovers"]) == {
             "sweep_pool_size",
@@ -235,30 +173,79 @@ class TestRegistry:
         }
         assert snapshot["lazy_activations"] >= 0
 
+    def test_active_native_has_no_unavailable_reason(self, native):
+        snapshot = kernels.stats_snapshot()
+        assert snapshot["active"] == "native"
+        assert snapshot["available"] == ["native", "numpy"]
+        assert snapshot["unavailable"] == {}
+
+    def test_crossovers_decide_per_call(self, native):
+        below = kernels.COMPILED_PAY_CROSSOVER - 1
+        assert kernels.kernel_backend_for("pay_scan", below) == "numpy"
+        assert kernels.kernel_backend_for("pay_scan", below + 1) == "native"
+        assert kernels.kernel_backend_for("sweep", 1) == "native"
+        blocks = kernels.COMPILED_BLOCK_CROSSOVER
+        assert kernels.kernel_backend_for("convolve", blocks - 1) == "numpy"
+        assert kernels.kernel_backend_for("convolve", blocks) == "native"
+        assert kernels.backend_for("pay_scan", below) is not native
+        assert kernels.backend_for("pay_scan", below + 1) is native
+
+    def test_unavailable_native_serves_the_reference_with_its_reason(
+        self, native_unavailable
+    ):
+        assert kernels.backend_for("sweep", 10_000).name == "numpy"
+        assert kernels.kernel_backend_for("sweep", 10_000) == "numpy"
+        assert kernels.ensure_ready() == "numpy"
+        snapshot = kernels.stats_snapshot()
+        assert snapshot["active"] == "numpy"
+        assert snapshot["available"] == ["numpy"]
+        assert snapshot["unavailable"] == {"native": "RuntimeError: disabled by test"}
+
+    def test_failed_activation_records_the_reason(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(blocker / "kernels"))
+        monkeypatch.setattr(kernels, "_native_backend", kernels._UNPROBED)
+        monkeypatch.setattr(kernels, "_native_reason", None)
+        assert kernels.ensure_ready() == "numpy"
+        reason = kernels.stats_snapshot()["unavailable"]["native"]
+        assert reason.startswith("NotADirectoryError")
+        assert kernels.backend_for("sweep", 10_000).name == "numpy"
+
+    def test_dispatch_counters_accumulate_per_kernel(self, rng):
+        eps = rng.uniform(0.05, 0.6, size=41)
+        kernels.reset_dispatch_counters()
+        expected = kernels.kernel_backend_for("sweep", 41)
+        prefix_jer_profile(eps)
+        prefix_jer_profile(eps)
+        counts = kernels.dispatch_counts()
+        assert counts["sweep"][expected] == 2
+
 
 class TestColdStart:
-    def test_engine_construction_precompiles_backends(self):
-        """First JIT/cc compile must happen at engine construction (via
+    def test_engine_construction_precompiles_backends(self, monkeypatch):
+        """The native activation must happen at engine construction (via
         ``ensure_ready``), never inside a query dispatch — so the compile
         cost cannot poison per-query timings or the engine's counters."""
         from repro.service.batch import BatchSelectionEngine, SelectionQuery
 
-        kernels._reset_for_tests()  # forget probes: force a fresh activation
-        try:
-            engine = BatchSelectionEngine()
-            assert engine.stats.kernel_backend == kernels.ensure_ready()
-            # Activation happened eagerly above; the queries below must not
-            # trigger a lazy (in-dispatch) compile.
-            jurors = [
-                Juror(0.1 + 0.02 * i, juror_id=f"w{i}") for i in range(25)
-            ]
-            outcomes = engine.run(
-                [SelectionQuery(task_id="t0", candidates=jurors)]
-            )
-            assert outcomes[0].ok
-            assert kernels.lazy_activations() == 0
-        finally:
-            kernels._reset_for_tests()
+        # Forget the activation (restored afterwards): force a fresh one.
+        monkeypatch.setattr(kernels, "_native_backend", kernels._UNPROBED)
+        monkeypatch.setattr(kernels, "_lazy_activations", 0)
+        engine = BatchSelectionEngine()
+        assert engine.stats.kernel_backend == kernels.ensure_ready()
+        # Activation happened eagerly above; the queries below must not
+        # trigger a lazy (in-dispatch) compile.
+        jurors = [Juror(0.1 + 0.02 * i, juror_id=f"w{i}") for i in range(25)]
+        outcomes = engine.run([SelectionQuery(task_id="t0", candidates=jurors)])
+        assert outcomes[0].ok
+        assert kernels.lazy_activations() == 0
+
+    def test_first_dispatch_without_ensure_ready_counts_as_lazy(self, native, monkeypatch):
+        monkeypatch.setattr(kernels, "_native_backend", kernels._UNPROBED)
+        monkeypatch.setattr(kernels, "_lazy_activations", 0)
+        assert kernels.backend_for("sweep", 3).name == "native"
+        assert kernels.lazy_activations() == 1
 
     def test_service_stats_surface_kernel_block(self):
         from repro.api import JuryService
@@ -271,5 +258,5 @@ class TestColdStart:
         assert payload["engine"]["kernel_backend"] == kernels.ensure_ready()
         block = payload["kernels"]
         assert block["active"] == kernels.ensure_ready()
-        assert block["requested"] in kernels.BACKEND_CHOICES
         assert "dispatch" in block and "crossovers" in block
+        assert "requested" not in block and "env_note" not in block
