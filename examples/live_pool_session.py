@@ -5,8 +5,8 @@ A platform's candidate population is never frozen — jurors arrive, leave,
 and their estimated error rates drift as the microblog stream flows.  This
 example shows the live-pool stack at its three levels:
 
-1. a :class:`LivePool` mutated directly — versions, delta-maintained sweep
-   profiles, and what the repair actually reused;
+1. a :class:`LivePool` mutated directly — versions, one sweep per queried
+   version, and what the answer-frontier repair reused;
 2. the registry-backed engine — ``pool_name`` queries interleaved with
    churn, with the sweep cache restoring hits when membership reverts;
 3. the estimation pipeline's incremental mode — a fresh
@@ -39,27 +39,26 @@ def main() -> None:
     engine = BatchSelectionEngine(registry=registry)
 
     # -- 1. a live pool under churn ------------------------------------------
-    print("== 1. LivePool: versioned churn with delta-maintained sweeps ==")
+    print("== 1. LivePool: versioned churn, one sweep per queried version ==")
     pool = registry.create(
         "workers", jurors_from_arrays(rng.uniform(0.05, 0.5, size=101))
     )
-    pool.sweep_profile()  # warm the prefix pmf matrix
     pool.add_juror(Juror(0.03, juror_id="star"))
     pool.update_error_rate("j50", 0.49)
     pool.remove_juror("j13")
-    ns, jers = pool.sweep_profile()
-    best = int(ns[int(np.argmin(jers))])
+    frontier, _ = pool.answer_frontier()  # sweeps version 3, once
+    best, _, _ = frontier.probe()
     print(f"  version {pool.version}, size {pool.size}, best odd prefix {best}")
     # A churn burst that only touches unreliable (high-position) jurors
-    # leaves the low-error prefix rows clean — the repair reuses them.
+    # leaves the head of the answer frontier intact: the new version is
+    # swept again, and the frontier repair reuses the head.
     worst = [j.juror_id for j in pool.ordered[-3:]]
     for juror_id in worst:
         pool.update_error_rate(juror_id, float(rng.uniform(0.45, 0.5)))
-    pool.sweep_profile()
+    _, mode = pool.answer_frontier()
     print(
-        f"  repair work: {pool.stats.repairs} repairs, "
-        f"{pool.stats.rows_reused} prefix rows reused, "
-        f"{pool.stats.rows_recomputed} recomputed"
+        f"  {pool.stats.mutations} mutations, {pool.stats.repairs} sweeps; "
+        f"frontier {mode}, {pool.stats.frontier_entries_reused} entries reused"
     )
 
     # -- 2. churn interleaved with registry-backed queries -------------------

@@ -134,7 +134,6 @@ from repro.core.jer import (
     convolve_pmf,
     deconvolve_pmf,
     prefix_jer_profile,
-    resume_prefix_sweep,
 )
 from repro.errors import (
     BudgetError,
@@ -179,7 +178,6 @@ __all__ = [
     "best_odd_prefix",
     "convolve_pmf",
     "deconvolve_pmf",
-    "resume_prefix_sweep",
     # plan layer
     "PoolView",
     "SelectionPlan",

@@ -610,7 +610,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         prog="repro-select serve",
         description="Long-lived JSONL session: live pool mutations "
         "(create/update/drop) interleaved with selections, over a shared "
-        "registry with delta-maintained sweep state.",
+        "registry of versioned live pools.",
     )
     parser.add_argument(
         "--cache-size",

@@ -26,7 +26,6 @@ from repro.core.jer import (
     jury_error_rate,
     majority_threshold,
     prefix_jer_profile,
-    resume_prefix_sweep,
 )
 from repro.core.incremental import IncrementalJury
 from repro.core.juror import Juror, Jury, jurors_from_arrays
@@ -81,7 +80,6 @@ __all__ = [
     "best_odd_prefix",
     "convolve_pmf",
     "deconvolve_pmf",
-    "resume_prefix_sweep",
     # bounds
     "paley_zygmund_lower_bound",
     "gamma_ratio",

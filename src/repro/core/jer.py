@@ -45,21 +45,18 @@ validating wrappers that dispatch through the backend registry in
 held to bitwise equality by an activation self-check, with measured size
 crossovers deciding per call.
 
-For *live* workloads (candidate pools that churn between queries, see
-:mod:`repro.service.registry`), three delta kernels maintain Carelessness
-state without full recomputation:
+Two delta kernels maintain Carelessness state without full recomputation,
+the batch form of :class:`~repro.core.incremental.IncrementalJury`'s
+single-juror updates:
 
 :func:`convolve_pmf`
     Fold ``k`` new jurors into an existing pmf — ``k`` vectorized length-2
     convolutions, ``O(k * n)`` total.
 :func:`deconvolve_pmf`
     Remove ``k`` jurors from a pmf by stable deconvolution, ``O(k * n)``.
-:func:`resume_prefix_sweep`
-    Repair the prefix pmf matrix (and odd-prefix JER profile) of an ordered
-    candidate list from a *clean watermark* onward, reusing every prefix row
-    below the first churned position.  Rows above the watermark are rebuilt
-    with the exact arithmetic of :func:`batch_prefix_jer_sweep`, so delta
-    maintenance is bit-identical to sweeping from scratch.
+
+Live pools (:mod:`repro.service.registry`) need neither: each version's
+profile is one :func:`batch_prefix_jer_sweep` call.
 """
 
 from __future__ import annotations
@@ -90,7 +87,6 @@ __all__ = [
     "deconvolve_pmf",
     "extend_pmf",
     "extend_pmf_block",
-    "resume_prefix_sweep",
     "JER_IMPROVEMENT_EPS",
     "AUTO_CBA_THRESHOLD",
 ]
@@ -460,7 +456,7 @@ def best_odd_prefix(
 
 
 # ----------------------------------------------------------------------
-# Delta kernels: O(k * n) churn maintenance for live pools
+# Delta kernels: O(k * n) pmf maintenance
 # ----------------------------------------------------------------------
 
 def _coerce_pmf(pmf, *, name: str = "pmf") -> np.ndarray:
@@ -549,8 +545,8 @@ def deconvolve_pmf(pmf, epsilons) -> np.ndarray:
        factors) or rebuild from the surviving factors periodically —
        :class:`~repro.core.incremental.IncrementalJury` does exactly that
        after :data:`~repro.core.incremental.REBUILD_AFTER_REMOVALS`
-       removals.  The live-pool profile path never deconvolves (it repairs
-       forward from a clean prefix), which is why it stays bit-exact.
+       removals.  The live-pool profile path never deconvolves (it sweeps
+       each version from scratch), which is why it stays bit-exact.
 
     >>> from repro.core.poisson_binomial import pmf_dp
     >>> import numpy as np
@@ -588,74 +584,3 @@ def _deconvolve_one(pmf: np.ndarray, epsilon: float) -> np.ndarray:
     np.clip(out, 0.0, 1.0, out=out)
     return out
 
-
-def resume_prefix_sweep(
-    eps: np.ndarray,
-    pmf_matrix: np.ndarray,
-    jers: np.ndarray,
-    *,
-    start: int = 0,
-) -> None:
-    """Repair a prefix pmf matrix and JER profile in place from row ``start``.
-
-    The persistent state of a live pool's sweep is the *prefix pmf matrix*:
-    row ``m`` holds the Carelessness pmf of the first ``m`` jurors (in
-    Lemma 3 order) in columns ``0..m``, with zeros above.  A churn event at
-    sorted position ``p`` leaves rows ``0..p`` untouched; this kernel
-    rebuilds rows ``start + 1 .. n`` (and the JER entries of the odd prefix
-    sizes above ``start``) from the clean row ``start``, reusing everything
-    below the watermark.
-
-    Each rebuilt row applies the exact multiply-add expression of
-    :func:`batch_prefix_jer_sweep` and the same contiguous tail reduction,
-    so a repaired profile is **bit-identical** to sweeping the current
-    ordering from scratch — delta maintenance cannot drift.
-
-    Parameters
-    ----------
-    eps:
-        Error rates of all ``n`` candidates in sweep (Lemma 3) order.
-    pmf_matrix:
-        Float64 matrix with at least ``n + 1`` rows and columns.  Row
-        ``start`` must hold a valid prefix pmf and every row's columns above
-        its own index must be zero (the natural state of a zero-initialised
-        matrix that has only ever been written by this kernel).
-    jers:
-        Float64 vector with at least ``(n + 1) // 2`` entries;
-        ``jers[i]`` is the JER of the odd prefix of size ``2 * i + 1``.
-        Entries for odd sizes ``<= start`` are preserved.
-    start:
-        The clean watermark: number of leading prefix rows already valid.
-        ``start == 0`` performs a full sweep (row 0 is reset to the empty
-        pmf ``[1, 0, ...]``).
-    """
-    n_total = int(eps.size)
-    if n_total == 0:
-        raise ValueError("cannot sweep an empty candidate list")
-    if not 0 <= start <= n_total:
-        raise ValueError(f"start must lie in [0, {n_total}], got {start}")
-    if pmf_matrix.shape[0] < n_total + 1 or pmf_matrix.shape[1] < n_total + 1:
-        raise ValueError(
-            f"pmf_matrix must be at least ({n_total + 1}, {n_total + 1}), "
-            f"got {pmf_matrix.shape}"
-        )
-    if jers.size < (n_total + 1) // 2:
-        raise ValueError(
-            f"jers must hold at least {(n_total + 1) // 2} entries, got {jers.size}"
-        )
-    if start == 0:
-        pmf_matrix[0, 0] = 1.0
-    for idx in range(start, n_total):
-        e = eps[idx]
-        row = pmf_matrix[idx]
-        nxt = pmf_matrix[idx + 1]
-        upper = idx + 1
-        # Same multiply-add as batch_prefix_jer_sweep: ``row[upper]`` is 0 by
-        # the matrix invariant, so entry ``upper`` becomes ``row[idx] * e``.
-        nxt[1 : upper + 1] = row[1 : upper + 1] * (1.0 - e) + row[0:upper] * e
-        nxt[0] = row[0] * (1.0 - e)
-        n = idx + 1
-        if n % 2 == 1:
-            threshold = (n + 1) // 2
-            tail = np.sum(nxt[threshold : n + 1])
-            jers[idx // 2] = min(max(tail, 0.0), 1.0)

@@ -16,7 +16,8 @@ work: most users' estimates barely move between pipeline runs.
 :func:`sync_pool_with_estimate` is the incremental mode — it diffs a fresh
 :class:`EstimationResult` against a live registry pool
 (:class:`repro.service.registry.LivePool`) and applies only the changed
-jurors, so the pool's delta-maintained sweep state survives the refresh.
+jurors, so the pool's answer frontier keeps every entry the refresh left
+intact.
 """
 
 from __future__ import annotations
@@ -209,8 +210,8 @@ def sync_pool_with_estimate(
     departures are removed, arrivals added, and drifted estimates updated in
     place.  Jurors whose error rate and requirement are bit-equal to the
     pool's are not touched, so the pool's version advances by exactly the
-    churn count and its delta-maintained sweep state keeps every unchanged
-    prefix.
+    churn count and its answer frontier keeps every entry below the lowest
+    churned position.
 
     Parameters
     ----------

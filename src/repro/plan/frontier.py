@@ -24,8 +24,7 @@ touching the kernels.
     at sorted position ``p`` leaves every prefix of size ``<= p`` intact, so
     the first ``(p + 1) // 2`` frontier entries stay valid and
     :meth:`AnswerFrontier.repaired` resumes the running argmin from the first
-    dirty entry of the (itself delta-repaired) sweep profile — the exact
-    analogue of :func:`repro.core.jer.resume_prefix_sweep` one level up.
+    dirty entry of the new version's sweep profile.
 
 :class:`FrontierCache`
     LRU ``fingerprint -> AnswerFrontier`` map with hit/miss/eviction plus
@@ -311,7 +310,7 @@ class FrontierCache:
         """Store a frontier, recording how it was produced.
 
         ``mode`` is one of ``"built"`` (fresh), ``"repaired"`` (delta repair)
-        or ``"rebuilt"`` (churn threshold exceeded, full recompute);
+        or ``"rebuilt"`` (churn left no entry intact, full recompute);
         ``"cached"`` stores without counting (the frontier was already
         accounted for when first produced).
         """

@@ -7,7 +7,7 @@ and returns a :class:`~repro.core.selection.base.SelectionResult`:
     Odd-prefix JER profile via the vectorized sweep kernel
     (:func:`repro.core.jer.batch_prefix_jer_sweep`); accepts a precomputed
     or cached profile so the batch engine's shared sweeps and the live-pool
-    delta-maintained profiles plug straight in.
+    profiles plug straight in.
 ``pay-greedy`` / ``pay-greedy-improved``
     The columnar PayALG greedy (:func:`repro.core.selection.pay.run_pay_greedy`),
     whose pair trials are scored block-wise with
@@ -83,7 +83,7 @@ def execute_plan(
     profile:
         Optional precomputed ``(ns, jers)`` odd-prefix profile for the
         ``altr-sweep`` operator (cache hits, shared batch sweeps, live-pool
-        delta repairs).  Ignored by the other operators.
+        profiles).  Ignored by the other operators.
 
     The result's ``stats.elapsed_seconds`` covers the operator execution,
     matching what the selectors historically reported.

@@ -11,10 +11,10 @@ restructures the execution path for that workload shape:
 :class:`CandidatePool`
     An immutable, fingerprinted candidate set shareable across queries.
 :class:`LivePool` / :class:`PoolRegistry`
-    Mutable, versioned candidate pools whose Lemma 3 ordering and prefix-JER
-    sweep profiles are delta-maintained under juror churn
-    (:mod:`repro.service.registry`); ``SelectionQuery(pool_name=...)``
-    resolves against an engine's registry.
+    Mutable, versioned candidate pools whose Lemma 3 ordering is
+    delta-maintained under juror churn and whose prefix-JER sweep profile is
+    cached per version (:mod:`repro.service.registry`);
+    ``SelectionQuery(pool_name=...)`` resolves against an engine's registry.
 :class:`PrefixSweepCache`
     The LRU cache of odd-prefix JER profiles keyed on pool fingerprints.
     Content keying makes it churn-safe: a live-pool mutation changes the
@@ -27,8 +27,7 @@ batch of one, so batched and scalar selection are bit-identical by
 construction.  The ``repro-select batch`` CLI subcommand exposes the engine
 over JSONL and ``repro-select serve`` keeps a registry-backed session alive
 across interleaved pool mutations and selections;
-``benchmarks/bench_batch.py`` and ``benchmarks/bench_live_churn.py`` measure
-throughput and churn behaviour.
+``benchmarks/bench_batch.py`` measures throughput.
 """
 
 from repro.service.batch import BatchSelectionEngine, QueryOutcome, SelectionQuery

@@ -16,8 +16,8 @@ path the engine adds the batch-shaped optimisations:
   (:mod:`repro.plan.frontier`): the engine probes it during batch assembly,
   *before* planning, and a hit is one ``np.searchsorted`` — no
   ``plan_query``, no ``execute_plan``.  Registry pools adopt their live
-  frontier whenever their profile is resolved (delta-repaired across
-  churn); a frozen pool gets a frontier on its second sighting, when its
+  frontier (delta-repaired across churn) whenever their profile is
+  resolved; a frozen pool gets a frontier on its second sighting, when its
   profile comes out of the sweep cache, so one-shot inline pools never pay
   for one.  Results are bit-identical to the plan pipeline, tie-break
   included.
@@ -86,8 +86,8 @@ class SelectionQuery:
     pool_name:
         Name of a :class:`~repro.service.registry.LivePool` in the engine's
         registry.  The query runs against a snapshot of the pool's state at
-        resolution time; its delta-maintained sweep profile is reused on
-        cache misses.
+        resolution time; its per-version sweep profile is reused on cache
+        misses.
     model:
         ``"altr"`` (AltrALG optimum), ``"pay"`` (PayALG greedy, requires
         ``budget``) or ``"exact"`` (enumeration / branch-and-bound optimum).
@@ -218,8 +218,8 @@ class BatchSelectionEngine:
     registry:
         Optional :class:`~repro.service.registry.PoolRegistry` against which
         ``pool_name`` queries are resolved.  Live pools contribute their
-        delta-maintained sweep profiles on cache misses, so a churned pool
-        costs one partial repair instead of a full engine-side sweep.
+        per-version sweep profiles on cache misses, so every query against
+        the same version shares the pool's one sweep.
 
     Examples
     --------
@@ -473,8 +473,8 @@ class BatchSelectionEngine:
                 profiles[fingerprint] = cached
                 repeats.add(fingerprint)
             elif live is not None:
-                # The live pool delta-maintains its own profile: reuse it
-                # (and its unchanged prefix rows) instead of resweeping.
+                # The live pool caches its own profile per version: reuse
+                # it instead of sweeping again here.
                 profile = live.sweep_profile()
                 profiles[fingerprint] = profile
                 self._cache.put(fingerprint, *profile)

@@ -3,28 +3,26 @@
 The paper's platform continuously re-estimates juror error rates from the
 microblog stream, so the population a selection query draws from is never
 frozen: jurors arrive, leave, and drift.  :class:`CandidatePool` snapshots
-are immutable — every churn event would force a full re-sort and ``O(N^2)``
-re-sweep.  This module keeps the *update path* cheap without giving up
+are immutable — every churn event would force a new pool and a full
+re-sort.  This module keeps the *update path* cheap without giving up
 anything on the *query path*:
 
 :class:`LivePool`
     A mutable candidate pool whose every mutation (``add_juror`` /
     ``remove_juror`` / ``update_juror``) produces a monotonically increasing
     ``version``.  The Lemma 3 ordering is delta-maintained by sorted
-    insertion (``O(n)`` per churn event), and the odd-prefix JER profile is
-    delta-maintained through a *prefix pmf matrix* with a clean-row
-    watermark: a mutation at sorted position ``p`` only dirties prefixes of
-    size ``> p``, and the next profile request repairs just those rows with
-    :func:`repro.core.jer.resume_prefix_sweep` — reusing every unchanged
-    prefix and coalescing the whole churn burst into one partial sweep.
-    Past a churn threshold the pool falls back to a full rebuild (the
-    watermark drops to zero), which is the same kernel run from row 0.
+    insertion (``O(n)`` per churn event).  The odd-prefix JER profile of a
+    version is swept on first request with
+    :func:`repro.core.jer.batch_prefix_jer_sweep` — the kernel registry call
+    the batch engine makes for frozen pools — so a churn burst costs one
+    sweep at the next query, and the sweep state kept between versions is
+    the ``O(n)`` profile alone.
 
-    Delta-repaired profiles are **bit-identical** to sweeping a fresh
+    Live profiles are therefore **bit-identical** to sweeping a fresh
     :class:`CandidatePool` of the same members, so live pools plug into the
     batch engine and its fingerprint-keyed sweep cache without a second code
     path for correctness.  One level up, the pool delta-maintains its
-    :class:`~repro.plan.frontier.AnswerFrontier` the same way
+    :class:`~repro.plan.frontier.AnswerFrontier`
     (:meth:`LivePool.answer_frontier`): churn at sorted position ``p``
     invalidates only frontier entries past ``(p + 1) // 2``, and repair
     resumes the running argmin from there.
@@ -45,7 +43,7 @@ from itertools import count
 
 import numpy as np
 
-from repro.core.jer import resume_prefix_sweep
+from repro.core.jer import batch_prefix_jer_sweep
 from repro.core.juror import Juror
 from repro.core.selection.base import candidate_key, columns_fingerprint
 from repro.errors import EmptyCandidateSetError, InvalidJuryError, PoolNotFoundError
@@ -54,23 +52,17 @@ from repro.service.pool import CandidatePool
 
 __all__ = ["LivePool", "LivePoolStats", "PoolRegistry"]
 
-#: Fraction of the pool that may churn between profile repairs before the
-#: clean-prefix watermark is abandoned and the next repair runs from row 0.
-#: Heavy churn tends to touch low sorted positions anyway, so past this point
-#: the bookkeeping buys nothing over an honest full rebuild.
-DEFAULT_REBUILD_THRESHOLD = 0.5
-
 _pool_uid = count(1)
 
 
 @dataclass
 class LivePoolStats:
-    """Counters describing the delta-maintenance work a pool has performed."""
+    """Counters describing the sweep and frontier work a pool has performed."""
 
     mutations: int = 0
+    #: Profile sweeps.  Every sweep covers the whole pool, so
+    #: ``full_rebuilds`` always equals ``repairs``.
     repairs: int = 0
-    rows_reused: int = 0
-    rows_recomputed: int = 0
     full_rebuilds: int = 0
     #: Answer-frontier lifecycle (see :meth:`LivePool.answer_frontier`).
     frontier_builds: int = 0
@@ -80,7 +72,7 @@ class LivePoolStats:
 
 
 class LivePool:
-    """A mutable, versioned candidate pool with delta-maintained sweep state.
+    """A mutable, versioned candidate pool with per-version sweep state.
 
     Parameters
     ----------
@@ -89,9 +81,6 @@ class LivePool:
         ``start_version``, not as one mutation per juror.
     pool_id:
         Human-readable label (e.g. the registry name).
-    rebuild_threshold:
-        Fraction of the pool size that may mutate between profile repairs
-        before delta repair gives way to a full rebuild.
     start_version:
         The version the initial population represents.  ``0`` for a fresh
         pool; the snapshot version when the catalog rebuilds a pool from a
@@ -115,32 +104,20 @@ class LivePool:
         candidates: Iterable[Juror] = (),
         *,
         pool_id: str | None = None,
-        rebuild_threshold: float = DEFAULT_REBUILD_THRESHOLD,
         start_version: int = 0,
     ) -> None:
-        if not 0.0 < rebuild_threshold <= 1.0:
-            raise ValueError(
-                f"rebuild_threshold must lie in (0, 1], got {rebuild_threshold!r}"
-            )
         if start_version < 0:
             raise ValueError(
                 f"start_version must be >= 0, got {start_version!r}"
             )
         self.pool_id = pool_id
         self.uid = f"livepool-{next(_pool_uid)}"
-        self._rebuild_threshold = rebuild_threshold
         self._members: dict[str, Juror] = {}
         self._ordered: list[Juror] = []  # Lemma 3 order
         self._keys: list[tuple[float, str]] = []  # parallel candidate_key list
         self._version = 0
         self._fingerprint: str | None = None
         self._eps_cache: np.ndarray | None = None
-        # Sweep state: row m of ``_matrix`` holds the prefix-m Carelessness
-        # pmf in columns 0..m (zeros above); rows 0.._clean are valid.
-        self._matrix: np.ndarray | None = None
-        self._jers: np.ndarray | None = None
-        self._clean = 0
-        self._mutations_since_repair = 0
         self._profile: tuple[int, np.ndarray, np.ndarray] | None = None
         # Answer-frontier state: the last frontier materialised for this pool
         # and how many of its leading entries survived the churn since (a
@@ -290,40 +267,26 @@ class LivePool:
         self._store = store
 
     # ------------------------------------------------------------------
-    # delta-maintained sweep profile
+    # per-version sweep profile
     # ------------------------------------------------------------------
     def sweep_profile(self) -> tuple[np.ndarray, np.ndarray]:
         """Odd-prefix JER profile ``(ns, jers)`` of the current version.
 
-        Dirty prefix rows (everything at or above the lowest churned sorted
-        position since the last repair) are recomputed with
-        :func:`repro.core.jer.resume_prefix_sweep`; clean rows are reused.
-        The arrays are read-only and stable for this version — repeated
-        calls at the same version return the cached pair.
+        Sweeps the current Lemma 3 order with
+        :func:`repro.core.jer.batch_prefix_jer_sweep`, the call the batch
+        engine makes for frozen pools.  The arrays are read-only and stable
+        for this version — repeated calls at the same version return the
+        cached pair.
         """
-        n = len(self._ordered)
-        if n == 0:
+        if not self._ordered:
             raise EmptyCandidateSetError("cannot sweep an empty live pool")
         if self._profile is not None and self._profile[0] == self._version:
             return self._profile[1], self._profile[2]
 
-        if self._mutations_since_repair > max(
-            8.0, self._rebuild_threshold * n
-        ):
-            self._clean = 0
-            self.stats.full_rebuilds += 1
-        self._ensure_capacity(n + 1)
-        assert self._matrix is not None and self._jers is not None
-        start = min(self._clean, n)
-        resume_prefix_sweep(self.error_rates, self._matrix, self._jers, start=start)
+        ns, jer_matrix = batch_prefix_jer_sweep(self.error_rates[np.newaxis, :])
+        jers = jer_matrix[0]
         self.stats.repairs += 1
-        self.stats.rows_reused += start
-        self.stats.rows_recomputed += n - start
-        self._clean = n
-        self._mutations_since_repair = 0
-
-        ns = np.arange(1, n + 1, 2, dtype=np.int64)
-        jers = self._jers[: ns.size].copy()
+        self.stats.full_rebuilds += 1
         ns.flags.writeable = False
         jers.flags.writeable = False
         self._profile = (self._version, ns, jers)
@@ -389,7 +352,6 @@ class LivePool:
         self._keys.insert(position, key)
         self._ordered.insert(position, juror)
         self._members[juror.juror_id] = juror
-        self._clean = min(self._clean, position)
         self._frontier_clean = min(self._frontier_clean, (position + 1) // 2)
         self._eps_cache = None
 
@@ -401,7 +363,6 @@ class LivePool:
         del self._keys[position]
         del self._ordered[position]
         del self._members[juror_id]
-        self._clean = min(self._clean, position)
         self._frontier_clean = min(self._frontier_clean, (position + 1) // 2)
         self._eps_cache = None
         return juror
@@ -409,25 +370,8 @@ class LivePool:
     def _bump(self) -> int:
         self._version += 1
         self._fingerprint = None
-        self._mutations_since_repair += 1
         self.stats.mutations += 1
         return self._version
-
-    def _ensure_capacity(self, rows: int) -> None:
-        if self._matrix is not None and self._matrix.shape[0] >= rows:
-            return
-        capacity = max(rows, 8)
-        if self._matrix is not None:
-            capacity = max(capacity, 2 * self._matrix.shape[0])
-        matrix = np.zeros((capacity, capacity), dtype=np.float64)
-        jers = np.zeros((capacity + 1) // 2, dtype=np.float64)
-        if self._matrix is not None and self._clean > 0:
-            keep = self._clean + 1
-            old = self._matrix.shape[1]
-            matrix[:keep, :old] = self._matrix[:keep]
-            jers[: (self._clean + 1) // 2] = self._jers[: (self._clean + 1) // 2]
-        self._matrix = matrix
-        self._jers = jers
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" id={self.pool_id!r}" if self.pool_id else ""

@@ -15,9 +15,9 @@ split the ROADMAP names (Polynesia's transactional/analytical separation):
   records and on clean close;
 * **recovery** loads the newest verifiable snapshot and replays the WAL
   tail through the ordinary :class:`~repro.service.registry.LivePool`
-  mutation methods — which means the delta sweep kernels, the churn
-  watermark and the answer frontier all resume exactly as they would have
-  in the original process.  A recovered pool is **bit-identical** to the
+  mutation methods — which means the Lemma 3 order, the sweep profile and
+  the answer frontier are all rebuilt exactly as they would have been in
+  the original process.  A recovered pool is **bit-identical** to the
   pre-crash pool: same fingerprint (verified against the snapshot
   manifest), same sweep profile, same selections.
 

@@ -166,7 +166,17 @@ class TestPlannedExactMatchesEnumerationOracle:
 
 
 def _scalar_paper_greedy(candidates, budget):
-    """Literal replay of paper Algorithm 4 (the pre-refactor scalar loop)."""
+    """Literal replay of paper Algorithm 4, one pair trial at a time.
+
+    Trials are scored the way the columnar greedy scores them: the
+    incumbent pmf grows by :func:`extend_pmf`, and a trial's JER is the
+    clipped tail sum of its pmf (:func:`tail_probability`, the expression
+    of ``run_pay_greedy``'s ``_tail``).  A trial that ties the incumbent in
+    exact arithmetic — JER({s, s, 0.5}) == s — is then decided by
+    ``trial <= current`` on the same bits on both sides.  ``jury_error_rate``
+    stays the value oracle: every trial must agree with it to
+    ``ORACLE_ATOL``.
+    """
     ordered = sorted(
         candidates,
         key=lambda j: (j.error_rate * j.requirement, j.error_rate, j.juror_id),
@@ -178,7 +188,11 @@ def _scalar_paper_greedy(candidates, budget):
         raise InfeasibleSelectionError("infeasible")
     selected = [ordered[seed_index]]
     accumulated = ordered[seed_index].requirement
-    current = jury_error_rate([j.error_rate for j in selected])
+    pmf = extend_pmf(np.ones(1), ordered[seed_index].error_rate)
+    current = tail_probability(pmf, 1)
+    assert current == pytest.approx(
+        jury_error_rate([j.error_rate for j in selected]), abs=ORACLE_ATOL
+    )
     partner = None
     for juror in ordered[seed_index + 1 :]:
         if partner is None:
@@ -188,12 +202,17 @@ def _scalar_paper_greedy(candidates, budget):
         enlarged = juror.requirement + partner.requirement + accumulated
         if enlarged > budget:
             continue
-        trial = jury_error_rate(
-            [j.error_rate for j in selected] + [partner.error_rate, juror.error_rate]
-        )
+        members = [j.error_rate for j in selected] + [
+            partner.error_rate,
+            juror.error_rate,
+        ]
+        trial_pmf = extend_pmf(extend_pmf(pmf, partner.error_rate), juror.error_rate)
+        trial = tail_probability(trial_pmf, (len(members) + 1) // 2)
+        assert trial == pytest.approx(jury_error_rate(members), abs=ORACLE_ATOL)
         if trial <= current:
             selected = selected + [partner, juror]
             accumulated = enlarged
+            pmf = trial_pmf
             current = trial
             partner = None
     return tuple(j.juror_id for j in selected), current
@@ -217,6 +236,18 @@ class TestVectorizedPayMatchesScalarReplay:
         )
         assert planned.juror_ids == ref_ids
         assert planned.jer == pytest.approx(ref_jer, abs=ORACLE_ATOL)
+
+    @pytest.mark.parametrize("s", [0.026, 0.094, 0.305, 0.321, 0.422])
+    def test_exact_tie_is_decided_on_the_same_bits(self, s):
+        """JER({s, s, 0.5}) == s exactly, so admitting the pair ties the
+        seed's JER and rounding decides ``trial <= current``.  These s
+        values are ones where a DP evaluation of the trial and the greedy's
+        extended pmf round to opposite sides of the tie."""
+        cands = make_candidates([(0.5, 0.0), (s, 0.0), (s, 0.0)])
+        ref_ids, ref_jer = _scalar_paper_greedy(cands, 1.0)
+        planned = execute_plan(plan_query(candidates=cands, model="pay", budget=1.0))
+        assert planned.juror_ids == ref_ids
+        assert planned.jer == ref_jer
 
     def test_block_boundary_admissions(self):
         """Pools larger than the trial block must scan identically across

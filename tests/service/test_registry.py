@@ -1,17 +1,20 @@
 """Tests for the live pool registry (repro.service.registry).
 
-Covers the versioned mutation API, the delta-maintained sweep profile
+Covers the versioned mutation API, the per-version sweep profile
 (including the churn-oracle acceptance bar: bit-identical to a fresh
-CandidatePool at *every* version), registry naming, and the engine
-integration with version-keyed sweep-cache behaviour.
+CandidatePool at *every* version, and O(n) retained sweep state), registry
+naming, and the engine integration with version-keyed sweep-cache
+behaviour.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core.jer import batch_prefix_jer_sweep
+from repro.core.jer import PrefixJERSweeper, best_odd_prefix
 from repro.core.juror import Juror, jurors_from_arrays
 from repro.core.selection.altr import select_jury_altr
 from repro.errors import (
@@ -105,8 +108,9 @@ class TestLivePoolMutation:
 
 
 class TestChurnOracle:
-    """Acceptance bar: delta-maintained selections are bit-identical to a
-    fresh CandidatePool + scalar/batch path at every version."""
+    """Acceptance bar: live-pool profiles, frontiers and selections are
+    bit-identical to a fresh CandidatePool + scalar/batch path at every
+    version."""
 
     def test_profile_and_selection_bit_identical_at_every_version(self, rng):
         registry = PoolRegistry()
@@ -134,11 +138,19 @@ class TestChurnOracle:
                     float(rng.uniform(0.05, 0.95)),
                 )
 
-            # Profile: bit-identical to the batch kernel on a fresh pool.
+            # Profile: bit-identical to the scalar sweeper on a fresh pool.
             ns, jers = pool.sweep_profile()
-            ref_ns, ref_jers = batch_prefix_jer_sweep(pool.error_rates[np.newaxis, :])
+            fresh = CandidatePool(list(pool.ordered))
+            ref_ns, ref_jers = map(
+                np.asarray, zip(*PrefixJERSweeper(fresh.error_rates).sweep())
+            )
             np.testing.assert_array_equal(np.asarray(ns), ref_ns)
-            np.testing.assert_array_equal(np.asarray(jers), ref_jers[0])
+            np.testing.assert_array_equal(np.asarray(jers), ref_jers)
+
+            # Frontier: the pool's delta-repaired answer frontier agrees
+            # with a linear best_odd_prefix scan of the reference profile.
+            frontier, _ = pool.answer_frontier()
+            assert frontier.probe(None)[:2] == best_odd_prefix(ref_ns, ref_jers)
 
             # Selection: bit-identical to the scalar path on a fresh pool.
             outcome = engine.run(
@@ -149,19 +161,7 @@ class TestChurnOracle:
             assert outcome.result.jer == single.jer
             assert outcome.result.juror_ids == single.juror_ids
 
-        assert pool.stats.rows_reused > 0  # the delta path actually engaged
-
-    def test_full_rebuild_fallback_past_churn_threshold(self, rng):
-        pool = _live_pool(rng, 12)
-        pool.sweep_profile()
-        ids = [j.juror_id for j in pool.ordered]
-        # Churn far past the threshold without querying in between.
-        for index, juror_id in enumerate(ids):
-            pool.update_error_rate(juror_id, float(rng.uniform(0.05, 0.95)))
-        ns, jers = pool.sweep_profile()
-        assert pool.stats.full_rebuilds >= 1
-        _, ref = batch_prefix_jer_sweep(pool.error_rates[np.newaxis, :])
-        np.testing.assert_array_equal(np.asarray(jers), ref[0])
+        assert pool.stats.frontier_repairs > 0  # the frontier's delta path engaged
 
     def test_profile_cached_per_version(self, rng):
         pool = _live_pool(rng, 9)
@@ -173,6 +173,25 @@ class TestChurnOracle:
         third = pool.sweep_profile()
         assert third[1] is not first[1]
         assert pool.stats.repairs == 2
+
+    def test_sweep_state_is_linear_in_pool_size(self, rng):
+        """A 1,001-candidate pool keeps O(n) sweep state — its profile and
+        answer frontier, tens of KB — where any (n + 1) x (n + 1) float64
+        state would retain 8 MB."""
+        n = 1001
+        # Warm the kernel registry (native activation allocates once per
+        # process) on a throwaway pool of the same size.
+        _live_pool(rng, n).answer_frontier()
+        pool = _live_pool(rng, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pool.sweep_profile()
+            pool.answer_frontier()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained < 256 * 1024, f"{retained / 1024:.0f} KB retained"
 
 
 class TestPoolRegistry:
