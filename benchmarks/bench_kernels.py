@@ -13,9 +13,15 @@ sizes the paper's experiments run at (~1,000 candidates):
   function seeds it; the native backend runs the whole scan in one call.
 * **score_block** — the blocked trial scorer the improved PayALG variant
   and the exact solvers lean on.
+* **bb_search** — the whole exact branch and bound behind
+  ``exact-branch-and-bound`` plans, against the Python search it
+  replicates: the paper-shaped N = 22 instance (paper Section 5.1.2) and,
+  in full mode, a 40-candidate instance with the ROADMAP's 96-candidate
+  shape (error rates 0.3-0.49, budget 0.2 per candidate).
 
-Each workload calls the NumPy reference backend object and the native
-backend object directly and verifies the outputs **bit-identical** — the
+Each workload calls the NumPy reference backend object (for ``bb_search``,
+the Python search) and the native backend object directly and verifies the
+outputs **bit-identical** — ids, JER bits and search counters — the
 same invariant the activation self-check enforces, re-checked here on the
 benchmark inputs.
 A machine-readable ``BENCH_kernels.json`` artifact is written with the
@@ -46,7 +52,13 @@ from _common import verification_failure, write_artifact  # noqa: E402
 from repro.core import kernels  # noqa: E402
 from repro.core.jer import extend_pmf  # noqa: E402
 from repro.core.kernels._reference import NumpyBackend  # noqa: E402
-from repro.core.kernels._verify import _reference_pay_scan  # noqa: E402
+from repro.core.juror import jurors_from_arrays  # noqa: E402
+from repro.core.kernels._verify import (  # noqa: E402
+    _reference_bb_search,
+    _reference_pay_scan,
+)
+from repro.core.selection.exact import _id_ranks  # noqa: E402
+from repro.plan.view import as_view  # noqa: E402
 from repro.testing import BENCH_SEED  # noqa: E402
 
 REFERENCE = NumpyBackend()
@@ -147,6 +159,54 @@ def bench_score_block(rng, jury_size: int, block: int, repeats: int, native) -> 
     }
 
 
+def _paper_n22():
+    """The paper's ground-truth shape: N=22, eps~N(0.2,.05), r~N(0.05,.2)."""
+    rng = np.random.default_rng(2012)
+    eps = np.clip(rng.normal(0.2, np.sqrt(0.05), size=22), 0.01, 0.99)
+    reqs = np.clip(rng.normal(0.05, np.sqrt(0.2), size=22), 0.0, None)
+    return "paper-n22", eps, reqs, 1.0
+
+
+def _weak_pool(size: int):
+    """Uniformly weak candidates, budget 0.2 per candidate."""
+    rng = np.random.default_rng(BENCH_SEED)
+    eps = rng.uniform(0.3, 0.49, size)
+    reqs = rng.uniform(0.0, 1.0, size)
+    return f"weak-{size}", eps, reqs, 0.2 * size
+
+
+def bench_bb_search(instance, repeats: int, native) -> dict:
+    label, eps, reqs, budget = instance
+    view = as_view(jurors_from_arrays(eps, reqs))
+    n = view.size
+    ranks = _id_ranks(view.ids)
+    expected = _reference_bb_search(view.eps, view.reqs, view.ids, n, budget, True)
+    got = native.bb_search(view.eps, view.reqs, ranks, n, budget, True)
+    identical = (expected[0], expected[1].hex(), expected[2]) == (
+        got[0], got[1].hex(), got[2]
+    )
+    numpy_seconds = _best_of(
+        lambda: _reference_bb_search(view.eps, view.reqs, view.ids, n, budget, True),
+        repeats,
+    )
+    compiled_seconds = _best_of(
+        lambda: native.bb_search(view.eps, view.reqs, ranks, n, budget, True),
+        repeats,
+    )
+    return {
+        "kernel": "bb_search",
+        "backend": native.name,
+        "instance": label,
+        "pool_size": n,
+        "budget": budget,
+        "nodes_visited": got[2][0],
+        "numpy_seconds": numpy_seconds,
+        "compiled_seconds": compiled_seconds,
+        "speedup": numpy_seconds / compiled_seconds,
+        "verified_identical": identical,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -188,16 +248,21 @@ def main(argv=None) -> int:
         rows.append(
             bench_score_block(rng, min(pool_size, 201), block, repeats, native)
         )
+        instances = [_paper_n22()]
+        if not args.smoke:
+            instances.append(_weak_pool(40))
+        for instance in instances:
+            rows.append(bench_bb_search(instance, repeats, native))
 
     for row in rows:
         shape = ", ".join(
             f"{k}={row[k]}"
-            for k in ("batch", "pool_size", "jury_size", "block")
+            for k in ("instance", "batch", "pool_size", "jury_size", "block")
             if k in row
         )
         verdict = "identical" if row["verified_identical"] else "DIVERGED"
         print(
-            f"  {row['kernel']:<12} {shape:<28} "
+            f"  {row['kernel']:<12} {shape:<34} "
             f"numpy {row['numpy_seconds'] * 1e3:9.3f} ms   "
             f"{row['backend']} {row['compiled_seconds'] * 1e3:9.3f} ms   "
             f"{row['speedup']:6.2f}x  ({verdict})"

@@ -255,6 +255,10 @@ class SelectionRequest:
             object.__setattr__(self, "budget", float(self.budget))
         if self.max_size is not None:
             object.__setattr__(self, "max_size", int(self.max_size))
+            if self.max_size < 1:
+                raise ValueError(
+                    f"'max_size' must be a positive integer, got {self.max_size}"
+                )
         if self.model == "pay" and self.budget is None:
             raise ValueError("model 'pay' requires a budget")
         if self.variant not in _VARIANTS:

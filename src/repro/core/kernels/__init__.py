@@ -1,8 +1,9 @@
 """Kernel backends for the hot JER/PMF kernels.
 
-The four hottest kernels of the engine — the batch prefix-JER sweep, the
-batch jury-JER scorer, the pmf extend/convolve family, and the PayALG
-pair-trial scan — dispatch through this registry to one of two backends:
+The hottest kernels of the engine — the batch prefix-JER sweep, the
+batch jury-JER scorer, the pmf extend/convolve family, the PayALG
+pair-trial scan and the exact branch-and-bound search — dispatch through
+this registry to one of two backends:
 
 ``numpy``
     The reference implementations (:mod:`._reference`): the exact NumPy
@@ -52,9 +53,13 @@ __all__ = [
 #: Kernels that dispatch through the registry.  ``sweep`` is
 #: ``batch_prefix_jer_sweep``, ``jury_jer`` is ``batch_jury_jer``,
 #: ``extend_block``/``score_block`` are the ``extend_pmf_block`` family,
-#: ``convolve`` is ``convolve_pmf``, and ``pay_scan`` is the whole
-#: PayALG paper pairing scan.
-KERNEL_NAMES = ("sweep", "jury_jer", "extend_block", "score_block", "convolve", "pay_scan")
+#: ``convolve`` is ``convolve_pmf``, ``pay_scan`` is the whole PayALG
+#: paper pairing scan, and ``bb_search`` is the whole depth-first search
+#: of ``branch_and_bound_optimal``.
+KERNEL_NAMES = (
+    "sweep", "jury_jer", "extend_block", "score_block", "convolve", "pay_scan",
+    "bb_search",
+)
 
 # -- measured crossovers (build host: 1-CPU container, numpy 2.4.6) ----------
 #
@@ -142,6 +147,11 @@ def _activate(*, lazy: bool):
 
 
 def _crossed(kernel: str, size: int) -> bool:
+    if kernel == "bb_search":
+        # The Python search pays ~40us per node (a NumPy extend_pmf, and a
+        # validated convolve_pmf per bound check); one native call
+        # replaces all of them, so no pool size favours the reference.
+        return True
     if kernel == "sweep":
         return size >= COMPILED_SWEEP_CROSSOVER
     if kernel == "pay_scan":
@@ -152,10 +162,10 @@ def _crossed(kernel: str, size: int) -> bool:
 def backend_for(kernel: str, size: int):
     """Resolve the backend a kernel call dispatches to, counting it.
 
-    ``size`` is the kernel's cost driver: pool size for ``sweep`` and
-    ``pay_scan``, matrix elements for the block kernels.  Calls past the
-    kernel's crossover run native when it is available; the rest run on
-    the reference.
+    ``size`` is the kernel's cost driver: pool size for ``sweep``,
+    ``pay_scan`` and ``bb_search``, matrix elements for the block kernels.
+    Calls past the kernel's crossover run native when it is available; the
+    rest run on the reference.
     """
     backend = (_activate(lazy=True) if _crossed(kernel, size) else None) or _numpy_backend
     with _lock:

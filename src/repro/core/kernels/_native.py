@@ -185,6 +185,11 @@ class NativeBackend:
             _F64, _F64, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
             _F64, ctypes.c_int64, _F64, _I64, _I64, _F64, _F64,
         ]
+        lib.k_bb_search.restype = ctypes.c_int64
+        lib.k_bb_search.argtypes = [
+            _F64, _F64, _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+            ctypes.c_int64, _F64, _I64, _I64, _F64, _I64,
+        ]
 
     # -- kernel entry points -------------------------------------------------
 
@@ -276,6 +281,47 @@ class NativeBackend:
             int(counters[0]),
             int(counters[1]),
         )
+
+    def bb_search(
+        self,
+        eps: np.ndarray,
+        reqs: np.ndarray,
+        ranks: np.ndarray,
+        limit: int,
+        budget: float,
+        use_bound: bool,
+    ) -> tuple[tuple[int, ...] | None, float, list[int]]:
+        """Run the exact branch and bound for every odd size up to ``limit``.
+
+        ``ranks`` gives each candidate's position in id order, the
+        tie-break key.  Returns ``(indices | None, jer, [nodes_visited,
+        jer_evaluations, bound_checks, pruned_by_bound])`` — the incumbent
+        and counters ``branch_and_bound_optimal``'s Python search reaches.
+        """
+        eps = np.ascontiguousarray(eps, dtype=np.float64)
+        reqs = np.ascontiguousarray(reqs, dtype=np.float64)
+        ranks = np.ascontiguousarray(ranks, dtype=np.int64)
+        n = eps.size
+        if reqs.size != n or ranks.size != n:
+            raise ValueError(
+                f"bb_search needs one requirement and rank per candidate "
+                f"(eps {n}, reqs {reqs.size}, ranks {ranks.size})"
+            )
+        limit = max(0, min(int(limit), n))
+        w = limit + 1
+        work = np.empty((n + 1) * w + w * (w + 1) // 2 + w + n, dtype=np.float64)
+        iwork = np.empty(w, dtype=np.int64)
+        best = np.empty(w, dtype=np.int64)
+        counters = np.zeros(4, dtype=np.int64)
+        jer = np.empty(1, dtype=np.float64)
+        size = self._lib.k_bb_search(
+            _as_f64(eps), _as_f64(reqs), ranks.ctypes.data_as(_I64), n, limit,
+            float(budget), int(bool(use_bound)), _as_f64(jer),
+            best.ctypes.data_as(_I64), counters.ctypes.data_as(_I64),
+            _as_f64(work), iwork.ctypes.data_as(_I64),
+        )
+        indices = tuple(best[:size].tolist()) if size else None
+        return indices, float(jer[0]), counters.tolist()
 
     def pairwise(self, values: np.ndarray) -> float:
         values = np.ascontiguousarray(values, dtype=np.float64)

@@ -3,13 +3,14 @@
 A compiled backend is only activated after every kernel reproduces the
 NumPy reference **bitwise** on a battery that crosses each algorithmic
 boundary (pairwise-summation base case at 8, unroll block at 128, the
-recursive split, and multi-admission PayALG scans).  A backend that
+recursive split, multi-admission PayALG scans, and branch-and-bound
+searches crossing every pruning and tie-break rule).  A backend that
 differs in even one bit on this host is refused, the first divergence is
 recorded as its unavailability reason, and dispatch degrades to the
 reference backend — so the repo's bit-identity invariant never depends
 on compiler or libm behaviour we did not verify.
 
-The battery is deterministic (fixed seed) and cheap (~10 ms), so it runs
+The battery is deterministic (fixed seed) and cheap (tens of ms), so it runs
 on every activation rather than being cached: a changed compiler or
 numpy build on the same host is re-checked automatically.
 """
@@ -119,6 +120,71 @@ def _check_pay_scan(backend, rng: np.random.Generator) -> None:
         _require(ref[4] == got[4], f"{label} jer_evaluations {got[4]} != {ref[4]}")
 
 
+def _reference_bb_search(eps, reqs, ids, limit, budget, use_bound):
+    """Drive the Python search of ``branch_and_bound_optimal``, shaped as
+    the native ``bb_search`` result.  Imported lazily, like the pay scan."""
+    from repro.core.selection.base import SelectionStats
+    from repro.core.selection.exact import _python_search
+
+    stats = SelectionStats()
+    indices, jer = _python_search(ids, eps, reqs, limit, budget, use_bound, stats)
+    counters = [
+        stats.nodes_visited,
+        stats.jer_evaluations,
+        stats.bound_checks,
+        stats.pruned_by_bound,
+    ]
+    return indices, jer, counters
+
+
+#: ``(eps, reqs, ids, max_size, budget, use_bound)`` searches crossing
+#: every rule of the branch and bound, 124 reference nodes in all (~5 ms).
+#: In order: n = 1 without a budget; fair-coin candidates, whose juries
+#: all score exactly 0.5, so with the bound off id rank decides among
+#: size-1 ties and the smaller size beats size 3, and with it on the bound
+#: prunes on equality; JERs one ulp apart, a tie either way round, under
+#: an even cap; bound pruning under an even cap; two budgets that
+#: cost-prune, bound-prune and reject over-budget leaves, one answering
+#: with 5 members; and an infeasible budget.  Ids are out of sorted order.
+_BB_CASES = (
+    ((0.3,), (0.5,), ("a",), None, None, True),
+    ((0.5, 0.5, 0.5), (0.5, 0.5, 0.5), ("b", "c", "a"), None, None, False),
+    ((0.5, 0.5, 0.5), (0.5, 0.5, 0.5), ("b", "c", "a"), None, None, True),
+    ((0.2, 0.20000000000000004, 0.3), (0.1,) * 3, ("b", "a", "c"), 2, None, False),
+    ((0.20000000000000004, 0.2, 0.3), (0.1,) * 3, ("a", "b", "c"), 2, None, False),
+    ((0.08, 0.15, 0.2, 0.26, 0.31, 0.4), (0.3,) * 6, tuple("zyxwvu"), 4, None, True),
+    (
+        (0.05, 0.11, 0.17, 0.22, 0.28, 0.33, 0.39, 0.45),
+        (0.9, 0.2, 0.6, 0.1, 0.4, 0.3, 0.05, 0.7),
+        tuple("abcdefgh"), None, 1.2, True,
+    ),
+    (
+        (0.12, 0.13, 0.17, 0.19, 0.2, 0.2, 0.31, 0.33, 0.35, 0.38),
+        (0.58, 0.19, 0.46, 0.69, 0.45, 0.65, 0.97, 0.7, 0.42, 0.23),
+        tuple("klmnopqrst"), None, 2.14, True,
+    ),
+    ((0.1, 0.2, 0.3), (1.0, 1.0, 1.0), ("p", "q", "r"), None, 0.5, True),
+)
+
+
+def _check_bb_search(backend) -> None:
+    from repro.core.selection.exact import _id_ranks
+
+    for eps, reqs, ids, max_size, budget, use_bound in _BB_CASES:
+        eps_arr = np.array(eps, dtype=np.float64)
+        req_arr = np.array(reqs, dtype=np.float64)
+        limit = len(eps) if max_size is None else min(max_size, len(eps))
+        b = np.inf if budget is None else float(budget)
+        ref = _reference_bb_search(eps_arr, req_arr, ids, limit, b, use_bound)
+        got = backend.bb_search(eps_arr, req_arr, _id_ranks(ids), limit, b, use_bound)
+        label = f"bb_search(n={len(eps)}, max_size={max_size}, budget={budget})"
+        _require(ref[0] == got[0], f"{label} indices {got[0]} != {ref[0]}")
+        _require(
+            ref[1].hex() == got[1].hex(), f"{label} jer {got[1]!r} != {ref[1]!r}"
+        )
+        _require(ref[2] == got[2], f"{label} counters {got[2]} != {ref[2]}")
+
+
 def verify_backend(backend) -> None:
     """Raise :class:`KernelSelfCheckError` unless ``backend`` matches the
     NumPy reference bitwise across the whole battery."""
@@ -168,3 +234,4 @@ def verify_backend(backend) -> None:
         )
 
     _check_pay_scan(backend, rng)
+    _check_bb_search(backend)

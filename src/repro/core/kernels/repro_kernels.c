@@ -12,6 +12,7 @@
  * The activation self-check compares every kernel bitwise against the
  * NumPy reference before the backend is allowed to serve.
  */
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -214,4 +215,160 @@ int64_t k_pay_scan(const double *eps, const double *req, int64_t n,
     counters[0] = considered;
     counters[1] = evals;
     return npairs;
+}
+
+/* Exact branch and bound (core/selection/exact.py, _bb_search).
+ *
+ * One search per odd jury size k <= limit, visiting nodes in the same
+ * order and applying the same tests as the Python depth-first search:
+ * count pruning, cost pruning against the suffix-cheapest table, then
+ * (once an incumbent exists) the monotonicity bound that folds the
+ * next `need` error rates with k_convolve's recurrence.  The "take"
+ * branch extends the pmf like extend_pmf; the "skip" branch is the
+ * loop's next iteration, so recursion only deepens on a take and stays
+ * within limit + 1 frames.  Ties follow _improves: JER within 1e-15,
+ * then the smaller jury, then the lexicographically smaller id tuple,
+ * compared here through each candidate's rank in id order. */
+typedef struct {
+    const double *eps, *req;
+    const int64_t *rank;
+    int64_t n, limit, k, threshold;
+    double budget_tol;          /* budget + 1e-12 */
+    int use_bound;
+    const double *cheapest;     /* (n+1, limit+1): row i, entry m */
+    double *pmfs;               /* pmf of depth p at p*(p+1)/2, p+1 long */
+    double *bound;              /* limit+1 scratch */
+    int64_t *chosen;
+    int64_t *best;
+    int64_t best_len;           /* 0 until an incumbent exists */
+    double best_jer;
+    int64_t *counters;          /* nodes, evaluations, checks, pruned */
+} bb_ctx;
+
+static int bb_improves(const bb_ctx *c, double jer)
+{
+    if (jer < c->best_jer - 1e-15)
+        return 1;
+    double d = jer - c->best_jer;
+    if (d < 0.0) d = -d;
+    if (d <= 1e-15 && c->best_len > 0) {
+        if (c->k != c->best_len)
+            return c->k < c->best_len;
+        for (int64_t i = 0; i < c->k; i++) {
+            int64_t a = c->rank[c->chosen[i]], b = c->rank[c->best[i]];
+            if (a != b)
+                return a < b;
+        }
+    }
+    return 0;
+}
+
+static void bb_dfs(bb_ctx *c, int64_t index, int64_t picked, double cost)
+{
+    const double *pmf = c->pmfs + picked * (picked + 1) / 2;
+    for (;; index++) {
+        c->counters[0]++;
+        if (picked == c->k) {
+            if (cost > c->budget_tol)
+                return;
+            c->counters[1]++;
+            double jer = clip01(pairwise_sum(pmf + c->threshold,
+                                             c->k + 1 - c->threshold));
+            if (bb_improves(c, jer)) {
+                memcpy(c->best, c->chosen, (size_t)c->k * sizeof(int64_t));
+                c->best_len = c->k;
+                c->best_jer = jer;
+            }
+            return;
+        }
+        int64_t need = c->k - picked;
+        if (index >= c->n || c->n - index < need)
+            return;
+        if (cost + c->cheapest[index * (c->limit + 1) + need] > c->budget_tol)
+            return;
+        if (c->use_bound && c->best_len > 0) {
+            c->counters[2]++;
+            memcpy(c->bound, pmf, (size_t)(picked + 1) * sizeof(double));
+            memset(c->bound + picked + 1, 0, (size_t)need * sizeof(double));
+            k_convolve(c->bound, picked, c->eps + index, need);
+            double t = clip01(pairwise_sum(c->bound + c->threshold,
+                                           c->k + 1 - c->threshold));
+            if (t >= c->best_jer - 1e-15) {
+                c->counters[3]++;
+                return;
+            }
+        }
+        c->chosen[picked] = index;
+        k_extend_block(pmf, picked + 1, c->eps + index, 1,
+                       c->pmfs + (picked + 1) * (picked + 2) / 2);
+        bb_dfs(c, index + 1, picked + 1, cost + c->req[index]);
+    }
+}
+
+/* eps/req/rank: (n,) candidate columns in search order.  budget may be
+ * +inf.  jer: out, the incumbent's JER.  best_idx: out, capacity limit.
+ * counters: out {nodes_visited, jer_evaluations, bound_checks,
+ * pruned_by_bound}.  work: (n+1)*(limit+1) + (limit+1)*(limit+2)/2 +
+ * (limit+1) + n doubles; iwork: limit int64s.  Requires
+ * 0 <= limit <= n.  Returns the incumbent's size, 0 when none. */
+int64_t k_bb_search(const double *eps, const double *req,
+                    const int64_t *rank, int64_t n, int64_t limit,
+                    double budget, int64_t use_bound, double *jer,
+                    int64_t *best_idx, int64_t *counters, double *work,
+                    int64_t *iwork)
+{
+    int64_t w = limit + 1;
+    double *cheapest = work;
+    double *pmfs = cheapest + (n + 1) * w;
+    double *bound = pmfs + w * (w + 1) / 2;
+    double *suffix = bound + w;
+
+    /* cheapest[i][m]: the m smallest requirements of req[i:], summed in
+     * ascending order like np.cumsum over np.sort (entry 0 is 0.0).
+     * suffix[] holds req[i:] sorted, grown by insertion from the end. */
+    for (int64_t i = n; i >= 0; i--) {
+        int64_t len = n - i;
+        if (i < n) {
+            double v = req[i];
+            int64_t j = len - 1;
+            while (j > 0 && suffix[j - 1] > v) {
+                suffix[j] = suffix[j - 1];
+                j--;
+            }
+            suffix[j] = v;
+        }
+        double *row = cheapest + i * w;
+        int64_t top = len < limit ? len : limit;
+        row[0] = 0.0;
+        if (top >= 1)
+            row[1] = suffix[0];
+        for (int64_t m = 2; m <= top; m++)
+            row[m] = row[m - 1] + suffix[m - 1];
+    }
+
+    bb_ctx c;
+    c.eps = eps;
+    c.req = req;
+    c.rank = rank;
+    c.n = n;
+    c.limit = limit;
+    c.budget_tol = budget + 1e-12;
+    c.use_bound = use_bound != 0;
+    c.cheapest = cheapest;
+    c.pmfs = pmfs;
+    c.bound = bound;
+    c.chosen = iwork;
+    c.best = best_idx;
+    c.best_len = 0;
+    c.best_jer = INFINITY;
+    c.counters = counters;
+    for (int f = 0; f < 4; f++) counters[f] = 0;
+    pmfs[0] = 1.0;
+    for (int64_t k = 1; k <= limit; k += 2) {
+        c.k = k;
+        c.threshold = (k + 1) / 2;
+        bb_dfs(&c, 0, 0, 0.0);
+    }
+    *jer = c.best_jer;
+    return c.best_len;
 }

@@ -24,9 +24,16 @@ possible combinations of jurors" at ``N = 22``; this module provides
       are cut.  The completion pmf is one
       :func:`repro.core.jer.convolve_pmf` over the suffix candidate block.
 
-Both return the same juries; the branch-and-bound handles the paper's
-``N = 22`` workloads in seconds.  Either accepts a plain candidate sequence
-or a columnar :class:`~repro.plan.view.PoolView` (the plan layer's pools).
+    The whole search runs as one native ``bb_search`` kernel call
+    (:mod:`repro.core.kernels`) wherever the compiled backend is active:
+    the same visit order, prunings, tie-break, counters and pmf arithmetic,
+    bit for bit.  The Python search below is the reference and the path
+    taken without native.
+
+Both return the same juries; the branch-and-bound answers the paper's
+``N = 22`` workloads in well under a millisecond natively (a few
+milliseconds in Python).  Either accepts a plain candidate sequence or a
+columnar :class:`~repro.plan.view.PoolView` (the plan layer's pools).
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro._validation import validate_budget
+from repro.core import kernels as _kernels
 from repro.core.jer import batch_jury_jer, convolve_pmf, extend_pmf, majority_threshold
 from repro.core.poisson_binomial import tail_probability
 from repro.core.juror import Juror, Jury
@@ -198,41 +206,81 @@ def branch_and_bound_optimal(
     n_total = int(eps.size)
     limit = n_total if max_size is None else min(max_size, n_total)
 
+    impl = _kernels.backend_for("bb_search", n_total)
+    stats = SelectionStats()
+    start = time.perf_counter()
+    if impl.compiled:
+        # The whole search in one call, node for node the Python search.
+        best_indices, best_jer, counters = impl.bb_search(
+            eps, reqs, _id_ranks(view.ids), limit, b, use_jer_bound
+        )
+        (
+            stats.nodes_visited,
+            stats.jer_evaluations,
+            stats.bound_checks,
+            stats.pruned_by_bound,
+        ) = counters
+    else:
+        best_indices, best_jer = _python_search(
+            view.ids, eps, reqs, limit, b, use_jer_bound, stats
+        )
+    stats.elapsed_seconds = time.perf_counter() - start
+
+    if best_indices is None:
+        raise InfeasibleSelectionError(
+            f"no odd-sized jury is affordable within budget {b:g}"
+        )
+    return _result(
+        tuple(view.ordered[i] for i in best_indices),
+        best_jer,
+        "OPT-branch-and-bound",
+        budget,
+        stats,
+    )
+
+
+def _python_search(
+    ids: Sequence[str],
+    eps: np.ndarray,
+    reqs: np.ndarray,
+    limit: int,
+    budget: float,
+    use_jer_bound: bool,
+    stats: SelectionStats,
+) -> tuple[tuple[int, ...] | None, float]:
+    """The reference search: one depth-first pass per odd size up to
+    ``limit``, the incumbent carried across sizes.  Returns the incumbent's
+    ``(indices | None, jer)``; the native ``bb_search`` kernel must
+    reproduce it and the four search counters of ``stats`` exactly."""
     # cheapest_sum[i][m]: minimum total requirement of any m candidates taken
     # from the suffix starting at index i.  Used for cost pruning.
     cheapest_sum = _suffix_cheapest_sums(reqs)
-
-    stats = SelectionStats()
-    start = time.perf_counter()
     best: dict[str, object] = {"jer": math.inf, "indices": None}
 
     for k in range(1, limit + 1, 2):
         threshold = majority_threshold(k)
         _bb_search(
-            view.ids,
+            ids,
             eps,
             reqs,
             cheapest_sum,
             k,
             threshold,
-            b,
+            budget,
             use_jer_bound,
             best,
             stats,
         )
-    stats.elapsed_seconds = time.perf_counter() - start
+    return best["indices"], float(best["jer"])  # type: ignore[return-value,arg-type]
 
-    if best["indices"] is None:
-        raise InfeasibleSelectionError(
-            f"no odd-sized jury is affordable within budget {b:g}"
-        )
-    return _result(
-        tuple(view.ordered[i] for i in best["indices"]),  # type: ignore[union-attr]
-        float(best["jer"]),  # type: ignore[arg-type]
-        "OPT-branch-and-bound",
-        budget,
-        stats,
-    )
+
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each candidate's position in id order: the native search's
+    tie-break key.  Ids are unique, so rank tuples order exactly as the
+    id tuples :func:`_improves` compares."""
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
 
 
 def _suffix_cheapest_sums(reqs: np.ndarray) -> list[np.ndarray]:

@@ -9,6 +9,7 @@ covered, not just the happy path.
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
@@ -22,6 +23,7 @@ from repro.api import (
     SelectionRequest,
     SelectionResponse,
 )
+from repro.api.server import HttpServer, http_call
 from repro.core.juror import Juror
 from repro.errors import ProtocolError
 
@@ -223,6 +225,50 @@ class TestRequestValidation:
     def test_from_dict_rejects_non_object(self):
         with pytest.raises(ProtocolError, match="object"):
             SelectionRequest.from_dict(["nope"], where="w")
+
+
+_MODEL_FIELDS = {"altr": {}, "pay": {"budget": 2.0}, "exact": {"budget": 1.5}}
+_CAPS = pytest.mark.parametrize("max_size", [0, -3])
+_MODELS = pytest.mark.parametrize("model", sorted(_MODEL_FIELDS))
+
+
+def _capped_request(model: str, max_size: int) -> dict:
+    candidates = [
+        {"id": f"c{i}", "error_rate": 0.1 + 0.05 * i, "requirement": 0.4}
+        for i in range(5)
+    ]
+    return {"v": 1, "task": "t", "candidates": candidates, "model": model,
+            "max_size": max_size, **_MODEL_FIELDS[model]}
+
+
+class TestNonPositiveMaxSize:
+    """A cap below one juror is a bad request at the edge, for every model."""
+
+    @_MODELS
+    @_CAPS
+    def test_from_dict_locates_it(self, model, max_size):
+        with pytest.raises(ProtocolError, match=r"q\.jsonl:2.*max_size") as excinfo:
+            SelectionRequest.from_dict(_capped_request(model, max_size), where="q.jsonl:2")
+        assert excinfo.value.detail == {"where": "q.jsonl:2"}
+
+    @_MODELS
+    @_CAPS
+    def test_post_select_answers_400(self, model, max_size):
+        async def post():
+            async with HttpServer(port=0) as server:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                try:
+                    return await http_call(
+                        reader, writer, "POST", "/v1/select",
+                        _capped_request(model, max_size),
+                    )
+                finally:
+                    writer.close()
+
+        status, body = asyncio.run(post())
+        assert status == 400
+        assert body["error"]["code"] == "bad-request"
+        assert "max_size" in body["error"]["message"]
 
 
 class TestResponseValidation:

@@ -3,7 +3,8 @@
 ``SelectionPlan.kernel_backend`` is a prediction: execution decides each
 dispatch again from the input size it observes.  These tests hold the
 prediction to the dispatch counters, with native active and with it
-unavailable, on pool sizes on both sides of the pay-scan crossover.
+unavailable, on pool sizes on both sides of the pay-scan crossover, and
+on exact pools past the enumeration crossover, which branch and bound.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ import pytest
 from repro.api import JuryService, SelectionRequest
 from repro.core import kernels
 from repro.core.juror import Juror
-from repro.plan import execute_plan, plan_query
+from repro.plan import ENUMERATION_CROSSOVER, execute_plan, plan_query
 
-HOT_KERNEL = {"altr": "sweep", "pay": "pay_scan"}
+HOT_KERNEL = {"altr": "sweep", "pay": "pay_scan", "exact": "bb_search"}
+
+EXACT_POOLS = (15, 18, 40)
 
 cases = pytest.mark.parametrize(
     "model, pool_size",
-    [(model, size) for model in HOT_KERNEL for size in (5, 7, 8, 121)],
+    [(model, size) for model in ("altr", "pay") for size in (5, 7, 8, 121)]
+    + [("exact", size) for size in EXACT_POOLS],
 )
 
 
@@ -42,7 +46,14 @@ def _candidates(pool_size: int) -> tuple[Juror, ...]:
 
 
 def _budget(model: str) -> float | None:
-    return 2.0 if model == "pay" else None
+    return {"pay": 2.0, "exact": 1.5}.get(model)
+
+
+def test_exact_pools_branch_and_bound():
+    assert min(EXACT_POOLS) > ENUMERATION_CROSSOVER
+    for size in EXACT_POOLS:
+        plan = plan_query(_candidates(size), model="exact", budget=_budget("exact"))
+        assert plan.operator == "exact-branch-and-bound"
 
 
 @cases
@@ -53,7 +64,7 @@ def test_plan_names_the_backend_its_hot_kernel_runs_on(
     kernels.reset_dispatch_counters()
     execute_plan(plan)
     assert kernels.dispatch_counts()[HOT_KERNEL[model]] == {plan.kernel_backend: 1}
-    crossed = model == "altr" or pool_size >= kernels.COMPILED_PAY_CROSSOVER
+    crossed = model != "pay" or pool_size >= kernels.COMPILED_PAY_CROSSOVER
     assert plan.kernel_backend == (large_input_backend if crossed else "numpy")
 
 
