@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Kernel-backend benchmark: native JER/PMF kernels vs the NumPy reference.
 
-Scenario: the two hot loops the native backend exists for, at the pool
-sizes the paper's experiments run at (~1,000 candidates):
+Scenario: the three kernels the registry dispatches, the first two at the
+pool sizes the paper's experiments run at (~1,000 candidates):
 
 * **sweep** — the batched odd-prefix JER sweep behind every AltrM query
   (:func:`repro.core.jer.batch_prefix_jer_sweep`), measured at a single
@@ -11,8 +11,6 @@ sizes the paper's experiments run at (~1,000 candidates):
 * **pay_scan** — the PayALG paper scan behind every PayM query
   (:func:`repro.core.selection.pay.run_pay_greedy`), seeded as that
   function seeds it; the native backend runs the whole scan in one call.
-* **score_block** — the blocked trial scorer the improved PayALG variant
-  and the exact solvers lean on.
 * **bb_search** — the whole exact branch and bound behind
   ``exact-branch-and-bound`` plans, against the Python search it
   replicates: the paper-shaped N = 22 instance (paper Section 5.1.2) and,
@@ -132,33 +130,6 @@ def bench_pay(rng, pool_size: int, budget: float, repeats: int, native) -> dict:
     }
 
 
-def bench_score_block(rng, jury_size: int, block: int, repeats: int, native) -> dict:
-    base = np.ones(1, dtype=np.float64)
-    for e in rng.uniform(0.05, 0.45, size=jury_size):
-        base = extend_pmf(base, float(e))
-    eps = rng.uniform(0.05, 0.45, size=block)
-    threshold = (jury_size + 2) // 2
-    ref_jers, ref_rows = REFERENCE.score_block(base, eps, threshold)
-    got_jers, got_rows = native.score_block(base, eps, threshold)
-    identical = _bits_equal(ref_jers, got_jers) and _bits_equal(ref_rows, got_rows)
-    numpy_seconds = _best_of(
-        lambda: REFERENCE.score_block(base, eps, threshold), repeats
-    )
-    compiled_seconds = _best_of(
-        lambda: native.score_block(base, eps, threshold), repeats
-    )
-    return {
-        "kernel": "score_block",
-        "backend": native.name,
-        "jury_size": jury_size,
-        "block": block,
-        "numpy_seconds": numpy_seconds,
-        "compiled_seconds": compiled_seconds,
-        "speedup": numpy_seconds / compiled_seconds,
-        "verified_identical": identical,
-    }
-
-
 def _paper_n22():
     """The paper's ground-truth shape: N=22, eps~N(0.2,.05), r~N(0.05,.2)."""
     rng = np.random.default_rng(2012)
@@ -227,9 +198,8 @@ def main(argv=None) -> int:
 
     pool_size, repeats = args.pool_size, args.repeats
     batches = (1, 8, 16)
-    block = 1000
     if args.smoke:
-        pool_size, repeats, batches, block = 151, 2, (1, 4), 120
+        pool_size, repeats, batches = 151, 2, (1, 4)
 
     native = kernels.native_backend()
     snapshot = kernels.stats_snapshot()
@@ -245,9 +215,6 @@ def main(argv=None) -> int:
         for batch in batches:
             rows.append(bench_sweep(rng, batch, pool_size, repeats, native))
         rows.append(bench_pay(rng, pool_size - 1, args.budget, repeats, native))
-        rows.append(
-            bench_score_block(rng, min(pool_size, 201), block, repeats, native)
-        )
         instances = [_paper_n22()]
         if not args.smoke:
             instances.append(_weak_pool(40))
@@ -257,7 +224,7 @@ def main(argv=None) -> int:
     for row in rows:
         shape = ", ".join(
             f"{k}={row[k]}"
-            for k in ("instance", "batch", "pool_size", "jury_size", "block")
+            for k in ("instance", "batch", "pool_size")
             if k in row
         )
         verdict = "identical" if row["verified_identical"] else "DIVERGED"
@@ -287,7 +254,6 @@ def main(argv=None) -> int:
                 "pool_size": pool_size,
                 "batches": list(batches),
                 "budget": args.budget,
-                "block": block,
                 "repeats": repeats,
             },
             "results": rows,

@@ -396,9 +396,10 @@ class JuryService:
         frontier (``frontier`` — hits/misses plus build/repair/rebuild
         lifecycle) and the engine's work counters (``engine``).  The
         ``kernels`` block reports the compiled-kernel registry
-        (:func:`repro.core.kernels.stats_snapshot`): the active backend,
-        per-kernel dispatch counters, availability (with the reason native
-        is unavailable, if it is) and the measured crossovers.
+        (:func:`repro.core.kernels.stats_snapshot`): the active backend
+        (every kernel call runs on it), per-kernel dispatch counters of
+        served calls only, and availability (with the reason native is
+        unavailable, if it is).
 
         The per-pool listing covers the pools **in memory**: everything for
         an in-memory registry, the LRU-resident subset for a catalog-backed

@@ -39,11 +39,12 @@ equal-size juries at once — the blocked exact enumeration).  All three
 apply the same multiply-add expression as the sweep kernels, so every
 execution path produces bit-identical probabilities.
 
-Since the compiled-kernel refactor the batch/block kernels here are thin
-validating wrappers that dispatch through the backend registry in
-:mod:`repro.core.kernels` — the NumPy reference or cc-compiled native code,
-held to bitwise equality by an activation self-check, with measured size
-crossovers deciding per call.
+:func:`batch_prefix_jer_sweep` is a thin validating wrapper that
+dispatches through the backend registry in :mod:`repro.core.kernels` —
+cc-compiled native code wherever it activated, held to bitwise equality
+with the NumPy reference by an activation self-check, and the reference
+otherwise.  The block kernels and the delta kernels below run their NumPy
+code directly: with native active, no ``servebench`` workload calls them.
 
 Two delta kernels maintain Carelessness state without full recomputation,
 the batch form of :class:`~repro.core.incremental.IncrementalJury`'s
@@ -69,6 +70,7 @@ import numpy as np
 from repro._validation import validate_error_rates
 from repro.core import kernels as _kernels
 from repro.core.juror import Jury
+from repro.core.kernels._reference import NumpyBackend
 from repro.core.poisson_binomial import pmf_conv, tail_probability
 from repro.errors import EvenJurySizeError, InvalidErrorRateError
 
@@ -360,8 +362,7 @@ def batch_prefix_jer_sweep(error_rate_matrix) -> tuple[np.ndarray, np.ndarray]:
         )
 
     ns = np.arange(1, n_total + 1, 2, dtype=np.int64)
-    impl = _kernels.backend_for("sweep", n_total)
-    return ns, impl.sweep(eps)
+    return ns, _kernels.backend_for("sweep").sweep(eps)
 
 
 def batch_jury_jer(error_rate_matrix) -> np.ndarray:
@@ -400,8 +401,15 @@ def batch_jury_jer(error_rate_matrix) -> np.ndarray:
         raise InvalidErrorRateError(
             "all error rates must lie in the open interval (0, 1)"
         )
-    impl = _kernels.backend_for("jury_jer", eps.size)
-    return impl.jury_jer(eps, threshold)
+    pmf = np.zeros((n_batch, size + 1), dtype=np.float64)
+    pmf[:, 0] = 1.0
+    for idx in range(size):
+        e = eps[:, idx : idx + 1]
+        upper = idx + 1
+        pmf[:, 1 : upper + 1] = pmf[:, 1 : upper + 1] * (1.0 - e) + pmf[:, 0:upper] * e
+        pmf[:, 0:1] = pmf[:, 0:1] * (1.0 - e)
+    tails = np.sum(pmf[:, threshold:], axis=1)
+    return np.clip(tails, 0.0, 1.0)
 
 
 def prefix_jer_profile(error_rates: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -501,8 +509,13 @@ def extend_pmf_block(pmf: np.ndarray, epsilons) -> np.ndarray:
     eps = np.asarray(epsilons, dtype=np.float64)
     if eps.ndim != 1:
         raise ValueError(f"epsilons must be 1-D, got shape {eps.shape}")
-    impl = _kernels.backend_for("extend_block", eps.size * (base.size + 1))
-    return impl.extend_block(base, eps)
+    width = base.size
+    out = np.empty((eps.size, width + 1), dtype=np.float64)
+    col = eps[:, np.newaxis]
+    out[:, 0] = base[0] * (1.0 - eps)
+    out[:, 1:width] = base[np.newaxis, 1:] * (1.0 - col) + base[np.newaxis, :-1] * col
+    out[:, width] = base[-1] * eps
+    return out
 
 
 def convolve_pmf(pmf, epsilons) -> np.ndarray:
@@ -522,8 +535,7 @@ def convolve_pmf(pmf, epsilons) -> np.ndarray:
     """
     base = _coerce_pmf(pmf)
     eps = validate_error_rates(epsilons, name="epsilons")
-    impl = _kernels.backend_for("convolve", eps.size * (base.size + eps.size))
-    return impl.convolve(base, eps)
+    return NumpyBackend.convolve(base, eps)
 
 
 def deconvolve_pmf(pmf, epsilons) -> np.ndarray:

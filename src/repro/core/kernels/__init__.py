@@ -1,32 +1,40 @@
-"""Kernel backends for the hot JER/PMF kernels.
+"""Kernel backends for the engine's three hot loops.
 
-The hottest kernels of the engine — the batch prefix-JER sweep, the
-batch jury-JER scorer, the pmf extend/convolve family, the PayALG
-pair-trial scan and the exact branch-and-bound search — dispatch through
-this registry to one of two backends:
+The paper's algorithms reach a hot loop in three places, and each is one
+registry kernel:
+
+``sweep``
+    ``batch_prefix_jer_sweep``, the AltrALG odd-prefix sweep.
+``pay_scan``
+    the whole PayALG paper pairing scan.
+``bb_search``
+    the whole depth-first search of ``branch_and_bound_optimal``, the
+    exact PayM solver behind the OPT baseline.
+
+Each dispatches through this registry to one of two backends:
 
 ``numpy``
-    The reference implementations (:mod:`._reference`): the exact NumPy
-    loops the engine has always run.  Always available.
+    The reference implementations (:mod:`._reference`, and the Python
+    loops of the PayALG scan and the branch and bound).  Always available.
 ``native``
     C kernels compiled with the system compiler and bound via ctypes
     (:mod:`._native`).  Needs a C compiler on PATH — no Python build
     dependencies.
 
-Native is activated once per process: build (or reuse the cached
-library), warm-up, then the bitwise self-check of :mod:`._verify`, which
-must reproduce the NumPy reference on a battery crossing every
-algorithmic boundary, so every execution path stays bit-identical to the
-scalar oracles — the repo's standing invariant (tolerance pinned as
-``KERNEL_EQUIVALENCE_ULPS`` in :mod:`repro.testing`).  If any step fails,
-every call runs on the reference and the reason is reported under
+One rule picks the backend: native wherever it activated, the reference
+otherwise.  Native is activated once per process: build (or reuse the
+cached library), then the bitwise self-check of :mod:`._verify`, which
+calls every entry point and must reproduce the reference on a battery
+crossing every algorithmic boundary, so every execution path stays
+bit-identical to the scalar oracles — the repo's standing invariant
+(tolerance pinned as ``KERNEL_EQUIVALENCE_ULPS`` in :mod:`repro.testing`).  If any step
+fails, every call runs on the reference and the reason is reported under
 ``stats_snapshot()["unavailable"]["native"]`` (and from there in
 ``JuryService.stats()`` and ``GET /v1/stats``).
 
-Each call picks its backend from the input size it observes: native past
-the kernel's measured crossover below, NumPy under it.  The crossovers
-were measured on the build host like ``AUTO_CBA_THRESHOLD`` /
-``FFT_CROSSOVER`` (see ``benchmarks/bench_kernels.py``).
+The native ``convolve`` binding is dispatched by nothing: ``k_convolve``
+is a C helper of ``k_bb_search``'s bound, and the binding is the
+self-check's hook for testing it on its own.
 """
 
 from __future__ import annotations
@@ -36,14 +44,10 @@ import threading
 from repro.core.kernels._reference import NumpyBackend
 
 __all__ = [
-    "COMPILED_SWEEP_CROSSOVER",
-    "COMPILED_PAY_CROSSOVER",
-    "COMPILED_BLOCK_CROSSOVER",
     "KERNEL_NAMES",
     "backend_for",
     "dispatch_counts",
     "ensure_ready",
-    "kernel_backend_for",
     "lazy_activations",
     "native_backend",
     "reset_dispatch_counters",
@@ -51,47 +55,10 @@ __all__ = [
 ]
 
 #: Kernels that dispatch through the registry.  ``sweep`` is
-#: ``batch_prefix_jer_sweep``, ``jury_jer`` is ``batch_jury_jer``,
-#: ``extend_block``/``score_block`` are the ``extend_pmf_block`` family,
-#: ``convolve`` is ``convolve_pmf``, ``pay_scan`` is the whole PayALG
-#: paper pairing scan, and ``bb_search`` is the whole depth-first search
-#: of ``branch_and_bound_optimal``.
-KERNEL_NAMES = (
-    "sweep", "jury_jer", "extend_block", "score_block", "convolve", "pay_scan",
-    "bb_search",
-)
-
-# -- measured crossovers (build host: 1-CPU container, numpy 2.4.6) ----------
-#
-# Below these sizes the native call's fixed overhead (ctypes entry,
-# argument marshalling) exceeds the win over the vectorized NumPy path;
-# above them the native path wins and keeps widening (the NumPy sweep
-# pays one Python-level loop iteration per juror, the native sweep does
-# not).  Measured with best-of timing loops (same method as
-# benchmarks/bench_kernels.py and the historical AUTO_CBA_THRESHOLD /
-# FFT_CROSSOVER calibrations).
-
-#: Pool size at which the native prefix sweep overtakes NumPy: always.
-#: The NumPy sweep pays one Python-level fold iteration per juror, so the
-#: native path already wins at 2 candidates (11us vs 18us) and never
-#: falls behind — there is no size below which NumPy is preferable.
-COMPILED_SWEEP_CROSSOVER = 0
-
-#: Pool size at which the native PayALG pairing scan overtakes the
-#: blocked NumPy scan.  Measured: NumPy edges ahead at 4 candidates
-#: (57us vs 61us), native wins from 8 on (73us vs 176us) and widens to
-#: ~10x at 1,000.
-COMPILED_PAY_CROSSOVER = 8
-
-#: Matrix *elements* (rows x width) at which the native block kernels
-#: (jury_jer / extend_block / score_block / convolve) overtake NumPy's
-#: 2-D vectorized forms, which amortise per-call overhead much better
-#: than the Python-loop sweep does.  Measured on extend_pmf_block, the
-#: tightest case: NumPy wins below ~1k elements (6.8us vs 8.6us at 40),
-#: ties near 1,100 and loses from there (140us vs 17us at 16.6k).
-#: batch_jury_jer crosses far earlier (its NumPy form loops per juror),
-#: so this shared bound is conservative for it.
-COMPILED_BLOCK_CROSSOVER = 1024
+#: ``batch_prefix_jer_sweep``, ``pay_scan`` is the whole PayALG paper
+#: pairing scan, and ``bb_search`` is the whole depth-first search of
+#: ``branch_and_bound_optimal``.
+KERNEL_NAMES = ("sweep", "pay_scan", "bb_search")
 
 _UNPROBED = object()
 
@@ -105,7 +72,7 @@ _lazy_activations = 0
 
 
 def _activate(*, lazy: bool):
-    """Build, warm and bitwise-verify the native backend, once.
+    """Build and bitwise-verify the native backend, once.
 
     Returns the backend, or None when any step failed (the exception is
     kept as the unavailability reason) or while activation is running.
@@ -117,11 +84,11 @@ def _activate(*, lazy: bool):
         if _native_backend is not _UNPROBED:
             return _native_backend
         if _activating:
-            # Re-entrant dispatch: the verify battery runs reference
-            # implementations that call the public kernel wrappers, which
-            # would otherwise re-activate the backend mid-activation (and
-            # let the backend under test compute its own "reference").
-            # During activation every dispatch degrades to NumPy.
+            # Re-entrant dispatch from the self-check's reference runs
+            # would let the backend under test compute its own
+            # "reference"; it degrades to NumPy instead.  No reference
+            # path dispatches (a fresh activation leaves the counters
+            # empty, which the tests pin).
             return None
         _activating = True
         try:
@@ -129,7 +96,6 @@ def _activate(*, lazy: bool):
             from repro.core.kernels._verify import verify_backend
 
             backend = load_native_backend()
-            backend.warmup()
             verify_backend(backend)
         except Exception as exc:  # noqa: BLE001 - any failure means "unavailable"
             _native_backend = None
@@ -146,41 +112,14 @@ def _activate(*, lazy: bool):
         return _native_backend
 
 
-def _crossed(kernel: str, size: int) -> bool:
-    if kernel == "bb_search":
-        # The Python search pays ~40us per node (a NumPy extend_pmf, and a
-        # validated convolve_pmf per bound check); one native call
-        # replaces all of them, so no pool size favours the reference.
-        return True
-    if kernel == "sweep":
-        return size >= COMPILED_SWEEP_CROSSOVER
-    if kernel == "pay_scan":
-        return size >= COMPILED_PAY_CROSSOVER
-    return size >= COMPILED_BLOCK_CROSSOVER
-
-
-def backend_for(kernel: str, size: int):
-    """Resolve the backend a kernel call dispatches to, counting it.
-
-    ``size`` is the kernel's cost driver: pool size for ``sweep``,
-    ``pay_scan`` and ``bb_search``, matrix elements for the block kernels.
-    Calls past the kernel's crossover run native when it is available; the
-    rest run on the reference.
-    """
-    backend = (_activate(lazy=True) if _crossed(kernel, size) else None) or _numpy_backend
+def backend_for(kernel: str):
+    """Resolve the backend a kernel call dispatches to, counting it:
+    native wherever it activated, the reference otherwise."""
+    backend = _activate(lazy=True) or _numpy_backend
     with _lock:
         key = (kernel, backend.name)
         _dispatch_counts[key] = _dispatch_counts.get(key, 0) + 1
     return backend
-
-
-def kernel_backend_for(kernel: str, size: int) -> str:
-    """Predict (without counting) the backend :func:`backend_for` would
-    choose — the cost model's planning view."""
-    if not _crossed(kernel, size):
-        return "numpy"
-    backend = _activate(lazy=False)
-    return backend.name if backend is not None else "numpy"
 
 
 def native_backend():
@@ -194,7 +133,7 @@ def native_backend():
 def ensure_ready() -> str:
     """Activate the native backend eagerly (service startup).
 
-    Returns the name of the backend large inputs will dispatch to, so
+    Returns the name of the backend every kernel call will dispatch to, so
     callers (``EngineStats``, benchmarks) can record the active backend.
     Calling this before serving queries is what keeps cc compile time
     out of per-query timings — the cold-start guarantee.
@@ -234,9 +173,4 @@ def stats_snapshot() -> dict:
         "unavailable": {} if active == "native" else {"native": _native_reason},
         "dispatch": dispatch_counts(),
         "lazy_activations": lazy_activations(),
-        "crossovers": {
-            "sweep_pool_size": COMPILED_SWEEP_CROSSOVER,
-            "pay_scan_pool_size": COMPILED_PAY_CROSSOVER,
-            "block_elements": COMPILED_BLOCK_CROSSOVER,
-        },
     }

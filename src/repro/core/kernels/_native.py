@@ -160,24 +160,10 @@ class NativeBackend:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
-        self.warmed = False
         lib.k_pairwise.restype = ctypes.c_double
         lib.k_pairwise.argtypes = [_F64, ctypes.c_int64]
         lib.k_sweep.restype = None
         lib.k_sweep.argtypes = [_F64, ctypes.c_int64, ctypes.c_int64, _F64, _F64]
-        lib.k_jury_jer.restype = None
-        lib.k_jury_jer.argtypes = [
-            _F64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _F64, _F64,
-        ]
-        lib.k_extend_block.restype = None
-        lib.k_extend_block.argtypes = [
-            _F64, ctypes.c_int64, _F64, ctypes.c_int64, _F64,
-        ]
-        lib.k_score_block.restype = None
-        lib.k_score_block.argtypes = [
-            _F64, ctypes.c_int64, _F64, ctypes.c_int64, ctypes.c_int64,
-            _F64, _F64,
-        ]
         lib.k_convolve.restype = None
         lib.k_convolve.argtypes = [_F64, ctypes.c_int64, _F64, ctypes.c_int64]
         lib.k_pay_scan.restype = ctypes.c_int64
@@ -201,39 +187,10 @@ class NativeBackend:
         self._lib.k_sweep(_as_f64(eps), b, n, _as_f64(jers), _as_f64(work))
         return jers
 
-    def jury_jer(self, eps: np.ndarray, threshold: int) -> np.ndarray:
-        eps = np.ascontiguousarray(eps, dtype=np.float64)
-        b, k = eps.shape
-        out = np.empty(b, dtype=np.float64)
-        work = np.empty(k + 1, dtype=np.float64)
-        self._lib.k_jury_jer(
-            _as_f64(eps), b, k, int(threshold), _as_f64(out), _as_f64(work)
-        )
-        return out
-
-    def extend_block(self, base: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        base = np.ascontiguousarray(base, dtype=np.float64)
-        eps = np.ascontiguousarray(eps, dtype=np.float64)
-        rows = np.empty((eps.size, base.size + 1), dtype=np.float64)
-        self._lib.k_extend_block(
-            _as_f64(base), base.size, _as_f64(eps), eps.size, _as_f64(rows)
-        )
-        return rows
-
-    def score_block(
-        self, base: np.ndarray, eps: np.ndarray, threshold: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        base = np.ascontiguousarray(base, dtype=np.float64)
-        eps = np.ascontiguousarray(eps, dtype=np.float64)
-        rows = np.empty((eps.size, base.size + 1), dtype=np.float64)
-        jers = np.empty(eps.size, dtype=np.float64)
-        self._lib.k_score_block(
-            _as_f64(base), base.size, _as_f64(eps), eps.size, int(threshold),
-            _as_f64(rows), _as_f64(jers),
-        )
-        return jers, rows
-
     def convolve(self, base: np.ndarray, eps: np.ndarray) -> np.ndarray:
+        """Fold ``eps`` into ``base`` with ``k_convolve``, the fold behind
+        ``bb_search``'s bound.  Nothing dispatches it: it is the self-check's
+        hook for holding that C helper to the reference on its own."""
         base = np.ascontiguousarray(base, dtype=np.float64)
         eps = np.ascontiguousarray(eps, dtype=np.float64)
         out = np.zeros(base.size + eps.size, dtype=np.float64)
@@ -326,15 +283,6 @@ class NativeBackend:
     def pairwise(self, values: np.ndarray) -> float:
         values = np.ascontiguousarray(values, dtype=np.float64)
         return float(self._lib.k_pairwise(_as_f64(values), values.size))
-
-    def warmup(self) -> None:
-        """Touch every entry point once (activation already does)."""
-        eps = np.full((1, 3), 0.25)
-        self.sweep(eps)
-        self.jury_jer(eps, 2)
-        base = self.convolve(np.ones(1), np.full(2, 0.25))
-        self.score_block(base, np.full(2, 0.25), 2)
-        self.warmed = True
 
 
 def load_native_backend() -> NativeBackend:

@@ -1,11 +1,14 @@
-"""Reference NumPy implementations of the hot kernels.
+"""Reference NumPy implementations of the kernels with a native binding.
 
 These are the *exact* inner loops that historically lived inline in
-:mod:`repro.core.jer` (and the block-trial scoring of
-:mod:`repro.core.selection.pay`), hoisted behind the backend interface so
-the compiled backends have one canonical definition to be verified
-against.  Every compiled backend is held to **bit-identity** with the
-functions in this module by the activation self-check
+:mod:`repro.core.jer`, hoisted behind the backend interface so the
+compiled backend has one canonical definition to be verified against:
+the prefix sweep (dispatched as ``sweep``) and the multi-factor fold
+(:func:`repro.core.jer.convolve_pmf`'s loop, which the self-check holds
+the native ``convolve`` binding to).  The PayALG scan and the branch and
+bound are referenced by their Python loops in :mod:`repro.core.selection`.
+Every compiled backend is held to **bit-identity** with the functions in
+this module by the activation self-check
 (:mod:`repro.core.kernels._verify`); the arithmetic here must therefore
 never change without re-deriving the equivalence argument in
 ``core/jer.py``.
@@ -48,52 +51,6 @@ def _sweep(eps: np.ndarray) -> np.ndarray:
     return jers
 
 
-def _jury_jer(eps: np.ndarray, threshold: int) -> np.ndarray:
-    """Clipped tail probabilities of a ``(B, K)`` jury matrix.
-
-    The historical inner loop of :func:`repro.core.jer.batch_jury_jer`.
-    """
-    n_batch, size = eps.shape
-    pmf = np.zeros((n_batch, size + 1), dtype=np.float64)
-    pmf[:, 0] = 1.0
-    for idx in range(size):
-        e = eps[:, idx : idx + 1]
-        upper = idx + 1
-        pmf[:, 1 : upper + 1] = pmf[:, 1 : upper + 1] * (1.0 - e) + pmf[:, 0:upper] * e
-        pmf[:, 0:1] = pmf[:, 0:1] * (1.0 - e)
-    tails = np.sum(pmf[:, threshold:], axis=1)
-    return np.clip(tails, 0.0, 1.0)
-
-
-def _extend_block(base: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Fan one pmf out by ``k`` alternative single factors.
-
-    The historical inner expression of
-    :func:`repro.core.jer.extend_pmf_block`, verbatim.
-    """
-    width = base.size
-    out = np.empty((eps.size, width + 1), dtype=np.float64)
-    col = eps[:, np.newaxis]
-    out[:, 0] = base[0] * (1.0 - eps)
-    out[:, 1:width] = base[np.newaxis, 1:] * (1.0 - col) + base[np.newaxis, :-1] * col
-    out[:, width] = base[-1] * eps
-    return out
-
-
-def _score_block(
-    base: np.ndarray, eps: np.ndarray, threshold: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extend ``base`` by each factor and score the tails — the PayALG trial.
-
-    Mirrors ``_block_trial_jers`` in :mod:`repro.core.selection.pay`:
-    returns ``(jers, rows)`` where the admitted row becomes the next
-    incumbent pmf.
-    """
-    rows = _extend_block(base, eps)
-    tails = np.sum(rows[:, threshold:], axis=1)
-    return np.clip(tails, 0.0, 1.0), rows
-
-
 def _convolve(base: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Fold ``k`` factors into a pmf — the historical
     :func:`repro.core.jer.convolve_pmf` loop, verbatim."""
@@ -112,33 +69,18 @@ class NumpyBackend:
     """The always-available reference backend.
 
     ``compiled`` is False: callers that dispatch a *whole scalar loop*
-    (the PayALG pairing scan) keep their existing NumPy block path when
-    this backend is chosen, instead of calling :meth:`pay_scan` (which the
-    reference backend does not provide — the block loop *is* the
-    reference).
+    (the PayALG pairing scan, the branch and bound) run their Python
+    loops when this backend is chosen, instead of calling ``pay_scan`` or
+    ``bb_search`` (which the reference backend does not provide — those
+    loops *are* the reference).
     """
 
     name = "numpy"
     compiled = False
-    warmed = True
 
     @staticmethod
     def sweep(eps: np.ndarray) -> np.ndarray:
         return _sweep(eps)
-
-    @staticmethod
-    def jury_jer(eps: np.ndarray, threshold: int) -> np.ndarray:
-        return _jury_jer(eps, threshold)
-
-    @staticmethod
-    def extend_block(base: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        return _extend_block(base, eps)
-
-    @staticmethod
-    def score_block(
-        base: np.ndarray, eps: np.ndarray, threshold: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return _score_block(base, eps, threshold)
 
     @staticmethod
     def convolve(base: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -148,7 +90,3 @@ class NumpyBackend:
     def pairwise(values: np.ndarray) -> float:
         """Tail-summation semantics of this backend (``np.sum``)."""
         return float(np.sum(values))
-
-    @staticmethod
-    def warmup() -> None:
-        """Nothing to compile."""

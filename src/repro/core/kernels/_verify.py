@@ -1,14 +1,16 @@
 """Activation-time bit-identity self-check for compiled kernel backends.
 
-A compiled backend is only activated after every kernel reproduces the
-NumPy reference **bitwise** on a battery that crosses each algorithmic
+A compiled backend is only activated after every entry point reproduces
+the reference **bitwise** on a battery that crosses each algorithmic
 boundary (pairwise-summation base case at 8, unroll block at 128, the
 recursive split, multi-admission PayALG scans, and branch-and-bound
-searches crossing every pruning and tie-break rule).  A backend that
-differs in even one bit on this host is refused, the first divergence is
-recorded as its unavailability reason, and dispatch degrades to the
-reference backend — so the repo's bit-identity invariant never depends
-on compiler or libm behaviour we did not verify.
+searches crossing every pruning and tie-break rule).  The C helpers the
+scan and the search share (the single-factor extension, the factor fold)
+are checked through those batteries and, for the fold, on its own.  A
+backend that differs in even one bit on this host is refused, the first
+divergence is recorded as its unavailability reason, and dispatch
+degrades to the reference backend — so the repo's bit-identity invariant
+never depends on compiler or libm behaviour we did not verify.
 
 The battery is deterministic (fixed seed) and cheap (tens of ms), so it runs
 on every activation rather than being cached: a changed compiler or
@@ -32,8 +34,9 @@ _PAIRWISE_SIZES = (
     255, 256, 257, 511, 512, 513, 1000, 1001, 1024, 2047, 4096,
 )
 _SWEEP_SHAPES = ((1, 1), (2, 3), (3, 7), (2, 65), (1, 129), (2, 130), (1, 515))
-_JURY_SHAPES = ((1, 1), (4, 5), (7, 13), (3, 129), (2, 401))
-_BLOCK_SHAPES = ((1, 1), (2, 7), (5, 64), (3, 129), (2, 400))
+#: ``k_convolve`` is ``bb_search``'s bound fold.  The B&B battery alone
+#: lets some broken folds through (a reversed fold order, an error rate
+#: one ulp off), so the fold is also held to the reference directly.
 _CONVOLVE_SHAPES = ((1, 1), (3, 4), (10, 120), (129, 130))
 
 
@@ -200,29 +203,6 @@ def verify_backend(backend) -> None:
     for b, n in _SWEEP_SHAPES:
         eps = rng.uniform(1e-6, 1.0 - 1e-6, size=(b, n))
         _require_identical(f"sweep{(b, n)}", ref.sweep(eps), backend.sweep(eps))
-
-    for b, k in _JURY_SHAPES:
-        eps = rng.uniform(1e-6, 1.0 - 1e-6, size=(b, k))
-        threshold = (k + 1) // 2
-        _require_identical(
-            f"jury_jer{(b, k)}",
-            ref.jury_jer(eps, threshold),
-            backend.jury_jer(eps, threshold),
-        )
-
-    for k, n in _BLOCK_SHAPES:
-        base = rng.dirichlet(np.ones(n))
-        eps = rng.uniform(1e-6, 1.0 - 1e-6, size=k)
-        threshold = (n + 1) // 2
-        _require_identical(
-            f"extend_block(k={k}, n={n})",
-            ref.extend_block(base, eps),
-            backend.extend_block(base, eps),
-        )
-        exp_jers, exp_rows = ref.score_block(base, eps, threshold)
-        got_jers, got_rows = backend.score_block(base, eps, threshold)
-        _require_identical(f"score_block jers(k={k}, n={n})", exp_jers, got_jers)
-        _require_identical(f"score_block rows(k={k}, n={n})", exp_rows, got_rows)
 
     for n, k in _CONVOLVE_SHAPES:
         base = rng.dirichlet(np.ones(n))

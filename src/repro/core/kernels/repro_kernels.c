@@ -9,8 +9,8 @@
  * sequence of individually-rounded multiplies and adds the NumPy
  * reference performs, and the build uses -ffp-contract=off (never
  * -ffast-math) so no FMA contraction or reassociation changes rounding.
- * The activation self-check compares every kernel bitwise against the
- * NumPy reference before the backend is allowed to serve.
+ * The activation self-check compares every entry point bitwise against
+ * the NumPy reference before the backend is allowed to serve.
  */
 #include <math.h>
 #include <stdint.h>
@@ -90,24 +90,11 @@ void k_sweep(const double *eps, int64_t b, int64_t n, double *jers,
     }
 }
 
-/* Batch jury JER.  eps: (b, k); out: (b,); work: k+1 scratch. */
-void k_jury_jer(const double *eps, int64_t b, int64_t k, int64_t threshold,
-                double *out, double *work)
-{
-    for (int64_t r = 0; r < b; r++) {
-        const double *row = eps + r * k;
-        memset(work, 0, (size_t)(k + 1) * sizeof(double));
-        work[0] = 1.0;
-        for (int64_t idx = 0; idx < k; idx++)
-            fold_factor(work, idx, row[idx]);
-        out[r] = clip01(pairwise_sum(work + threshold, k + 1 - threshold));
-    }
-}
-
 /* Extend one pmf (length n) by each of k alternative factors.
- * rows: (k, n+1). */
-void k_extend_block(const double *base, int64_t n, const double *eps,
-                    int64_t k, double *rows)
+ * rows: (k, n+1).  A helper of k_pay_scan and k_bb_search, checked
+ * through their self-check batteries. */
+static void k_extend_block(const double *base, int64_t n, const double *eps,
+                           int64_t k, double *rows)
 {
     for (int64_t r = 0; r < k; r++) {
         double e = eps[r];
@@ -120,19 +107,9 @@ void k_extend_block(const double *base, int64_t n, const double *eps,
     }
 }
 
-/* extend_block fused with per-row clipped tail sums. */
-void k_score_block(const double *base, int64_t n, const double *eps,
-                   int64_t k, int64_t threshold, double *rows, double *jers)
-{
-    k_extend_block(base, n, eps, k, rows);
-    for (int64_t r = 0; r < k; r++) {
-        const double *row = rows + r * (n + 1);
-        jers[r] = clip01(pairwise_sum(row + threshold, (n + 1) - threshold));
-    }
-}
-
 /* Fold k factors into out in place.  out has length top0+1+k with the
- * base pmf in out[0..top0] and zeros above. */
+ * base pmf in out[0..top0] and zeros above.  k_bb_search's bound; bound
+ * by ctypes only so the self-check can test it on its own. */
 void k_convolve(double *out, int64_t top0, const double *eps, int64_t k)
 {
     int64_t top = top0;

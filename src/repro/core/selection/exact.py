@@ -206,7 +206,7 @@ def branch_and_bound_optimal(
     n_total = int(eps.size)
     limit = n_total if max_size is None else min(max_size, n_total)
 
-    impl = _kernels.backend_for("bb_search", n_total)
+    impl = _kernels.backend_for("bb_search")
     stats = SelectionStats()
     start = time.perf_counter()
     if impl.compiled:

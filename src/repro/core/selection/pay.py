@@ -140,8 +140,8 @@ def run_pay_greedy(
     and served.  ``candidates`` may be a
     :class:`~repro.plan.view.PoolView` (the plan layer's columnar pools) or
     a plain sequence of :class:`Juror` objects (validated and decomposed
-    here).  Past the pay-scan crossover the native backend runs the whole
-    paper scan in one call, bit-identical to the blocked NumPy scan by the
+    here).  Wherever the native backend activated it runs the whole paper
+    scan in one call, bit-identical to the blocked NumPy scan by the
     activation self-check.
     """
     # Local import: the plan layer imports this module for its operators.
@@ -214,7 +214,7 @@ def _paper_scan(
     stats: SelectionStats,
 ) -> tuple[list[int], float, float]:
     """The paper's first-fit scan on the compiled backend or in NumPy."""
-    impl = _kernels.backend_for("pay_scan", int(g_eps.size))
+    impl = _kernels.backend_for("pay_scan")
     if not impl.compiled:
         return _paper_pairing(
             list(selected), g_eps, g_req, scan_from, accumulated, budget,
@@ -241,16 +241,7 @@ def _block_trial_jers(
     Returns ``(jers, rows)``: the clipped tail probabilities and the
     extended pmf rows themselves (the admitted row becomes the next
     incumbent pmf, so trial and admission share one arithmetic).
-
-    Dispatches the fused extend+score kernel through the backend registry;
-    compiled backends produce bit-identical rows *and* tails (same
-    pairwise tail summation), enforced by the activation self-check.
     """
-    impl = _kernels.backend_for(
-        "score_block", int(trial_eps.size) * (int(base.size) + 1)
-    )
-    if impl.compiled:
-        return impl.score_block(base, trial_eps, threshold)
     rows = extend_pmf_block(base, trial_eps)
     tails = np.sum(rows[:, threshold:], axis=1)
     return np.clip(tails, 0.0, 1.0), rows

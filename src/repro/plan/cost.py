@@ -15,14 +15,10 @@ scattered across the execution layer:
   feasible jury, so budget tightness shrinks the enumeration frontier),
   branch and bound beyond.
 * ``kernel`` backend (:mod:`repro.core.kernels` registry): which
-  implementation the model's *hot* kernel dispatches to at this pool size —
-  NumPy below the measured crossovers
-  (:data:`~repro.core.kernels.COMPILED_SWEEP_CROSSOVER` for the AltrM
-  sweep, :data:`~repro.core.kernels.COMPILED_PAY_CROSSOVER` for the PayALG
-  pairing scan, :data:`~repro.core.kernels.COMPILED_BLOCK_CROSSOVER`
-  elements for the enumeration's block kernels), native beyond when it
-  is available; the branch and bound's whole-search kernel runs native
-  at every size.
+  implementation the operator's *hot* kernel dispatches to — the active
+  backend (native wherever it activated) for the AltrM sweep, the PayALG
+  pairing scan and the branch and bound's whole search; NumPy for the
+  enumeration, which scores its blocks in NumPy and dispatches no kernel.
 * answer frontier (:mod:`repro.plan.frontier`): the build-vs-probe
   crossover — :func:`frontier_eligible` admits AltrM queries over pools of
   at least :data:`FRONTIER_MIN_POOL` candidates, and
@@ -113,27 +109,17 @@ def pmf_backend_for(pool_size: int) -> str:
     return "conv" if pool_size >= FFT_CROSSOVER else "dp"
 
 
-def kernel_backend_for(
-    model: str, pool_size: int, operator: str | None = None
-) -> str:
-    """Kernel backend the plan's *hot* kernel dispatches to at this size.
+def kernel_backend_for(operator: str) -> str:
+    """Kernel backend the plan's *hot* kernel dispatches to.
 
-    ``altr``'s hot kernel is the prefix sweep, ``pay``'s the pairing scan
-    and the ``exact-branch-and-bound`` operator's the whole search
-    (``bb_search``), all driven directly by pool size.  The enumeration's
-    hot kernels are the block scorers (``batch_jury_jer`` et al.), whose
-    block sizes are runtime-dependent; the model uses ``pool_size ** 2``
-    elements as the planning estimate (one enumeration block of
-    ``pool_size``-juries), while the actual per-call dispatch re-decides
-    from true block sizes.
+    ``altr-sweep`` runs the ``sweep`` kernel, the PayALG operators the
+    ``pay_scan`` kernel and ``exact-branch-and-bound`` the ``bb_search``
+    kernel, each on the active backend.  ``exact-enumerate`` dispatches no
+    kernel: its blocks are scored in NumPy.
     """
-    if model == "altr":
-        return _kernels.kernel_backend_for("sweep", pool_size)
-    if model == "pay":
-        return _kernels.kernel_backend_for("pay_scan", pool_size)
-    if operator == "exact-branch-and-bound":
-        return _kernels.kernel_backend_for("bb_search", pool_size)
-    return _kernels.kernel_backend_for("jury_jer", pool_size * pool_size)
+    if operator == "exact-enumerate":
+        return "numpy"
+    return _kernels.ensure_ready()
 
 
 def exact_operator_for(n_effective: int) -> str:

@@ -243,6 +243,6 @@ def plan_query(
         pmf_backend=pmf_backend,
         # Outside the memo: it depends on whether native activated, which
         # is process state rather than query shape.
-        kernel_backend=kernel_backend_for(canonical, view.size, operator),
+        kernel_backend=kernel_backend_for(operator),
         cost=cost,
     )

@@ -191,9 +191,9 @@ class EngineStats:
     live_profiles: int = 0
     #: Queries answered from the answer frontier — no plan, no kernel.
     frontier_hits: int = 0
-    #: Kernel backend large kernel calls dispatch to (``numpy``/``native``)
-    #: — resolved and warmed at engine construction so cc compile time
-    #: never lands in query timings.
+    #: Kernel backend every kernel call dispatches to (``numpy``/``native``)
+    #: — resolved at engine construction, compile and self-check included,
+    #: so cc compile time never lands in query timings.
     kernel_backend: str = "numpy"
 
 
@@ -246,8 +246,8 @@ class BatchSelectionEngine:
         # Serialises engine passes and evictions: the caches, frontier and
         # stats are shared, unsynchronised state.
         self._lock = threading.Lock()
-        # Activate (compile + bitwise-verify + warm) the configured kernel
-        # backend up front: queries must never pay first-call compile cost,
+        # Activate (compile + bitwise-verify) the native kernel backend
+        # up front: queries must never pay first-call compile cost,
         # and stats report the backend before the first query runs.
         self.stats = EngineStats(kernel_backend=kernels.ensure_ready())
 

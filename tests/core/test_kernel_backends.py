@@ -1,14 +1,14 @@
 """Native-vs-reference bit-identity and registry behaviour for ``repro.core.kernels``.
 
 The native backend object is called side by side with the NumPy reference
-object, on shapes on both sides of every dispatch crossover; whole
-selections are compared with native active and with it unavailable (the
-registry monkeypatched by the ``native_unavailable`` fixture).  Where
-native cannot activate on a host, the tests that need it skip with the
-recorded reason.  The equivalence contract is bit-identity
-(:data:`repro.testing.KERNEL_EQUIVALENCE_ULPS` is pinned to zero): a
-backend that cannot reproduce NumPy's floating-point results exactly is
-deactivated by its self-check, not tolerated by a looser assertion here.
+object, from one-candidate shapes up; whole selections are compared with
+native active and with it unavailable (the registry monkeypatched by the
+``native_unavailable`` fixture).  Where native cannot activate on a host,
+the tests that need it skip with the recorded reason.  The equivalence
+contract is bit-identity (:data:`repro.testing.KERNEL_EQUIVALENCE_ULPS` is
+pinned to zero): a backend that cannot reproduce NumPy's floating-point
+results exactly is deactivated by its self-check, not tolerated by a
+looser assertion here.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ REFERENCE = NumpyBackend()
 #: (batch, pool) shapes covering the sweep's odd/even and recursion edges.
 SWEEP_SHAPES = ((1, 1), (2, 3), (3, 17), (1, 64), (2, 65), (1, 129), (1, 515))
 
-#: Pool sizes straddling the pay-scan crossover and the pairwise regimes.
+#: Pool sizes from tiny scans through the pairwise regimes.
 PAY_POOLS = (3, 7, 8, 13, 25, 120, 311)
 
 
@@ -75,30 +75,14 @@ class TestNativeMatchesReference:
             eps = rng.uniform(0.01, 0.6, size=(batch, pool))
             assert _bits(REFERENCE.sweep(eps)) == _bits(native.sweep(eps)), (batch, pool)
 
-    def test_jury_jer(self, native, rng):
-        for batch, size in ((1, 1), (4, 3), (8, 17), (2, 65), (3, 129)):
-            eps = rng.uniform(0.01, 0.6, size=(batch, size))
-            threshold = (size + 1) // 2
-            assert _bits(REFERENCE.jury_jer(eps, threshold)) == _bits(
-                native.jury_jer(eps, threshold)
-            ), (batch, size)
-
-    def test_extend_score_and_convolve_blocks(self, native, rng):
+    def test_convolve(self, native, rng):
+        """The binding nothing dispatches: the self-check's hook on the fold
+        behind ``bb_search``'s bound."""
         base = np.ones(1, dtype=np.float64)
         for e in rng.uniform(0.05, 0.45, size=12):
             base = extend_pmf(base, float(e))
-        threshold = (base.size + 1) // 2
-        # 9 x 14 = 126 elements sits far below the block crossover; 200 x 14
-        # sits past it.
         for k in (1, 9, 200):
             eps = rng.uniform(0.05, 0.45, size=k)
-            assert _bits(REFERENCE.extend_block(base, eps)) == _bits(
-                native.extend_block(base, eps)
-            ), k
-            ref_jers, ref_rows = REFERENCE.score_block(base, eps, threshold)
-            got_jers, got_rows = native.score_block(base, eps, threshold)
-            assert _bits(ref_jers) == _bits(got_jers), k
-            assert _bits(ref_rows) == _bits(got_rows), k
             assert _bits(REFERENCE.convolve(base, eps)) == _bits(
                 native.convolve(base, eps)
             ), k
@@ -130,8 +114,7 @@ def _select_everything(rng) -> list[tuple]:
             answers.append(_fingerprint(run_pay_greedy(jurors, budget, variant=variant)))
         ns, jers = prefix_jer_profile([j.error_rate for j in jurors])
         answers.append((ns.tolist(), _bits(jers)))
-        # Exact only on small pools; the unbudgeted 13-candidate enumeration
-        # scores blocks past the block crossover.
+        # Exact only on small pools, where it enumerates.
         if size <= 13:
             answers.append(_fingerprint(select_jury_optimal(jurors, budget=budget)))
             answers.append(_fingerprint(select_jury_optimal(jurors)))
@@ -144,9 +127,10 @@ class TestWholeSelections:
         kernels.reset_dispatch_counters()
         with_native = _select_everything(rng)
         counts = kernels.dispatch_counts()
-        assert set(counts["sweep"]) == {"native"}
-        for kernel in ("pay_scan", "score_block", "jury_jer"):
-            assert set(counts[kernel]) == {"native", "numpy"}, kernel
+        # Every dispatch runs native, whatever the pool size; enumeration
+        # dispatches nothing.
+        assert set(counts) == {"sweep", "pay_scan"}
+        assert {b for per_kernel in counts.values() for b in per_kernel} == {"native"}
 
         request.getfixturevalue("native_unavailable")
         rng.bit_generator.state = seed_state
@@ -161,16 +145,10 @@ class TestRegistry:
     def test_stats_snapshot_shape(self):
         snapshot = kernels.stats_snapshot()
         assert set(snapshot) == {
-            "active", "available", "unavailable", "dispatch",
-            "lazy_activations", "crossovers",
+            "active", "available", "unavailable", "dispatch", "lazy_activations",
         }
         assert snapshot["active"] in ("numpy", "native")
         assert "numpy" in snapshot["available"]
-        assert set(snapshot["crossovers"]) == {
-            "sweep_pool_size",
-            "pay_scan_pool_size",
-            "block_elements",
-        }
         assert snapshot["lazy_activations"] >= 0
 
     def test_active_native_has_no_unavailable_reason(self, native):
@@ -179,22 +157,15 @@ class TestRegistry:
         assert snapshot["available"] == ["native", "numpy"]
         assert snapshot["unavailable"] == {}
 
-    def test_crossovers_decide_per_call(self, native):
-        below = kernels.COMPILED_PAY_CROSSOVER - 1
-        assert kernels.kernel_backend_for("pay_scan", below) == "numpy"
-        assert kernels.kernel_backend_for("pay_scan", below + 1) == "native"
-        assert kernels.kernel_backend_for("sweep", 1) == "native"
-        blocks = kernels.COMPILED_BLOCK_CROSSOVER
-        assert kernels.kernel_backend_for("convolve", blocks - 1) == "numpy"
-        assert kernels.kernel_backend_for("convolve", blocks) == "native"
-        assert kernels.backend_for("pay_scan", below) is not native
-        assert kernels.backend_for("pay_scan", below + 1) is native
+    def test_every_kernel_dispatches_native(self, native):
+        assert kernels.KERNEL_NAMES == ("sweep", "pay_scan", "bb_search")
+        for kernel in kernels.KERNEL_NAMES:
+            assert kernels.backend_for(kernel) is native
 
     def test_unavailable_native_serves_the_reference_with_its_reason(
         self, native_unavailable
     ):
-        assert kernels.backend_for("sweep", 10_000).name == "numpy"
-        assert kernels.kernel_backend_for("sweep", 10_000) == "numpy"
+        assert kernels.backend_for("sweep").name == "numpy"
         assert kernels.ensure_ready() == "numpy"
         snapshot = kernels.stats_snapshot()
         assert snapshot["active"] == "numpy"
@@ -210,12 +181,27 @@ class TestRegistry:
         assert kernels.ensure_ready() == "numpy"
         reason = kernels.stats_snapshot()["unavailable"]["native"]
         assert reason.startswith("NotADirectoryError")
-        assert kernels.backend_for("sweep", 10_000).name == "numpy"
+        assert kernels.backend_for("sweep").name == "numpy"
+
+    def test_fresh_activation_dispatches_nothing(self, monkeypatch):
+        """The self-check's reference runs are not served dispatches: a
+        service that has answered nothing reports none."""
+        from repro.api import JuryService
+
+        monkeypatch.setattr(kernels, "_native_backend", kernels._UNPROBED)
+        monkeypatch.setattr(kernels, "_native_reason", None)
+        kernels.reset_dispatch_counters()
+        service = JuryService()
+        try:
+            assert kernels.dispatch_counts() == {}
+            assert service.stats()["kernels"]["dispatch"] == {}
+        finally:
+            service.close()
 
     def test_dispatch_counters_accumulate_per_kernel(self, rng):
         eps = rng.uniform(0.05, 0.6, size=41)
         kernels.reset_dispatch_counters()
-        expected = kernels.kernel_backend_for("sweep", 41)
+        expected = kernels.ensure_ready()
         prefix_jer_profile(eps)
         prefix_jer_profile(eps)
         counts = kernels.dispatch_counts()
@@ -244,7 +230,7 @@ class TestColdStart:
     def test_first_dispatch_without_ensure_ready_counts_as_lazy(self, native, monkeypatch):
         monkeypatch.setattr(kernels, "_native_backend", kernels._UNPROBED)
         monkeypatch.setattr(kernels, "_lazy_activations", 0)
-        assert kernels.backend_for("sweep", 3).name == "native"
+        assert kernels.backend_for("sweep").name == "native"
         assert kernels.lazy_activations() == 1
 
     def test_service_stats_surface_kernel_block(self):
@@ -258,5 +244,5 @@ class TestColdStart:
         assert payload["engine"]["kernel_backend"] == kernels.ensure_ready()
         block = payload["kernels"]
         assert block["active"] == kernels.ensure_ready()
-        assert "dispatch" in block and "crossovers" in block
+        assert "dispatch" in block and "crossovers" not in block
         assert "requested" not in block and "env_note" not in block

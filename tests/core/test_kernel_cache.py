@@ -92,7 +92,7 @@ def test_world_writable_cache_is_refused(cache, tmp_path, monkeypatch):
     monkeypatch.setattr(kernels, "_native_reason", None)
     assert kernels.ensure_ready() == "numpy"
     assert "world-writable" in kernels.stats_snapshot()["unavailable"]["native"]
-    assert kernels.backend_for("sweep", 101).name == "numpy"
+    assert kernels.backend_for("sweep").name == "numpy"
     assert not marker.exists()
 
     _loads_in_a_fresh_process(lib)  # the planted constructor does fire on load

@@ -29,7 +29,7 @@ def test_c_source_exists_next_to_native_module():
     assert _native._C_SOURCE_PATH.name == "repro_kernels.c"
     assert _native._C_SOURCE_PATH.is_file()
     source = _native._read_source()
-    for symbol in ("k_sweep", "k_jury_jer", "k_pay_scan", "pairwise_sum"):
+    for symbol in ("k_sweep", "k_pay_scan", "k_bb_search", "pairwise_sum"):
         assert symbol in source
 
 
