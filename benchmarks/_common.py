@@ -7,11 +7,10 @@ kernel backend) plus a UTC timestamp — so artifacts recorded on
 different machines or PRs stay comparable, and a perf number can always be
 traced back to the backend that produced it.
 
-Bit-identity verification failures go through :func:`verification_failure`
-(or the :func:`check_identical` convenience), which print a ``FAILURE:``
-line to stderr and hand back the non-zero exit code every bench must
-propagate: a benchmark whose fast path diverges from its oracle baseline
-has no perf number worth recording.
+Bit-identity verification failures go through :func:`verification_failure`,
+which prints a ``FAILURE:`` line to stderr and hands back the non-zero exit
+code every bench must propagate: a benchmark whose fast path diverges from
+its oracle baseline has no perf number worth recording.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "host_metadata",
     "write_artifact",
     "verification_failure",
-    "check_identical",
 ]
 
 
@@ -96,16 +94,3 @@ def verification_failure(message: str) -> int:
     """Report a bit-identity failure; returns the exit code to propagate."""
     print(f"FAILURE: {message}", file=sys.stderr)
     return 1
-
-
-def check_identical(label: str, baseline, candidate) -> bool:
-    """True when the two normalised result sets are identical.
-
-    On divergence the failure is reported to stderr (callers still must
-    exit non-zero — typically via ``return verification_failure(...)`` or
-    by propagating this predicate).
-    """
-    if baseline == candidate:
-        return True
-    verification_failure(f"{label}: results diverged from the baseline path")
-    return False

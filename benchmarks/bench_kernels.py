@@ -56,7 +56,7 @@ from repro.core.kernels._verify import (  # noqa: E402
     _reference_pay_scan,
 )
 from repro.core.selection.exact import _id_ranks  # noqa: E402
-from repro.plan.view import as_view  # noqa: E402
+from repro.plan import CandidatePool  # noqa: E402
 from repro.testing import BENCH_SEED  # noqa: E402
 
 REFERENCE = NumpyBackend()
@@ -148,20 +148,20 @@ def _weak_pool(size: int):
 
 def bench_bb_search(instance, repeats: int, native) -> dict:
     label, eps, reqs, budget = instance
-    view = as_view(jurors_from_arrays(eps, reqs))
-    n = view.size
-    ranks = _id_ranks(view.ids)
-    expected = _reference_bb_search(view.eps, view.reqs, view.ids, n, budget, True)
-    got = native.bb_search(view.eps, view.reqs, ranks, n, budget, True)
+    pool = CandidatePool(jurors_from_arrays(eps, reqs))
+    n = pool.size
+    ranks = _id_ranks(pool.ids)
+    expected = _reference_bb_search(pool.eps, pool.reqs, pool.ids, n, budget, True)
+    got = native.bb_search(pool.eps, pool.reqs, ranks, n, budget, True)
     identical = (expected[0], expected[1].hex(), expected[2]) == (
         got[0], got[1].hex(), got[2]
     )
     numpy_seconds = _best_of(
-        lambda: _reference_bb_search(view.eps, view.reqs, view.ids, n, budget, True),
+        lambda: _reference_bb_search(pool.eps, pool.reqs, pool.ids, n, budget, True),
         repeats,
     )
     compiled_seconds = _best_of(
-        lambda: native.bb_search(view.eps, view.reqs, ranks, n, budget, True),
+        lambda: native.bb_search(pool.eps, pool.reqs, ranks, n, budget, True),
         repeats,
     )
     return {

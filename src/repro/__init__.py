@@ -30,7 +30,7 @@ Package map
     The plan-based execution core: :func:`repro.plan.plan_query` normalises
     a query (model strings are parsed once, here), a cost model picks the
     physical operator and numeric backends, and the operators consume
-    columnar :class:`repro.plan.PoolView` pools.  Every entry point —
+    columnar :class:`repro.CandidatePool` pools.  Every entry point —
     scalar selectors, batch engine, CLI, experiments — executes through it.
 ``repro.api``
     The public protocol: typed, versioned request/response dataclasses
@@ -113,7 +113,6 @@ from repro.api import (
     error_code,
 )
 from repro.plan import (
-    PoolView,
     SelectionPlan,
     execute_plan,
     plan_query,
@@ -179,7 +178,6 @@ __all__ = [
     "convolve_pmf",
     "deconvolve_pmf",
     # plan layer
-    "PoolView",
     "SelectionPlan",
     "execute_plan",
     "plan_query",

@@ -396,7 +396,10 @@ class HttpServer:
         method, target = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADER_LINES):
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except (asyncio.LimitOverrunError, ValueError) as exc:
+                raise bad("header line too long", status=431) from exc
             if line in (b"\r\n", b"\n"):
                 break
             if not line:
@@ -409,10 +412,11 @@ class HttpServer:
             raise bad("too many header lines", status=431)
         if "transfer-encoding" in headers:
             raise bad("chunked request bodies are not supported", status=501)
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise bad("invalid Content-Length") from None
+        # ASCII digits only: int() would also take "-5", "+3" and "1_0".
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            raise bad("invalid Content-Length")
+        length = int(declared)
         if length > self._max_body_bytes:
             raise bad(
                 f"request body of {length} bytes exceeds the "

@@ -10,7 +10,7 @@ Juries are immutable; selection algorithms construct new juries rather than
 mutating existing ones.
 
 A :class:`JurorColumns` is a candidate list held as parallel id / error-rate
-/ requirement columns, the form a decoded request and a pool view carry;
+/ requirement columns, the form a decoded request and a candidate pool carry;
 it builds a :class:`Juror` only for a member somebody reads.
 """
 

@@ -65,8 +65,11 @@ def _read_source() -> str:
 # so every C expression rounds exactly like the NumPy ufunc sequence.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-_F64 = ctypes.POINTER(ctypes.c_double)
-_I64 = ctypes.POINTER(ctypes.c_int64)
+# Array arguments travel as bare addresses (``ndarray.ctypes.data``): a
+# typed pointer object per array per call costs more than some whole
+# kernel calls on tiny pools.  Each method makes every array C-contiguous
+# with its C dtype (double or int64_t) before taking its address.
+_PTR = ctypes.c_void_p
 
 
 def _find_compiler() -> str | None:
@@ -148,10 +151,6 @@ def _build_library(compiler: str) -> Path:
     return lib_path
 
 
-def _as_f64(arr: np.ndarray) -> ctypes.Array:
-    return arr.ctypes.data_as(_F64)
-
-
 class NativeBackend:
     """ctypes bindings over the compiled kernel library."""
 
@@ -161,20 +160,20 @@ class NativeBackend:
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
         lib.k_pairwise.restype = ctypes.c_double
-        lib.k_pairwise.argtypes = [_F64, ctypes.c_int64]
+        lib.k_pairwise.argtypes = [_PTR, ctypes.c_int64]
         lib.k_sweep.restype = None
-        lib.k_sweep.argtypes = [_F64, ctypes.c_int64, ctypes.c_int64, _F64, _F64]
+        lib.k_sweep.argtypes = [_PTR, ctypes.c_int64, ctypes.c_int64, _PTR, _PTR]
         lib.k_convolve.restype = None
-        lib.k_convolve.argtypes = [_F64, ctypes.c_int64, _F64, ctypes.c_int64]
+        lib.k_convolve.argtypes = [_PTR, ctypes.c_int64, _PTR, ctypes.c_int64]
         lib.k_pay_scan.restype = ctypes.c_int64
         lib.k_pay_scan.argtypes = [
-            _F64, _F64, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
-            _F64, ctypes.c_int64, _F64, _I64, _I64, _F64, _F64,
+            _PTR, _PTR, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
+            _PTR, ctypes.c_int64, _PTR, _PTR, _PTR, _PTR, _PTR,
         ]
         lib.k_bb_search.restype = ctypes.c_int64
         lib.k_bb_search.argtypes = [
-            _F64, _F64, _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
-            ctypes.c_int64, _F64, _I64, _I64, _F64, _I64,
+            _PTR, _PTR, _PTR, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+            ctypes.c_int64, _PTR, _PTR, _PTR, _PTR, _PTR,
         ]
 
     # -- kernel entry points -------------------------------------------------
@@ -184,7 +183,7 @@ class NativeBackend:
         b, n = eps.shape
         jers = np.empty((b, (n + 1) // 2), dtype=np.float64)
         work = np.empty(n + 1, dtype=np.float64)
-        self._lib.k_sweep(_as_f64(eps), b, n, _as_f64(jers), _as_f64(work))
+        self._lib.k_sweep(eps.ctypes.data, b, n, jers.ctypes.data, work.ctypes.data)
         return jers
 
     def convolve(self, base: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -195,7 +194,7 @@ class NativeBackend:
         eps = np.ascontiguousarray(eps, dtype=np.float64)
         out = np.zeros(base.size + eps.size, dtype=np.float64)
         out[: base.size] = base
-        self._lib.k_convolve(_as_f64(out), base.size - 1, _as_f64(eps), eps.size)
+        self._lib.k_convolve(out.ctypes.data, base.size - 1, eps.ctypes.data, eps.size)
         return out
 
     def pay_scan(
@@ -226,10 +225,10 @@ class NativeBackend:
         base2 = np.empty(n + 3, dtype=np.float64)
         row = np.empty(n + 3, dtype=np.float64)
         npairs = self._lib.k_pay_scan(
-            _as_f64(g_eps), _as_f64(g_req), n, float(budget), int(scan_from),
-            _as_f64(buf), int(pmf.size), _as_f64(state),
-            pairs.ctypes.data_as(_I64), counters.ctypes.data_as(_I64),
-            _as_f64(base2), _as_f64(row),
+            g_eps.ctypes.data, g_req.ctypes.data, n, float(budget), int(scan_from),
+            buf.ctypes.data, int(pmf.size), state.ctypes.data,
+            pairs.ctypes.data, counters.ctypes.data,
+            base2.ctypes.data, row.ctypes.data,
         )
         return (
             pairs[: 2 * npairs].copy(),
@@ -272,17 +271,17 @@ class NativeBackend:
         counters = np.zeros(4, dtype=np.int64)
         jer = np.empty(1, dtype=np.float64)
         size = self._lib.k_bb_search(
-            _as_f64(eps), _as_f64(reqs), ranks.ctypes.data_as(_I64), n, limit,
-            float(budget), int(bool(use_bound)), _as_f64(jer),
-            best.ctypes.data_as(_I64), counters.ctypes.data_as(_I64),
-            _as_f64(work), iwork.ctypes.data_as(_I64),
+            eps.ctypes.data, reqs.ctypes.data, ranks.ctypes.data, n, limit,
+            float(budget), int(bool(use_bound)), jer.ctypes.data,
+            best.ctypes.data, counters.ctypes.data,
+            work.ctypes.data, iwork.ctypes.data,
         )
         indices = tuple(best[:size].tolist()) if size else None
         return indices, float(jer[0]), counters.tolist()
 
     def pairwise(self, values: np.ndarray) -> float:
         values = np.ascontiguousarray(values, dtype=np.float64)
-        return float(self._lib.k_pairwise(_as_f64(values), values.size))
+        return float(self._lib.k_pairwise(values.ctypes.data, values.size))
 
 
 def load_native_backend() -> NativeBackend:

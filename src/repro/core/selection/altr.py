@@ -103,7 +103,7 @@ def select_jury_altr(
 
     if strategy == "sweep":
         # Thin wrapper over the plan path: plan_query normalises the query
-        # and execute_plan runs the sweep operator on the columnar view —
+        # and execute_plan runs the sweep operator on the columnar pool —
         # the same path the batch engine and the CLI take, so single-query
         # and batched selection cannot drift apart.  A max_size cap
         # truncates the sorted pool *before* the sweep — with no pool

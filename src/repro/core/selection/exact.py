@@ -33,7 +33,7 @@ possible combinations of jurors" at ``N = 22``; this module provides
 Both return the same juries; the branch-and-bound answers the paper's
 ``N = 22`` workloads in well under a millisecond natively (a few
 milliseconds in Python).  Either accepts a plain candidate sequence or a
-columnar :class:`~repro.plan.view.PoolView` (the plan layer's pools).
+:class:`~repro.plan.pool.CandidatePool` (the plan layer's pools).
 """
 
 from __future__ import annotations
@@ -66,16 +66,17 @@ _ENUMERATION_LIMIT = 20
 _ENUM_BLOCK = 512
 
 
-def _view(candidates):
-    """The candidates as a Lemma-3-sorted :class:`~repro.plan.view.PoolView`.
+def _pool(candidates):
+    """The candidates as a :class:`~repro.plan.pool.CandidatePool`.
 
     Shares the PayM greedy's coercion, so plain sequences get the same
-    up-front validation (Juror instances, unique ids) on every operator.
+    up-front validation (Juror instances, unique ids, non-empty) on every
+    operator.
     """
     # Local import: the plan layer imports this module for its operators.
-    from repro.plan.view import as_view
+    from repro.plan.pool import as_pool
 
-    return as_view(candidates)
+    return as_pool(candidates)
 
 
 def _result(
@@ -115,11 +116,9 @@ def enumerate_optimal(
     InfeasibleSelectionError
         If no odd-sized jury is affordable.
     """
-    view = _view(candidates)
-    eps, reqs, ids = view.eps, view.reqs, view.ids
+    pool = _pool(candidates)
+    eps, reqs, ids = pool.eps, pool.reqs, pool.ids
     n_total = int(eps.size)
-    if n_total == 0:
-        raise EmptyCandidateSetError("cannot enumerate an empty candidate set")
     if n_total > _ENUMERATION_LIMIT:
         raise ValueError(
             f"enumerate_optimal is limited to N <= {_ENUMERATION_LIMIT} candidates "
@@ -162,7 +161,7 @@ def enumerate_optimal(
         raise InfeasibleSelectionError(
             f"no odd-sized jury is affordable within budget {b:g}"
         )
-    members = tuple(view.ordered[i] for i in best_indices)
+    members = tuple(pool.ordered[i] for i in best_indices)
     return _result(members, best_jer, "OPT-enumerate", budget, stats)
 
 
@@ -198,10 +197,8 @@ def branch_and_bound_optimal(
     ``use_jer_bound=False`` to disable the monotonicity bound (cost and count
     pruning remain) — useful for ablation benchmarks.
     """
-    view = _view(candidates)
-    eps, reqs = view.eps, view.reqs
-    if eps.size == 0:
-        raise EmptyCandidateSetError("cannot optimise an empty candidate set")
+    pool = _pool(candidates)
+    eps, reqs = pool.eps, pool.reqs
     b = math.inf if budget is None else validate_budget(budget)
     n_total = int(eps.size)
     limit = n_total if max_size is None else min(max_size, n_total)
@@ -212,7 +209,7 @@ def branch_and_bound_optimal(
     if impl.compiled:
         # The whole search in one call, node for node the Python search.
         best_indices, best_jer, counters = impl.bb_search(
-            eps, reqs, _id_ranks(view.ids), limit, b, use_jer_bound
+            eps, reqs, _id_ranks(pool.ids), limit, b, use_jer_bound
         )
         (
             stats.nodes_visited,
@@ -222,7 +219,7 @@ def branch_and_bound_optimal(
         ) = counters
     else:
         best_indices, best_jer = _python_search(
-            view.ids, eps, reqs, limit, b, use_jer_bound, stats
+            pool.ids, eps, reqs, limit, b, use_jer_bound, stats
         )
     stats.elapsed_seconds = time.perf_counter() - start
 
@@ -231,7 +228,7 @@ def branch_and_bound_optimal(
             f"no odd-sized jury is affordable within budget {b:g}"
         )
     return _result(
-        tuple(view.ordered[i] for i in best_indices),
+        tuple(pool.ordered[i] for i in best_indices),
         best_jer,
         "OPT-branch-and-bound",
         budget,
@@ -359,7 +356,7 @@ def select_jury_optimal(
     Parameters
     ----------
     candidates:
-        Candidate juror set (sequence or :class:`~repro.plan.view.PoolView`).
+        Candidate juror set (sequence or :class:`~repro.plan.pool.CandidatePool`).
     budget:
         PayM budget, or ``None`` for the AltrM (unconstrained) optimum.
     method:
@@ -373,12 +370,13 @@ def select_jury_optimal(
     # Local import: the plan layer imports this module for its operators.
     from repro.plan import execute_plan, plan_query
 
+    # A pool or decoded columns are used as they are; anything else is
+    # materialised once so a generator survives the emptiness check.
     source = candidates if hasattr(candidates, "eps") else tuple(candidates)
     if len(source) == 0:
         raise EmptyCandidateSetError("cannot optimise an empty candidate set")
     plan = plan_query(
-        candidates=None if hasattr(source, "eps") else source,
-        pool=source if hasattr(source, "eps") else None,
+        candidates=source,
         model="exact",
         budget=budget,
         method=method,

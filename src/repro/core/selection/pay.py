@@ -17,7 +17,7 @@ the first one that helps, and returns the first-fit jury instead when that
 one is better.
 
 Since the plan-layer refactor the greedy is *columnar*: it runs on the
-struct-of-arrays :class:`~repro.plan.view.PoolView` (error-rate and
+struct-of-arrays :class:`~repro.plan.pool.CandidatePool` (error-rate and
 requirement vectors in Lemma 3 order), maintains the incumbent jury's
 Carelessness pmf incrementally, and scores whole blocks of candidate pair
 enlargements at once with :func:`repro.core.jer.extend_pmf_block` — an
@@ -138,17 +138,17 @@ def run_pay_greedy(
 
     This is the physical operator behind every PayM query — scalar, batched
     and served.  ``candidates`` may be a
-    :class:`~repro.plan.view.PoolView` (the plan layer's columnar pools) or
-    a plain sequence of :class:`Juror` objects (validated and decomposed
+    :class:`~repro.plan.pool.CandidatePool` (the plan layer's columnar
+    pools) or a plain sequence of :class:`Juror` objects (validated and decomposed
     here).  Wherever the native backend activated it runs the whole paper
     scan in one call, bit-identical to the blocked NumPy scan by the
     activation self-check.
     """
     # Local import: the plan layer imports this module for its operators.
-    from repro.plan.view import as_view
+    from repro.plan.pool import as_pool
 
-    view = as_view(candidates)
-    eps_sorted, reqs_sorted = view.eps, view.reqs
+    pool = as_pool(candidates)
+    eps_sorted, reqs_sorted = pool.eps, pool.reqs
     b = validate_budget(budget)
     if variant not in ("paper", "improved"):
         raise ValueError(f"unknown variant {variant!r}; expected 'paper' or 'improved'")
@@ -191,7 +191,7 @@ def run_pay_greedy(
             selected, accumulated, current_jer = paper
 
     stats.elapsed_seconds = time.perf_counter() - start
-    jury = Jury([view.ordered[order[pos]] for pos in selected])
+    jury = Jury([pool.ordered[order[pos]] for pos in selected])
     return SelectionResult(
         jury=jury,
         jer=float(current_jer),

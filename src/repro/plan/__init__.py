@@ -5,16 +5,17 @@ operators that answer it, database-style:
 
 :func:`plan_query`
     The single front door.  Normalises the query (model strings are parsed
-    once, here), builds a columnar :class:`PoolView`, and asks the cost
-    model to pick the physical operator and numeric backends.
+    once, here), coerces the candidates to a :class:`CandidatePool`, and
+    asks the cost model to pick the physical operator and numeric backends.
 :class:`SelectionPlan`
     The normalised query bound to its physical choice — executable via
     :func:`execute_plan`, or printable via ``repro-select explain`` without
     executing.
-:class:`PoolView`
-    Struct-of-arrays candidate pool (error rates, requirements, id
-    tie-break keys) in Lemma 3 order; what every physical operator
-    consumes.  :class:`~repro.core.juror.Juror` objects survive only at API
+:class:`CandidatePool`
+    The one frozen candidate pool: struct-of-arrays columns (error rates,
+    requirements, id tie-break keys) in Lemma 3 order plus a lazy content
+    fingerprint; what every physical operator consumes.
+    :class:`~repro.core.juror.Juror` objects survive only at API
     boundaries.
 :mod:`repro.plan.cost`
     The cost model: jer ``dp``/``cba`` and pmf ``dp``/``conv`` crossovers,
@@ -56,7 +57,7 @@ from repro.plan.planner import (
     plan_query,
     planner_cache_info,
 )
-from repro.plan.view import PoolView, as_view
+from repro.plan.pool import CandidatePool, as_pool
 
 __all__ = [
     "DEFAULT_FRONTIER_CACHE_SIZE",
@@ -64,11 +65,11 @@ __all__ = [
     "FRONTIER_ENV_FLAG",
     "FRONTIER_MIN_POOL",
     "AnswerFrontier",
+    "CandidatePool",
     "FrontierCache",
     "PlanCost",
-    "PoolView",
     "SelectionPlan",
-    "as_view",
+    "as_pool",
     "estimate_plan_cost",
     "execute_plan",
     "frontier_break_even",

@@ -229,7 +229,7 @@ class AnswerFrontier:
         """Answer an AltrM query from the frontier, plan-pipeline shaped.
 
         ``ordered`` must be the pool's members in Lemma 3 order (the same
-        sequence the plan's :class:`~repro.plan.view.PoolView` wraps), so the
+        sequence as :attr:`repro.plan.pool.CandidatePool.ordered`), so the
         jury holds the identical :class:`~repro.core.juror.Juror` objects the
         oracle path would have selected.  Field-for-field this mirrors
         :func:`repro.core.selection.altr.result_from_sweep_profile`; the

@@ -1,7 +1,8 @@
 """Physical operators: execute a :class:`~repro.plan.planner.SelectionPlan`.
 
-Each operator consumes the plan's columnar :class:`~repro.plan.view.PoolView`
-and returns a :class:`~repro.core.selection.base.SelectionResult`:
+Each operator consumes the plan's columnar
+:class:`~repro.plan.pool.CandidatePool` and returns a
+:class:`~repro.core.selection.base.SelectionResult`:
 
 ``altr-sweep``
     Odd-prefix JER profile via the vectorized sweep kernel
@@ -14,7 +15,7 @@ and returns a :class:`~repro.core.selection.base.SelectionResult`:
     :func:`repro.core.jer.extend_pmf_block`.
 ``exact-enumerate``
     Blocked exhaustive enumeration (:func:`repro.core.selection.exact.enumerate_optimal`)
-    over the *affordable* sub-view — a candidate individually over budget can
+    over the *affordable* sub-pool — a candidate individually over budget can
     never join a feasible jury, so the cost model's budget-tightness input
     directly shrinks the frontier.
 ``exact-branch-and-bound``
@@ -38,7 +39,7 @@ from repro.core.selection.exact import branch_and_bound_optimal, enumerate_optim
 from repro.core.selection.pay import run_pay_greedy
 from repro.errors import InfeasibleSelectionError
 from repro.plan.planner import SelectionPlan
-from repro.plan.view import PoolView
+from repro.plan.pool import CandidatePool
 
 __all__ = ["execute_plan"]
 
@@ -47,26 +48,26 @@ def _run_altr(
     plan: SelectionPlan, profile: tuple[np.ndarray, np.ndarray] | None
 ) -> SelectionResult:
     if profile is None:
-        profile = prefix_jer_profile(plan.view.eps)
+        profile = prefix_jer_profile(plan.pool.eps)
     ns, jers = profile
     best = best_odd_prefix(ns, jers, max_size=plan.max_size)
     return result_from_sweep_profile(
-        plan.view.ordered[: best[0]], ns, jers, max_size=plan.max_size, best=best
+        plan.pool.ordered[: best[0]], ns, jers, max_size=plan.max_size, best=best
     )
 
 
-def _affordable_subview(view: PoolView, budget: float | None) -> PoolView:
+def _affordable_subpool(pool: CandidatePool, budget: float | None) -> CandidatePool:
     """Drop candidates that no feasible jury can contain."""
     if budget is None:
-        return view
-    mask = view.reqs <= budget
+        return pool
+    mask = pool.reqs <= budget
     if not mask.any():
         raise InfeasibleSelectionError(
             f"no odd-sized jury is affordable within budget {budget:g}"
         )
     if mask.all():
-        return view
-    return view.take(mask, suffix="affordable")
+        return pool
+    return pool.take(mask, suffix="affordable")
 
 
 def execute_plan(
@@ -92,16 +93,16 @@ def execute_plan(
     if plan.operator == "altr-sweep":
         result = _run_altr(plan, profile)
     elif plan.operator in ("pay-greedy", "pay-greedy-improved"):
-        result = run_pay_greedy(plan.view, plan.budget, variant=plan.variant)
+        result = run_pay_greedy(plan.pool, plan.budget, variant=plan.variant)
     elif plan.operator == "exact-enumerate":
         result = enumerate_optimal(
-            _affordable_subview(plan.view, plan.budget),
+            _affordable_subpool(plan.pool, plan.budget),
             plan.budget,
             max_size=plan.max_size,
         )
     elif plan.operator == "exact-branch-and-bound":
         result = branch_and_bound_optimal(
-            plan.view, plan.budget, max_size=plan.max_size
+            plan.pool, plan.budget, max_size=plan.max_size
         )
     else:  # pragma: no cover - the planner only emits the operators above
         raise ValueError(f"unknown physical operator {plan.operator!r}")

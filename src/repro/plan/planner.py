@@ -3,7 +3,7 @@
 Every entry point (the scalar ``select_jury_*`` wrappers, the batch engine,
 the ``repro-select`` CLI modes, the experiment runners) funnels through
 :func:`plan_query`: the model string is parsed **once** here, the candidate
-source is normalised to a columnar :class:`~repro.plan.view.PoolView`, and
+source is coerced to a :class:`~repro.plan.pool.CandidatePool`, and
 the cost model (:mod:`repro.plan.cost`) picks the physical operator and
 numeric backends.  The result is a :class:`SelectionPlan` that
 :func:`repro.plan.operators.execute_plan` can run — or that
@@ -31,7 +31,7 @@ from repro.plan.cost import (
     kernel_backend_for,
     pmf_backend_for,
 )
-from repro.plan.view import PoolView, as_view
+from repro.plan.pool import CandidatePool, as_pool
 
 __all__ = ["SelectionPlan", "normalize_model", "plan_query", "planner_cache_info"]
 
@@ -75,7 +75,7 @@ class SelectionPlan:
     """A normalised selection query bound to a physical execution choice.
 
     The *logical* half is the normalised query: ``model``, ``budget``,
-    ``max_size``, ``variant``, ``method``, the ``view`` (pool reference) and
+    ``max_size``, ``variant``, ``method``, the ``pool`` it selects from and
     the tie-break tolerance.  The *physical* half is what the cost model
     chose: the ``operator`` to run, the ``jer``/``pmf`` backends the
     auto dispatchers resolve to at this pool size, the ``kernel_backend``
@@ -86,7 +86,7 @@ class SelectionPlan:
 
     task_id: str
     model: str
-    view: PoolView
+    pool: CandidatePool
     budget: float | None
     max_size: int | None
     variant: str
@@ -107,8 +107,8 @@ class SelectionPlan:
         return {
             "task": self.task_id,
             "model": self.model,
-            "pool_size": self.view.size,
-            "pool_id": self.view.pool_id,
+            "pool_size": self.pool.size,
+            "pool_id": self.pool.pool_id,
             "budget": self.budget,
             "max_size": self.max_size,
             "variant": self.variant if self.model == "pay" else None,
@@ -187,8 +187,8 @@ def plan_query(
         Candidate jurors (any order; validated and sorted), mutually
         exclusive with ``pool``.
     pool:
-        A :class:`~repro.plan.view.PoolView`, or any object exposing one as
-        ``.view`` (e.g. :class:`~repro.service.pool.CandidatePool`).
+        A :class:`~repro.plan.pool.CandidatePool`, used as it is (no
+        re-sort, no re-hash).
     model:
         Selection model; parsed once here — accepts ``altr``/``pay``/
         ``exact`` and the common aliases (``AltrM``, ``PayM``, ``opt``).
@@ -212,7 +212,7 @@ def plan_query(
     canonical = normalize_model(model)
     if (candidates is None) == (pool is None):
         raise ValueError("exactly one of 'candidates' and 'pool' must be provided")
-    view = as_view(pool if pool is not None else candidates)
+    pool = as_pool(pool if pool is not None else candidates)
     if canonical == "pay":
         if budget is None:
             raise ValueError("model 'pay' requires a budget")
@@ -226,14 +226,14 @@ def plan_query(
             "'branch-and-bound'"
         )
     normalized_budget = None if budget is None else validate_budget(budget)
-    affordable = affordable_count(view.reqs, normalized_budget)
+    affordable = affordable_count(pool.reqs, normalized_budget)
     operator, jer_backend, pmf_backend, cost = _choose(
-        canonical, view.size, affordable, max_size, variant, method
+        canonical, pool.size, affordable, max_size, variant, method
     )
     return SelectionPlan(
         task_id=task_id,
         model=canonical,
-        view=view,
+        pool=pool,
         budget=normalized_budget,
         max_size=max_size,
         variant=variant,

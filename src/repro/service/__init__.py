@@ -9,7 +9,8 @@ restructures the execution path for that workload shape:
     exact, shared or per-task candidate pools) and executes them in-process
     through vectorized kernels and a per-pool prefix-sweep cache.
 :class:`CandidatePool`
-    An immutable, fingerprinted candidate set shareable across queries.
+    An immutable, fingerprinted candidate set shareable across queries
+    (defined in :mod:`repro.plan.pool`, re-exported here).
 :class:`LivePool` / :class:`PoolRegistry`
     Mutable, versioned candidate pools whose Lemma 3 ordering is
     delta-maintained under juror churn and whose prefix-JER sweep profile is
@@ -30,9 +31,9 @@ across interleaved pool mutations and selections;
 ``benchmarks/bench_batch.py`` measures throughput.
 """
 
+from repro.plan.pool import CandidatePool, as_pool
 from repro.service.batch import BatchSelectionEngine, QueryOutcome, SelectionQuery
 from repro.service.cache import PrefixSweepCache
-from repro.service.pool import CandidatePool, as_pool
 from repro.service.registry import LivePool, LivePoolStats, PoolRegistry
 
 __all__ = [

@@ -54,7 +54,13 @@ from repro.core import kernels
 from repro.core.jer import batch_prefix_jer_sweep
 from repro.core.juror import Juror, JurorColumns
 from repro.core.selection.base import SelectionResult
-from repro.plan import SelectionPlan, execute_plan, normalize_model, plan_query
+from repro.plan import (
+    CandidatePool,
+    SelectionPlan,
+    execute_plan,
+    normalize_model,
+    plan_query,
+)
 from repro.plan.cost import frontier_eligible
 from repro.plan.frontier import (
     AnswerFrontier,
@@ -62,7 +68,6 @@ from repro.plan.frontier import (
     frontier_cache_size_from_env,
 )
 from repro.service.cache import DEFAULT_CACHE_SIZE, PrefixSweepCache
-from repro.service.pool import CandidatePool
 from repro.service.registry import LivePool, PoolRegistry
 
 __all__ = ["SelectionQuery", "QueryOutcome", "BatchSelectionEngine"]

@@ -37,8 +37,8 @@ class PrefixSweepCache:
     ----------
     maxsize:
         Maximum number of profiles retained.  ``0`` disables storage
-        entirely (every :meth:`get` misses), which the single-query wrapper
-        uses so that repeated one-off calls do not accumulate hidden state.
+        entirely (every :meth:`get` misses): an engine built with
+        ``cache_size=0`` keeps no profile between passes.
 
     Examples
     --------

@@ -44,11 +44,11 @@ from itertools import count
 import numpy as np
 
 from repro.core.jer import batch_prefix_jer_sweep
-from repro.core.juror import Juror
+from repro.core.juror import Juror, JurorColumns
 from repro.core.selection.base import candidate_key, columns_fingerprint
 from repro.errors import EmptyCandidateSetError, InvalidJuryError, PoolNotFoundError
 from repro.plan.frontier import AnswerFrontier
-from repro.service.pool import CandidatePool
+from repro.plan.pool import CandidatePool
 
 __all__ = ["LivePool", "LivePoolStats", "PoolRegistry"]
 
@@ -117,7 +117,9 @@ class LivePool:
         self._keys: list[tuple[float, str]] = []  # parallel candidate_key list
         self._version = 0
         self._fingerprint: str | None = None
-        self._eps_cache: np.ndarray | None = None
+        # The current version's members as sorted columns, built on first
+        # read and dropped (never rewritten) by the next mutation.
+        self._columns: JurorColumns | None = None
         self._profile: tuple[int, np.ndarray, np.ndarray] | None = None
         # Answer-frontier state: the last frontier materialised for this pool
         # and how many of its leading entries survived the churn since (a
@@ -166,17 +168,27 @@ class LivePool:
         return self._members.get(juror_id)
 
     @property
-    def error_rates(self) -> np.ndarray:
-        """Error-rate vector in sweep order (read-only, cached per version).
+    def columns(self) -> JurorColumns:
+        """The current version's members as read-only Lemma 3 columns.
 
-        The cache is replaced — never rewritten in place — on mutation, so
-        snapshots may adopt the array without copying.
+        Built once per version from the members :meth:`add_juror` already
+        validated, and replaced — never rewritten — on mutation, so
+        snapshots and the catalog share them without copying.
         """
-        if self._eps_cache is None:
-            eps = np.array([j.error_rate for j in self._ordered], dtype=np.float64)
-            eps.flags.writeable = False
-            self._eps_cache = eps
-        return self._eps_cache
+        if self._columns is None:
+            members = tuple(self._ordered)
+            self._columns = JurorColumns(
+                [j.juror_id for j in members],
+                [j.error_rate for j in members],
+                [j.requirement for j in members],
+                jurors=members,
+            )
+        return self._columns
+
+    @property
+    def error_rates(self) -> np.ndarray:
+        """Error-rate vector in sweep order (the read-only ``eps`` column)."""
+        return self.columns.eps
 
     @property
     def fingerprint(self) -> str:
@@ -187,22 +199,21 @@ class LivePool:
         relies on to restore cache hits after a revert.
         """
         if self._fingerprint is None:
+            columns = self.columns
             self._fingerprint = columns_fingerprint(
-                [j.juror_id for j in self._ordered],
-                self.error_rates,
-                [j.requirement for j in self._ordered],
+                columns.ids, columns.eps, columns.reqs
             )
         return self._fingerprint
 
     def snapshot(self) -> CandidatePool:
-        """Freeze the current version as an immutable :class:`CandidatePool`."""
+        """Freeze the current version as an immutable :class:`CandidatePool`.
+
+        O(1): the pool wraps this version's :attr:`columns` and fingerprint.
+        """
         if not self._ordered:
             raise EmptyCandidateSetError("cannot snapshot an empty live pool")
-        return CandidatePool._from_sorted(
-            self._ordered,
-            pool_id=self.pool_id,
-            fingerprint=self.fingerprint,
-            error_rates=self.error_rates,
+        return CandidatePool._sorted(
+            self.columns, fingerprint=self.fingerprint, pool_id=self.pool_id
         )
 
     # ------------------------------------------------------------------
@@ -353,7 +364,7 @@ class LivePool:
         self._ordered.insert(position, juror)
         self._members[juror.juror_id] = juror
         self._frontier_clean = min(self._frontier_clean, (position + 1) // 2)
-        self._eps_cache = None
+        self._columns = None
 
     def _take(self, juror_id: str) -> Juror:
         juror = self._members.get(juror_id)
@@ -364,7 +375,7 @@ class LivePool:
         del self._ordered[position]
         del self._members[juror_id]
         self._frontier_clean = min(self._frontier_clean, (position + 1) // 2)
-        self._eps_cache = None
+        self._columns = None
         return juror
 
     def _bump(self) -> int:

@@ -214,13 +214,14 @@ class PoolStore:
     # -- snapshot / lifecycle ------------------------------------------
     def take_snapshot(self, pool: LivePool) -> None:
         """Freeze the pool's current columns and compact the WAL."""
+        columns = pool.columns
         write_snapshot(
             self.directory,
             version=pool.version,
             fingerprint=pool.fingerprint,
-            eps=pool.error_rates,
-            reqs=[j.requirement for j in pool.ordered],
-            ids=tuple(j.juror_id for j in pool.ordered),
+            eps=columns.eps,
+            reqs=columns.reqs,
+            ids=columns.ids,
         )
         self._snapshot_version = pool.version
         self._catalog.stats.snapshots += 1

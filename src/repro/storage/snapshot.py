@@ -1,7 +1,7 @@
 """Columnar pool snapshots: the analytical half of the durable catalog.
 
 A snapshot freezes one pool version as the same struct-of-arrays layout the
-plan layer executes over (:class:`repro.plan.view.PoolView`): ``eps.npy``
+plan layer executes over (:class:`repro.plan.pool.CandidatePool`): ``eps.npy``
 and ``reqs.npy`` (float64, Lemma 3 order — bit-exact doubles, no text
 round-trip) plus the ids, all inside a directory named for the pool
 version and described by a ``MANIFEST.json`` carrying the pool

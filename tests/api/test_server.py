@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 import threading
 
 import numpy as np
@@ -58,6 +60,40 @@ async def _connect(server: HttpServer):
     return await asyncio.open_connection(server.host, server.port)
 
 
+def _raw_exchange(request: bytes, *, timeout: float = 5.0) -> tuple[int | None, dict]:
+    """Send raw bytes on a fresh connection and read until the server closes.
+
+    Returns ``(status, body)`` of the one response, or ``(None, {})`` when
+    the server hung up without answering or had not answered (and closed)
+    within ``timeout`` seconds.  A blocking socket, so a reset that follows
+    the answer (the server closed with request bytes unread) loses nothing
+    already received.
+    """
+
+    def exchange(host: str, port: int) -> bytes:
+        received = []
+        with socket.create_connection((host, port), timeout=timeout) as sock:
+            try:
+                sock.sendall(request)
+                while chunk := sock.recv(65536):
+                    received.append(chunk)
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+            except TimeoutError:
+                return b""
+        return b"".join(received)
+
+    async def run() -> bytes:
+        async with HttpServer(port=0) as server:
+            return await asyncio.to_thread(exchange, server.host, server.port)
+
+    raw = asyncio.run(run())
+    if not raw:
+        return None, {}
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 def _gate_select_many(service: JuryService):
     """Patch ``select_many`` to block on a gate the test controls.
 
@@ -107,6 +143,44 @@ class TestEndpoints:
                     answers.append(_normalise(body))
                 writer.close()
                 return answers
+
+        assert asyncio.run(run()) == sequential
+
+    def test_concurrent_connections_match_sequential_dispatch(self):
+        """Several keep-alive connections posting interleaved slices at once
+        (so the drainer coalesces them) get the sequential loop's answers."""
+        wire_requests = _mixed_wire_requests(16)
+        clients = 4
+        sequential_service = JuryService()
+        try:
+            sequential = [
+                _normalise(
+                    sequential_service.select(SelectionRequest.from_dict(row)).to_dict()
+                )
+                for row in wire_requests
+            ]
+        finally:
+            sequential_service.close()
+
+        async def client(server: HttpServer, worker: int) -> list[dict]:
+            reader, writer = await _connect(server)
+            answers = []
+            for row in wire_requests[worker::clients]:
+                status, body = await http_call(reader, writer, "POST", "/v1/select", row)
+                assert status == 200
+                answers.append(_normalise(body))
+            writer.close()
+            return answers
+
+        async def run() -> list[dict]:
+            async with HttpServer(port=0) as server:
+                slices = await asyncio.gather(
+                    *(client(server, worker) for worker in range(clients))
+                )
+            merged: list[dict | None] = [None] * len(wire_requests)
+            for worker, answers in enumerate(slices):
+                merged[worker::clients] = answers
+            return merged
 
         assert asyncio.run(run()) == sequential
 
@@ -347,6 +421,29 @@ class TestErrorBodies:
                 return int(status_line.split()[1])
 
         assert asyncio.run(run()) == 400
+
+    @pytest.mark.parametrize("declared", [b"-5", b"1_0", b"+3"])
+    def test_content_length_must_be_ascii_digits(self, declared):
+        """``int()`` reads "-5", "1_0" and "+3"; the header must not: each
+        gets a 400 and a closed connection, not a dropped or stalled one."""
+        status, body = _raw_exchange(
+            b"POST /v1/select HTTP/1.1\r\nContent-Length: " + declared + b"\r\n\r\n{}"
+        )
+        assert status == 400
+        self._assert_error(body, "bad-request")
+        assert body["error"]["message"] == "invalid Content-Length"
+
+    def test_over_long_header_line_is_431(self):
+        """A header line past the 64 KiB stream limit is answered, not
+        dropped with an unhandled error in the connection task."""
+        status, body = _raw_exchange(
+            b"POST /v1/select HTTP/1.1\r\nX-Padding: "
+            + b"a" * 70_000
+            + b"\r\nContent-Length: 2\r\n\r\n{}"
+        )
+        assert status == 431
+        self._assert_error(body, "bad-request")
+        assert body["error"]["message"] == "header line too long"
 
 
 class TestBackpressure:

@@ -4,8 +4,9 @@ A pool built from columns must order its members exactly as
 ``sorted_candidates`` orders jurors (error rate, then id in ``str`` order),
 and its fingerprint must depend on the content alone: the same for any
 input order, different when one id, one error-rate bit or one requirement
-bit changes.  Members are built on first access, once per slot, even when
-threads race for them.
+bit changes.  A pool decoded from the wire, one built from jurors and a
+live pool's snapshot are the same pool, down to the selections.  Members
+are built on first access, once per slot, even when threads race for them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import SelectionRequest
 from repro.core.juror import Juror, JurorColumns
 from repro.core.selection.base import columns_fingerprint, lemma3_order, sorted_candidates
-from repro.plan.view import PoolView
+from repro.plan import execute_plan, plan_query
 from repro.service import CandidatePool
 from repro.service.registry import LivePool
 
@@ -69,11 +71,11 @@ class TestLemma3Order:
         expected = sorted_candidates(_jurors(rows))
         assert [columns.ids[i] for i in order] == [j.juror_id for j in expected]
         assert CandidatePool(columns).ordered == tuple(expected)
-        assert PoolView.from_columns(columns).ordered == tuple(expected)
+        assert LivePool(_jurors(rows)).snapshot().ordered == tuple(expected)
 
     def test_ties_break_by_str_order_not_input_order(self):
         columns = JurorColumns(("b", "a\x00", "a"), [0.2, 0.2, 0.2], [0.0] * 3)
-        assert PoolView.from_columns(columns).ids == ("a", "a\x00", "b")
+        assert CandidatePool(columns).ids == ("a", "a\x00", "b")
 
 
 class TestColumnFingerprint:
@@ -118,6 +120,60 @@ class TestColumnFingerprint:
         one = CandidatePool(JurorColumns(("ab", "c"), [0.1, 0.2], [0.0, 0.0]))
         two = CandidatePool(JurorColumns(("a", "bc"), [0.1, 0.2], [0.0, 0.0]))
         assert one.fingerprint != two.fingerprint
+
+
+def _selections(pool: CandidatePool, budget: float) -> list[tuple]:
+    """Ids and JER bits (or the error type) of every selector on ``pool``."""
+    answers = []
+    for model, variant in (("altr", "paper"), ("pay", "paper"), ("pay", "improved"),
+                           ("exact", "paper")):
+        try:
+            result = execute_plan(
+                plan_query(pool=pool, model=model, variant=variant,
+                           budget=None if model == "altr" else budget)
+            )
+        except Exception as exc:  # infeasible budgets must fail alike too
+            answers.append((model, variant, type(exc).__name__))
+        else:
+            answers.append((model, variant, result.juror_ids, result.jer.hex()))
+    return answers
+
+
+class TestOnePoolType:
+    @given(priced_pools, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_wire_jurors_and_live_snapshot_are_one_pool(self, rows, random):
+        """Decoded from the wire, built from jurors in another order, or
+        snapshotted from a live pool that reached the members by churn:
+        equal ids, bit-equal columns, one fingerprint, the same answers."""
+        shuffled = list(rows)
+        random.shuffle(shuffled)
+        request = SelectionRequest.from_dict(
+            {
+                "v": 1,
+                "task": "t",
+                "candidates": [
+                    {"id": i, "error_rate": e, "requirement": r} for i, e, r in rows
+                ],
+            }
+        )
+        live = LivePool(_jurors(shuffled[1:]))
+        live.add_juror(_jurors(shuffled[:1])[0])
+        pools = [
+            CandidatePool(request.candidates),
+            CandidatePool(tuple(_jurors(shuffled))),
+            live.snapshot(),
+        ]
+        reqs = [r[2] for r in rows]
+        budget = min(reqs) + sum(reqs) / 2
+        reference = pools[0]
+        expected = _selections(reference, budget)
+        for pool in pools[1:]:
+            assert pool.ids == reference.ids
+            assert pool.eps.tobytes() == reference.eps.tobytes()
+            assert pool.reqs.tobytes() == reference.reqs.tobytes()
+            assert pool.fingerprint == reference.fingerprint
+            assert _selections(pool, budget) == expected
 
 
 class TestLazyMembers:

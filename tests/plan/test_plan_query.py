@@ -1,8 +1,7 @@
-"""Tests for the plan_query front door: normalisation, views, explain."""
+"""Tests for the plan_query front door: normalisation, pools, explain."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.juror import Juror, jurors_from_arrays
@@ -12,14 +11,13 @@ from repro.errors import (
     InvalidJuryError,
 )
 from repro.plan import (
-    PoolView,
-    as_view,
+    CandidatePool,
+    as_pool,
     execute_plan,
     normalize_model,
     plan_query,
     planner_cache_info,
 )
-from repro.service.pool import CandidatePool
 
 
 class TestNormalizeModel:
@@ -46,50 +44,55 @@ class TestNormalizeModel:
             normalize_model(bad)
 
 
-class TestPoolView:
+class TestCandidatePool:
     def test_sorts_into_lemma3_order(self):
-        view = PoolView.from_jurors(
+        pool = CandidatePool(
             [Juror(0.3, juror_id="c"), Juror(0.1, juror_id="a"), Juror(0.2, juror_id="b")]
         )
-        assert view.eps.tolist() == [0.1, 0.2, 0.3]
-        assert view.ids == ("a", "b", "c")
+        assert pool.eps.tolist() == [0.1, 0.2, 0.3]
+        assert pool.ids == ("a", "b", "c")
 
     def test_arrays_are_read_only(self):
-        view = PoolView.from_jurors(jurors_from_arrays([0.2, 0.1]))
+        pool = CandidatePool(jurors_from_arrays([0.2, 0.1]))
         with pytest.raises(ValueError):
-            view.eps[0] = 0.5
+            pool.eps[0] = 0.5
         with pytest.raises(ValueError):
-            view.reqs[0] = 0.5
+            pool.reqs[0] = 0.5
 
     def test_rejects_empty_and_duplicates(self):
         with pytest.raises(EmptyCandidateSetError):
-            PoolView.from_jurors([])
+            CandidatePool([])
         with pytest.raises(InvalidJuryError):
-            PoolView.from_jurors([Juror(0.1, juror_id="x"), Juror(0.2, juror_id="x")])
+            CandidatePool([Juror(0.1, juror_id="x"), Juror(0.2, juror_id="x")])
 
-    def test_candidate_pool_view_shares_arrays(self):
+    def test_error_rates_is_the_eps_column(self):
         pool = CandidatePool(jurors_from_arrays([0.3, 0.1, 0.2]))
-        view = pool.view
-        assert view is pool.view  # cached
-        assert view.ordered == pool.ordered
-        np.testing.assert_array_equal(view.eps, np.asarray(pool.error_rates))
-        assert view.fingerprint == pool.fingerprint
+        assert pool.error_rates is pool.eps
+        assert not pool.error_rates.flags.writeable
+        assert [j.error_rate for j in pool.ordered] == pool.eps.tolist()
+        assert list(pool.ordered) == sorted(pool.ordered, key=lambda j: j.error_rate)
 
-    def test_as_view_passthrough_and_coercion(self):
+    def test_as_pool_passthrough_and_coercion(self):
         jurors = jurors_from_arrays([0.2, 0.1])
-        view = PoolView.from_jurors(jurors)
-        assert as_view(view) is view
         pool = CandidatePool(jurors)
-        assert as_view(pool) is pool.view
-        assert as_view(jurors).eps.tolist() == [0.1, 0.2]
+        assert as_pool(pool) is pool
+        assert as_pool(jurors).eps.tolist() == [0.1, 0.2]
+        assert as_pool(jurors) == pool
 
     def test_take_preserves_order_and_members(self):
-        view = PoolView.from_jurors(
+        pool = CandidatePool(
             jurors_from_arrays([0.1, 0.2, 0.3, 0.4], [1.0, 0.1, 1.0, 0.2])
         )
-        sub = view.take(view.reqs <= 0.5)
+        sub = pool.take(pool.reqs <= 0.5)
         assert sub.eps.tolist() == [0.2, 0.4]
         assert [j.error_rate for j in sub.ordered] == [0.2, 0.4]
+        assert all(a is b for a, b in zip(sub.ordered, pool.ordered[1::2]))
+
+    def test_plan_holds_the_pool_it_was_given(self):
+        pool = CandidatePool(jurors_from_arrays([0.3, 0.1, 0.2]))
+        plan = plan_query(pool=pool)
+        assert plan.pool is pool
+        assert plan.describe()["pool_size"] == 3
 
 
 class TestPlanQuery:
@@ -132,7 +135,7 @@ class TestPlanQuery:
         with pytest.raises(ValueError, match="exactly one"):
             plan_query()
         with pytest.raises(ValueError, match="exactly one"):
-            plan_query(candidates=cands, pool=PoolView.from_jurors(cands))
+            plan_query(candidates=cands, pool=CandidatePool(cands))
 
     def test_budget_tightness_drives_exact_operator(self):
         # 16 candidates, but only 10 individually affordable: the planner

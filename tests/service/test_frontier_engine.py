@@ -25,7 +25,7 @@ from repro.core.juror import Juror
 from repro.errors import BudgetError
 from repro.plan.cost import FRONTIER_MIN_POOL
 from repro.plan.frontier import FRONTIER_ENV_FLAG
-from repro.service import BatchSelectionEngine, PoolRegistry, SelectionQuery
+from repro.service import BatchSelectionEngine, CandidatePool, PoolRegistry, SelectionQuery
 
 
 def _jurors(eps_values, prefix="c"):
@@ -358,3 +358,28 @@ class TestInlinePools:
         assert engine.stats.frontier_hits == 1
         _assert_outcomes_identical(first, second)
         _assert_outcomes_identical(first, third)
+
+    def test_shared_frozen_pools_with_caps_match_the_oracle(self):
+        """A skewed repeat stream over shared ``CandidatePool`` objects, a
+        quarter of it capped: every answer, hit or miss, equals the
+        frontier-disabled engine's bit for bit."""
+        rng = np.random.default_rng(7)
+        pools = [
+            CandidatePool(
+                _jurors(
+                    np.concatenate(
+                        [rng.uniform(0.05, 0.2, 3), rng.uniform(0.45, 0.49, 38)]
+                    ).tolist(),
+                    prefix=f"p{k}-",
+                )
+            )
+            for k in range(4)
+        ]
+        ranks = np.minimum(rng.zipf(1.5, size=60), len(pools)) - 1
+        caps = rng.choice([None, None, None, 1, 3, 5, 9], size=ranks.size)
+        engine = BatchSelectionEngine(frontier_size=128)
+        oracle = BatchSelectionEngine(frontier_size=0)
+        for i, (rank, cap) in enumerate(zip(ranks.tolist(), caps.tolist())):
+            query = SelectionQuery(task_id=f"q{i}", pool=pools[rank], max_size=cap)
+            _assert_outcomes_identical(engine.run([query])[0], oracle.run([query])[0])
+        assert engine.stats.frontier_hits > 0 and oracle.stats.frontier_hits == 0

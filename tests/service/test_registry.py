@@ -14,8 +14,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.service.registry as registry_module
 from repro.core.jer import PrefixJERSweeper, best_odd_prefix
-from repro.core.juror import Juror, jurors_from_arrays
+from repro.core.juror import Juror, JurorColumns, jurors_from_arrays
 from repro.core.selection.altr import select_jury_altr
 from repro.errors import (
     EmptyCandidateSetError,
@@ -29,6 +30,7 @@ from repro.service import (
     PoolRegistry,
     SelectionQuery,
 )
+from repro.storage import PoolCatalog
 
 
 def _live_pool(rng, n: int, *, priced: bool = False, pool_id: str | None = None):
@@ -105,6 +107,57 @@ class TestLivePoolMutation:
         assert pool.fingerprint != fingerprint
         pool.add_juror(juror)
         assert pool.fingerprint == fingerprint
+
+
+class TestLiveColumns:
+    """A live pool hands its sorted columns over: one build per version."""
+
+    def test_snapshots_of_one_version_share_its_columns(self, rng):
+        pool = _live_pool(rng, 9, priced=True)
+        first, second = pool.snapshot(), pool.snapshot()
+        assert first.ordered is second.ordered
+        assert first.eps is second.eps and first.eps is pool.error_rates
+        assert first.reqs is second.reqs and first.ids is second.ids
+        before = first.eps.copy()
+        pool.update_juror(pool.ordered[0].juror_id, error_rate=0.95, requirement=2.0)
+        third = pool.snapshot()
+        assert third.eps is not first.eps and third.reqs is not first.reqs
+        assert third.ids is not first.ids
+        # Replaced, never rewritten: the older snapshot still reads its version.
+        np.testing.assert_array_equal(first.eps, before)
+        assert third.fingerprint != first.fingerprint
+
+    def test_columns_built_once_per_version(self, rng, tmp_path, monkeypatch):
+        builds = []
+
+        class CountingColumns(JurorColumns):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(registry_module, "JurorColumns", CountingColumns)
+        catalog = PoolCatalog(tmp_path, snapshot_interval=2)
+        registry = PoolRegistry(catalog=catalog)
+        pool = registry.create("P", jurors_from_arrays(rng.uniform(0.05, 0.9, size=41)))
+        engine = BatchSelectionEngine(registry=registry)
+        # The second WAL record (create, add) writes a columnar snapshot.
+        pool.add_juror(Juror(0.07, 0.5, juror_id="late"))
+        assert catalog.stats.snapshots == 1 and len(builds) == 1
+        snapshot = pool.snapshot()
+        assert snapshot.fingerprint == pool.fingerprint
+        outcome = engine.run([SelectionQuery(task_id="t", pool_name="P")])[0]
+        assert outcome.ok and "late" in outcome.result.juror_ids
+        plan = engine.plan(
+            SelectionQuery(task_id="p", pool_name="P", model="pay", budget=1.0)
+        )
+        assert plan.pool.eps is snapshot.eps
+        assert len(builds) == 1
+        pool.remove_juror("late")
+        assert pool.snapshot().fingerprint == pool.fingerprint
+        assert len(builds) == 2
+        catalog.close()
 
 
 class TestChurnOracle:
