@@ -15,6 +15,12 @@ a batch, so 64 coalesced AltrM requests cost roughly one sweep, not 64.
   :meth:`JuryService.select_many` call, off-loaded to a worker thread via
   :func:`asyncio.to_thread` so the event loop keeps accepting clients while
   the engine computes.
+* The exception: a batch in which every request is a ready frontier hit
+  (:meth:`JuryService.ready_frontier_hit` — an AltrM select of a resident,
+  already-fingerprinted pool whose answer frontier is cached) runs on the
+  event loop itself.  Each answer is one binary search, cheaper than the
+  thread hop, and the drainer holds the engine lock, so no worker thread
+  is inside the engine or the registry.
 * Requests arriving while a batch is in flight coalesce into the next
   batch — the busier the service, the bigger (and proportionally cheaper)
   the batches get.
@@ -276,9 +282,15 @@ class AsyncJuryService:
             self._batches += 1
             async with self._engine_lock:
                 try:
-                    responses = await asyncio.to_thread(
-                        self._service.select_many, requests
-                    )
+                    # Probes of resident, fingerprinted pools: cheaper than
+                    # the thread hop, and nothing in them blocks.
+                    inline = all(map(self._service.ready_frontier_hit, requests))
+                    if inline:
+                        responses = self._service.select_many(requests)
+                    else:
+                        responses = await asyncio.to_thread(
+                            self._service.select_many, requests
+                        )
                 except asyncio.CancelledError:
                     # Loop shutdown: cancel the in-flight waiters and honour
                     # the cancellation instead of draining the backlog.
@@ -298,3 +310,7 @@ class AsyncJuryService:
             for (_, future), response in zip(batch, responses):
                 if not future.done():
                     future.set_result(response)
+            if inline and self._pending:
+                # An inline batch never yielded: let its callers write their
+                # answers before the next batch holds the loop.
+                await asyncio.sleep(0)

@@ -25,8 +25,10 @@ transports never re-implement their own parsers.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -60,12 +62,57 @@ def _located(message: str, where: str, **positions: object) -> ProtocolError:
     return ProtocolError(f"{where}: {message}", detail=detail)
 
 
+def _flag(obj: Mapping, name: str, where: str) -> bool:
+    """An optional wire flag: a JSON boolean, ``False`` when absent."""
+    value = obj.get(name, False)
+    if not isinstance(value, bool):
+        raise _located(
+            f"'{name}' must be true or false, got {type(value).__name__}",
+            where,
+            field=name,
+        )
+    return value
+
+
+def _size_cap(value: object, where: str) -> int | None:
+    """An optional ``max_size``: a JSON integer (``3`` or ``3.0``), not a bool."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        shown = repr(value) if isinstance(value, (bool, float)) else type(value).__name__
+        raise _located(
+            f"'max_size' must be an integer, got {shown}", where, field="max_size"
+        )
+    return int(value)
+
+
 def _encode_juror(juror: Juror) -> dict:
     return {
         "id": juror.juror_id,
         "error_rate": juror.error_rate,
         "requirement": juror.requirement,
     }
+
+
+def _juror_json(juror: Juror) -> str:
+    """``json.dumps(_encode_juror(juror))``, memoised on the juror.
+
+    Built from the calls ``json.dumps`` itself makes for these values
+    (``encode_basestring_ascii`` for the id, ``float.__repr__`` for the
+    numbers), so the text is byte-identical.  A juror is immutable, and live
+    pools keep their members across versions, so a member returned by many
+    answers is encoded once.
+    """
+    text = juror.__dict__.get("_json")
+    if text is None:
+        text = juror.__dict__["_json"] = (
+            f'{{"id": {encode_basestring_ascii(juror.juror_id)}, '
+            f'"error_rate": {float.__repr__(juror.error_rate)}, '
+            f'"requirement": {float.__repr__(juror.requirement)}}}'
+        )
+    return text
 
 
 def _decode_candidates(
@@ -321,7 +368,8 @@ class SelectionRequest:
                 "request needs a 'pool' reference or inline 'candidates'", where
             )
         budget = obj.get("budget")
-        max_size = obj.get("max_size")
+        max_size = _size_cap(obj.get("max_size"), where)
+        explain = _flag(obj, "explain", where)
         try:
             return cls(
                 task_id=str(obj.get("task", "task")),
@@ -329,10 +377,10 @@ class SelectionRequest:
                 pool=pool,
                 model=obj.get("model", "altr"),
                 budget=None if budget is None else float(budget),
-                max_size=None if max_size is None else int(max_size),
+                max_size=max_size,
                 variant=str(obj.get("variant", "paper")),
                 method=str(obj.get("method", "auto")),
-                explain=bool(obj.get("explain", False)),
+                explain=explain,
             )
         except (TypeError, ValueError, OverflowError) as exc:
             detail = getattr(exc, "detail", None)
@@ -453,31 +501,58 @@ class SelectionResponse:
             f"JER={self.jer:.6g}, cost={self.total_cost:.6g}"
         )
 
-    def to_dict(self) -> dict:
-        """Wire form; stable under ``from_dict`` round trips."""
-        payload: dict = {
+    def _wire_fields(self) -> tuple[dict, tuple[Juror, ...] | None, dict]:
+        """The wire fields in wire order: those before ``members``, the
+        members (``None`` when the response carries none), those after."""
+        head: dict = {
             "v": PROTOCOL_VERSION,
             "task": self.task_id,
             "status": self.status,
         }
+        members = None
         if self.status == "error":
-            payload["error"] = self.error.to_dict()
+            head["error"] = self.error.to_dict()
         elif self.plan is not None:
-            payload["plan"] = dict(self.plan)
+            head["plan"] = dict(self.plan)
         else:
-            payload.update(
+            head.update(
                 model=self.model,
                 algorithm=self.algorithm,
                 jer=self.jer,
                 size=self.size,
                 total_cost=self.total_cost,
                 budget=self.budget,
-                members=[_encode_juror(j) for j in self.members],
             )
+            members = self.members
+        tail: dict = {}
         if self.pool_version is not None:
-            payload["pool_version"] = self.pool_version
-        payload["timings"] = {"elapsed_seconds": self.elapsed_seconds}
-        return payload
+            tail["pool_version"] = self.pool_version
+        tail["timings"] = {"elapsed_seconds": self.elapsed_seconds}
+        return head, members, tail
+
+    def to_dict(self) -> dict:
+        """Wire form; stable under ``from_dict`` round trips."""
+        head, members, tail = self._wire_fields()
+        if members is not None:
+            head["members"] = [_encode_juror(j) for j in members]
+        head.update(tail)
+        return head
+
+    def to_json(self) -> str:
+        """The wire form as JSON text: exactly ``json.dumps(self.to_dict())``.
+
+        The envelope goes through ``json.dumps``; each member comes from the
+        text memoised on its :class:`Juror`, so an answer that returns the
+        same members again does not re-run ``float.__repr__`` on them.
+        """
+        head, members, tail = self._wire_fields()
+        if members is None:
+            head.update(tail)
+            return json.dumps(head)
+        return (
+            f'{json.dumps(head)[:-1]}, "members": '
+            f'[{", ".join(map(_juror_json, members))}], {json.dumps(tail)[1:]}'
+        )
 
     @classmethod
     def from_dict(cls, obj: Mapping, *, where: str = "<response>") -> "SelectionResponse":
@@ -661,5 +736,5 @@ class PoolCommand:
             add=_decode_candidates(adds, where, field_name="add") if adds else (),
             remove=tuple(str(r) for r in removes),
             updates=tuple(updates),
-            replace=bool(obj.get("replace", False)),
+            replace=_flag(obj, "replace", where),
         )

@@ -433,11 +433,13 @@ class HttpServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: Mapping,
+        payload: Mapping | str,
         *,
         keep_alive: bool,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """Write one response; ``payload`` is a JSON object or its text."""
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        body = text.encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             "Content-Type: application/json\r\n"
@@ -451,7 +453,9 @@ class HttpServer:
     # ------------------------------------------------------------------
     # dispatch + routes
     # ------------------------------------------------------------------
-    async def _dispatch(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
+    async def _dispatch(
+        self, method: str, path: str, body: bytes
+    ) -> tuple[int, dict | str]:
         """Route one request; every failure becomes a structured error body."""
         route = self._routes.get(path.split("?", 1)[0])
         if route is None:
@@ -512,14 +516,14 @@ class HttpServer:
                 f"(max_pending={self._service._max_pending}); retry later"
             )
 
-    async def _route_select(self, body: bytes) -> tuple[int, dict]:
+    async def _route_select(self, body: bytes) -> tuple[int, str]:
         obj = self._json_body(body, "POST /v1/select")
         request = SelectionRequest.from_dict(obj, where="POST /v1/select")
         self._shed_if_saturated()
         response = await self._service.select(request)
-        return 200, response.to_dict()
+        return 200, response.to_json()
 
-    async def _route_select_many(self, body: bytes) -> tuple[int, dict]:
+    async def _route_select_many(self, body: bytes) -> tuple[int, str]:
         where = "POST /v1/select_many"
         obj = self._json_body(body, where)
         rows = obj.get("requests")
@@ -534,10 +538,8 @@ class HttpServer:
         ]
         self._shed_if_saturated()
         responses = await self._service.select_many(requests)
-        return 200, {
-            "v": PROTOCOL_VERSION,
-            "responses": [response.to_dict() for response in responses],
-        }
+        rows = ", ".join([response.to_json() for response in responses])
+        return 200, f'{{"v": {PROTOCOL_VERSION}, "responses": [{rows}]}}'
 
     async def _route_pool(self, body: bytes) -> tuple[int, dict]:
         obj = self._json_body(body, "POST /v1/pool")

@@ -217,6 +217,23 @@ class JuryService:
             return None
         return self._registry.get(request.pool).version
 
+    def ready_frontier_hit(self, request: SelectionRequest) -> bool:
+        """Whether the engine can answer ``request`` with a frontier probe alone.
+
+        True for a non-explain AltrM select of a named pool that is resident
+        in memory, whose current version is already fingerprinted, and whose
+        answer frontier is in the engine's cache.  O(1) and side-effect
+        free: it never loads a pool, computes a fingerprint, waits on a lock
+        or touches the frontier's LRU order or hit/miss counters.
+        """
+        if request.explain or request.model != "altr" or request.pool is None:
+            return False
+        pool = self._registry.resident(request.pool)
+        if pool is None:
+            return False
+        fingerprint = pool.known_fingerprint
+        return fingerprint is not None and fingerprint in self._engine.frontier
+
     def select(self, request: SelectionRequest) -> SelectionResponse:
         """Answer one request (honouring its ``explain`` flag); never raises
         for domain failures — they come back as error responses."""

@@ -205,6 +205,15 @@ class LivePool:
             )
         return self._fingerprint
 
+    @property
+    def known_fingerprint(self) -> str | None:
+        """The current version's fingerprint if already computed, else ``None``.
+
+        Never hashes, so an O(1) reader can ask whether the version has been
+        fingerprinted (and therefore may be in a fingerprint-keyed cache).
+        """
+        return self._fingerprint
+
     def snapshot(self) -> CandidatePool:
         """Freeze the current version as an immutable :class:`CandidatePool`.
 
@@ -487,6 +496,16 @@ class PoolRegistry:
         if self._catalog is not None:
             return self._catalog.resident_items()
         return list(self._pools.items())
+
+    def resident(self, name: str) -> LivePool | None:
+        """The named pool if it is held in memory, else ``None``.
+
+        Lock-free: unlike :meth:`get`, it never loads a cold catalog pool,
+        touches the catalog's LRU or waits on the catalog lock.
+        """
+        if self._catalog is not None:
+            return self._catalog.resident_pool(name)
+        return self._pools.get(name)
 
     def __contains__(self, name: str) -> bool:
         if self._catalog is not None:

@@ -367,9 +367,23 @@ class PoolCatalog:
         return len(self._resident)
 
     def resident_items(self) -> list[tuple[str, LivePool]]:
-        """Snapshot of the resident (open) pools, coldest first."""
-        with self._lock:
-            return [(name, pool) for name, (pool, _) in self._resident.items()]
+        """Snapshot of the resident (open) pools, coldest first.
+
+        Lock-free, so a stats probe never waits behind a recovery, a
+        create's fsync or a drop that holds the catalog lock.  The copy is
+        one call; if another thread resizes the mapping during it, it
+        raises :class:`RuntimeError` and the caller retries.
+        """
+        return [(name, pool) for name, (pool, _) in list(self._resident.items())]
+
+    def resident_pool(self, name: str) -> LivePool | None:
+        """The named pool if it is open in memory, else ``None``.
+
+        Lock-free and without side effects: it never loads a pool, moves it
+        in the LRU or counts a lazy load.
+        """
+        entry = self._resident.get(name)
+        return None if entry is None else entry[0]
 
     # ------------------------------------------------------------------
     # lifecycle of individual pools

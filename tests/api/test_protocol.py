@@ -178,6 +178,91 @@ class TestRoundTrips:
 
 
 # ----------------------------------------------------------------------
+# the text encoder: byte-identical to json.dumps(to_dict())
+# ----------------------------------------------------------------------
+
+_plain_text = st.text(st.characters(categories=("L", "N", "P", "S", "Zs", "Cc")), max_size=6)
+#: Any text, lone surrogates included (``json.dumps`` escapes them).
+_wire_text = st.one_of(
+    _plain_text.filter(bool),
+    st.builds(
+        lambda left, surrogate, right: left + chr(surrogate) + right,
+        _plain_text,
+        st.integers(0xD800, 0xDFFF),
+        _plain_text,
+    ),
+)
+_edge_eps = st.one_of(_eps, st.sampled_from([5e-324, 1 - 2**-53]))
+_edge_reqs = st.one_of(_reqs, st.just(-0.0))
+
+
+@st.composite
+def wire_responses(draw) -> SelectionResponse:
+    """Responses of every kind over text and numbers at the encoders' edges."""
+    kind = draw(st.sampled_from(["ok", "plan", "error"]))
+    task = draw(_wire_text)
+    version = draw(st.one_of(st.none(), st.integers(0, 2**40)))
+    elapsed = draw(st.floats(min_value=0.0, max_value=1e3))
+    if kind == "error":
+        detail = draw(st.one_of(st.none(), st.dictionaries(_wire_text, _wire_text, max_size=2)))
+        info = ErrorInfo(code=draw(_wire_text), message=draw(_wire_text), detail=detail)
+        return SelectionResponse.from_error(task, info, elapsed_seconds=elapsed)
+    if kind == "plan":
+        plan = {"operator": draw(_wire_text), "cost": draw(_edge_eps)}
+        return SelectionResponse.from_plan(
+            task, plan, pool_version=version, elapsed_seconds=elapsed
+        )
+    members = tuple(
+        Juror(draw(_edge_eps), draw(_edge_reqs), juror_id=juror_id)
+        for juror_id in draw(st.lists(_wire_text, max_size=5))
+    )
+    return SelectionResponse(
+        task_id=task,
+        status="ok",
+        model="AltrM",
+        algorithm=draw(_wire_text),
+        jer=draw(_edge_eps),
+        size=len(members),
+        total_cost=draw(_edge_reqs),
+        budget=draw(st.one_of(st.none(), _edge_reqs)),
+        members=members,
+        pool_version=version,
+        elapsed_seconds=elapsed,
+    )
+
+
+class TestTextEncoder:
+    @given(response=wire_responses())
+    @settings(max_examples=300, deadline=None)
+    def test_to_json_is_json_dumps_of_to_dict(self, response):
+        assert response.to_json() == json.dumps(response.to_dict())
+        # The second encode reads the members' memoised text.
+        assert response.to_json() == json.dumps(response.to_dict())
+
+    def test_edge_values_and_a_member_encoded_twice(self):
+        shared = Juror(5e-324, -0.0, juror_id="\ud800é")
+        other = Juror(1 - 2**-53, 0.25, juror_id="日本\udfff")
+        first, second = (
+            SelectionResponse(
+                task_id=task, status="ok", model="AltrM", algorithm="AltrALG",
+                jer=0.5, size=2, total_cost=0.25, budget=None,
+                members=members, pool_version=None,
+            )
+            for task, members in (("\udfff", (shared, other)), ("t2", (other, shared)))
+        )
+        for response in (first, second, first):
+            assert response.to_json() == json.dumps(response.to_dict())
+        assert '"requirement": -0.0' in first.to_json()
+        assert '"error_rate": 5e-324' in first.to_json()
+        assert '"budget": null' in first.to_json()
+        assert "pool_version" not in first.to_json()
+
+    def test_member_less_ok_response(self):
+        empty = SelectionResponse(task_id="t", status="ok", members=(), pool_version=3)
+        assert empty.to_json() == json.dumps(empty.to_dict())
+
+
+# ----------------------------------------------------------------------
 # canonicalisation + validation
 # ----------------------------------------------------------------------
 
@@ -269,6 +354,86 @@ class TestNonPositiveMaxSize:
         assert status == 400
         assert body["error"]["code"] == "bad-request"
         assert "max_size" in body["error"]["message"]
+
+
+def _post(path: str, *payloads: dict) -> list[tuple[int, dict]]:
+    """POST each payload in turn over one connection to a fresh server."""
+
+    async def run():
+        async with HttpServer(port=0) as server:
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                return [
+                    await http_call(reader, writer, "POST", path, payload)
+                    for payload in payloads
+                ]
+            finally:
+                writer.close()
+
+    return asyncio.run(run())
+
+
+_POOL_ROWS = [
+    {"id": f"c{i}", "error_rate": 0.1 + 0.05 * i, "requirement": 0.4} for i in range(4)
+]
+_BAD_SELECT_FIELDS = pytest.mark.parametrize(
+    "field,value",
+    [
+        ("explain", "false"),
+        ("explain", 0),
+        ("explain", None),
+        ("max_size", 2.9),
+        ("max_size", True),
+        ("max_size", "3"),
+    ],
+)
+
+
+class TestWireFlagsAndCaps:
+    """Flags must be JSON booleans and ``max_size`` a JSON integer; nothing
+    is coerced, so ``"false"`` can never mean true."""
+
+    @_BAD_SELECT_FIELDS
+    def test_select_from_dict_rejects(self, field, value):
+        row = {"task": "t", "candidates": _POOL_ROWS, field: value}
+        with pytest.raises(ProtocolError, match=rf"q\.jsonl:4.*'{field}'") as excinfo:
+            SelectionRequest.from_dict(row, where="q.jsonl:4")
+        assert excinfo.value.detail == {"where": "q.jsonl:4", "field": field}
+
+    @_BAD_SELECT_FIELDS
+    def test_post_select_answers_400(self, field, value):
+        [(status, body)] = _post(
+            "/v1/select", {"task": "t", "candidates": _POOL_ROWS, field: value}
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad-request"
+        assert body["error"]["detail"]["field"] == field
+
+    def test_integral_float_cap_is_an_integer(self):
+        request = SelectionRequest.from_dict(
+            {"task": "t", "candidates": _POOL_ROWS, "max_size": 3.0}
+        )
+        assert request.max_size == 3 and isinstance(request.max_size, int)
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_pool_from_dict_rejects_non_boolean_replace(self, value):
+        row = {"action": "create", "name": "P", "candidates": _POOL_ROWS, "replace": value}
+        with pytest.raises(ProtocolError, match="'replace'") as excinfo:
+            PoolCommand.from_dict(row, where="POST /v1/pool")
+        assert excinfo.value.detail == {"where": "POST /v1/pool", "field": "replace"}
+
+    def test_post_pool_replace_string_keeps_the_pool(self):
+        create = {"cmd": "pool", "action": "create", "name": "P", "candidates": _POOL_ROWS[:1]}
+        grow = {"cmd": "pool", "action": "update", "name": "P", "add": _POOL_ROWS[1:]}
+        replace = {**create, "replace": "false"}
+        (_, created), (_, grown), (status, body), (_, after) = _post(
+            "/v1/pool", create, grow, replace, {**grow, "add": [], "remove": []}
+        )
+        assert created["version"] == 0 and grown["version"] == 3
+        assert status == 400
+        assert body["error"]["code"] == "bad-request"
+        assert body["error"]["detail"]["field"] == "replace"
+        assert (after["version"], after["size"]) == (3, 4)
 
 
 class TestResponseValidation:

@@ -1,0 +1,253 @@
+"""Ready frontier hits: batches the async tier answers on the event loop.
+
+A batch in which every request is an AltrM select of a resident,
+already-fingerprinted pool whose answer frontier is cached runs
+``select_many`` on the event loop; every other batch keeps the
+``asyncio.to_thread`` hop.  These tests pin which batches take which path,
+that the readiness check has no side effects, and that the answers stay the
+sequential loop's.
+"""
+
+from __future__ import annotations
+
+import asyncio
+
+import numpy as np
+import pytest
+
+from repro.api import (
+    AsyncJuryService,
+    JuryService,
+    PoolCommand,
+    SelectionRequest,
+)
+from repro.api import aio
+from repro.core.juror import Juror
+from repro.plan.frontier import DEFAULT_FRONTIER_CACHE_SIZE
+from repro.service import PoolRegistry
+from repro.storage import PoolCatalog
+from repro.testing import DEFAULT_SEED
+
+
+def _candidates(tag: str, size: int = 21) -> tuple[Juror, ...]:
+    rng = np.random.default_rng(DEFAULT_SEED)
+    return tuple(
+        Juror(float(e), float(r), juror_id=f"{tag}-{i}")
+        for i, (e, r) in enumerate(
+            zip(rng.uniform(0.05, 0.45, size), rng.uniform(0.0, 1.0, size))
+        )
+    )
+
+
+def _create(name: str) -> PoolCommand:
+    return PoolCommand(action="create", name=name, candidates=_candidates(name))
+
+
+def _service(**options) -> JuryService:
+    """A service with the frontier on, whatever ``REPRO_FRONTIER_CACHE`` says."""
+    if "catalog" not in options:
+        options.setdefault("registry", PoolRegistry())
+    return JuryService(frontier_size=DEFAULT_FRONTIER_CACHE_SIZE, **options)
+
+
+def _warm(service: JuryService, *names: str) -> None:
+    """Create each pool and answer one select, which caches its frontier."""
+    for name in names:
+        service.pool(_create(name))
+        assert service.select(SelectionRequest(task_id="warm", pool=name)).ok
+
+
+def _hit(task: str, pool: str = "P", **fields) -> SelectionRequest:
+    return SelectionRequest(task_id=task, pool=pool, **fields)
+
+
+@pytest.fixture
+def thread_hops(monkeypatch):
+    """The ``select_many`` batches that went through ``asyncio.to_thread``."""
+    batches: list[list[str]] = []
+    real = asyncio.to_thread
+
+    async def counting(fn, *args, **kwargs):
+        if getattr(fn, "__name__", "") == "select_many":
+            batches.append([request.task_id for request in args[0]])
+        return await real(fn, *args, **kwargs)
+
+    monkeypatch.setattr(aio.asyncio, "to_thread", counting)
+    return batches
+
+
+def _answer(service: JuryService, requests: list[SelectionRequest]):
+    async def run():
+        front = AsyncJuryService(service)
+        # gather enqueues every request before the drainer first runs, so
+        # they form one batch.
+        responses = await front.select_many(requests)
+        await front.aclose()
+        return responses
+
+    return asyncio.run(run())
+
+
+def _without_timings(response) -> dict:
+    row = response.to_dict()
+    row.pop("timings")
+    return row
+
+
+class TestReadiness:
+    def test_warm_named_altr_select_is_ready(self):
+        service = _service()
+        _warm(service, "P")
+        assert service.ready_frontier_hit(_hit("t"))
+        assert service.ready_frontier_hit(_hit("t", max_size=5, budget=2.0))
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            _hit("explain", explain=True),
+            _hit("pay", model="pay", budget=2.0),
+            _hit("exact", model="exact"),
+            SelectionRequest(task_id="inline", candidates=_candidates("inline")),
+            _hit("unknown", pool="ghost"),
+        ],
+        ids=lambda request: request.task_id,
+    )
+    def test_other_requests_are_not_ready(self, request_):
+        service = _service()
+        _warm(service, "P")
+        assert not service.ready_frontier_hit(request_)
+
+    def test_new_pool_version_is_not_ready_until_answered(self):
+        service = _service()
+        _warm(service, "P")
+        service.pool(
+            PoolCommand(action="update", name="P", add=(Juror(0.01, juror_id="ace"),))
+        )
+        assert not service.ready_frontier_hit(_hit("t"))
+        assert service.registry.get("P").known_fingerprint is None  # not hashed
+        service.select(_hit("t"))
+        assert service.ready_frontier_hit(_hit("t"))
+
+    def test_disabled_frontier_is_never_ready(self):
+        service = JuryService(registry=PoolRegistry(), frontier_size=0)
+        _warm(service, "P")
+        assert not service.ready_frontier_hit(_hit("t"))
+
+    def test_cold_catalog_pool_is_not_ready(self, tmp_path):
+        catalog = PoolCatalog(tmp_path / "cat", max_resident=1)
+        service = _service(catalog=catalog)
+        _warm(service, "P", "Q")  # creating Q evicts P; P's frontier stays cached
+        assert catalog.resident_pool("P") is None
+        assert not service.ready_frontier_hit(_hit("t", pool="P"))
+        assert service.ready_frontier_hit(_hit("t", pool="Q"))
+        catalog.close()
+
+    def test_check_has_no_side_effects(self, tmp_path):
+        catalog = PoolCatalog(tmp_path / "cat", max_resident=2)
+        service = _service(catalog=catalog)
+        _warm(service, "P", "Q", "R")  # P is cold, Q and R resident
+        frontier = service.engine.frontier
+        before = (
+            catalog.stats.lazy_loads,
+            frontier.hits,
+            frontier.misses,
+            list(frontier._entries),
+            list(catalog._resident),
+        )
+        for pool in ("P", "Q", "R", "ghost"):
+            service.ready_frontier_hit(_hit("t", pool=pool))
+        after = (
+            catalog.stats.lazy_loads,
+            frontier.hits,
+            frontier.misses,
+            list(frontier._entries),
+            list(catalog._resident),
+        )
+        assert after == before
+        catalog.close()
+
+
+class TestLoopPath:
+    def test_batch_of_ready_hits_never_hops(self, thread_hops):
+        service = _service()
+        _warm(service, "P", "Q")
+        requests = [
+            _hit(f"t{i}", pool="PQ"[i % 2], max_size=None if i % 3 else 7)
+            for i in range(12)
+        ]
+        responses = _answer(service, requests)
+        assert thread_hops == []
+        oracle = JuryService(registry=PoolRegistry(), frontier_size=0)
+        _warm(oracle, "P", "Q")
+        assert [_without_timings(r) for r in responses] == [
+            _without_timings(oracle.select(request)) for request in requests
+        ]
+
+    @pytest.mark.parametrize(
+        "odd_one",
+        [
+            _hit("explain", explain=True),
+            _hit("pay", model="pay", budget=2.0),
+            _hit("exact", model="exact", budget=2.0),
+            SelectionRequest(task_id="inline", candidates=_candidates("inline")),
+            _hit("unknown", pool="ghost"),
+        ],
+        ids=lambda request: request.task_id,
+    )
+    def test_one_unready_request_sends_the_batch_to_a_thread(
+        self, thread_hops, odd_one
+    ):
+        service = _service()
+        _warm(service, "P")
+        _answer(service, [_hit("a"), odd_one, _hit("b")])
+        assert thread_hops == [["a", odd_one.task_id, "b"]]
+
+    def test_new_pool_version_sends_the_batch_to_a_thread(self, thread_hops):
+        service = _service()
+        _warm(service, "P", "Q")
+        service.pool(PoolCommand(action="update", name="Q", remove=("Q-0",)))
+        _answer(service, [_hit("a"), _hit("b", pool="Q")])
+        assert thread_hops == [["a", "b"]]
+
+    def test_cold_catalog_pool_sends_the_batch_to_a_thread(
+        self, thread_hops, tmp_path
+    ):
+        catalog = PoolCatalog(tmp_path / "cat", max_resident=1)
+        service = _service(catalog=catalog)
+        _warm(service, "P", "Q")  # P is cold now
+        responses = _answer(service, [_hit("a", pool="Q"), _hit("b", pool="P")])
+        assert thread_hops == [["a", "b"]]
+        assert all(response.ok for response in responses)
+        catalog.close()
+
+    def test_loop_runs_other_tasks_between_inline_batches(self):
+        """A backlog of ready hits does not hold the loop for more than one
+        batch: other tasks run between consecutive inline batches."""
+        service = _service()
+        _warm(service, "P")
+        events: list[str] = []
+        real = service.select_many
+
+        def recording(requests):
+            events.append("batch")
+            return real(requests)
+
+        service.select_many = recording
+
+        async def run():
+            front = AsyncJuryService(service, max_batch=2)
+
+            async def ticker():
+                for _ in range(4):
+                    events.append("tick")
+                    await asyncio.sleep(0)
+
+            await asyncio.gather(
+                front.select_many([_hit(f"t{i}") for i in range(6)]), ticker()
+            )
+            await front.aclose()
+
+        asyncio.run(run())
+        first, last = events.index("batch"), len(events) - events[::-1].index("batch")
+        assert events.count("batch") == 3
+        assert "tick" in events[first:last]

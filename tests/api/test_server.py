@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,11 +15,13 @@ import pytest
 from repro.api import (
     AsyncJuryService,
     JuryService,
+    PoolCommand,
     PROTOCOL_VERSION,
     SelectionRequest,
 )
 from repro.api.server import HttpServer, http_call
 from repro.core.juror import Juror
+from repro.service import PoolRegistry
 from repro.testing import DEFAULT_SEED
 
 
@@ -577,3 +581,158 @@ class TestLifecycle:
             HttpServer(AsyncJuryService(), max_batch=4)
         with pytest.raises(ValueError, match="max_connections"):
             HttpServer(max_connections=0)
+
+
+async def _post_raw(reader, writer, path: str, payload: dict) -> tuple[int, bytes]:
+    """One POST over an open keep-alive connection: status and body as sent."""
+    body = json.dumps(payload).encode("utf-8")
+    writer.write(
+        f"POST {path} HTTP/1.1\r\nHost: repro\r\nContent-Length: {len(body)}\r\n\r\n"
+        .encode("ascii") + body
+    )
+    await writer.drain()
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    return int(head.split()[1]), await reader.readexactly(length)
+
+
+def _pool_wire(name: str, size: int) -> dict:
+    rng = np.random.default_rng(DEFAULT_SEED)
+    return {
+        "cmd": "pool",
+        "action": "create",
+        "name": name,
+        "candidates": [
+            {"id": j.juror_id, "error_rate": j.error_rate, "requirement": j.requirement}
+            for j in _make_candidates(rng, size, name)
+        ],
+    }
+
+
+class TestNamedPoolTraffic:
+    def test_repeat_selects_with_interleaved_updates_match_sequential_loop(self):
+        """Four connections repeat capped and uncapped selects on named pools
+        while a fifth updates them.  Each answer equals what a sequential
+        loop answers at the pool version the response echoes."""
+        names = ("P0", "P1", "P2")
+        caps = (None, 3, 9)
+        creates = [_pool_wire(name, 25) for name in names]
+        updates = []
+        for name in names:
+            updates.append(
+                {"cmd": "pool", "action": "update", "name": name,
+                 "set": [{"id": f"{name}-3", "error_rate": 0.02}]}
+            )
+            updates.append(
+                {"cmd": "pool", "action": "update", "name": name,
+                 "remove": [f"{name}-5"],
+                 "add": [{"id": f"{name}-new", "error_rate": 0.04, "requirement": 0.5}]}
+            )
+        updates = updates[::2] + updates[1::2]  # round-robin over the pools
+        selects = []
+        for i in range(96):
+            row = {"v": 1, "task": f"s{i}", "pool": names[i % 3]}
+            if caps[i % 4 % 3] is not None:
+                row["max_size"] = caps[i % 4 % 3]
+            selects.append(row)
+        clients = 4
+
+        oracle = JuryService(registry=PoolRegistry(), frontier_size=0)
+        expected: dict[tuple, dict] = {}
+        for create in creates:
+            name = create["name"]
+            oracle.pool(PoolCommand.from_dict(create))
+            for update in [None] + [u for u in updates if u["name"] == name]:
+                if update is not None:
+                    oracle.pool(PoolCommand.from_dict(update))
+                for cap in caps:
+                    answer = oracle.select(
+                        SelectionRequest(task_id="x", pool=name, max_size=cap)
+                    ).to_dict()
+                    expected[name, answer["pool_version"], cap] = _normalise(answer)
+
+        async def select_client(server, worker):
+            reader, writer = await _connect(server)
+            answers = []
+            for row in selects[worker::clients]:
+                status, raw = await _post_raw(reader, writer, "/v1/select", row)
+                assert status == 200
+                answers.append((row, raw.decode("ascii")))
+            writer.close()
+            return answers
+
+        async def update_client(server):
+            reader, writer = await _connect(server)
+            for update in updates:
+                await asyncio.sleep(0.002)
+                status, ack = await http_call(reader, writer, "POST", "/v1/pool", update)
+                assert status == 200 and ack["ok"]
+            writer.close()
+
+        async def run():
+            async with HttpServer(port=0) as server:
+                reader, writer = await _connect(server)
+                for create in creates:
+                    status, _ = await http_call(reader, writer, "POST", "/v1/pool", create)
+                    assert status == 200
+                writer.close()
+                results = await asyncio.gather(
+                    update_client(server),
+                    *(select_client(server, worker) for worker in range(clients)),
+                )
+            return [pair for answers in results[1:] for pair in answers]
+
+        answered = asyncio.run(run())
+        assert len(answered) == len(selects)
+        for row, text in answered:
+            body = json.loads(text)
+            assert body["status"] == "ok", body
+            key = (row["pool"], body["pool_version"], row.get("max_size"))
+            # Byte for byte, up to the timings block that ends every answer.
+            sent = text[: text.rfind(', "timings": {')] + "}"
+            assert sent == json.dumps({**expected[key], "task": row["task"]})
+
+
+class TestStatsNeverBlock:
+    def test_stats_and_healthz_answer_while_catalog_lock_is_held(self, tmp_path):
+        """A worker holding the catalog lock (a cold pool's recovery, a
+        create's fsync, a drop) must not stall the event loop: ``/v1/stats``
+        and a ``/healthz`` on a second connection both answer at once."""
+        hold_seconds = 1.5
+        held = threading.Event()
+        release = threading.Event()
+
+        async def run():
+            async with HttpServer(port=0, data_dir=tmp_path / "cat") as server:
+                reader, writer = await _connect(server)
+                status, _ = await http_call(
+                    reader, writer, "POST", "/v1/pool", _pool_wire("P", 7)
+                )
+                assert status == 200
+                catalog = server.service.service.catalog
+
+                def hold():
+                    with catalog._lock:
+                        held.set()
+                        release.wait(hold_seconds)
+
+                holder = threading.Thread(target=hold)
+                holder.start()
+                assert held.wait(5)
+                second_reader, second_writer = await _connect(server)
+                start = time.perf_counter()
+                (stats_status, stats), (health_status, _) = await asyncio.gather(
+                    http_call(reader, writer, "GET", "/v1/stats"),
+                    http_call(second_reader, second_writer, "GET", "/healthz"),
+                )
+                elapsed = time.perf_counter() - start
+                release.set()
+                holder.join()
+                writer.close()
+                second_writer.close()
+                return stats_status, stats, health_status, elapsed
+
+        stats_status, stats, health_status, elapsed = asyncio.run(run())
+        assert stats_status == 200 and health_status == 200
+        assert stats["pools"]["P"] == {"version": 0, "size": 7}
+        assert elapsed < 0.5

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import itertools
+import sys
+import threading
+import time
 
 import pytest
 
@@ -140,3 +144,56 @@ def test_async_service_flushes_on_aclose(tmp_path):
     verify = JuryService(data_dir=tmp_path / "cat")
     assert verify.select(SelectionRequest(task_id="t", pool="P1")).status == "ok"
     verify.close()
+
+
+def test_stats_reads_resident_pools_lock_free_under_churn(tmp_path):
+    """stats() lists the resident pools without the catalog lock while
+    three threads keep loading and evicting pools under it."""
+    catalog = PoolCatalog(tmp_path / "cat", max_resident=2)
+    service = JuryService(catalog=catalog)
+    names = [f"P{i}" for i in range(6)]
+    for name in names:
+        service.pool(_create(name))
+    stop = threading.Event()
+    errors: list[BaseException] = []
+    listings: list[dict] = []
+
+    def churn(offset: int) -> None:
+        try:
+            for i in itertools.count(offset):
+                if stop.is_set():
+                    return
+                request = SelectionRequest(task_id="t", pool=names[i % len(names)])
+                assert service.select(request).ok
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    def probe() -> None:
+        try:
+            while not stop.is_set():
+                listings.append(service.stats()["pools"])
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=churn, args=(i,)) for i in range(3)]
+    threads.append(threading.Thread(target=probe))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        time.sleep(0.5)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert listings and catalog.stats.evictions > 0
+    for pools in listings:
+        # max_resident, plus the one a load adds before it evicts the coldest
+        assert len(pools) <= 3 and set(pools) <= set(names)
+        assert all(entry == {"version": 0, "size": len(EPS)} for entry in pools.values())
+    service.close()
+    catalog.close()
