@@ -8,7 +8,8 @@ example shows the live-pool stack at its three levels:
 1. a :class:`LivePool` mutated directly — versions, one sweep per queried
    version, and what the answer-frontier repair reused;
 2. the registry-backed engine — ``pool_name`` queries interleaved with
-   churn, with the sweep cache restoring hits when membership reverts;
+   churn, each answered from the pool's answer frontier: a repeat probes
+   the version's frontier, tail churn repairs it and head churn rebuilds it;
 3. the estimation pipeline's incremental mode — a fresh
    ``estimate_candidates`` result diffed onto the pool instead of replacing
    it — plus the ``repro-select serve`` wire format for the same session.
@@ -63,17 +64,30 @@ def main() -> None:
 
     # -- 2. churn interleaved with registry-backed queries -------------------
     print("== 2. engine queries against the live pool ==")
-    before = engine.run([SelectionQuery(task_id="t-before", pool_name="workers")])[0]
-    print(f"  t-before (v{pool.version}): {before.result.summary()}")
-    star = pool.remove_juror("star")
-    after = engine.run([SelectionQuery(task_id="t-after", pool_name="workers")])[0]
-    print(f"  t-after  (v{pool.version}): {after.result.summary()}")
-    pool.add_juror(star)  # membership reverts -> the old profile hits again
-    engine.run([SelectionQuery(task_id="t-revert", pool_name="workers")])
-    print(
-        f"  cache: {engine.cache.hits} hit(s), {engine.cache.misses} miss(es) "
-        "(the revert restored the first profile's fingerprint)"
-    )
+    # Each query reads which frontier counter of the engine it moved: a hit
+    # is a binary search on the version's frontier; the others sweep it.
+    counters = {
+        "hit": "frontier_hits",
+        "built": "frontier_builds",
+        "repaired": "frontier_repairs",
+        "rebuilt": "frontier_rebuilds",
+    }
+
+    def ask(task_id: str) -> None:
+        before = {mode: getattr(engine.stats, name) for mode, name in counters.items()}
+        outcome = engine.run([SelectionQuery(task_id=task_id, pool_name="workers")])[0]
+        (how,) = [
+            mode for mode, name in counters.items()
+            if getattr(engine.stats, name) > before[mode]
+        ]
+        print(f"  {task_id:<8} (v{pool.version}, {how}): {outcome.result.summary()}")
+
+    ask("t-before")  # version 6's frontier was repaired in section 1
+    pool.remove_juror("star")  # sorted position 0: no entry stays clean
+    ask("t-head")
+    pool.update_error_rate(pool.ordered[-1].juror_id, 0.5)  # the sorted tail
+    ask("t-tail")
+    ask("t-repeat")
 
     # -- 3. incremental estimation refresh -----------------------------------
     print("== 3. estimation pipeline in incremental mode ==")

@@ -109,7 +109,7 @@ def main() -> None:
     asyncio.run(serve_concurrently())
     stats = service.stats()
     print(f"stats: {stats['queries_run']} queries, "
-          f"cache hits={stats['cache']['hits']}")
+          f"frontier hits={stats['frontier']['hits']}")
 
 
 if __name__ == "__main__":

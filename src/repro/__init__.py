@@ -122,7 +122,6 @@ from repro.service import (
     CandidatePool,
     LivePool,
     PoolRegistry,
-    PrefixSweepCache,
     QueryOutcome,
     SelectionQuery,
     as_pool,
@@ -198,7 +197,6 @@ __all__ = [
     "CandidatePool",
     "LivePool",
     "PoolRegistry",
-    "PrefixSweepCache",
     "as_pool",
     "paley_zygmund_lower_bound",
     "gamma_ratio",

@@ -74,6 +74,28 @@ def _flag(obj: Mapping, name: str, where: str) -> bool:
     return value
 
 
+def _string(value: object, name: str, where: str) -> str:
+    """A wire name (``pool``, a pool command's ``name``): a JSON string."""
+    if not isinstance(value, str):
+        raise _located(
+            f"'{name}' must be a string, got {type(value).__name__}", where, field=name
+        )
+    return value
+
+
+def _budget(value: object, where: str) -> float | None:
+    """An optional ``budget``: a JSON number, not a bool."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _located(
+            f"'budget' must be a number, got {type(value).__name__}",
+            where,
+            field="budget",
+        )
+    return float(value)
+
+
 def _size_cap(value: object, where: str) -> int | None:
     """An optional ``max_size``: a JSON integer (``3`` or ``3.0``), not a bool."""
     if value is None:
@@ -360,14 +382,13 @@ class SelectionRequest:
         if "pool" in obj and "candidates" in obj:
             raise _located("give either 'pool' or 'candidates', not both", where)
         if "pool" in obj:
-            pool = str(obj["pool"])
+            pool = _string(obj["pool"], "pool", where)
         elif "candidates" in obj:
             candidates = _decode_candidate_columns(obj["candidates"], where)
         else:
             raise _located(
                 "request needs a 'pool' reference or inline 'candidates'", where
             )
-        budget = obj.get("budget")
         max_size = _size_cap(obj.get("max_size"), where)
         explain = _flag(obj, "explain", where)
         try:
@@ -376,7 +397,7 @@ class SelectionRequest:
                 candidates=candidates,
                 pool=pool,
                 model=obj.get("model", "altr"),
-                budget=None if budget is None else float(budget),
+                budget=_budget(obj.get("budget"), where),
                 max_size=max_size,
                 variant=str(obj.get("variant", "paper")),
                 method=str(obj.get("method", "auto")),
@@ -681,7 +702,7 @@ class PoolCommand:
                 where,
                 field="action",
             )
-        name = str(obj.get("name") or "")
+        name = _string(obj.get("name", ""), "name", where)
         if not name:
             raise _located(
                 "pool command needs a non-empty 'name'", where, field="name"

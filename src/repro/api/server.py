@@ -27,9 +27,9 @@ Endpoints (all bodies are JSON; protocol shapes from :mod:`repro.api`):
 ``GET /v1/stats``
     The service's lock-free counter snapshot plus transport counters —
     never waits on the engine lock, so it stays answerable during a long
-    exact-enumeration batch.  Surfaces every cache tier: the prefix-sweep
-    cache, the planner's memoised choice, and the answer frontier's
-    hit/miss/build/repair/rebuild lifecycle (``frontier`` +
+    exact-enumeration batch.  Surfaces in-pass profile reuse (``cache``),
+    the planner's memoised choice, and the named pools' answer-frontier
+    hit/miss/build/repair/rebuild counts (``frontier`` +
     ``engine.frontier_hits``).
 ``GET /healthz``
     Pure liveness: counters only, no engine, no locks, no threads.
@@ -165,7 +165,8 @@ class HttpServer:
         Largest accepted request body (413 beyond it).
     **service_options:
         Forwarded to :class:`AsyncJuryService` when no service is given —
-        ``max_batch``, ``max_pending``, ``cache_size``.
+        ``max_batch``, ``max_pending``, and :class:`JuryService`'s
+        ``data_dir``.
 
     Examples
     --------

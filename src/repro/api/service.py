@@ -3,7 +3,8 @@
 The service owns a :class:`~repro.service.registry.PoolRegistry` of live
 pools and a :class:`~repro.service.batch.BatchSelectionEngine`, and speaks
 the typed protocol of :mod:`repro.api.protocol`: requests in, responses out,
-pool commands applied atomically.  The CLI modes (``single``/``explain``/
+pool commands validated in full before their first mutation, so a rejected
+command changes nothing.  The CLI modes (``single``/``explain``/
 ``batch``/``serve``), the examples, and library callers all dispatch through
 it — there is no second parser and no second encoder anywhere in the repo.
 
@@ -55,16 +56,7 @@ class JuryService:
     engine:
         Advanced: adopt an existing :class:`BatchSelectionEngine`.  It must
         have been constructed with a registry (which becomes the service's
-        registry); mutually exclusive with ``cache_size`` and
-        ``frontier_size``.
-    cache_size:
-        Prefix-sweep cache capacity for the internally built engine.
-    frontier_size:
-        Answer-frontier cache capacity for the internally built engine;
-        ``0`` disables the frontier (every query runs the oracle
-        plan→operator path).  When omitted, the ``REPRO_FRONTIER_CACHE``
-        environment flag decides (enabled by default) — which is how CI
-        pins the no-cache oracle path across the whole suite.
+        registry).
     data_dir:
         Directory for a durable :class:`~repro.storage.PoolCatalog`.  The
         service builds (and **owns** — :meth:`close` closes it) a catalog
@@ -95,8 +87,6 @@ class JuryService:
         *,
         registry: PoolRegistry | None = None,
         engine: BatchSelectionEngine | None = None,
-        cache_size: int | None = None,
-        frontier_size: int | None = None,
         data_dir=None,
         catalog=None,
     ) -> None:
@@ -109,10 +99,6 @@ class JuryService:
         self._catalog = None
         self._owns_catalog = False
         if engine is not None:
-            if cache_size is not None or frontier_size is not None:
-                raise ValueError(
-                    "pass either an engine or cache_size/frontier_size, not both"
-                )
             if data_dir is not None or catalog is not None:
                 raise ValueError(
                     "pass either an engine or data_dir/catalog, not both"
@@ -146,12 +132,7 @@ class JuryService:
                 self._catalog = catalog
             else:
                 self._registry = PoolRegistry()
-            options: dict = {}
-            if cache_size is not None:
-                options["cache_size"] = cache_size
-            if frontier_size is not None:
-                options["frontier_size"] = frontier_size
-            self._engine = BatchSelectionEngine(registry=self._registry, **options)
+            self._engine = BatchSelectionEngine(registry=self._registry)
 
     @property
     def engine(self) -> BatchSelectionEngine:
@@ -221,18 +202,14 @@ class JuryService:
         """Whether the engine can answer ``request`` with a frontier probe alone.
 
         True for a non-explain AltrM select of a named pool that is resident
-        in memory, whose current version is already fingerprinted, and whose
-        answer frontier is in the engine's cache.  O(1) and side-effect
-        free: it never loads a pool, computes a fingerprint, waits on a lock
-        or touches the frontier's LRU order or hit/miss counters.
+        in memory and whose current version's answer frontier is built.
+        O(1) and side-effect free: it never loads a pool, computes a
+        fingerprint, builds a frontier or waits on a lock.
         """
         if request.explain or request.model != "altr" or request.pool is None:
             return False
         pool = self._registry.resident(request.pool)
-        if pool is None:
-            return False
-        fingerprint = pool.known_fingerprint
-        return fingerprint is not None and fingerprint in self._engine.frontier
+        return pool is not None and pool.frontier_ready
 
     def select(self, request: SelectionRequest) -> SelectionResponse:
         """Answer one request (honouring its ``explain`` flag); never raises
@@ -317,10 +294,13 @@ class JuryService:
     def pool(self, command: PoolCommand) -> dict:
         """Apply one registry mutation; returns the wire acknowledgement.
 
-        Updates are atomic: the whole ``remove -> add -> set`` plan is
-        validated against a simulated membership before the first mutation,
-        so a failing command leaves the pool untouched.  Raises
-        :class:`~repro.errors.ReproError` subclasses on failure.
+        An update's whole ``remove -> add -> set`` plan is validated against
+        a simulated membership before the first mutation, so a command that
+        is rejected leaves the pool untouched.  The plan is then applied one
+        juror mutation at a time, and a durable pool logs each as its own
+        WAL record, so a crash part-way through can recover a command half
+        applied.  Raises :class:`~repro.errors.ReproError` subclasses on
+        failure.
         """
         if command.action == "create":
             pool = self._registry.create(
@@ -328,11 +308,6 @@ class JuryService:
             )
         elif command.action == "drop":
             pool = self._registry.drop(command.name)
-            if pool.size:
-                # Symmetric eviction: every cache keyed by this fingerprint
-                # (sweep profile *and* answer frontier); older versions'
-                # entries age out via LRU.
-                self._engine.invalidate_profile(pool.fingerprint)
         else:  # update
             pool = self._registry.get(command.name)
             remove_ids, adds, updates = self._validated_update(pool, command)
@@ -364,8 +339,8 @@ class JuryService:
 
         Simulates the membership through remove -> add -> set order (the
         order the update is applied in) and re-validates every value a
-        mutation would validate, so applying the returned plan cannot fail
-        halfway: the update is atomic from the client's point of view.
+        mutation would validate, so no mutation of the returned plan can be
+        rejected once the first one is applied.
         """
         membership = {j.juror_id: j for j in pool.ordered}
         remove_ids: list[str] = []
@@ -407,11 +382,13 @@ class JuryService:
         Safe to call concurrently with running batches and pool commands:
         everything here is a plain counter read, and the pool listing is a
         best-effort snapshot (a pool created or dropped mid-read may be
-        missed — liveness probes must never block on the engine).  Every
-        cache tier is surfaced: the prefix-sweep cache (``cache``), the
-        planner's memoised operator choice (``planner``), the answer
-        frontier (``frontier`` — hits/misses plus build/repair/rebuild
-        lifecycle) and the engine's work counters (``engine``).  The
+        missed — liveness probes must never block on the engine).  The
+        blocks: ``cache``, frozen-pool AltrM profiles reused (``hits``) or
+        swept (``misses``) within an engine pass; ``planner``, the planner's
+        memoised operator choice; ``frontier``, named-pool AltrM selects
+        answered from a frontier already built for their version (``hits``)
+        or not (``misses``), and how the misses produced it (``builds``,
+        ``repairs``, ``rebuilds``); and ``engine``, its work counters.  The
         ``kernels`` block reports the compiled-kernel registry
         (:func:`repro.core.kernels.stats_snapshot`): the active backend
         (every kernel call runs on it), per-kernel dispatch counters of
@@ -427,7 +404,6 @@ class JuryService:
         spans the whole durable namespace.
         """
         registry = self._registry
-        engine = self._engine
         pools: dict[str, dict] = {}
         for _ in range(8):
             try:
@@ -440,19 +416,18 @@ class JuryService:
         for name, pool in resident:
             pools[name] = {"version": pool.version, "size": pool.size}
         planner_info = planner_cache_info()
+        counters = self._engine.stats
+        live_profiles = counters.live_profiles
         payload = {
             "v": PROTOCOL_VERSION,
             "ok": True,
             "cmd": "stats",
             "pools": pools,
-            "queries_run": engine.stats.queries_run,
-            "live_profiles": engine.stats.live_profiles,
+            "queries_run": counters.queries_run,
+            "live_profiles": live_profiles,
             "cache": {
-                "hits": engine.cache.hits,
-                "misses": engine.cache.misses,
-                "evictions": engine.cache.evictions,
-                "entries": len(engine.cache),
-                "maxsize": engine.cache.maxsize,
+                "hits": counters.profiles_reused,
+                "misses": counters.pools_swept,
             },
             "planner": {
                 "hits": planner_info.hits,
@@ -460,14 +435,20 @@ class JuryService:
                 "entries": planner_info.currsize,
                 "maxsize": planner_info.maxsize,
             },
-            "frontier": engine.frontier.snapshot(),
+            "frontier": {
+                "hits": counters.frontier_hits,
+                "misses": live_profiles,
+                "builds": counters.frontier_builds,
+                "repairs": counters.frontier_repairs,
+                "rebuilds": counters.frontier_rebuilds,
+            },
             "engine": {
-                "queries_run": engine.stats.queries_run,
-                "batch_sweeps": engine.stats.batch_sweeps,
-                "pools_swept": engine.stats.pools_swept,
-                "live_profiles": engine.stats.live_profiles,
-                "frontier_hits": engine.stats.frontier_hits,
-                "kernel_backend": engine.stats.kernel_backend,
+                "queries_run": counters.queries_run,
+                "batch_sweeps": counters.batch_sweeps,
+                "pools_swept": counters.pools_swept,
+                "live_profiles": live_profiles,
+                "frontier_hits": counters.frontier_hits,
+                "kernel_backend": counters.kernel_backend,
             },
             "kernels": kernels.stats_snapshot(),
         }

@@ -122,7 +122,7 @@ from repro.api import (
     error_code,
 )
 from repro.core.juror import Juror
-from repro.errors import ReproError
+from repro.errors import ProtocolError, ReproError
 
 __all__ = [
     "load_candidates_csv",
@@ -240,7 +240,7 @@ def run_batch(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    service = JuryService(frontier_size=0 if getattr(args, "no_frontier", False) else None)
+    service = JuryService()
     try:
         return _run_batch_rows(args, source, text, service)
     finally:
@@ -306,10 +306,16 @@ def _run_batch_rows(
                         f"{where}: row without 'task' must define a pool "
                         "('pool' + 'candidates')"
                     )
+                name = obj["pool"]
+                if not isinstance(name, str):
+                    raise ProtocolError(
+                        f"{where}: 'pool' must be a string, got {type(name).__name__}",
+                        detail={"where": where, "field": "pool"},
+                    )
                 command = PoolCommand.from_dict(
                     {
                         "action": "create",
-                        "name": str(obj["pool"]),
+                        "name": name,
                         "candidates": obj["candidates"],
                         "replace": True,
                     },
@@ -382,7 +388,6 @@ def _build_batch_parser() -> argparse.ArgumentParser:
         default=None,
         help="write result JSONL here instead of stdout",
     )
-    _add_no_frontier_flag(parser)
     return parser
 
 
@@ -396,17 +401,6 @@ def _add_data_dir_flag(parser: argparse.ArgumentParser) -> None:
         "WAL-logged (fsync per record) with periodic columnar snapshots, "
         "and a restart recovers bit-identical pools from disk "
         "(default: REPRO_DATA_DIR env var, else in-memory only)",
-    )
-
-
-def _add_no_frontier_flag(parser: argparse.ArgumentParser) -> None:
-    """The answer-frontier opt-out shared by batch/serve/http."""
-    parser.add_argument(
-        "--no-frontier",
-        action="store_true",
-        help="disable the answer-frontier cache so every query runs the "
-        "full plan->operator path (results are bit-identical either way; "
-        "equivalent to REPRO_FRONTIER_CACHE=0)",
     )
 
 
@@ -520,11 +514,7 @@ def run_serve(args: argparse.Namespace, *, stdin=None, stdout=None) -> int:
     """
     source = sys.stdin if stdin is None else stdin
     sink = sys.stdout if stdout is None else stdout
-    service = JuryService(
-        cache_size=args.cache_size,
-        frontier_size=0 if getattr(args, "no_frontier", False) else None,
-        data_dir=getattr(args, "data_dir", None),
-    )
+    service = JuryService(data_dir=getattr(args, "data_dir", None))
     try:
         return _serve_session(source, sink, service)
     except KeyboardInterrupt:
@@ -612,14 +602,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "(create/update/drop) interleaved with selections, over a shared "
         "registry of versioned live pools.",
     )
-    parser.add_argument(
-        "--cache-size",
-        type=int,
-        default=None,
-        help="prefix-sweep cache capacity (default: engine default)",
-    )
     _add_data_dir_flag(parser)
-    _add_no_frontier_flag(parser)
     return parser
 
 
@@ -636,8 +619,6 @@ async def _serve_http(args: argparse.Namespace) -> int:
     service = AsyncJuryService(
         max_batch=args.max_batch,
         max_pending=args.max_pending,
-        cache_size=args.cache_size,
-        frontier_size=0 if getattr(args, "no_frontier", False) else None,
         data_dir=getattr(args, "data_dir", None),
     )
     server = HttpServer(
@@ -719,14 +700,7 @@ def _build_http_parser() -> argparse.ArgumentParser:
         dest="max_connections",
         help="simultaneous-connection bound (default: 512)",
     )
-    parser.add_argument(
-        "--cache-size",
-        type=int,
-        default=None,
-        help="prefix-sweep cache capacity (default: engine default)",
-    )
     _add_data_dir_flag(parser)
-    _add_no_frontier_flag(parser)
     return parser
 
 

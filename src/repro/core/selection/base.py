@@ -133,9 +133,9 @@ def lemma3_order(ids: Sequence[str], eps: np.ndarray) -> np.ndarray:
 def columns_fingerprint(ids: Sequence[str], eps, reqs) -> str:
     """Content hash of candidate columns in pool order.
 
-    The batch engine (:mod:`repro.service`) keys its prefix-sweep cache on
-    this fingerprint so that queries sharing a candidate pool are swept only
-    once; the durable catalog (:mod:`repro.storage`) checks recovered
+    The batch engine (:mod:`repro.service`) deduplicates the frozen pools of
+    one pass on this fingerprint so that queries sharing a candidate pool
+    are swept only once; the durable catalog (:mod:`repro.storage`) checks recovered
     snapshots against it.  It is blake2b-128 over the member count, the
     little-endian float64 bytes of ``eps`` and of ``reqs``, the length of
     each id in code points, and the ids themselves encoded as UTF-8 with

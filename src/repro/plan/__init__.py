@@ -22,16 +22,19 @@ operators that answer it, database-style:
     ``enumerate`` vs ``branch-and-bound`` from pool size and budget
     tightness, and the frontier build-vs-probe crossover.
 :mod:`repro.plan.frontier`
-    The answer frontier: per-(pool fingerprint, version) running argmin over
-    the odd-prefix JER profile, probed by binary search so repeat AltrM
-    queries skip planning and kernels entirely (consulted by the batch
-    engine *before* ``plan_query``).
+    The answer frontier: a pool version's running argmin over the odd-prefix
+    JER profile, probed by binary search.  Live pools own one per version,
+    and the batch engine answers their AltrM selects from it without
+    planning or touching the kernels.
 
 The scalar selectors (:func:`repro.select_jury_altr`,
 :func:`repro.select_jury_pay`, :func:`repro.select_jury_optimal`), the
 batch engine (:class:`repro.service.BatchSelectionEngine`), the
 ``repro-select`` CLI modes and the experiment runners all execute through
-``plan_query() -> execute_plan()``, so their answers cannot diverge.
+``plan_query() -> execute_plan()``, so their answers cannot diverge.  The
+one exception, a named pool's AltrM select, reads its live pool's answer
+frontier, whose scan is ``best_odd_prefix``'s loop checkpointed at every
+prefix.
 """
 
 from repro.plan.cost import (
@@ -42,14 +45,7 @@ from repro.plan.cost import (
     frontier_break_even,
     frontier_eligible,
 )
-from repro.plan.frontier import (
-    DEFAULT_FRONTIER_CACHE_SIZE,
-    FRONTIER_ENV_FLAG,
-    AnswerFrontier,
-    FrontierCache,
-    frontier_cache_enabled,
-    frontier_cache_size_from_env,
-)
+from repro.plan.frontier import AnswerFrontier
 from repro.plan.operators import execute_plan
 from repro.plan.planner import (
     SelectionPlan,
@@ -60,21 +56,16 @@ from repro.plan.planner import (
 from repro.plan.pool import CandidatePool, as_pool
 
 __all__ = [
-    "DEFAULT_FRONTIER_CACHE_SIZE",
     "ENUMERATION_CROSSOVER",
-    "FRONTIER_ENV_FLAG",
     "FRONTIER_MIN_POOL",
     "AnswerFrontier",
     "CandidatePool",
-    "FrontierCache",
     "PlanCost",
     "SelectionPlan",
     "as_pool",
     "estimate_plan_cost",
     "execute_plan",
     "frontier_break_even",
-    "frontier_cache_enabled",
-    "frontier_cache_size_from_env",
     "frontier_eligible",
     "normalize_model",
     "plan_query",

@@ -63,7 +63,7 @@ __all__ = [
 #: and bound (the historical ``select_jury_optimal(method="auto")`` rule).
 ENUMERATION_CROSSOVER = 14
 
-#: Smallest pool for which the engine materialises an answer frontier.
+#: Smallest pool for which the cost model prices the frontier probe.
 #: Below this the profile has at most two odd prefixes, where a binary-search
 #: probe costs no less than the linear ``best_odd_prefix`` scan it replaces
 #: (``frontier_probe_ops == frontier_scan_ops`` at two entries) — the
@@ -177,14 +177,15 @@ def frontier_break_even(pool_size: int) -> int:
 
 
 def frontier_eligible(model: str, pool_size: int) -> bool:
-    """Whether the answer frontier may serve queries of this shape.
+    """Whether the cost model lists the frontier probe for this query shape.
 
     Only ``altr`` qualifies: the frontier reproduces ``best_odd_prefix``'s
     smaller-jury-wins tie-break exactly, whereas the exact solvers tie-break
     by size then lexicographic juror ids and label results differently —
     serving those from the frontier would break bit-identity with the oracle
     path.  Pools below :data:`FRONTIER_MIN_POOL` fail the build-vs-probe
-    crossover (see :func:`frontier_break_even`).
+    crossover (see :func:`frontier_break_even`); the engine still answers
+    them from their live pool's frontier, since the answers are the same.
     """
     return model == "altr" and pool_size >= FRONTIER_MIN_POOL
 
@@ -220,7 +221,8 @@ def estimate_plan_cost(
             # The repeat-query alternative: once a frontier is materialised
             # for this pool version, a probe answers in O(log n).  The sweep
             # stays first — it is what a cold query must run — but the engine
-            # consults the frontier before planning at all.
+            # answers a named pool's select from its frontier without
+            # planning at all.
             estimates.append(("frontier-probe", frontier_probe_ops(n)))
     elif model == "pay":
         if variant == "improved":

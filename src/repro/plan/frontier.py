@@ -10,11 +10,11 @@ and every later query answered by binary search, without planning and without
 touching the kernels.
 
 :class:`AnswerFrontier`
-    The materialised running argmin for one ``(pool fingerprint, version)``:
-    ``ns[i]`` is the ``i``-th odd prefix size and ``best_ns[i]`` /
-    ``best_jers[i]`` the winning prefix among sizes ``<= ns[i]``, computed
-    with *exactly* the :data:`~repro.core.jer.JER_IMPROVEMENT_EPS` tie-break
-    of :func:`~repro.core.jer.best_odd_prefix` (prefer the smaller jury on
+    The materialised running argmin for one pool version: ``ns[i]`` is the
+    ``i``-th odd prefix size and ``best_ns[i]`` / ``best_jers[i]`` the
+    winning prefix among sizes ``<= ns[i]``, computed with *exactly* the
+    :data:`~repro.core.jer.JER_IMPROVEMENT_EPS` tie-break of
+    :func:`~repro.core.jer.best_odd_prefix` (prefer the smaller jury on
     ties).  :meth:`AnswerFrontier.probe` is one ``np.searchsorted``;
     :meth:`AnswerFrontier.select` wraps the probe into the same
     :class:`~repro.core.selection.base.SelectionResult` the plan pipeline
@@ -26,26 +26,23 @@ touching the kernels.
     :meth:`AnswerFrontier.repaired` resumes the running argmin from the first
     dirty entry of the new version's sweep profile.
 
-:class:`FrontierCache`
-    LRU ``fingerprint -> AnswerFrontier`` map with hit/miss/eviction plus
-    build/repair/rebuild counters, mirroring
-    :class:`repro.service.cache.PrefixSweepCache`.  Content-hash keys make it
-    safe under churn (a mutation changes the fingerprint), and ``maxsize=0``
-    disables it entirely — the oracle configuration that
-    ``REPRO_FRONTIER_CACHE=0`` pins in CI.
+A live pool (:meth:`repro.service.registry.LivePool.answer_frontier`) owns
+the frontier of its current version: it builds it on the version's first
+AltrM select and repairs it across churn, and the batch engine answers every
+AltrM select of a named pool from it.  Frozen pools get no frontier; the
+engine answers them through ``plan_query() -> execute_plan()``.
 
-Only ``model="altr"`` plans are frontier-eligible.  ``exact`` queries over
-the same pool *can* return the same jury, but their tie-break differs (ties
-within ``1e-15`` resolve by size then lexicographic juror ids, and the result
-is labelled ``OPT-enumerate``/``OPT-bnb``), so serving them from the frontier
-would break bit-identity with the oracle path.  The eligibility rule and the
-build-vs-probe crossover live in :mod:`repro.plan.cost`.
+Only ``model="altr"`` queries are answered from a frontier.  ``exact``
+queries over the same pool *can* return the same jury, but their tie-break
+differs (ties within ``1e-15`` resolve by size then lexicographic juror ids,
+and the result is labelled ``OPT-enumerate``/``OPT-bnb``), so serving them
+from the frontier would break bit-identity with the oracle path.  The
+build-vs-probe crossover the cost model reports lives in
+:mod:`repro.plan.cost`.
 """
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
@@ -54,38 +51,7 @@ from repro.core.jer import JER_IMPROVEMENT_EPS
 from repro.core.juror import Juror, Jury
 from repro.core.selection.base import SelectionResult, SelectionStats
 
-__all__ = [
-    "AnswerFrontier",
-    "FrontierCache",
-    "DEFAULT_FRONTIER_CACHE_SIZE",
-    "FRONTIER_ENV_FLAG",
-    "frontier_cache_enabled",
-    "frontier_cache_size_from_env",
-]
-
-#: Default number of answer frontiers retained by an engine's cache (one per
-#: pool fingerprint; two int64/float64 columns each, a few KiB per pool).
-DEFAULT_FRONTIER_CACHE_SIZE = 128
-
-#: Environment flag gating the frontier cache.  Unset or truthy -> enabled;
-#: ``0`` / ``false`` / ``no`` / ``off`` (case-insensitive) -> disabled, which
-#: forces every query down the plan_query() -> execute_plan() oracle path.
-FRONTIER_ENV_FLAG = "REPRO_FRONTIER_CACHE"
-
-_FALSE_VALUES = frozenset({"0", "false", "no", "off"})
-
-
-def frontier_cache_enabled() -> bool:
-    """Whether :data:`FRONTIER_ENV_FLAG` leaves the frontier cache on."""
-    raw = os.environ.get(FRONTIER_ENV_FLAG, "").strip().lower()
-    if not raw:
-        return True
-    return raw not in _FALSE_VALUES
-
-
-def frontier_cache_size_from_env() -> int:
-    """Engine default frontier capacity (0 when the env flag disables it)."""
-    return DEFAULT_FRONTIER_CACHE_SIZE if frontier_cache_enabled() else 0
+__all__ = ["AnswerFrontier"]
 
 
 class AnswerFrontier:
@@ -101,7 +67,7 @@ class AnswerFrontier:
     >>> import numpy as np
     >>> ns = np.array([1, 3, 5], dtype=np.int64)
     >>> jers = np.array([0.2, 0.1, 0.15])
-    >>> frontier = AnswerFrontier.build(ns, jers, fingerprint="fp")
+    >>> frontier = AnswerFrontier.build(ns, jers)
     >>> frontier.probe(4)   # best odd prefix of size <= 4
     (3, 0.1, 2)
     >>> frontier.probe(None)
@@ -116,7 +82,7 @@ class AnswerFrontier:
         best_ns: np.ndarray,
         best_jers: np.ndarray,
         *,
-        fingerprint: str,
+        fingerprint: str | None = None,
         version: int | None = None,
     ) -> None:
         self.ns = ns
@@ -136,10 +102,14 @@ class AnswerFrontier:
         ns: np.ndarray,
         jers: np.ndarray,
         *,
-        fingerprint: str,
+        fingerprint: str | None = None,
         version: int | None = None,
     ) -> AnswerFrontier:
-        """Materialise the frontier from a full sweep profile (O(entries))."""
+        """Materialise the frontier from a full sweep profile (O(entries)).
+
+        ``fingerprint`` and ``version`` are labels the caller may attach
+        (the pool content the profile came from); neither is read here.
+        """
         return cls._compute(ns, jers, 0, None, None, fingerprint, version)
 
     def repaired(
@@ -148,7 +118,7 @@ class AnswerFrontier:
         jers: np.ndarray,
         clean_entries: int,
         *,
-        fingerprint: str,
+        fingerprint: str | None = None,
         version: int | None = None,
     ) -> AnswerFrontier:
         """A new frontier for a churned profile, reusing the clean prefix.
@@ -174,7 +144,7 @@ class AnswerFrontier:
         clean: int,
         prev_best_ns: np.ndarray | None,
         prev_best_jers: np.ndarray | None,
-        fingerprint: str,
+        fingerprint: str | None,
         version: int | None,
     ) -> AnswerFrontier:
         ns = np.ascontiguousarray(ns, dtype=np.int64)
@@ -248,120 +218,3 @@ class AnswerFrontier:
             budget=None,
             stats=stats,
         )
-
-
-class FrontierCache:
-    """LRU cache ``fingerprint -> AnswerFrontier`` with lifecycle counters.
-
-    ``hits``/``misses``/``evictions`` mirror
-    :class:`~repro.service.cache.PrefixSweepCache`; ``builds``/``repairs``/
-    ``rebuilds`` count how frontiers entered the cache (fresh build, delta
-    repair from a prior version, forced full rebuild).  ``maxsize=0``
-    disables storage — every :meth:`get` returns ``None`` without counting,
-    so a disabled engine reports all-zero frontier stats.
-    """
-
-    __slots__ = (
-        "_maxsize", "_entries",
-        "hits", "misses", "evictions", "builds", "repairs", "rebuilds",
-    )
-
-    def __init__(self, maxsize: int = DEFAULT_FRONTIER_CACHE_SIZE) -> None:
-        if maxsize < 0:
-            raise ValueError(f"maxsize must be non-negative, got {maxsize}")
-        self._maxsize = maxsize
-        self._entries: OrderedDict[str, AnswerFrontier] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.builds = 0
-        self.repairs = 0
-        self.rebuilds = 0
-
-    @property
-    def maxsize(self) -> int:
-        """Capacity in frontiers (0 = disabled)."""
-        return self._maxsize
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the cache stores (and therefore serves) anything at all."""
-        return self._maxsize > 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._entries
-
-    def get(self, fingerprint: str) -> AnswerFrontier | None:
-        """The cached frontier, or ``None`` (disabled caches never count)."""
-        if self._maxsize == 0:
-            return None
-        entry = self._entries.get(fingerprint)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(fingerprint)
-        self.hits += 1
-        return entry
-
-    def put(self, frontier: AnswerFrontier, *, mode: str = "built") -> None:
-        """Store a frontier, recording how it was produced.
-
-        ``mode`` is one of ``"built"`` (fresh), ``"repaired"`` (delta repair)
-        or ``"rebuilt"`` (churn left no entry intact, full recompute);
-        ``"cached"`` stores without counting (the frontier was already
-        accounted for when first produced).
-        """
-        if mode == "built":
-            self.builds += 1
-        elif mode == "repaired":
-            self.repairs += 1
-        elif mode == "rebuilt":
-            self.rebuilds += 1
-        elif mode != "cached":
-            raise ValueError(f"unknown frontier mode {mode!r}")
-        if self._maxsize == 0:
-            return
-        self._entries[frontier.fingerprint] = frontier
-        self._entries.move_to_end(frontier.fingerprint)
-        while len(self._entries) > self._maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def invalidate(self, fingerprint: str) -> bool:
-        """Explicitly evict one frontier; returns whether it was present.
-
-        Content-keyed entries never go *wrong*, but a dropped registry
-        pool's frontier is dead weight — the registry drop path frees it
-        here in the same breath as the sweep caches.
-        """
-        if self._entries.pop(fingerprint, None) is None:
-            return False
-        self.evictions += 1
-        return True
-
-    def clear(self) -> None:
-        """Drop all frontiers and reset every counter."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.builds = 0
-        self.repairs = 0
-        self.rebuilds = 0
-
-    def snapshot(self) -> dict:
-        """Counter snapshot for the stats surfaces (plain ints, JSON-ready)."""
-        return {
-            "enabled": self.enabled,
-            "entries": len(self._entries),
-            "maxsize": self._maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "builds": self.builds,
-            "repairs": self.repairs,
-            "rebuilds": self.rebuilds,
-        }

@@ -11,8 +11,8 @@ order once, as parallel read-only columns —
 plus :attr:`CandidatePool.ordered`, the same columns as a
 :class:`~repro.core.juror.JurorColumns` sequence, which builds a
 :class:`~repro.core.juror.Juror` only for a member an answer returns.  The
-physical operators read the arrays directly; the batch engine keys its
-sweep and frontier caches on the pool's content fingerprint.  A live pool
+physical operators read the arrays directly; the batch engine deduplicates
+the pools of one pass on their content fingerprint.  A live pool
 (:class:`repro.service.registry.LivePool`) hands the sorted columns of its
 current version over as a pool without copying them.
 """
@@ -101,8 +101,9 @@ class CandidatePool:
         self.eps = ordered.eps
         self.reqs = ordered.reqs
         self.ids = ordered.ids
-        # Computed lazily: only the AltrM caches consult it, so PayM and
-        # exact queries never pay for the hash.
+        # Computed lazily: only the engine's in-pass AltrM deduplication
+        # consults it, so PayM, exact and named-pool queries never pay for
+        # the hash.
         self._fingerprint = fingerprint
         self.pool_id = pool_id
 

@@ -4,40 +4,36 @@ The paper's workload is inherently batched: a crowdsourcing platform must
 select juries for thousands of concurrent decision tasks, frequently drawing
 on the same candidate pool.  :class:`BatchSelectionEngine` accepts many
 :class:`SelectionQuery` objects at once — mixed AltrM / PayM / exact
-strategies, shared or per-task pools.
+strategies, shared or per-task pools — and answers each on one of two paths:
 
-Every query is answered through the plan layer: the engine resolves the
-candidate source to a pool, calls :func:`repro.plan.plan_query` (the single
-front door that parses model strings and picks the physical operator) and
-executes the plan with :func:`repro.plan.execute_plan`.  On top of that one
-path the engine adds the batch-shaped optimisations:
-
-* **Repeat AltrM queries** are answered from the answer-frontier cache
-  (:mod:`repro.plan.frontier`): the engine probes it during batch assembly,
-  *before* planning, and a hit is one ``np.searchsorted`` — no
-  ``plan_query``, no ``execute_plan``.  Registry pools adopt their live
-  frontier (delta-repaired across churn) whenever their profile is
-  resolved; a frozen pool gets a frontier on its second sighting, when its
-  profile comes out of the sweep cache, so one-shot inline pools never pay
-  for one.  Results are bit-identical to the plan pipeline, tie-break
+* **AltrM over a named pool** is answered from the live pool's own answer
+  frontier (:meth:`~repro.service.registry.LivePool.answer_frontier`).  By
+  Lemma 3 every AltrM answer over a pool version is an odd prefix of its
+  error-rate order, so the frontier, built by the version's first select
+  and delta-repaired across churn, answers any size cap with one
+  ``np.searchsorted``: no fingerprint, no ``plan_query``, no
+  ``execute_plan``.  Its scan is :func:`~repro.core.jer.best_odd_prefix`'s
+  loop, so the answers are bit-identical to the plan pipeline, tie-break
   included.
-* **AltrM queries** are answered from odd-prefix JER profiles.  Distinct
-  pools of equal size are stacked into one matrix and swept together by the
-  vectorized 2-D kernel (:func:`repro.core.jer.batch_prefix_jer_sweep`);
-  profiles are cached per pool fingerprint (:class:`PrefixSweepCache`), so a
-  pool shared by 1,000 tasks is swept exactly once, and the cached profile
-  is handed to the plan's sweep operator.
-* **PayM queries** execute the columnar greedy operator per query (the
-  greedy is inherently sequential per instance, but its pair trials are
-  scored block-wise — see :mod:`repro.core.selection.pay`).
-* **Exact queries** execute the enumeration / branch-and-bound operator the
-  cost model picks.
+* **Everything else** goes through the plan layer: the engine resolves the
+  query to a frozen :class:`CandidatePool`, calls
+  :func:`repro.plan.plan_query` (the single front door that parses model
+  strings and picks the physical operator) and executes the plan with
+  :func:`repro.plan.execute_plan`.  AltrM queries over inline candidates or
+  a passed-in pool are deduplicated by fingerprint within one pass, and
+  distinct pools of equal size are stacked into one matrix and swept
+  together by the vectorized 2-D kernel
+  (:func:`repro.core.jer.batch_prefix_jer_sweep`); each plan's sweep
+  operator reads its pool's row.  Nothing is kept across passes.  PayM
+  queries execute the columnar greedy operator and exact queries the
+  enumeration / branch-and-bound operator the cost model picks, one query
+  at a time.
 
 Everything runs in-process, one engine pass at a time.  Results are
-**bit-identical** to the single-query selectors: both run the same
-plan->operator pipeline over the same columnar arrays, so they cannot
-diverge.  :meth:`BatchSelectionEngine.plan` returns the plan for a query
-*without* executing it (the ``repro-select explain`` surface).
+**bit-identical** to the single-query selectors, which run the same
+plan->operator pipeline over the same columnar arrays.
+:meth:`BatchSelectionEngine.plan` returns the plan for a query *without*
+executing it (the ``repro-select explain`` surface).
 """
 
 from __future__ import annotations
@@ -61,13 +57,6 @@ from repro.plan import (
     normalize_model,
     plan_query,
 )
-from repro.plan.cost import frontier_eligible
-from repro.plan.frontier import (
-    AnswerFrontier,
-    FrontierCache,
-    frontier_cache_size_from_env,
-)
-from repro.service.cache import DEFAULT_CACHE_SIZE, PrefixSweepCache
 from repro.service.registry import LivePool, PoolRegistry
 
 __all__ = ["SelectionQuery", "QueryOutcome", "BatchSelectionEngine"]
@@ -86,13 +75,14 @@ class SelectionQuery:
         :class:`~repro.core.juror.JurorColumns` a decoded request carries;
         mutually exclusive with ``pool`` and ``pool_name``.
     pool:
-        A shared :class:`CandidatePool`.  Queries referencing the same pool
-        object (or pools with equal fingerprints) share one prefix sweep.
+        A shared :class:`CandidatePool`.  Queries of one engine pass that
+        reference the same pool object (or pools with equal fingerprints)
+        share one prefix sweep.
     pool_name:
         Name of a :class:`~repro.service.registry.LivePool` in the engine's
-        registry.  The query runs against a snapshot of the pool's state at
-        resolution time; its per-version sweep profile is reused on cache
-        misses.
+        registry.  The query runs against the pool's state at resolution
+        time; an AltrM query is answered from the pool's answer frontier
+        for that version.
     model:
         ``"altr"`` (AltrALG optimum), ``"pay"`` (PayALG greedy, requires
         ``budget``) or ``"exact"`` (enumeration / branch-and-bound optimum).
@@ -191,15 +181,30 @@ class EngineStats:
     """Counters describing the work an engine has performed (cumulative)."""
 
     queries_run: int = 0
+    #: Frozen-pool AltrM sweeps: one 2-D kernel call per distinct pool size
+    #: in a pass, covering ``pools_swept`` distinct pools.
     batch_sweeps: int = 0
     pools_swept: int = 0
-    live_profiles: int = 0
-    #: Queries answered from the answer frontier — no plan, no kernel.
+    #: Frozen-pool AltrM queries that read a profile an earlier query of the
+    #: same pass had swept.
+    profiles_reused: int = 0
+    #: Named-pool AltrM queries answered from a frontier already built for
+    #: their pool version: one binary search, no sweep.
     frontier_hits: int = 0
+    #: The first query of each named-pool version, by how its live pool
+    #: produced the frontier (see :meth:`LivePool.answer_frontier`).
+    frontier_builds: int = 0
+    frontier_repairs: int = 0
+    frontier_rebuilds: int = 0
     #: Kernel backend every kernel call dispatches to (``numpy``/``native``)
     #: — resolved at engine construction, compile and self-check included,
     #: so cc compile time never lands in query timings.
     kernel_backend: str = "numpy"
+
+    @property
+    def live_profiles(self) -> int:
+        """Named-pool versions whose frontier a query had its pool produce."""
+        return self.frontier_builds + self.frontier_repairs + self.frontier_rebuilds
 
 
 class BatchSelectionEngine:
@@ -207,24 +212,10 @@ class BatchSelectionEngine:
 
     Parameters
     ----------
-    cache_size:
-        Capacity of the per-engine prefix-sweep cache (profiles retained
-        across :meth:`run` calls).  ``0`` disables cross-run caching;
-        within one batch, pools are still deduplicated by fingerprint.
-    frontier_size:
-        Capacity of the answer-frontier cache
-        (:class:`~repro.plan.frontier.FrontierCache`): one materialised
-        budget→jury frontier per pool fingerprint, probed *before* planning
-        so repeat AltrM queries are answered by binary search — no
-        ``plan_query``, no ``execute_plan``.  ``0`` disables it (the oracle
-        configuration); ``None`` (default) defers to the
-        ``REPRO_FRONTIER_CACHE`` environment flag (enabled unless the flag
-        is falsy).
     registry:
         Optional :class:`~repro.service.registry.PoolRegistry` against which
-        ``pool_name`` queries are resolved.  Live pools contribute their
-        per-version sweep profiles on cache misses, so every query against
-        the same version shares the pool's one sweep.
+        ``pool_name`` queries are resolved.  Their AltrM queries are answered
+        from each live pool's per-version answer frontier.
 
     Examples
     --------
@@ -236,20 +227,10 @@ class BatchSelectionEngine:
     (5, 0.0704)
     """
 
-    def __init__(
-        self,
-        *,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        frontier_size: int | None = None,
-        registry: PoolRegistry | None = None,
-    ) -> None:
-        self._cache = PrefixSweepCache(maxsize=cache_size)
-        if frontier_size is None:
-            frontier_size = frontier_cache_size_from_env()
-        self._frontier = FrontierCache(maxsize=frontier_size)
+    def __init__(self, *, registry: PoolRegistry | None = None) -> None:
         self._registry = registry
-        # Serialises engine passes and evictions: the caches, frontier and
-        # stats are shared, unsynchronised state.
+        # Serialises engine passes: the stats and the live pools' frontiers
+        # are shared, unsynchronised state.
         self._lock = threading.Lock()
         # Activate (compile + bitwise-verify) the native kernel backend
         # up front: queries must never pay first-call compile cost,
@@ -257,30 +238,9 @@ class BatchSelectionEngine:
         self.stats = EngineStats(kernel_backend=kernels.ensure_ready())
 
     @property
-    def cache(self) -> PrefixSweepCache:
-        """The engine's prefix-sweep cache (inspectable in tests/ops)."""
-        return self._cache
-
-    @property
-    def frontier(self) -> FrontierCache:
-        """The engine's answer-frontier cache (inspectable in tests/ops)."""
-        return self._frontier
-
-    @property
     def registry(self) -> PoolRegistry | None:
         """The registry ``pool_name`` queries resolve against (if any)."""
         return self._registry
-
-    def invalidate_profile(self, fingerprint: str) -> None:
-        """Evict a pool's cached answers everywhere they may live.
-
-        Symmetric by construction: *every* structure keyed by this
-        fingerprint — the prefix-sweep cache and the answer-frontier cache —
-        is cleared.
-        """
-        with self._lock:
-            self._cache.invalidate(fingerprint)
-            self._frontier.invalidate(fingerprint)
 
     def _resolve(self, query: SelectionQuery) -> tuple[CandidatePool, LivePool | None]:
         """Resolve a query to a frozen pool (plus its live pool, if any)."""
@@ -364,70 +324,54 @@ class BatchSelectionEngine:
                         raise
                     outcomes[index].exception = exc
 
-            altr_items = [item for item in resolved if item[1].model == "altr"]
-            other_items = [item for item in resolved if item[1].model != "altr"]
-            self._run_altr(altr_items, outcomes, raise_errors)
-            self._run_serial(other_items, outcomes, raise_errors)
+            frozen_altr = []
+            other = []
+            for item in resolved:
+                index, query, pool, live = item
+                if query.model != "altr":
+                    other.append(item)
+                elif live is not None:
+                    self._answer_from_frontier(
+                        query, pool, live, outcomes[index], raise_errors
+                    )
+                else:
+                    frozen_altr.append(item)
+            self._run_altr(frozen_altr, outcomes, raise_errors)
+            self._run_serial(other, outcomes, raise_errors)
         return outcomes
 
     # ------------------------------------------------------------------
-    # answer frontier: O(log n) repeat queries, probed before planning
+    # AltrM over a named pool: the live pool's answer frontier
     # ------------------------------------------------------------------
-    def _adopt_frontier(
-        self,
-        pool: CandidatePool,
-        live: LivePool | None,
-        profile: tuple[np.ndarray, np.ndarray],
-    ) -> None:
-        """Materialise the pool's answer frontier once its profile is known.
-
-        Live pools hand over their own delta-maintained frontier (repaired,
-        not rebuilt, across churn); frozen pools get a fresh build from the
-        profile — an ``O(entries)`` running-argmin pass, which the cost
-        model's break-even says amortises after a single repeat probe.  The
-        caller offers frozen pools only on their second sighting.
-        Ineligible shapes (non-AltrM is handled by the callers; pools below
-        the build-vs-probe crossover here) are skipped.
-        """
-        if not self._frontier.enabled:
-            return
-        if not frontier_eligible("altr", pool.size):
-            return
-        if pool.fingerprint in self._frontier:
-            return
-        if live is not None:
-            frontier, mode = live.answer_frontier()
-        else:
-            ns, jers = profile
-            frontier = AnswerFrontier.build(ns, jers, fingerprint=pool.fingerprint)
-            mode = "built"
-        self._frontier.put(frontier, mode=mode)
-
-    def _frontier_answer(
+    def _answer_from_frontier(
         self,
         query: SelectionQuery,
         pool: CandidatePool,
+        live: LivePool,
         outcome: QueryOutcome,
         raise_errors: bool,
-    ) -> bool:
-        """Try to answer one AltrM query from the frontier cache.
+    ) -> None:
+        """Answer one named-pool AltrM query from its version's frontier.
 
-        Returns ``True`` when the outcome was filled (result *or* the same
-        error the oracle path would have raised).  The hit path replicates
-        the plan pipeline's observable behaviour exactly: the budget is
-        validated the way ``plan_query`` would (AltrM ignores it otherwise),
-        and an unsatisfiable ``max_size`` raises the identical
-        :class:`ValueError` as :func:`~repro.core.jer.best_odd_prefix`.
+        ``pool`` is the version's snapshot, whose members are in the order
+        the frontier indexes.  The path replicates the plan pipeline's
+        observable behaviour exactly: the budget is validated the way
+        ``plan_query`` would (AltrM ignores it otherwise), and an
+        unsatisfiable ``max_size`` raises the identical :class:`ValueError`
+        as :func:`~repro.core.jer.best_odd_prefix`.
         """
-        if not self._frontier.enabled:
-            return False
-        if not frontier_eligible(query.model, pool.size):
-            return False
-        frontier = self._frontier.get(pool.fingerprint)
-        if frontier is None:
-            return False
         start = time.perf_counter()
         try:
+            frontier, mode = live.answer_frontier()
+            stats = self.stats
+            if mode == "cached":
+                stats.frontier_hits += 1
+            elif mode == "built":
+                stats.frontier_builds += 1
+            elif mode == "repaired":
+                stats.frontier_repairs += 1
+            else:
+                stats.frontier_rebuilds += 1
             if query.budget is not None:
                 validate_budget(query.budget)
             result = frontier.select(pool.ordered, max_size=query.max_size)
@@ -435,17 +379,14 @@ class BatchSelectionEngine:
             if raise_errors:
                 raise
             outcome.exception = exc
-            self.stats.frontier_hits += 1
-            return True
+            return
         elapsed = time.perf_counter() - start
         result.stats.elapsed_seconds = elapsed
         outcome.result = result
         outcome.elapsed_seconds = elapsed
-        self.stats.frontier_hits += 1
-        return True
 
     # ------------------------------------------------------------------
-    # AltrM: shared vectorized sweeps
+    # AltrM over frozen pools: shared vectorized sweeps within one pass
     # ------------------------------------------------------------------
     def _run_altr(
         self,
@@ -453,70 +394,25 @@ class BatchSelectionEngine:
         outcomes: list[QueryOutcome],
         raise_errors: bool,
     ) -> None:
-        if not items:
-            return
-        # Pass 0: frontier probes.  A hit answers the query right here —
-        # no plan, no kernel — so only the misses go through profile
-        # resolution below.
-        items = [
-            item
-            for item in items
-            if not self._frontier_answer(item[1], item[2], outcomes[item[0]], raise_errors)
-        ]
-        if not items:
-            return
-        profiles: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        missing: dict[str, CandidatePool] = {}
-        # Pools whose profile came out of the sweep cache: seen before.
-        repeats: set[str] = set()
-        for _, _, pool, live in items:
-            fingerprint = pool.fingerprint
-            if fingerprint in profiles or fingerprint in missing:
-                continue
-            cached = self._cache.get(fingerprint)
-            if cached is not None:
-                profiles[fingerprint] = cached
-                repeats.add(fingerprint)
-            elif live is not None:
-                # The live pool caches its own profile per version: reuse
-                # it instead of sweeping again here.
-                profile = live.sweep_profile()
-                profiles[fingerprint] = profile
-                self._cache.put(fingerprint, *profile)
-                self.stats.live_profiles += 1
+        distinct: dict[str, CandidatePool] = {}
+        for _, _, pool, _ in items:
+            if pool.fingerprint in distinct:
+                self.stats.profiles_reused += 1
             else:
-                missing[fingerprint] = pool
+                distinct[pool.fingerprint] = pool
 
         # One vectorized 2-D sweep per distinct pool size.
         by_size: dict[int, list[CandidatePool]] = {}
-        for pool in missing.values():
+        for pool in distinct.values():
             by_size.setdefault(pool.size, []).append(pool)
+        profiles: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for pools in by_size.values():
             matrix = np.stack([pool.error_rates for pool in pools])
             ns, jer_matrix = batch_prefix_jer_sweep(matrix)
             self.stats.batch_sweeps += 1
             self.stats.pools_swept += len(pools)
             for row, pool in enumerate(pools):
-                # Copy the row out of the batch matrix: a view would pin the
-                # whole (B, K) matrix in memory for as long as any one
-                # profile stays cached.
-                profile = (ns, jer_matrix[row].copy())
-                profiles[pool.fingerprint] = profile
-                self._cache.put(pool.fingerprint, *profile)
-
-        # Materialise answer frontiers for the registry pools and the
-        # repeat frozen pools touched this pass, so the *next* query probes
-        # in O(log n) instead of re-planning.  A frozen pool seen once gets
-        # none: most never come back, and the LRU would only evict it.
-        if self._frontier.enabled:
-            adopted: set[str] = set()
-            for _, _, pool, live in items:
-                fingerprint = pool.fingerprint
-                if fingerprint in adopted:
-                    continue
-                adopted.add(fingerprint)
-                if live is not None or fingerprint in repeats:
-                    self._adopt_frontier(pool, live, profiles[fingerprint])
+                profiles[pool.fingerprint] = (ns, jer_matrix[row])
 
         for index, query, pool, _ in items:
             start = time.perf_counter()

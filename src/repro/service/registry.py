@@ -19,11 +19,10 @@ anything on the *query path*:
     the ``O(n)`` profile alone.
 
     Live profiles are therefore **bit-identical** to sweeping a fresh
-    :class:`CandidatePool` of the same members, so live pools plug into the
-    batch engine and its fingerprint-keyed sweep cache without a second code
-    path for correctness.  One level up, the pool delta-maintains its
-    :class:`~repro.plan.frontier.AnswerFrontier`
-    (:meth:`LivePool.answer_frontier`): churn at sorted position ``p``
+    :class:`CandidatePool` of the same members.  One level up, the pool
+    owns its :class:`~repro.plan.frontier.AnswerFrontier`
+    (:meth:`LivePool.answer_frontier`), from which the batch engine answers
+    every AltrM select of the pool: churn at sorted position ``p``
     invalidates only frontier entries past ``(p + 1) // 2``, and repair
     resumes the running argmin from there.
 
@@ -195,8 +194,8 @@ class LivePool:
         """Content hash of the current version (cached until the next mutation).
 
         Identical members always produce the identical fingerprint, whatever
-        mutation path led there — the property the engine's sweep cache
-        relies on to restore cache hits after a revert.
+        mutation path led there; the catalog's snapshots record it, and
+        recovery checks it.
         """
         if self._fingerprint is None:
             columns = self.columns
@@ -205,24 +204,16 @@ class LivePool:
             )
         return self._fingerprint
 
-    @property
-    def known_fingerprint(self) -> str | None:
-        """The current version's fingerprint if already computed, else ``None``.
-
-        Never hashes, so an O(1) reader can ask whether the version has been
-        fingerprinted (and therefore may be in a fingerprint-keyed cache).
-        """
-        return self._fingerprint
-
     def snapshot(self) -> CandidatePool:
         """Freeze the current version as an immutable :class:`CandidatePool`.
 
-        O(1): the pool wraps this version's :attr:`columns` and fingerprint.
+        O(1): the pool wraps this version's :attr:`columns`, and adopts the
+        fingerprint only if it is already known; it never hashes.
         """
         if not self._ordered:
             raise EmptyCandidateSetError("cannot snapshot an empty live pool")
         return CandidatePool._sorted(
-            self.columns, fingerprint=self.fingerprint, pool_id=self.pool_id
+            self.columns, fingerprint=self._fingerprint, pool_id=self.pool_id
         )
 
     # ------------------------------------------------------------------
@@ -312,6 +303,15 @@ class LivePool:
         self._profile = (self._version, ns, jers)
         return ns, jers
 
+    @property
+    def frontier_ready(self) -> bool:
+        """Whether the current version's answer frontier is already built.
+
+        O(1) and side-effect free: it never sweeps, hashes or builds.
+        """
+        frontier = self._frontier
+        return frontier is not None and frontier.version == self._version
+
     def answer_frontier(self) -> tuple[AnswerFrontier, str]:
         """The answer frontier of the current version, delta-repaired.
 
@@ -323,7 +323,7 @@ class LivePool:
         kernel run from entry 0).  The frontier's probes are bit-identical
         to :func:`repro.core.jer.best_odd_prefix` over
         :meth:`sweep_profile` — the delta repair reuses only entries the
-        churn provably left untouched.
+        churn provably left untouched.  No fingerprint is computed.
         """
         ns, jers = self.sweep_profile()
         frontier = self._frontier
@@ -335,21 +335,15 @@ class LivePool:
             else max(0, min(self._frontier_clean, frontier.entries, int(ns.size)))
         )
         if frontier is None:
-            rebuilt = AnswerFrontier.build(
-                ns, jers, fingerprint=self.fingerprint, version=self._version
-            )
+            rebuilt = AnswerFrontier.build(ns, jers, version=self._version)
             self.stats.frontier_builds += 1
             mode = "built"
         elif clean == 0:
-            rebuilt = AnswerFrontier.build(
-                ns, jers, fingerprint=self.fingerprint, version=self._version
-            )
+            rebuilt = AnswerFrontier.build(ns, jers, version=self._version)
             self.stats.frontier_rebuilds += 1
             mode = "rebuilt"
         else:
-            rebuilt = frontier.repaired(
-                ns, jers, clean, fingerprint=self.fingerprint, version=self._version
-            )
+            rebuilt = frontier.repaired(ns, jers, clean, version=self._version)
             self.stats.frontier_repairs += 1
             self.stats.frontier_entries_reused += clean
             mode = "repaired"

@@ -209,7 +209,7 @@ class TestPoolAndBackpressure:
 
     def test_rejects_service_plus_options(self):
         with pytest.raises(ValueError, match="not both"):
-            AsyncJuryService(JuryService(), cache_size=4)
+            AsyncJuryService(JuryService(), data_dir="unused")
 
 
 def _gate_select_many(service: JuryService):

@@ -385,13 +385,17 @@ _BAD_SELECT_FIELDS = pytest.mark.parametrize(
         ("max_size", 2.9),
         ("max_size", True),
         ("max_size", "3"),
+        ("budget", True),
+        ("budget", "2.5"),
     ],
 )
+_NOT_STRINGS = pytest.mark.parametrize("value", [None, 5, ["x"]], ids=repr)
 
 
 class TestWireFlagsAndCaps:
-    """Flags must be JSON booleans and ``max_size`` a JSON integer; nothing
-    is coerced, so ``"false"`` can never mean true."""
+    """Flags must be JSON booleans, ``max_size`` a JSON integer, ``budget`` a
+    JSON number and names JSON strings; nothing is coerced, so ``"false"``
+    can never mean true and ``null`` never names the pool ``"None"``."""
 
     @_BAD_SELECT_FIELDS
     def test_select_from_dict_rejects(self, field, value):
@@ -408,6 +412,49 @@ class TestWireFlagsAndCaps:
         assert status == 400
         assert body["error"]["code"] == "bad-request"
         assert body["error"]["detail"]["field"] == field
+
+    @_NOT_STRINGS
+    def test_select_from_dict_rejects_non_string_pool(self, value):
+        with pytest.raises(ProtocolError, match="'pool' must be a string") as excinfo:
+            SelectionRequest.from_dict({"task": "t", "pool": value}, where="q.jsonl:4")
+        assert excinfo.value.detail == {"where": "q.jsonl:4", "field": "pool"}
+
+    @_NOT_STRINGS
+    def test_post_select_non_string_pool_answers_400(self, value):
+        # Pools named as str() of each value exist, so a coerced name would
+        # answer 200 from one of them.
+        async def run():
+            async with HttpServer(port=0) as server:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                try:
+                    for name in ("None", "5", "['x']"):
+                        create = {"action": "create", "name": name, "candidates": _POOL_ROWS}
+                        status, _ = await http_call(reader, writer, "POST", "/v1/pool", create)
+                        assert status == 200
+                    select = {"task": "t", "pool": value}
+                    return await http_call(reader, writer, "POST", "/v1/select", select)
+                finally:
+                    writer.close()
+
+        status, body = asyncio.run(run())
+        assert status == 400
+        assert body["error"]["code"] == "bad-request"
+        assert body["error"]["detail"]["field"] == "pool"
+
+    @_NOT_STRINGS
+    def test_pool_from_dict_rejects_non_string_name(self, value):
+        row = {"action": "create", "name": value, "candidates": _POOL_ROWS}
+        with pytest.raises(ProtocolError, match="'name' must be a string") as excinfo:
+            PoolCommand.from_dict(row, where="POST /v1/pool")
+        assert excinfo.value.detail == {"where": "POST /v1/pool", "field": "name"}
+
+    @_NOT_STRINGS
+    def test_post_pool_non_string_name_answers_400(self, value):
+        create = {"cmd": "pool", "action": "create", "name": value, "candidates": _POOL_ROWS}
+        [(status, body)] = _post("/v1/pool", create)
+        assert status == 400
+        assert body["error"]["code"] == "bad-request"
+        assert body["error"]["detail"]["field"] == "name"
 
     def test_integral_float_cap_is_an_integer(self):
         request = SelectionRequest.from_dict(

@@ -1,16 +1,16 @@
 """Ready frontier hits: batches the async tier answers on the event loop.
 
-A batch in which every request is an AltrM select of a resident,
-already-fingerprinted pool whose answer frontier is cached runs
-``select_many`` on the event loop; every other batch keeps the
-``asyncio.to_thread`` hop.  These tests pin which batches take which path,
-that the readiness check has no side effects, and that the answers stay the
-sequential loop's.
+A batch in which every request is an AltrM select of a resident pool whose
+current version's answer frontier is built runs ``select_many`` on the
+event loop; every other batch keeps the ``asyncio.to_thread`` hop.  These
+tests pin which batches take which path, that the readiness check has no
+side effects, and that the answers stay the sequential reference's.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,11 +20,13 @@ from repro.api import (
     JuryService,
     PoolCommand,
     SelectionRequest,
+    SelectionResponse,
 )
 from repro.api import aio
 from repro.core.juror import Juror
-from repro.plan.frontier import DEFAULT_FRONTIER_CACHE_SIZE
-from repro.service import PoolRegistry
+from repro.plan import execute_plan, plan_query
+from repro.plan import pool as pool_module
+from repro.service import PoolRegistry, registry as registry_module
 from repro.storage import PoolCatalog
 from repro.testing import DEFAULT_SEED
 
@@ -44,14 +46,14 @@ def _create(name: str) -> PoolCommand:
 
 
 def _service(**options) -> JuryService:
-    """A service with the frontier on, whatever ``REPRO_FRONTIER_CACHE`` says."""
+    """A service over an in-memory registry, unless given a catalog."""
     if "catalog" not in options:
         options.setdefault("registry", PoolRegistry())
-    return JuryService(frontier_size=DEFAULT_FRONTIER_CACHE_SIZE, **options)
+    return JuryService(**options)
 
 
 def _warm(service: JuryService, *names: str) -> None:
-    """Create each pool and answer one select, which caches its frontier."""
+    """Create each pool and answer one select, which builds its frontier."""
     for name in names:
         service.pool(_create(name))
         assert service.select(SelectionRequest(task_id="warm", pool=name)).ok
@@ -94,6 +96,35 @@ def _without_timings(response) -> dict:
     return row
 
 
+def _reference(service: JuryService, request: SelectionRequest) -> dict:
+    """The sequential reference: plan and execute over this version's snapshot."""
+    live = service.registry.get(request.pool)
+    plan = plan_query(
+        pool=live.snapshot(), model=request.model, budget=request.budget,
+        max_size=request.max_size, task_id=request.task_id,
+    )
+    return _without_timings(
+        SelectionResponse.from_result(
+            request.task_id, execute_plan(plan), pool_version=live.version
+        )
+    )
+
+
+@pytest.fixture
+def fingerprints(monkeypatch):
+    """Every content hash of a live pool or of a pool snapshot."""
+    calls: list[int] = []
+    real = registry_module.columns_fingerprint
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(registry_module, "columns_fingerprint", counting)
+    monkeypatch.setattr(pool_module, "columns_fingerprint", counting)
+    return calls
+
+
 class TestReadiness:
     def test_warm_named_altr_select_is_ready(self):
         service = _service()
@@ -124,46 +155,47 @@ class TestReadiness:
             PoolCommand(action="update", name="P", add=(Juror(0.01, juror_id="ace"),))
         )
         assert not service.ready_frontier_hit(_hit("t"))
-        assert service.registry.get("P").known_fingerprint is None  # not hashed
         service.select(_hit("t"))
         assert service.ready_frontier_hit(_hit("t"))
 
-    def test_disabled_frontier_is_never_ready(self):
-        service = JuryService(registry=PoolRegistry(), frontier_size=0)
+    def test_answered_version_is_ready_without_a_fingerprint(self, fingerprints):
+        service = _service()
         _warm(service, "P")
-        assert not service.ready_frontier_hit(_hit("t"))
+        service.pool(
+            PoolCommand(action="update", name="P", add=(Juror(0.01, juror_id="ace"),))
+        )
+        assert service.select(_hit("t")).ok
+        assert service.ready_frontier_hit(_hit("t"))
+        assert fingerprints == []
 
     def test_cold_catalog_pool_is_not_ready(self, tmp_path):
         catalog = PoolCatalog(tmp_path / "cat", max_resident=1)
         service = _service(catalog=catalog)
-        _warm(service, "P", "Q")  # creating Q evicts P; P's frontier stays cached
+        _warm(service, "P", "Q")  # creating Q evicts P
         assert catalog.resident_pool("P") is None
         assert not service.ready_frontier_hit(_hit("t", pool="P"))
         assert service.ready_frontier_hit(_hit("t", pool="Q"))
         catalog.close()
 
-    def test_check_has_no_side_effects(self, tmp_path):
+    def test_check_has_no_side_effects(self, tmp_path, fingerprints):
         catalog = PoolCatalog(tmp_path / "cat", max_resident=2)
         service = _service(catalog=catalog)
         _warm(service, "P", "Q", "R")  # P is cold, Q and R resident
-        frontier = service.engine.frontier
-        before = (
-            catalog.stats.lazy_loads,
-            frontier.hits,
-            frontier.misses,
-            list(frontier._entries),
-            list(catalog._resident),
-        )
+        resident = [catalog.resident_pool(name) for name in ("Q", "R")]
+
+        def state():
+            return (
+                catalog.stats.lazy_loads,
+                dataclasses.asdict(service.engine.stats),
+                [(pool._frontier, dataclasses.asdict(pool.stats)) for pool in resident],
+                list(catalog._resident),
+                len(fingerprints),
+            )
+
+        before = state()
         for pool in ("P", "Q", "R", "ghost"):
             service.ready_frontier_hit(_hit("t", pool=pool))
-        after = (
-            catalog.stats.lazy_loads,
-            frontier.hits,
-            frontier.misses,
-            list(frontier._entries),
-            list(catalog._resident),
-        )
-        assert after == before
+        assert state() == before
         catalog.close()
 
 
@@ -177,10 +209,8 @@ class TestLoopPath:
         ]
         responses = _answer(service, requests)
         assert thread_hops == []
-        oracle = JuryService(registry=PoolRegistry(), frontier_size=0)
-        _warm(oracle, "P", "Q")
         assert [_without_timings(r) for r in responses] == [
-            _without_timings(oracle.select(request)) for request in requests
+            _reference(service, request) for request in requests
         ]
 
     @pytest.mark.parametrize(

@@ -18,9 +18,11 @@ from repro.api import (
     PoolCommand,
     PROTOCOL_VERSION,
     SelectionRequest,
+    SelectionResponse,
 )
 from repro.api.server import HttpServer, http_call
 from repro.core.juror import Juror
+from repro.plan import execute_plan, plan_query
 from repro.service import PoolRegistry
 from repro.testing import DEFAULT_SEED
 
@@ -298,9 +300,10 @@ class TestEndpoints:
         assert stats["server"]["max_connections"] == 17
         assert stats["server"]["connections"] == 1
         assert stats["server"]["draining"] is False
-        # The full cache-tier payload reaches the HTTP surface untouched:
-        # sweep cache, planner memo, and the answer frontier's lifecycle.
-        assert {"hits", "misses", "evictions", "entries"} <= stats["cache"].keys()
+        # The full counter payload reaches the HTTP surface untouched:
+        # in-pass profile reuse, planner memo, and the answer frontier's
+        # lifecycle.
+        assert {"hits", "misses"} == stats["cache"].keys()
         assert {"hits", "misses", "entries", "maxsize"} <= stats["planner"].keys()
         assert {"hits", "misses", "builds", "repairs", "rebuilds"} <= stats[
             "frontier"
@@ -637,7 +640,9 @@ class TestNamedPoolTraffic:
             selects.append(row)
         clients = 4
 
-        oracle = JuryService(registry=PoolRegistry(), frontier_size=0)
+        # The sequential reference: plan and execute over a snapshot of each
+        # version the updates produce.
+        oracle = JuryService(registry=PoolRegistry())
         expected: dict[tuple, dict] = {}
         for create in creates:
             name = create["name"]
@@ -645,9 +650,11 @@ class TestNamedPoolTraffic:
             for update in [None] + [u for u in updates if u["name"] == name]:
                 if update is not None:
                     oracle.pool(PoolCommand.from_dict(update))
+                live = oracle.registry.get(name)
                 for cap in caps:
-                    answer = oracle.select(
-                        SelectionRequest(task_id="x", pool=name, max_size=cap)
+                    plan = plan_query(pool=live.snapshot(), max_size=cap, task_id="x")
+                    answer = SelectionResponse.from_result(
+                        "x", execute_plan(plan), pool_version=live.version
                     ).to_dict()
                     expected[name, answer["pool_version"], cap] = _normalise(answer)
 

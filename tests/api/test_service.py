@@ -183,16 +183,14 @@ class TestPoolCommands:
         stats = service.stats()
         assert stats["pools"]["P1"] == {"version": 0, "size": 7}
         assert stats["queries_run"] == 1
-        # Every cache tier is surfaced: sweep cache, planner memo, answer
-        # frontier (full lifecycle), and the engine's work counters.
-        assert {"hits", "misses", "evictions", "entries", "maxsize"} <= stats[
-            "cache"
-        ].keys()
+        # Every counter block is surfaced: in-pass profile reuse, planner
+        # memo, answer frontier (full lifecycle), and the engine's work
+        # counters.  The named select above built its pool's frontier.
+        assert stats["cache"] == {"hits": 0, "misses": 0}
         assert {"hits", "misses", "entries", "maxsize"} <= stats["planner"].keys()
-        assert {
-            "enabled", "entries", "maxsize",
-            "hits", "misses", "evictions", "builds", "repairs", "rebuilds",
-        } <= stats["frontier"].keys()
+        assert stats["frontier"] == {
+            "hits": 0, "misses": 1, "builds": 1, "repairs": 0, "rebuilds": 0,
+        }
         assert stats["engine"]["queries_run"] == 1
         assert set(stats["engine"]) == {
             "queries_run", "batch_sweeps", "pools_swept", "live_profiles",
@@ -200,6 +198,33 @@ class TestPoolCommands:
         }
         # One execution path: no scheduler, shard or worker blocks.
         assert not {"scheduler", "shards", "workers", "in_process"} & stats.keys()
+
+    def test_stats_frontier_block_counts_every_mode(self):
+        """Each named select lands in the counter of the mode its pool's
+        frontier took: a build, a hit, a repair after churn at the sorted
+        tail, a rebuild after churn at the head; every answer is right."""
+        service = JuryService()
+        self._create(service)
+        for task, updates in [
+            ("built", ()),
+            ("cached", ()),
+            ("repaired", (("G", 0.45, None),)),
+            ("rebuilt", (("A", 0.05, None),)),
+        ]:
+            if updates:
+                service.pool(PoolCommand(action="update", name="P1", updates=updates))
+            response = service.select(SelectionRequest(task_id=task, pool="P1"))
+            expected = select_jury_altr(list(service.registry.get("P1").ordered))
+            assert response.jer == expected.jer
+            assert [m.juror_id for m in response.members] == list(expected.juror_ids)
+        stats = service.stats()
+        assert stats["frontier"] == {
+            "hits": 1, "misses": 3, "builds": 1, "repairs": 1, "rebuilds": 1,
+        }
+        assert stats["engine"]["frontier_hits"] == 1
+        assert stats["live_profiles"] == stats["engine"]["live_profiles"] == 3
+        pool = service.registry.get("P1").stats
+        assert (pool.frontier_builds, pool.frontier_repairs, pool.frontier_rebuilds) == (1, 1, 1)
 
 
 class TestConstruction:
@@ -216,7 +241,7 @@ class TestConstruction:
     def test_rejects_conflicting_engine_and_options(self):
         engine = BatchSelectionEngine(registry=PoolRegistry())
         with pytest.raises(ValueError, match="not both"):
-            JuryService(engine=engine, cache_size=4)
+            JuryService(engine=engine, data_dir="unused")
 
 
 class TestOutcomeErrorInfo:

@@ -89,7 +89,7 @@ def test_service_explain_matches_the_select_that_follows(
     request = SelectionRequest(
         task_id="t", candidates=_candidates(pool_size), model=model, budget=_budget(model)
     )
-    service = JuryService(frontier_size=0)
+    service = JuryService()
     try:
         plan = service.explain(request).plan
         kernels.reset_dispatch_counters()

@@ -5,8 +5,7 @@ tie-break*: for every profile and every ``max_size``, ``probe()`` must return
 exactly what :func:`repro.core.jer.best_odd_prefix` returns — same winning
 size, bitwise-equal JER, same ``ValueError`` when nothing fits — whether the
 frontier was built fresh or delta-repaired from an older version.  The rest
-is cache mechanics (LRU, counters, the disable switch) and the cost model's
-build-vs-probe crossover.
+is the cost model's build-vs-probe crossover.
 """
 
 from __future__ import annotations
@@ -26,14 +25,7 @@ from repro.plan.cost import (
     frontier_probe_ops,
     frontier_scan_ops,
 )
-from repro.plan.frontier import (
-    DEFAULT_FRONTIER_CACHE_SIZE,
-    FRONTIER_ENV_FLAG,
-    AnswerFrontier,
-    FrontierCache,
-    frontier_cache_enabled,
-    frontier_cache_size_from_env,
-)
+from repro.plan.frontier import AnswerFrontier
 
 eps_lists = st.lists(
     st.floats(min_value=0.01, max_value=0.99), min_size=1, max_size=40
@@ -67,6 +59,20 @@ class TestProbeOracle:
             frontier.probe(cap)
         with pytest.raises(ValueError, match="empty sweep profile"):
             best_odd_prefix(ns, jers, max_size=cap)
+
+    def test_fingerprint_and_version_are_optional_labels(self):
+        """``build`` reads neither label: with or without them, the columns
+        are the same (callers such as servebench still pass
+        ``fingerprint=``)."""
+        ns, jers = _profile([0.3, 0.1, 0.2, 0.4, 0.25])
+        bare = AnswerFrontier.build(ns, jers)
+        labelled = AnswerFrontier.build(ns, jers, fingerprint="fp", version=3)
+        assert (bare.fingerprint, bare.version) == (None, None)
+        assert (labelled.fingerprint, labelled.version) == ("fp", 3)
+        for column in ("ns", "best_ns", "best_jers"):
+            np.testing.assert_array_equal(
+                getattr(bare, column), getattr(labelled, column)
+            )
 
     def test_columns_are_read_only(self):
         ns, jers = _profile([0.3, 0.1, 0.2, 0.4, 0.25])
@@ -111,88 +117,6 @@ class TestRepair:
         # out of bounds; declaring everything clean reproduces the source.
         repaired = frontier.repaired(ns, jers, 999, fingerprint="fp2")
         np.testing.assert_array_equal(repaired.best_jers, frontier.best_jers)
-
-
-class TestFrontierCache:
-    def _frontier(self, fingerprint, k=5):
-        ns, jers = _profile([0.1 + 0.05 * i for i in range(k)])
-        return AnswerFrontier.build(ns, jers, fingerprint=fingerprint)
-
-    def test_lru_eviction_and_counters(self):
-        cache = FrontierCache(maxsize=2)
-        cache.put(self._frontier("a"), mode="built")
-        cache.put(self._frontier("b"), mode="built")
-        assert cache.get("a") is not None  # refresh "a"
-        cache.put(self._frontier("c"), mode="built")  # evicts "b"
-        assert cache.get("b") is None
-        assert cache.get("a") is not None and cache.get("c") is not None
-        assert cache.evictions == 1
-        assert cache.builds == 3
-        assert (cache.hits, cache.misses) == (3, 1)
-
-    def test_lifecycle_modes_counted(self):
-        cache = FrontierCache()
-        cache.put(self._frontier("a"), mode="built")
-        cache.put(self._frontier("a"), mode="repaired")
-        cache.put(self._frontier("a"), mode="rebuilt")
-        cache.put(self._frontier("a"), mode="cached")  # re-store, not counted
-        assert (cache.builds, cache.repairs, cache.rebuilds) == (1, 1, 1)
-        with pytest.raises(ValueError, match="unknown frontier mode"):
-            cache.put(self._frontier("a"), mode="bogus")
-
-    def test_invalidate_and_clear(self):
-        cache = FrontierCache()
-        cache.put(self._frontier("a"))
-        assert cache.invalidate("a") is True
-        assert cache.invalidate("a") is False
-        assert cache.evictions == 1
-        cache.put(self._frontier("b"))
-        cache.clear()
-        assert len(cache) == 0 and cache.builds == 0 and cache.evictions == 0
-
-    def test_maxsize_zero_disables_storage_and_counting(self):
-        cache = FrontierCache(maxsize=0)
-        assert not cache.enabled
-        cache.put(self._frontier("a"))
-        assert cache.get("a") is None
-        assert len(cache) == 0
-        # A disabled cache reports all-zero counters: it never *attempted*
-        # anything, which is what the REPRO_FRONTIER_CACHE=0 CI job pins.
-        snapshot = cache.snapshot()
-        assert snapshot["enabled"] is False
-        assert all(
-            snapshot[key] == 0
-            for key in ("hits", "misses", "evictions", "repairs", "rebuilds")
-        )
-
-    def test_snapshot_is_json_ready(self):
-        import json
-
-        cache = FrontierCache()
-        cache.put(self._frontier("a"))
-        assert json.loads(json.dumps(cache.snapshot()))["entries"] == 1
-
-    def test_negative_maxsize_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            FrontierCache(maxsize=-1)
-
-
-class TestEnvFlag:
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(FRONTIER_ENV_FLAG, raising=False)
-        assert frontier_cache_enabled() is True
-        assert frontier_cache_size_from_env() == DEFAULT_FRONTIER_CACHE_SIZE
-
-    @pytest.mark.parametrize("value", ["0", "false", "FALSE", " no ", "off"])
-    def test_falsy_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv(FRONTIER_ENV_FLAG, value)
-        assert frontier_cache_enabled() is False
-        assert frontier_cache_size_from_env() == 0
-
-    @pytest.mark.parametrize("value", ["1", "true", "on", "banana"])
-    def test_other_values_enable(self, monkeypatch, value):
-        monkeypatch.setenv(FRONTIER_ENV_FLAG, value)
-        assert frontier_cache_enabled() is True
 
 
 class TestCostModel:

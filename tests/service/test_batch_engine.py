@@ -14,12 +14,7 @@ from repro.core.selection.altr import select_jury_altr
 from repro.core.selection.exact import select_jury_optimal
 from repro.core.selection.pay import select_jury_pay
 from repro.errors import EmptyCandidateSetError, InfeasibleSelectionError
-from repro.service import (
-    BatchSelectionEngine,
-    CandidatePool,
-    PrefixSweepCache,
-    SelectionQuery,
-)
+from repro.service import BatchSelectionEngine, CandidatePool, SelectionQuery
 
 
 def _pool_jurors(rng: np.random.Generator, n: int, *, priced: bool = False):
@@ -52,28 +47,6 @@ class TestCandidatePool:
 
         with pytest.raises(InvalidJuryError, match="duplicate"):
             CandidatePool([Juror(0.1, juror_id="x"), Juror(0.2, juror_id="x")])
-
-
-class TestPrefixSweepCache:
-    def test_lru_eviction(self):
-        cache = PrefixSweepCache(maxsize=2)
-        for key in ("a", "b", "c"):
-            cache.put(key, np.array([1]), np.array([0.5]))
-        assert "a" not in cache and "b" in cache and "c" in cache
-
-    def test_get_refreshes_recency(self):
-        cache = PrefixSweepCache(maxsize=2)
-        cache.put("a", np.array([1]), np.array([0.5]))
-        cache.put("b", np.array([1]), np.array([0.5]))
-        assert cache.get("a") is not None
-        cache.put("c", np.array([1]), np.array([0.5]))
-        assert "a" in cache and "b" not in cache
-
-    def test_zero_capacity_stores_nothing(self):
-        cache = PrefixSweepCache(maxsize=0)
-        cache.put("a", np.array([1]), np.array([0.5]))
-        assert cache.get("a") is None
-        assert len(cache) == 0
 
 
 class TestSelectionQueryValidation:
@@ -174,6 +147,7 @@ class TestSharedPoolCaching:
         assert all(o.ok for o in outcomes)
         assert engine.stats.batch_sweeps == 1
         assert engine.stats.pools_swept == 1
+        assert engine.stats.profiles_reused == 99
 
     def test_equal_content_pools_deduplicated(self, rng):
         eps = rng.uniform(0.05, 0.95, size=11)
@@ -187,23 +161,16 @@ class TestSharedPoolCaching:
         )
         assert engine.stats.pools_swept == 1
 
-    def test_cache_reused_across_runs(self, rng):
-        # frontier_size=0 pins the sweep-cache path: with the answer
-        # frontier on, the repeat run never reaches the sweep cache at all
-        # (covered by tests/service/test_frontier_engine.py).
+    def test_pools_resweep_across_runs(self, rng):
+        """Deduplication is per pass: nothing is kept between runs, and a
+        frozen pool never gets an answer frontier."""
         pool = CandidatePool(_pool_jurors(rng, 13))
-        engine = BatchSelectionEngine(frontier_size=0)
-        engine.run([SelectionQuery(task_id="t1", pool=pool)])
-        engine.run([SelectionQuery(task_id="t2", pool=pool)])
-        assert engine.stats.pools_swept == 1
-        assert engine.cache.hits >= 1
-
-    def test_cache_size_zero_resweeps_across_runs(self, rng):
-        pool = CandidatePool(_pool_jurors(rng, 13))
-        engine = BatchSelectionEngine(cache_size=0, frontier_size=0)
-        engine.run([SelectionQuery(task_id="t1", pool=pool)])
-        engine.run([SelectionQuery(task_id="t2", pool=pool)])
+        engine = BatchSelectionEngine()
+        first = engine.run([SelectionQuery(task_id="t1", pool=pool)])[0]
+        second = engine.run([SelectionQuery(task_id="t2", pool=pool)])[0]
         assert engine.stats.pools_swept == 2
+        assert engine.stats.profiles_reused == 0 and engine.stats.frontier_hits == 0
+        assert first.result.jer == second.result.jer
 
     def test_distinct_sizes_grouped_into_separate_sweeps(self, rng):
         engine = BatchSelectionEngine()
@@ -275,8 +242,7 @@ def _race_one_engine(batches, expected, threads=8, passes=2):
     """Every thread runs every batch ``passes`` times on one shared engine,
     all threads starting each round together on its cold pools."""
     rounds, width = len(batches), len(batches[0])
-    # The frontier pinned on, so repeats are frontier hits under any env.
-    engine = BatchSelectionEngine(frontier_size=rounds * width)
+    engine = BatchSelectionEngine()
     got: list[list] = [[] for _ in range(rounds)]
     cold = threading.Barrier(threads)
 
@@ -298,21 +264,20 @@ def _race_one_engine(batches, expected, threads=8, passes=2):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in workers)
     assert got == [[answer] * (threads * passes) for answer in expected]
-    swept = rounds * width
-    assert engine.stats.queries_run == threads * passes * swept
-    assert engine.stats.batch_sweeps == rounds
-    assert engine.stats.pools_swept == swept
-    assert engine.stats.frontier_hits == engine.stats.queries_run - 2 * swept
+    runs = threads * passes
+    # Each run sweeps its batch's equal-sized pools in one stacked call; no
+    # count lost to a race.
+    assert engine.stats.queries_run == runs * rounds * width
+    assert engine.stats.batch_sweeps == runs * rounds
+    assert engine.stats.pools_swept == runs * rounds * width
     return engine
 
 
 class TestConcurrentRuns:
-    def test_threads_share_one_engine_without_duplicate_work(self, rng):
+    def test_threads_share_one_engine_without_lost_updates(self, rng):
         """Concurrent run() calls are serialised by the engine lock: threads
-        racing on the same cold pools sweep each one exactly once, the
-        second query on a pool builds its frontier from the cached profile,
-        every later one is a frontier hit, and every answer matches a
-        private engine's."""
+        racing on the same pools count every query and sweep, and every
+        answer matches a private engine's."""
         rounds, width = 10, 16
         batches = [
             [

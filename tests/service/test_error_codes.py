@@ -142,7 +142,7 @@ class TestErrorCodeThreading:
         ]
         stdin = io.StringIO("\n".join(json.dumps(c) for c in commands) + "\n")
         stdout = io.StringIO()
-        exit_code = run_serve(SimpleNamespace(cache_size=None), stdin=stdin, stdout=stdout)
+        exit_code = run_serve(SimpleNamespace(), stdin=stdin, stdout=stdout)
         rows = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert exit_code == 2  # the failed select marks the session
         assert rows[0]["ok"] is False

@@ -1,15 +1,16 @@
-"""Answer frontier through the engine: hits skip the kernel, stay bit-identical.
+"""Answer frontier through the engine: named pools skip the planner, stay bit-identical.
 
-The acceptance bar for the frontier cache is twofold and both halves are
-pinned here:
+The engine answers every AltrM select of a named pool from its live pool's
+answer frontier.  Two halves of that are pinned here:
 
-* **It actually short-circuits** — a repeat AltrM query is answered without
-  ``execute_plan`` ever running (asserted by monkeypatching a call counter
-  over the engine's kernel entry point).
+* **It actually short-circuits** — a named-pool AltrM select, cold, repeated
+  or after a mutation, runs neither ``execute_plan`` nor the content hash
+  (asserted by monkeypatching call counters over both).
 * **It is invisible in the answers** — across arbitrary churn sequences the
-  frontier-enabled engine returns selections bit-identical (juror ids, JER
-  to the last bit, algorithm label, work counters) to a frontier-disabled
-  oracle engine running the plan pipeline, errors included.
+  engine returns selections bit-identical (juror ids, JER to the last bit,
+  algorithm label, work counters) to the sequential reference, which plans
+  and executes over a snapshot of the pool's current version, errors
+  included.
 """
 
 from __future__ import annotations
@@ -20,12 +21,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.service.batch as batch_module
+import repro.service.registry as registry_module
 from repro.api import JuryService, PoolCommand, SelectionRequest
 from repro.core.juror import Juror
+from repro.core.selection.altr import select_jury_altr
 from repro.errors import BudgetError
+from repro.plan import execute_plan, plan_query
+from repro.plan import pool as pool_module
 from repro.plan.cost import FRONTIER_MIN_POOL
-from repro.plan.frontier import FRONTIER_ENV_FLAG
-from repro.service import BatchSelectionEngine, CandidatePool, PoolRegistry, SelectionQuery
+from repro.service import (
+    BatchSelectionEngine,
+    CandidatePool,
+    PoolRegistry,
+    QueryOutcome,
+    SelectionQuery,
+)
 
 
 def _jurors(eps_values, prefix="c"):
@@ -41,21 +51,43 @@ def _query(task_id, name="P", **kwargs):
     return SelectionQuery(task_id=task_id, pool_name=name, **kwargs)
 
 
-def _fresh_pair(eps=EPS, name="P"):
-    """Two mirrored (registry, engine) pairs: frontier on vs the oracle."""
-    pairs = []
-    for frontier_size in (None, 0):
-        registry = PoolRegistry()
-        registry.create(name, _jurors(eps))
-        pairs.append(
-            (
-                registry,
-                BatchSelectionEngine(registry=registry, frontier_size=128)
-                if frontier_size is None
-                else BatchSelectionEngine(registry=registry, frontier_size=0),
-            )
+def _engine(eps=EPS, name="P"):
+    """A registry holding one pool, and an engine over it."""
+    registry = PoolRegistry()
+    registry.create(name, _jurors(eps))
+    return registry, BatchSelectionEngine(registry=registry)
+
+
+def _reference(query, pool):
+    """The sequential reference: plan and execute over a frozen pool."""
+    outcome = QueryOutcome(task_id=query.task_id)
+    try:
+        plan = plan_query(
+            pool=pool, model=query.model, budget=query.budget,
+            max_size=query.max_size, task_id=query.task_id,
         )
-    return pairs
+        outcome.result = execute_plan(plan)
+    except Exception as exc:
+        outcome.exception = exc
+    return outcome
+
+
+def _reference_named(registry, query):
+    """The reference at the named pool's current version."""
+    return _reference(query, registry.get(query.pool_name).snapshot())
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that records each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 def _assert_outcomes_identical(lhs, rhs):
@@ -74,46 +106,35 @@ def _assert_outcomes_identical(lhs, rhs):
 
 
 class TestKernelShortCircuit:
-    def test_repeat_query_never_calls_execute_plan(self, monkeypatch):
-        """The headline guarantee: a frontier hit answers a repeat AltrM
-        query with zero ``execute_plan`` invocations."""
-        calls = []
-        original = batch_module.execute_plan
-        monkeypatch.setattr(
-            batch_module,
-            "execute_plan",
-            lambda *args, **kwargs: (calls.append(1), original(*args, **kwargs))[1],
-        )
-        registry = PoolRegistry()
-        registry.create("P", _jurors(EPS))
-        engine = BatchSelectionEngine(registry=registry, frontier_size=128)
+    def test_named_selects_never_plan_or_hash(self, monkeypatch):
+        """The headline guarantee: a named-pool AltrM select, cold, repeated
+        or after a mutation, runs neither ``execute_plan`` nor the content
+        hash."""
+        executes = _counting(monkeypatch, batch_module, "execute_plan")
+        hashes = _counting(monkeypatch, registry_module, "columns_fingerprint")
+        hashes_of_snapshots = _counting(monkeypatch, pool_module, "columns_fingerprint")
+        registry, engine = _engine()
 
         cold = engine.run([_query("cold")])[0]
-        assert cold.ok and len(calls) == 1  # the cold query plans + executes
-
         warm = engine.run([_query("warm")])[0]
-        assert warm.ok and len(calls) == 1  # the repeat never reached the kernel
-        assert engine.stats.frontier_hits == 1
-        assert engine.frontier.hits == 1 and engine.frontier.builds == 1
+        assert cold.ok and warm.ok
         _assert_outcomes_identical(cold, warm)
+        registry.get("P").update_error_rate("c6", 0.7)
+        after = engine.run([_query("after")])[0]
+        assert after.ok
+        assert executes == [] and hashes == [] and hashes_of_snapshots == []
+        stats = engine.stats
+        assert (stats.frontier_builds, stats.frontier_hits, stats.frontier_repairs) == (1, 1, 1)
+        _assert_outcomes_identical(after, _reference_named(registry, _query("after")))
 
     def test_capped_repeats_hit_without_the_kernel_too(self, monkeypatch):
-        calls = []
-        original = batch_module.execute_plan
-        monkeypatch.setattr(
-            batch_module,
-            "execute_plan",
-            lambda *args, **kwargs: (calls.append(1), original(*args, **kwargs))[1],
-        )
-        registry = PoolRegistry()
-        registry.create("P", _jurors(EPS))
-        engine = BatchSelectionEngine(registry=registry, frontier_size=128)
+        calls = _counting(monkeypatch, batch_module, "execute_plan")
+        _, engine = _engine()
         engine.run([_query("cold")])
-        baseline = len(calls)
         for cap in (1, 3, 5, len(EPS)):
             outcome = engine.run([_query(f"cap{cap}", max_size=cap)])[0]
             assert outcome.ok and outcome.result.size <= cap
-        assert len(calls) == baseline
+        assert calls == []
         assert engine.stats.frontier_hits == 4
 
     def test_mixed_batch_only_altr_hits(self):
@@ -124,7 +145,7 @@ class TestKernelShortCircuit:
         )
         registry = PoolRegistry()
         registry.create("P", jurors)
-        engine = BatchSelectionEngine(registry=registry, frontier_size=128)
+        engine = BatchSelectionEngine(registry=registry)
         engine.run([_query("warmup")])
         outcomes = engine.run(
             [
@@ -141,34 +162,37 @@ class TestKernelShortCircuit:
 
 class TestErrorParityOnHits:
     def test_unsatisfiable_max_size_errors_identically(self):
-        (reg_a, engine), (reg_b, oracle) = _fresh_pair()
+        registry, engine = _engine()
         engine.run([_query("warm")])
-        oracle.run([_query("warm")])
         hit = engine.run([_query("bad", max_size=0)])[0]
-        miss = oracle.run([_query("bad", max_size=0)])[0]
-        assert engine.stats.frontier_hits == 1  # the error still hit the cache
-        _assert_outcomes_identical(hit, miss)
+        assert engine.stats.frontier_hits == 1  # the error still probed the frontier
+        _assert_outcomes_identical(hit, _reference_named(registry, _query("bad", max_size=0)))
         assert isinstance(hit.exception, ValueError)
 
     def test_invalid_budget_errors_identically(self):
-        (reg_a, engine), (reg_b, oracle) = _fresh_pair()
+        registry, engine = _engine()
         engine.run([_query("warm")])
-        oracle.run([_query("warm")])
         hit = engine.run([_query("bad", budget=-1.0)])[0]
-        miss = oracle.run([_query("bad", budget=-1.0)])[0]
-        _assert_outcomes_identical(hit, miss)
+        _assert_outcomes_identical(
+            hit, _reference_named(registry, _query("bad", budget=-1.0))
+        )
         assert isinstance(hit.exception, BudgetError)
 
+    def test_empty_pool_errors_identically(self):
+        registry, engine = _engine(eps=(0.2,))
+        engine.run([_query("warm")])
+        registry.get("P").remove_juror("c0")
+        outcome = engine.run([_query("empty")])[0]
+        assert str(outcome.exception) == "cannot snapshot an empty live pool"
+
     def test_raise_errors_propagates_from_the_hit_path(self):
-        registry = PoolRegistry()
-        registry.create("P", _jurors(EPS))
-        engine = BatchSelectionEngine(registry=registry, frontier_size=128)
+        _, engine = _engine()
         engine.run([_query("warm")])
         with pytest.raises(ValueError, match="empty sweep profile"):
             engine.run([_query("bad", max_size=0)], raise_errors=True)
 
 
-# One churn step: (op, payload) applied identically to both registries.
+# One step (op, value, pick): a pool mutation or a select, capped or not.
 _churn_ops = st.lists(
     st.tuples(
         st.sampled_from(["add", "remove", "update", "query", "capped_query"]),
@@ -185,47 +209,43 @@ class TestChurnBitIdentity:
     @settings(max_examples=40, deadline=None)
     def test_frontier_matches_oracle_across_random_churn(self, seed, ops):
         """Random add/remove/update churn interleaved with AltrM queries at
-        random caps: every selection from the frontier engine must equal the
-        frontier-disabled oracle bit for bit, at every version."""
+        random caps: every selection from the engine must equal the
+        sequential reference bit for bit, at every version."""
         rng = np.random.default_rng(seed)
         base = rng.uniform(0.05, 0.9, size=FRONTIER_MIN_POOL + 5)
-        (reg_a, engine), (reg_b, oracle) = _fresh_pair(tuple(base))
+        registry, engine = _engine(tuple(base))
+        pool = registry.get("P")
         next_id = 0
         task = 0
         for op, value, pick in ops:
-            pools = [reg_a.get("P"), reg_b.get("P")]
             if op == "add":
                 next_id += 1
-                for pool in pools:
-                    pool.add_juror(Juror(value, juror_id=f"n{next_id}"))
+                pool.add_juror(Juror(value, juror_id=f"n{next_id}"))
             elif op == "remove":
-                ids = [j.juror_id for j in pools[0].ordered]
+                ids = [j.juror_id for j in pool.ordered]
                 if len(ids) <= 1:
                     continue  # keep the pool non-empty
-                victim = ids[pick % len(ids)]
-                for pool in pools:
-                    pool.remove_juror(victim)
+                pool.remove_juror(ids[pick % len(ids)])
             elif op == "update":
-                ids = [j.juror_id for j in pools[0].ordered]
-                victim = ids[pick % len(ids)]
-                for pool in pools:
-                    pool.update_error_rate(victim, value)
+                ids = [j.juror_id for j in pool.ordered]
+                pool.update_error_rate(ids[pick % len(ids)], value)
             else:
-                cap = None if op == "query" else 1 + pick % (len(pools[0]) + 2)
+                cap = None if op == "query" else 1 + pick % (len(pool) + 2)
                 task += 1
-                lhs = engine.run([_query(f"t{task}", max_size=cap)])[0]
-                rhs = oracle.run([_query(f"t{task}", max_size=cap)])[0]
-                _assert_outcomes_identical(lhs, rhs)
-        # Closing sweep: both engines agree on the final version too.
-        lhs = engine.run([_query("final")])[0]
-        rhs = oracle.run([_query("final")])[0]
-        _assert_outcomes_identical(lhs, rhs)
-        assert oracle.stats.frontier_hits == 0
+                query = _query(f"t{task}", max_size=cap)
+                _assert_outcomes_identical(
+                    engine.run([query])[0], _reference_named(registry, query)
+                )
+        # Closing select: the final version agrees too.
+        _assert_outcomes_identical(
+            engine.run([_query("final")])[0],
+            _reference_named(registry, _query("final")),
+        )
 
     def test_mutation_between_repeats_never_serves_stale_answers(self):
-        (reg_a, engine), _ = _fresh_pair((0.3, 0.3, 0.3, 0.3, 0.3))
+        registry, engine = _engine((0.3, 0.3, 0.3, 0.3, 0.3))
         before = engine.run([_query("before")])[0]
-        reg_a.get("P").add_juror(Juror(0.01, juror_id="ace"))
+        registry.get("P").add_juror(Juror(0.01, juror_id="ace"))
         after = engine.run([_query("after")])[0]
         assert "ace" in after.result.juror_ids
         assert after.result.jer < before.result.jer
@@ -279,90 +299,79 @@ class TestLivePoolFrontierLifecycle:
         np.testing.assert_array_equal(repaired.best_jers, fresh.best_jers)
 
 
-class TestDropEviction:
-    def test_drop_evicts_sweep_and_frontier_then_recreate_rebuilds(self):
-        """Satellite regression: dropping a pool evicts *every* parent-side
-        cache keyed by its fingerprint — sweep profile and answer frontier —
-        so re-creating the same pool starts clean and rebuilds."""
-        service = JuryService(frontier_size=128)
+class TestDropAndRecreate:
+    def test_recreated_pool_builds_its_own_frontier(self):
+        """A dropped pool takes its frontier with it: re-creating the same
+        candidates under the same name builds a fresh one on its first
+        select, never serving a ghost of the dropped pool."""
+        service = JuryService()
         candidates = _jurors(EPS)
         service.pool(PoolCommand(action="create", name="P", candidates=candidates))
         service.select(SelectionRequest(task_id="warm", pool="P"))
         repeat = service.select(SelectionRequest(task_id="hot", pool="P"))
         assert repeat.status == "ok"
-        engine = service.engine
-        assert engine.frontier.hits == 1 and len(engine.frontier) == 1
-        assert len(engine.cache) == 1
+        stats = service.engine.stats
+        assert stats.frontier_builds == 1 and stats.frontier_hits == 1
 
         service.pool(PoolCommand(action="drop", name="P"))
-        assert len(engine.frontier) == 0 and engine.frontier.evictions == 1
-        assert len(engine.cache) == 0
-
-        # Same candidates, same fingerprint: the re-created pool must be
-        # re-swept and re-built, never served from a ghost of the dropped one.
         service.pool(PoolCommand(action="create", name="P", candidates=candidates))
         fresh = service.select(SelectionRequest(task_id="fresh", pool="P"))
         assert fresh.status == "ok" and fresh.jer == repeat.jer
-        assert engine.frontier.builds == 2
+        assert stats.frontier_builds == 2
         hot = service.select(SelectionRequest(task_id="hot2", pool="P"))
-        assert hot.jer == repeat.jer and engine.frontier.hits == 2
+        assert hot.jer == repeat.jer and stats.frontier_hits == 2
         service.close()
 
 
-class TestDisabledFrontier:
-    def test_env_flag_zero_pins_the_pre_frontier_behaviour(self, monkeypatch):
-        monkeypatch.setenv(FRONTIER_ENV_FLAG, "0")
-        registry = PoolRegistry()
-        registry.create("P", _jurors(EPS))
-        engine = BatchSelectionEngine(registry=registry)  # size from env
-        assert engine.frontier.maxsize == 0 and not engine.frontier.enabled
-        first = engine.run([_query("a")])[0]
-        second = engine.run([_query("b")])[0]
-        _assert_outcomes_identical(first, second)
-        assert engine.stats.frontier_hits == 0
-        assert engine.frontier.hits == 0 and engine.frontier.misses == 0
-        assert engine.cache.hits == 1  # the sweep cache serves repeats again
-
-    def test_results_identical_with_and_without_the_frontier(self):
-        (_, engine), (_, oracle) = _fresh_pair()
+class TestSequentialReference:
+    def test_repeats_match_the_reference(self):
+        registry, engine = _engine()
         for task in ("a", "b", "c"):
-            lhs = engine.run([_query(task)])[0]
-            rhs = oracle.run([_query(task)])[0]
-            _assert_outcomes_identical(lhs, rhs)
+            _assert_outcomes_identical(
+                engine.run([_query(task)])[0], _reference_named(registry, _query(task))
+            )
         assert engine.stats.frontier_hits == 2
-        assert oracle.stats.frontier_hits == 0
 
-    def test_small_pools_never_use_the_frontier(self):
-        eps = tuple(0.1 * (i + 1) for i in range(FRONTIER_MIN_POOL - 1))
-        registry = PoolRegistry()
-        registry.create("tiny", _jurors(eps))
-        engine = BatchSelectionEngine(registry=registry, frontier_size=128)
-        engine.run([_query("a", name="tiny")])
-        engine.run([_query("b", name="tiny")])
-        assert engine.stats.frontier_hits == 0 and len(engine.frontier) == 0
-        assert engine.cache.hits == 1  # repeats fall back to the sweep cache
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_small_named_pools_answer_from_the_frontier(self, size):
+        """Pools below the cost model's build-vs-probe crossover take the
+        same frontier path, capped or not, and match the reference."""
+        registry, engine = _engine(EPS[:size])
+        caps = [None, 0, 1, 2, 3, 4, 5, None]
+        for i, cap in enumerate(caps):
+            query = _query(f"q{i}", max_size=cap)
+            _assert_outcomes_identical(
+                engine.run([query])[0], _reference_named(registry, query)
+            )
+        assert engine.stats.frontier_hits == len(caps) - 1
+        assert engine.stats.frontier_builds == 1
 
 
 class TestInlinePools:
     def test_inline_repeats_hit_by_fingerprint(self):
-        """Inline candidate sets with equal fingerprints share one frontier,
-        exactly as they share one sweep profile.  The frontier is built on
-        the second sighting (profile out of the sweep cache), so the third
-        query is the first hit."""
-        engine = BatchSelectionEngine(frontier_size=128)
-        jurors = _jurors(EPS)
-        first = engine.run([SelectionQuery(task_id="a", candidates=jurors)])[0]
-        second = engine.run([SelectionQuery(task_id="b", candidates=jurors)])[0]
-        assert engine.stats.frontier_hits == 0
-        third = engine.run([SelectionQuery(task_id="c", candidates=jurors)])[0]
-        assert engine.stats.frontier_hits == 1
-        _assert_outcomes_identical(first, second)
-        _assert_outcomes_identical(first, third)
+        """Inline candidate sets with equal fingerprints share one sweep
+        profile within a pass, counted as ``cache`` hits.  They never get a
+        frontier, and the next pass sweeps them again."""
+        service = JuryService()
+        requests = [
+            SelectionRequest(task_id=task, candidates=_jurors(EPS)) for task in "abc"
+        ]
+        first = service.select_many(requests)
+        assert service.stats()["cache"] == {"hits": 2, "misses": 1}
+        second = service.select_many(requests)
+        stats = service.stats()
+        assert stats["cache"] == {"hits": 4, "misses": 2}
+        assert stats["frontier"]["hits"] == stats["frontier"]["misses"] == 0
+        expected = select_jury_altr(list(_jurors(EPS)))
+        for response in first + second:
+            assert response.jer == expected.jer
+            assert tuple(m.juror_id for m in response.members) == expected.juror_ids
+        service.close()
 
     def test_shared_frozen_pools_with_caps_match_the_oracle(self):
         """A skewed repeat stream over shared ``CandidatePool`` objects, a
-        quarter of it capped: every answer, hit or miss, equals the
-        frontier-disabled engine's bit for bit."""
+        quarter of it capped: every answer equals the sequential reference's
+        bit for bit."""
         rng = np.random.default_rng(7)
         pools = [
             CandidatePool(
@@ -377,9 +386,9 @@ class TestInlinePools:
         ]
         ranks = np.minimum(rng.zipf(1.5, size=60), len(pools)) - 1
         caps = rng.choice([None, None, None, 1, 3, 5, 9], size=ranks.size)
-        engine = BatchSelectionEngine(frontier_size=128)
-        oracle = BatchSelectionEngine(frontier_size=0)
+        engine = BatchSelectionEngine()
         for i, (rank, cap) in enumerate(zip(ranks.tolist(), caps.tolist())):
             query = SelectionQuery(task_id=f"q{i}", pool=pools[rank], max_size=cap)
-            _assert_outcomes_identical(engine.run([query])[0], oracle.run([query])[0])
-        assert engine.stats.frontier_hits > 0 and oracle.stats.frontier_hits == 0
+            _assert_outcomes_identical(
+                engine.run([query])[0], _reference(query, pools[rank])
+            )

@@ -1,15 +1,17 @@
-"""The engine's execution path end to end: bit-identity and cache lifecycle.
+"""The engine's execution path end to end: bit-identity and pool lifecycle.
 
-Every query runs in-process: ``_run_altr`` for AltrM, ``_run_serial`` for
-PayM and exact.  This module pins that path against independent oracles:
+Every query runs in-process: a named pool's AltrM query reads its answer
+frontier, ``_run_altr`` sweeps the other AltrM queries, and ``_run_serial``
+runs PayM and exact.  This module pins that path against independent
+oracles:
 
 * the single-query solvers (``select_jury_altr`` / ``select_jury_pay`` /
   ``select_jury_optimal`` and the exhaustive ``enumerate_optimal``), bit
   for bit — juror ids, JER, algorithm label and work counters;
 * itself across transports (engine, sync service, async coalescing) and
   pool sources (inline candidates, shared pools, registry pools);
-* a fresh engine after a pool is dropped and re-created, so no cache keyed
-  by the pool's fingerprint can serve a stale answer.
+* a fresh engine after a pool is dropped and re-created, so the new pool
+  answers from its own frontier, never from the dropped pool's.
 """
 
 from __future__ import annotations
@@ -298,16 +300,15 @@ class TestCachesAndLifecycle:
     def test_live_pool_profile_is_reused_not_recomputed(self, rng):
         registry = PoolRegistry()
         registry.create("P", list(jurors_from_arrays(rng.uniform(0.05, 0.9, 13))))
-        # frontier_size=0 pins the sweep-cache path: with the frontier on,
-        # the repeat query never reaches the sweep cache at all.
-        engine = BatchSelectionEngine(registry=registry, frontier_size=0)
+        engine = BatchSelectionEngine(registry=registry)
         first = engine.run([SelectionQuery(task_id="t1", pool_name="P")])[0]
         assert engine.stats.live_profiles == 1
         second = engine.run([SelectionQuery(task_id="t2", pool_name="P")])[0]
-        # The second pass reads the cached profile instead of asking the
-        # live pool again, and never sweeps in the engine.
+        # The second pass probes the version's frontier instead of asking
+        # the live pool to sweep again, and never sweeps in the engine.
         assert engine.stats.live_profiles == 1
-        assert engine.cache.hits >= 1
+        assert engine.stats.frontier_hits == 1
+        assert registry.get("P").stats.repairs == 1
         assert engine.stats.batch_sweeps == 0
         assert _project(second.result) == _project(first.result)
 
@@ -332,14 +333,16 @@ class TestCachesAndLifecycle:
         assert block["queries_run"] == 6
         assert block["batch_sweeps"] == 1
         assert block["pools_swept"] == 6
+        # In-pass profile counters: six swept, none reused.
+        assert service.stats()["cache"] == {"hits": 0, "misses": 6}
 
     @pytest.mark.parametrize("model", MODELS)
     def test_drop_then_recreate_after_mixed_traffic_is_fresh(self, rng, model):
-        """A pool drop evicts every cache keyed by its fingerprint, so after
-        mixed AltrM + exact traffic a same-fingerprint re-create answers
-        exactly like a fresh engine — never from a ghost of the old pool."""
+        """A dropped pool takes its frontier with it, so after mixed AltrM +
+        exact traffic a same-fingerprint re-create answers exactly like a
+        fresh engine — never from a ghost of the old pool."""
         members = _pool_jurors(rng, 11, tag="ev", priced=True)
-        service = JuryService(frontier_size=128)
+        service = JuryService()
         engine = service.engine
         service.pool(PoolCommand(action="create", name="P", candidates=members))
         fingerprint = service.registry.get("P").fingerprint
@@ -353,13 +356,9 @@ class TestCachesAndLifecycle:
             ]
         )
         assert all(response.status == "ok" for response in first)
-        assert fingerprint in engine.cache and fingerprint in engine.frontier
 
         live_profiles_before = engine.stats.live_profiles
         service.pool(PoolCommand(action="drop", name="P"))
-        assert fingerprint not in engine.cache
-        assert fingerprint not in engine.frontier
-
         service.pool(PoolCommand(action="create", name="P", candidates=members))
         assert service.registry.get("P").fingerprint == fingerprint
         budget = None if model == "altr" else 0.5
@@ -372,7 +371,7 @@ class TestCachesAndLifecycle:
             assert engine.stats.live_profiles == live_profiles_before + 1
             assert again.jer == first[0].jer
 
-        oracle = BatchSelectionEngine(frontier_size=0).select(
+        oracle = BatchSelectionEngine().select(
             SelectionQuery(task_id="oracle", candidates=members, model=model, budget=budget)
         )
         assert again.jer == oracle.jer

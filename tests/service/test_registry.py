@@ -3,13 +3,15 @@
 Covers the versioned mutation API, the per-version sweep profile
 (including the churn-oracle acceptance bar: bit-identical to a fresh
 CandidatePool at *every* version, and O(n) retained sweep state), registry
-naming, and the engine integration with version-keyed sweep-cache
-behaviour.
+naming, and the engine integration: answers from each version's own
+frontier, and a dropped pool's sweep state freed with it.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -339,59 +341,68 @@ class TestEngineIntegration:
 
 
 class TestCacheInvalidation:
-    """Satellite: a LivePool mutation must never serve a stale sweep profile
-    from PrefixSweepCache — the version bump changes the content fingerprint
-    (evicting the old state from reach), and an identical re-add restores
-    the old fingerprint's cache hits."""
+    """A LivePool mutation must never serve a stale answer: the version bump
+    leaves the pool's frontier behind, and the next select repairs or
+    rebuilds it from a sweep of the new version."""
 
     def test_mutation_never_serves_stale_profile(self, rng):
         registry = PoolRegistry()
         pool = registry.create("P", jurors_from_arrays([0.1, 0.2, 0.2, 0.3, 0.3]))
-        # frontier_size=0 pins the sweep-cache path itself; the frontier's
-        # own invalidation story lives in tests/service/test_frontier_engine.py.
-        engine = BatchSelectionEngine(registry=registry, frontier_size=0)
+        engine = BatchSelectionEngine(registry=registry)
 
         first = engine.run([SelectionQuery(task_id="a", pool_name="P")])[0]
-        assert engine.cache.misses == 1 and engine.cache.hits == 0
+        assert engine.stats.frontier_builds == 1 and engine.stats.frontier_hits == 0
         repeat = engine.run([SelectionQuery(task_id="b", pool_name="P")])[0]
-        assert engine.cache.hits == 1  # unchanged pool: cached profile reused
+        assert engine.stats.frontier_hits == 1  # unchanged pool: frontier reused
         assert repeat.result.jer == first.result.jer
 
         pool.add_juror(Juror(0.05, juror_id="star"))
         mutated = engine.run([SelectionQuery(task_id="c", pool_name="P")])[0]
         # Fresh-state oracle: the result reflects the mutation, not the
-        # cached profile of the previous version.
+        # frontier of the previous version.
         single = select_jury_altr(list(pool.ordered))
         assert mutated.result.jer == single.jer
         assert mutated.result.juror_ids == single.juror_ids
         assert "star" in mutated.result.juror_ids
-        assert engine.cache.misses == 2  # version bump: old profile unusable
+        assert engine.stats.live_profiles == 2  # version bump: swept again
 
-    def test_identical_readd_restores_cache_hits(self, rng):
+    def test_identical_readd_answers_like_the_baseline(self, rng):
+        """A remove then an identical re-add is two new versions, each
+        answered by repairing the pool's own frontier (no content-addressed
+        revert hit), and the restored content answers like the baseline."""
         registry = PoolRegistry()
-        pool = registry.create("P", jurors_from_arrays([0.1, 0.2, 0.2, 0.3, 0.3]))
-        engine = BatchSelectionEngine(registry=registry, frontier_size=0)
+        pool = registry.create(
+            "P", jurors_from_arrays([0.1, 0.2, 0.2, 0.3, 0.3, 0.4, 0.4])
+        )
+        engine = BatchSelectionEngine(registry=registry)
 
         baseline = engine.run([SelectionQuery(task_id="a", pool_name="P")])[0]
         juror = pool.remove_juror(pool.ordered[-1].juror_id)
         engine.run([SelectionQuery(task_id="b", pool_name="P")])
         pool.add_juror(juror)  # membership now identical to the baseline
 
-        hits_before = engine.cache.hits
-        live_profiles_before = engine.stats.live_profiles
         restored = engine.run([SelectionQuery(task_id="c", pool_name="P")])[0]
-        assert engine.cache.hits == hits_before + 1
-        assert engine.stats.live_profiles == live_profiles_before  # no repull
         assert restored.result.jer == baseline.result.jer
         assert restored.result.juror_ids == baseline.result.juror_ids
+        stats = engine.stats
+        assert (stats.frontier_builds, stats.frontier_repairs, stats.frontier_hits) == (1, 2, 0)
+        assert pool.version == 2
 
     def test_explicit_invalidation_of_dropped_pool(self, rng):
+        """Dropping a pool is the one invalidation left: the engine keeps no
+        copy of its profile or frontier, so once the registry lets go of the
+        pool none of its sweep state stays alive, and its name fails."""
         registry = PoolRegistry()
         pool = registry.create("P", jurors_from_arrays([0.1, 0.2, 0.3]))
         engine = BatchSelectionEngine(registry=registry)
         engine.run([SelectionQuery(task_id="a", pool_name="P")])
-        fingerprint = pool.fingerprint
-        registry.drop("P")
-        assert engine.cache.invalidate(fingerprint) is True
-        assert engine.cache.invalidate(fingerprint) is False
-        assert engine.cache.evictions == 1
+        engine.run([SelectionQuery(task_id="b", pool_name="P")])
+        assert engine.stats.frontier_hits == 1
+        profile = weakref.ref(pool.sweep_profile()[1])
+
+        assert registry.drop("P") is pool
+        del pool
+        gc.collect()
+        assert profile() is None
+        outcome = engine.run([SelectionQuery(task_id="c", pool_name="P")])[0]
+        assert isinstance(outcome.exception, PoolNotFoundError)

@@ -116,26 +116,6 @@ class TestRoundTrip:
         assert main(["batch", str(path)]) == 0
         assert len(_parse_output(capsys)) == 1
 
-    def test_no_frontier_flag_keeps_answers(self, tmp_path, capsys):
-        """``--no-frontier`` moves repeat queries off the answer frontier;
-        it must never change an answer."""
-        path = _write_jsonl(
-            tmp_path,
-            [
-                {"task": f"t{i}", "candidates": _candidates_json()}
-                for i in range(3)
-            ],
-        )
-        assert main(["batch", str(path)]) == 0
-        baseline = _parse_output(capsys)
-        assert main(["batch", str(path), "--no-frontier"]) == 0
-        rows = _parse_output(capsys)
-        # Timings vary run to run; everything else must match.
-        strip = lambda rs: [
-            {k: v for k, v in r.items() if k != "timings"} for r in rs
-        ]
-        assert strip(rows) == strip(baseline)
-
 
 class TestSchemaStability:
     def test_ok_row_schema(self, tmp_path, capsys):
@@ -224,6 +204,28 @@ class TestDiagnosticsAndExitCodes:
         assert main(["batch", str(path)]) == 2
         (row,) = _parse_output(capsys)
         assert row["status"] == "error" and "budget" in row["error"]["message"]
+
+    @pytest.mark.parametrize("value", [None, 5, ["x"]], ids=repr)
+    def test_pool_definition_rejects_non_string_name(self, value, tmp_path, capsys):
+        """A pool-definition row's ``pool`` is checked like a query row's:
+        a JSON string, never coerced into a pool named ``str(value)``."""
+        path = _write_jsonl(
+            tmp_path,
+            [
+                {"pool": value, "candidates": _candidates_json()},
+                {"task": "t", "pool": str(value)},
+            ],
+        )
+        assert main(["batch", str(path)]) == 2
+        captured = capsys.readouterr()
+        definition, query = [json.loads(line) for line in captured.out.splitlines()]
+        assert definition["line"] == 1
+        assert definition["error"]["code"] == "bad-request"
+        assert definition["error"]["detail"] == {"where": f"{path}:1", "field": "pool"}
+        assert "'pool' must be a string" in definition["error"]["message"]
+        assert f"{path}:1: 'pool' must be a string" in captured.err
+        # Nothing was created under the coerced name.
+        assert query["error"]["code"] == "pool-not-found"
 
     def test_unknown_model_is_row_error(self, tmp_path, capsys):
         path = _write_jsonl(

@@ -32,7 +32,7 @@ def _drive(lines, **options):
     text = "\n".join(
         line if isinstance(line, str) else json.dumps(line) for line in lines
     )
-    args = SimpleNamespace(cache_size=None, **options)
+    args = SimpleNamespace(**options)
     out = io.StringIO()
     code = run_serve(args, stdin=io.StringIO(text + "\n"), stdout=out)
     rows = [json.loads(line) for line in out.getvalue().splitlines()]

@@ -58,7 +58,7 @@ class TestParser:
         assert args.host == "127.0.0.1" and args.port == 8732
         assert args.max_batch == 128 and args.max_pending == 1024
         assert args.max_connections == 512
-        assert args.cache_size is None
+        assert "cache_size" not in vars(args) and "no_frontier" not in vars(args)
 
     def test_knobs_parse(self):
         args = _build_http_parser().parse_args(["--port", "0", "--max-pending", "7"])

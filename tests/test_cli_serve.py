@@ -9,7 +9,6 @@ from types import SimpleNamespace
 from repro.cli import _build_serve_parser, run_serve
 from repro.core.juror import Juror
 from repro.core.selection.altr import select_jury_altr
-from repro.plan.frontier import frontier_cache_enabled
 
 
 def _drive(lines: list[dict | str], **options) -> tuple[list[dict], int]:
@@ -17,7 +16,7 @@ def _drive(lines: list[dict | str], **options) -> tuple[list[dict], int]:
     text = "\n".join(
         line if isinstance(line, str) else json.dumps(line) for line in lines
     )
-    args = SimpleNamespace(cache_size=None, **options)
+    args = SimpleNamespace(**options)
     out = io.StringIO()
     code = run_serve(args, stdin=io.StringIO(text + "\n"), stdout=out)
     rows = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -179,17 +178,27 @@ class TestServeSession:
         assert rows[2]["ok"] and rows[2]["task"] == "still-alive"
 
     def test_drop_invalidates_cached_profile(self):
-        rows, _ = _drive(
+        """A dropped pool takes its profile and frontier with it: re-created
+        under the same name, again at version 0, it is swept afresh and
+        answers from its new candidates."""
+        rows, code = _drive(
             [
                 _pool_create("P", (0.2, 0.3, 0.4)),
                 {"cmd": "select", "task": "warm", "pool": "P"},
                 {"cmd": "pool", "action": "drop", "name": "P"},
+                _pool_create("P", (0.05, 0.3, 0.4)),
+                {"cmd": "select", "task": "fresh", "pool": "P"},
                 {"cmd": "stats"},
             ]
         )
-        stats = rows[-1]
-        assert stats["cache"]["entries"] == 0
-        assert stats["cache"]["evictions"] == 1
+        assert code == 0
+        warm, fresh, stats = rows[1], rows[4], rows[5]
+        assert warm["pool_version"] == fresh["pool_version"] == 0
+        expected = select_jury_altr(
+            [Juror(e, juror_id=f"c{i}") for i, e in enumerate((0.05, 0.3, 0.4))]
+        )
+        assert fresh["jer"] == expected.jer != warm["jer"]
+        assert stats["frontier"]["builds"] == 2 and stats["frontier"]["hits"] == 0
 
     def test_drop_then_select_fails_cleanly(self):
         rows, code = _drive(
@@ -224,20 +233,14 @@ class TestServeSession:
         assert stats["pools"] == {"P1": {"version": 0, "size": 5}}
         assert stats["queries_run"] == 2
         assert stats["live_profiles"] == 1
-        if frontier_cache_enabled():
-            # The second select is a repeat AltrM query: answered from the
-            # answer frontier (built when the first select resolved the
-            # profile) without ever reaching the sweep cache again.
-            assert stats["frontier"]["hits"] == 1
-            assert stats["frontier"]["builds"] == 1
-            assert stats["engine"]["frontier_hits"] == 1
-            assert stats["cache"]["hits"] == 0
-        else:  # REPRO_FRONTIER_CACHE=0: the pre-frontier behaviour, pinned
-            assert stats["frontier"]["enabled"] is False
-            assert stats["frontier"]["hits"] == 0
-            assert stats["engine"]["frontier_hits"] == 0
-            assert stats["cache"]["hits"] == 1
-        # Every cache tier is surfaced, planner included.
+        # The first select builds the version's answer frontier; the
+        # repeat is answered from it.  Named pools never reach the in-pass
+        # profile counters.
+        assert stats["frontier"]["hits"] == 1
+        assert stats["frontier"]["builds"] == 1
+        assert stats["engine"]["frontier_hits"] == 1
+        assert stats["cache"] == {"hits": 0, "misses": 0}
+        # Every counter block is surfaced, planner included.
         assert {"hits", "misses", "entries", "maxsize"} <= stats["planner"].keys()
 
     def test_comments_and_blank_lines_are_skipped(self):
@@ -245,12 +248,7 @@ class TestServeSession:
         assert code == 0 and len(rows) == 1
 
     def test_parser_defaults(self):
-        args = _build_serve_parser().parse_args([])
-        assert args.cache_size is None
-        assert args.no_frontier is False
-        args = _build_serve_parser().parse_args(["--cache-size", "4", "--no-frontier"])
-        assert args.cache_size == 4
-        assert args.no_frontier is True
+        assert vars(_build_serve_parser().parse_args([])) == {"data_dir": None}
 
 
 class TestServeViaMain:
@@ -300,6 +298,6 @@ class TestWorkerReaping:
             def __next__(self):
                 raise KeyboardInterrupt
 
-        args = SimpleNamespace(cache_size=None)
+        args = SimpleNamespace()
         code = run_serve(args, stdin=InterruptingStdin(), stdout=io.StringIO())
         assert code == 130 and closed == [True]
