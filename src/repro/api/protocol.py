@@ -29,6 +29,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,17 +84,21 @@ def _string(value: object, name: str, where: str) -> str:
     return value
 
 
+def _number(value: object, name: str) -> float:
+    """A wire number: a JSON number that is not a boolean, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"'{name}' must be a number, got {type(value).__name__}")
+    return float(value)
+
+
 def _budget(value: object, where: str) -> float | None:
     """An optional ``budget``: a JSON number, not a bool."""
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _located(
-            f"'budget' must be a number, got {type(value).__name__}",
-            where,
-            field="budget",
-        )
-    return float(value)
+    try:
+        return _number(value, "budget")
+    except TypeError as exc:
+        raise _located(str(exc), where, field="budget") from None
 
 
 def _size_cap(value: object, where: str) -> int | None:
@@ -137,6 +142,44 @@ def _juror_json(juror: Juror) -> str:
     return text
 
 
+class AltrAnswer(NamedTuple):
+    """A named pool's AltrM answer of one version and size, with its text.
+
+    ``text`` is exactly what ``json.dumps(to_dict())`` writes for the answer
+    between ``"status": "ok", `` and ``, "pool_version"``.
+    """
+
+    jer: float
+    members: tuple[Juror, ...]
+    total_cost: float
+    text: str
+
+
+def altr_answer(columns: JurorColumns, size: int, jer: float) -> AltrAnswer:
+    """Encode the AltrM answer made of the first ``size`` rows of ``columns``.
+
+    The live pool keeps the result until its next mutation
+    (:meth:`~repro.service.registry.LivePool.answer`).  ``members`` is a
+    slice of the pool's own jurors.  ``total_cost`` sums the contiguous
+    requirement column pairwise, as ``Jury.total_cost`` sums its copy, so
+    the bits match; a running ``cumsum`` would not.
+    """
+    members = columns[:size]
+    total_cost = float(columns.reqs[:size].sum())
+    head = json.dumps(
+        {
+            "model": "AltrM",
+            "algorithm": "AltrALG",
+            "jer": jer,
+            "size": size,
+            "total_cost": total_cost,
+            "budget": None,
+        }
+    )
+    text = f'{head[1:-1]}, "members": [{", ".join(map(_juror_json, members))}]'
+    return AltrAnswer(jer, members, total_cost, text)
+
+
 def _decode_candidates(
     value: object, where: str, *, field_name: str = "candidates"
 ) -> tuple[Juror, ...]:
@@ -158,8 +201,8 @@ def _decode_candidates(
         try:
             jurors.append(
                 Juror(
-                    float(entry["error_rate"]),
-                    float(entry.get("requirement", 0.0)),
+                    _number(entry["error_rate"], "error_rate"),
+                    _number(entry.get("requirement", 0.0), "requirement"),
                     juror_id=str(entry["id"]),
                 )
             )
@@ -391,9 +434,10 @@ class SelectionRequest:
             )
         max_size = _size_cap(obj.get("max_size"), where)
         explain = _flag(obj, "explain", where)
+        task_id = _string(obj["task"], "task", where) if "task" in obj else "task"
         try:
             return cls(
-                task_id=str(obj.get("task", "task")),
+                task_id=task_id,
                 candidates=candidates,
                 pool=pool,
                 model=obj.get("model", "altr"),
@@ -475,6 +519,43 @@ class SelectionResponse:
             pool_version=pool_version,
             elapsed_seconds=elapsed_seconds,
         )
+
+    @classmethod
+    def from_answer(
+        cls,
+        task_id: str,
+        answer: AltrAnswer,
+        *,
+        pool_version: int,
+        elapsed_seconds: float = 0.0,
+    ) -> "SelectionResponse":
+        """Wrap a named pool's encoded AltrM answer (:func:`altr_answer`).
+
+        The response carries the answer's wire text, which :meth:`to_json`
+        writes instead of encoding the fields again.  The text is not a
+        field: a copy with any field changed (``dataclasses.replace``) is
+        encoded from its fields.  The values are trusted, so the validating
+        constructor, which would cost more than the rest of a ready hit's
+        answer, is skipped.
+        """
+        response = object.__new__(cls)
+        response.__dict__.update(
+            task_id=task_id,
+            status="ok",
+            model="AltrM",
+            algorithm="AltrALG",
+            jer=answer.jer,
+            size=len(answer.members),
+            total_cost=answer.total_cost,
+            budget=None,
+            members=answer.members,
+            pool_version=pool_version,
+            plan=None,
+            error=None,
+            elapsed_seconds=float(elapsed_seconds),
+            _text=answer.text,
+        )
+        return response
 
     @classmethod
     def from_plan(
@@ -562,10 +643,21 @@ class SelectionResponse:
     def to_json(self) -> str:
         """The wire form as JSON text: exactly ``json.dumps(self.to_dict())``.
 
-        The envelope goes through ``json.dumps``; each member comes from the
-        text memoised on its :class:`Juror`, so an answer that returns the
-        same members again does not re-run ``float.__repr__`` on them.
+        A response made by :meth:`from_answer` writes the text its live pool
+        keeps, between the task and the version.  Otherwise the envelope
+        goes through ``json.dumps``, and each member comes from the text
+        memoised on its :class:`Juror`, so an answer that returns the same
+        members again does not re-run ``float.__repr__`` on them.
         """
+        text = self.__dict__.get("_text")
+        if text is not None:
+            return (
+                f'{{"v": {PROTOCOL_VERSION}, '
+                f'"task": {encode_basestring_ascii(self.task_id)}, '
+                f'"status": "ok", {text}, "pool_version": {self.pool_version}, '
+                f'"timings": {{"elapsed_seconds": '
+                f"{float.__repr__(self.elapsed_seconds)}}}}}"
+            )
         head, members, tail = self._wire_fields()
         if members is None:
             head.update(tail)
@@ -724,6 +816,15 @@ class PoolCommand:
                     where,
                     field=field_name,
                 )
+        for position, juror_id in enumerate(removes):
+            if not isinstance(juror_id, str):
+                raise _located(
+                    f"remove entry #{position} must be a string, "
+                    f"got {type(juror_id).__name__}",
+                    where,
+                    field="remove",
+                    position=position,
+                )
         updates: list[tuple[str, float | None, float | None]] = []
         for position, entry in enumerate(sets):
             if not isinstance(entry, Mapping) or "id" not in entry:
@@ -734,13 +835,18 @@ class PoolCommand:
                     position=position,
                 )
             try:
+                juror_id = entry["id"]
+                if not isinstance(juror_id, str):
+                    raise TypeError(
+                        f"'id' must be a string, got {type(juror_id).__name__}"
+                    )
                 eps = entry.get("error_rate")
                 req = entry.get("requirement")
                 updates.append(
                     (
-                        str(entry["id"]),
-                        None if eps is None else float(eps),
-                        None if req is None else float(req),
+                        juror_id,
+                        None if eps is None else _number(eps, "error_rate"),
+                        None if req is None else _number(req, "requirement"),
                     )
                 )
             except (TypeError, ValueError, OverflowError) as exc:
@@ -755,7 +861,7 @@ class PoolCommand:
             name=name,
             candidates=candidates,
             add=_decode_candidates(adds, where, field_name="add") if adds else (),
-            remove=tuple(str(r) for r in removes),
+            remove=tuple(removes),
             updates=tuple(updates),
             replace=_flag(obj, "replace", where),
         )

@@ -28,6 +28,7 @@ from repro.api.protocol import (
     PROTOCOL_VERSION,
     SelectionRequest,
     SelectionResponse,
+    altr_answer,
 )
 from repro.core import kernels
 from repro.core.juror import Juror
@@ -43,6 +44,11 @@ def _data_dir_from_env() -> str | None:
     """Durable-catalog default from ``REPRO_DATA_DIR`` (unset/blank -> None)."""
     raw = os.environ.get("REPRO_DATA_DIR", "").strip()
     return raw or None
+
+
+def _named_altr(request: SelectionRequest) -> bool:
+    """Whether a request is a non-explain AltrM select of a named pool."""
+    return not request.explain and request.model == "altr" and request.pool is not None
 
 
 class JuryService:
@@ -202,11 +208,13 @@ class JuryService:
         """Whether the engine can answer ``request`` with a frontier probe alone.
 
         True for a non-explain AltrM select of a named pool that is resident
-        in memory and whose current version's answer frontier is built.
-        O(1) and side-effect free: it never loads a pool, computes a
-        fingerprint, builds a frontier or waits on a lock.
+        in memory and whose current version's answer frontier is built: its
+        answer is one probe and one lookup of text the pool keeps, so the
+        async tier answers it on the event loop.  O(1) and side-effect
+        free: it never loads a pool, computes a fingerprint, builds a
+        frontier or its text, or waits on a lock.
         """
-        if request.explain or request.model != "altr" or request.pool is None:
+        if not _named_altr(request):
             return False
         pool = self._registry.resident(request.pool)
         return pool is not None and pool.frontier_ready
@@ -214,6 +222,8 @@ class JuryService:
     def select(self, request: SelectionRequest) -> SelectionResponse:
         """Answer one request (honouring its ``explain`` flag); never raises
         for domain failures — they come back as error responses."""
+        if _named_altr(request):
+            return self._answer_named(request)
         return self.select_many([request])[0]
 
     def select_many(
@@ -221,8 +231,13 @@ class JuryService:
     ) -> list[SelectionResponse]:
         """Answer a batch of requests, in input order.
 
-        Non-explain requests run through one
-        :meth:`BatchSelectionEngine.run` pass, so shared and same-sized
+        A non-explain AltrM select of a named pool is answered from its
+        live pool alone (:meth:`BatchSelectionEngine.answer_named`): a probe
+        of the version's answer frontier, built or repaired first if the
+        version is new, and the answer's wire text, which the pool encodes
+        once per version and size.  No query, plan, snapshot, jury or
+        result is built for it.  The other non-explain requests run through
+        one :meth:`BatchSelectionEngine.run` pass, so shared and same-sized
         pools are swept together by the vectorized 2-D kernel; explain
         requests are planned without executing.  Each response carries the
         referenced pool's version at dispatch time; a pool that cannot be
@@ -238,6 +253,9 @@ class JuryService:
             if request.explain:
                 responses[index] = self._explain_one(request)
                 continue
+            if _named_altr(request):
+                responses[index] = self._answer_named(request)
+                continue
             try:
                 versions[index] = self._pool_version(request)
                 queries.append(self._to_query(request))
@@ -247,7 +265,7 @@ class JuryService:
                 )
                 continue
             positions.append(index)
-        outcomes = self._engine.run(queries)
+        outcomes = self._engine.run(queries) if queries else []
         for index, outcome in zip(positions, outcomes):
             if outcome.ok:
                 responses[index] = SelectionResponse.from_result(
@@ -263,6 +281,26 @@ class JuryService:
                     elapsed_seconds=outcome.elapsed_seconds,
                 )
         return responses  # type: ignore[return-value]
+
+    def _answer_named(self, request: SelectionRequest) -> SelectionResponse:
+        try:
+            answer = self._engine.answer_named(
+                request.pool,
+                budget=request.budget,
+                max_size=request.max_size,
+                encode=altr_answer,
+                task_id=request.task_id,
+            )
+        except Exception as exc:
+            return SelectionResponse.from_error(
+                request.task_id, ErrorInfo.from_exception(exc)
+            )
+        return SelectionResponse.from_answer(
+            request.task_id,
+            answer.encoded,
+            pool_version=answer.version,
+            elapsed_seconds=answer.elapsed_seconds,
+        )
 
     def _explain_one(self, request: SelectionRequest) -> SelectionResponse:
         start = time.perf_counter()

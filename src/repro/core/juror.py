@@ -95,11 +95,11 @@ class Juror:
         that work for every juror an answer returns.
         """
         juror = object.__new__(cls)
-        object.__setattr__(
-            juror,
-            "__dict__",
-            {"error_rate": error_rate, "requirement": requirement, "juror_id": juror_id},
-        )
+        # Set in the constructor's order, so the instance keeps the class's
+        # key-sharing dict; assigning a fresh ``__dict__`` nearly doubles it.
+        object.__setattr__(juror, "error_rate", error_rate)
+        object.__setattr__(juror, "requirement", requirement)
+        object.__setattr__(juror, "juror_id", juror_id)
         return juror
 
     @property

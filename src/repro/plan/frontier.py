@@ -29,8 +29,13 @@ touching the kernels.
 A live pool (:meth:`repro.service.registry.LivePool.answer_frontier`) owns
 the frontier of its current version: it builds it on the version's first
 AltrM select and repairs it across churn, and the batch engine answers every
-AltrM select of a named pool from it.  Frozen pools get no frontier; the
-engine answers them through ``plan_query() -> execute_plan()``.
+AltrM select of a named pool from one probe of it
+(:meth:`repro.service.batch.BatchSelectionEngine.answer_named`).  The
+service turns the probe's ``(size, jer)`` straight into wire text the pool
+keeps per version and size, with no :class:`SelectionResult`; direct engine
+callers get one from :func:`altr_result`, as :meth:`AnswerFrontier.select`
+builds it.  Frozen pools get no frontier; the engine answers them through
+``plan_query() -> execute_plan()``.
 
 Only ``model="altr"`` queries are answered from a frontier.  ``exact``
 queries over the same pool *can* return the same jury, but their tie-break
@@ -51,7 +56,7 @@ from repro.core.jer import JER_IMPROVEMENT_EPS
 from repro.core.juror import Juror, Jury
 from repro.core.selection.base import SelectionResult, SelectionStats
 
-__all__ = ["AnswerFrontier"]
+__all__ = ["AnswerFrontier", "altr_result"]
 
 
 class AnswerFrontier:
@@ -185,7 +190,7 @@ class AnswerFrontier:
         if max_size is None:
             index = self.entries - 1
         else:
-            index = int(np.searchsorted(self.ns, max_size, side="right")) - 1
+            index = int(self.ns.searchsorted(max_size, side="right")) - 1
         if index < 0:
             raise ValueError("cannot select from an empty sweep profile")
         return int(self.best_ns[index]), float(self.best_jers[index]), index + 1
@@ -206,15 +211,23 @@ class AnswerFrontier:
         caller stamps ``stats.elapsed_seconds``.
         """
         best_n, best_jer, considered = self.probe(max_size)
-        stats = SelectionStats(
-            juries_considered=considered,
-            jer_evaluations=considered,
-        )
-        return SelectionResult(
-            jury=Jury(list(ordered[:best_n])),
-            jer=best_jer,
-            algorithm="AltrALG",
-            model="AltrM",
-            budget=None,
-            stats=stats,
-        )
+        return altr_result(ordered[:best_n], best_jer, considered)
+
+
+def altr_result(
+    members: Sequence[Juror], jer: float, considered: int
+) -> SelectionResult:
+    """The :class:`~repro.core.selection.base.SelectionResult` of one probe.
+
+    ``members`` are the winning prefix's jurors and ``considered`` the
+    prefixes the probe covered, reported as ``juries_considered`` and
+    ``jer_evaluations`` as the plan path reports them.
+    """
+    return SelectionResult(
+        jury=Jury(members),
+        jer=jer,
+        algorithm="AltrALG",
+        model="AltrM",
+        budget=None,
+        stats=SelectionStats(juries_considered=considered, jer_evaluations=considered),
+    )

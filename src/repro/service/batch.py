@@ -14,7 +14,9 @@ strategies, shared or per-task pools — and answers each on one of two paths:
   ``np.searchsorted``: no fingerprint, no ``plan_query``, no
   ``execute_plan``.  Its scan is :func:`~repro.core.jer.best_odd_prefix`'s
   loop, so the answers are bit-identical to the plan pipeline, tie-break
-  included.
+  included.  :meth:`BatchSelectionEngine.answer_named` is that one probe;
+  :meth:`~BatchSelectionEngine.run` wraps it in a :class:`SelectionResult`,
+  and the service in wire text its pool keeps, with no query or result.
 * **Everything else** goes through the plan layer: the engine resolves the
   query to a frozen :class:`CandidatePool`, calls
   :func:`repro.plan.plan_query` (the single front door that parses model
@@ -40,8 +42,9 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +53,7 @@ from repro.core import kernels
 from repro.core.jer import batch_prefix_jer_sweep
 from repro.core.juror import Juror, JurorColumns
 from repro.core.selection.base import SelectionResult
+from repro.errors import EmptyCandidateSetError
 from repro.plan import (
     CandidatePool,
     SelectionPlan,
@@ -57,9 +61,10 @@ from repro.plan import (
     normalize_model,
     plan_query,
 )
+from repro.plan.frontier import altr_result
 from repro.service.registry import LivePool, PoolRegistry
 
-__all__ = ["SelectionQuery", "QueryOutcome", "BatchSelectionEngine"]
+__all__ = ["SelectionQuery", "QueryOutcome", "FrontierAnswer", "BatchSelectionEngine"]
 
 
 @dataclass(frozen=True)
@@ -176,6 +181,23 @@ class QueryOutcome:
         return ErrorInfo(code="internal", message="query produced no result")
 
 
+class FrontierAnswer(NamedTuple):
+    """A named pool's AltrM answer: one probe of its version's frontier.
+
+    The answer is the first ``size`` members of the pool at ``version``
+    (Lemma 3); ``considered`` counts the odd prefixes the probe covered.
+    ``encoded`` is what the caller's ``encode`` made of it, kept by the pool
+    until its next mutation (``None`` when no encoder was given).
+    """
+
+    version: int
+    size: int
+    jer: float
+    considered: int
+    elapsed_seconds: float
+    encoded: object = None
+
+
 @dataclass
 class EngineStats:
     """Counters describing the work an engine has performed (cumulative)."""
@@ -242,16 +264,20 @@ class BatchSelectionEngine:
         """The registry ``pool_name`` queries resolve against (if any)."""
         return self._registry
 
+    def _live(self, pool_name: str, task_id: str) -> LivePool:
+        """The registry pool a query names."""
+        if self._registry is None:
+            raise ValueError(
+                f"query {task_id!r} references registry pool "
+                f"{pool_name!r} but the engine has no registry"
+            )
+        return self._registry.get(pool_name)
+
     def _resolve(self, query: SelectionQuery) -> tuple[CandidatePool, LivePool | None]:
         """Resolve a query to a frozen pool (plus its live pool, if any)."""
         if query.pool_name is None:
             return query.resolve_pool(), None
-        if self._registry is None:
-            raise ValueError(
-                f"query {query.task_id!r} references registry pool "
-                f"{query.pool_name!r} but the engine has no registry"
-            )
-        live = self._registry.get(query.pool_name)
+        live = self._live(query.pool_name, query.task_id)
         return live.snapshot(), live
 
     @staticmethod
@@ -317,8 +343,11 @@ class BatchSelectionEngine:
             ] = []
             for index, query in enumerate(batch):
                 try:
-                    pool, live = self._resolve(query)
-                    resolved.append((index, query, pool, live))
+                    if query.model == "altr" and query.pool_name is not None:
+                        self._named_altr(query, outcomes[index])
+                    else:
+                        pool, live = self._resolve(query)
+                        resolved.append((index, query, pool, live))
                 except Exception as exc:
                     if raise_errors:
                         raise
@@ -327,15 +356,10 @@ class BatchSelectionEngine:
             frozen_altr = []
             other = []
             for item in resolved:
-                index, query, pool, live = item
-                if query.model != "altr":
-                    other.append(item)
-                elif live is not None:
-                    self._answer_from_frontier(
-                        query, pool, live, outcomes[index], raise_errors
-                    )
-                else:
+                if item[1].model == "altr":
                     frozen_altr.append(item)
+                else:
+                    other.append(item)
             self._run_altr(frozen_altr, outcomes, raise_errors)
             self._run_serial(other, outcomes, raise_errors)
         return outcomes
@@ -343,47 +367,70 @@ class BatchSelectionEngine:
     # ------------------------------------------------------------------
     # AltrM over a named pool: the live pool's answer frontier
     # ------------------------------------------------------------------
-    def _answer_from_frontier(
+    def answer_named(
         self,
-        query: SelectionQuery,
-        pool: CandidatePool,
-        live: LivePool,
-        outcome: QueryOutcome,
-        raise_errors: bool,
-    ) -> None:
-        """Answer one named-pool AltrM query from its version's frontier.
+        pool_name: str,
+        *,
+        budget: float | None = None,
+        max_size: int | None = None,
+        encode: Callable[[JurorColumns, int, float], object] | None = None,
+        task_id: str = "task",
+    ) -> FrontierAnswer:
+        """Answer one AltrM select of a named pool from its version's frontier.
 
-        ``pool`` is the version's snapshot, whose members are in the order
-        the frontier indexes.  The path replicates the plan pipeline's
-        observable behaviour exactly: the budget is validated the way
-        ``plan_query`` would (AltrM ignores it otherwise), and an
-        unsatisfiable ``max_size`` raises the identical :class:`ValueError`
-        as :func:`~repro.core.jer.best_odd_prefix`.
+        The one path for named-pool AltrM answers: :meth:`run` wraps its
+        result in a :class:`SelectionResult`, and the service wraps it in
+        wire text, which ``encode`` builds once per version and size
+        (:meth:`LivePool.answer`).  Everything runs under the engine lock
+        and counts as one query, and as a frontier hit, build, repair or
+        rebuild by how the pool produced its frontier.  Failures raise
+        what the plan pipeline raises: an empty pool the snapshot's
+        :class:`~repro.errors.EmptyCandidateSetError`, a bad budget the
+        error ``plan_query`` raises (AltrM ignores a valid one), and an
+        unsatisfiable ``max_size`` the :class:`ValueError` of
+        :func:`~repro.core.jer.best_odd_prefix`.
         """
+        with self._lock:
+            self.stats.queries_run += 1
+            live = self._live(pool_name, task_id)
+            return self._probe(live, budget, max_size, encode)
+
+    def _probe(
+        self,
+        live: LivePool,
+        budget: float | None,
+        max_size: int | None,
+        encode: Callable[[JurorColumns, int, float], object] | None,
+    ) -> FrontierAnswer:
         start = time.perf_counter()
-        try:
-            frontier, mode = live.answer_frontier()
-            stats = self.stats
-            if mode == "cached":
-                stats.frontier_hits += 1
-            elif mode == "built":
-                stats.frontier_builds += 1
-            elif mode == "repaired":
-                stats.frontier_repairs += 1
-            else:
-                stats.frontier_rebuilds += 1
-            if query.budget is not None:
-                validate_budget(query.budget)
-            result = frontier.select(pool.ordered, max_size=query.max_size)
-        except Exception as exc:
-            if raise_errors:
-                raise
-            outcome.exception = exc
-            return
-        elapsed = time.perf_counter() - start
-        result.stats.elapsed_seconds = elapsed
+        if not live.size:
+            raise EmptyCandidateSetError("cannot snapshot an empty live pool")
+        frontier, mode = live.answer_frontier()
+        stats = self.stats
+        if mode == "cached":
+            stats.frontier_hits += 1
+        elif mode == "built":
+            stats.frontier_builds += 1
+        elif mode == "repaired":
+            stats.frontier_repairs += 1
+        else:
+            stats.frontier_rebuilds += 1
+        if budget is not None:
+            validate_budget(budget)
+        size, jer, considered = frontier.probe(max_size)
+        encoded = None if encode is None else live.answer(size, jer, encode)
+        return FrontierAnswer(
+            live.version, size, jer, considered, time.perf_counter() - start, encoded
+        )
+
+    def _named_altr(self, query: SelectionQuery, outcome: QueryOutcome) -> None:
+        """:meth:`answer_named` for :meth:`run`, which holds the lock."""
+        live = self._live(query.pool_name, query.task_id)
+        answer = self._probe(live, query.budget, query.max_size, None)
+        result = altr_result(live.columns[: answer.size], answer.jer, answer.considered)
+        result.stats.elapsed_seconds = answer.elapsed_seconds
         outcome.result = result
-        outcome.elapsed_seconds = elapsed
+        outcome.elapsed_seconds = answer.elapsed_seconds
 
     # ------------------------------------------------------------------
     # AltrM over frozen pools: shared vectorized sweeps within one pass

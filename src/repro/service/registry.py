@@ -24,7 +24,12 @@ anything on the *query path*:
     (:meth:`LivePool.answer_frontier`), from which the batch engine answers
     every AltrM select of the pool: churn at sorted position ``p``
     invalidates only frontier entries past ``(p + 1) // 2``, and repair
-    resumes the running argmin from there.
+    resumes the running argmin from there.  One level further up, the pool
+    keeps each answer of its current version as the service encoded it
+    (:meth:`LivePool.answer`): by Lemma 3 an AltrM answer is the first
+    ``size`` members, fixed by the version and the size alone, so its wire
+    text is built once and a repeat select reuses it.  A mutation drops
+    the text with the version.
 
 :class:`PoolRegistry`
     A name -> :class:`LivePool` namespace shared by the batch engine
@@ -36,9 +41,10 @@ anything on the *query path*:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import count
+from typing import TypeVar
 
 import numpy as np
 
@@ -52,6 +58,8 @@ from repro.plan.pool import CandidatePool
 __all__ = ["LivePool", "LivePoolStats", "PoolRegistry"]
 
 _pool_uid = count(1)
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -126,6 +134,9 @@ class LivePool:
         # the first (p + 1) // 2 frontier entries — intact).
         self._frontier: AnswerFrontier | None = None
         self._frontier_clean = 0
+        # The current version's encoded AltrM answers by jury size, built on
+        # first request and dropped by the next mutation.
+        self._answers: dict[int, object] = {}
         # Durability hook: when a catalog store is bound, every successful
         # mutation is reported to it (post-bump, so the record carries the
         # new version).  ``None`` keeps the pool purely in-memory.
@@ -351,6 +362,23 @@ class LivePool:
         self._frontier_clean = rebuilt.entries
         return rebuilt, mode
 
+    def answer(
+        self, size: int, jer: float, encode: Callable[[JurorColumns, int, float], T]
+    ) -> T:
+        """The current version's ``size``-member AltrM answer, encoded once.
+
+        By Lemma 3 that answer is the first ``size`` rows of :attr:`columns`
+        and its JER is ``jer``, both fixed by the version and the size
+        alone, so ``encode(columns, size, jer)`` runs on the first request
+        of each pair and its value is kept until the next mutation.  The
+        service keeps each answer's wire text here; one encoder serves a
+        pool, and callers hold the engine lock.
+        """
+        answer = self._answers.get(size)
+        if answer is None:
+            answer = self._answers[size] = encode(self.columns, size, jer)
+        return answer  # type: ignore[return-value]
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -384,6 +412,7 @@ class LivePool:
     def _bump(self) -> int:
         self._version += 1
         self._fingerprint = None
+        self._answers = {}
         self.stats.mutations += 1
         return self._version
 

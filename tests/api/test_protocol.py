@@ -10,6 +10,7 @@ covered, not just the happy path.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -23,8 +24,9 @@ from repro.api import (
     SelectionRequest,
     SelectionResponse,
 )
+from repro.api.protocol import altr_answer
 from repro.api.server import HttpServer, http_call
-from repro.core.juror import Juror
+from repro.core.juror import Juror, JurorColumns
 from repro.errors import ProtocolError
 
 # ----------------------------------------------------------------------
@@ -231,13 +233,45 @@ def wire_responses(draw) -> SelectionResponse:
     )
 
 
+@st.composite
+def answer_responses(draw) -> SelectionResponse:
+    """Responses carrying the text a live pool keeps for an answer."""
+    ids = draw(st.lists(_wire_text, min_size=1, max_size=12, unique=True))
+    members = tuple(
+        Juror(draw(_edge_eps), draw(_edge_reqs), juror_id=juror_id) for juror_id in ids
+    )
+    size = draw(st.integers(1, len(members)))
+    answer = altr_answer(JurorColumns.from_jurors(members), size, draw(_edge_eps))
+    return SelectionResponse.from_answer(
+        draw(_wire_text),
+        answer,
+        pool_version=draw(st.integers(0, 2**40)),
+        elapsed_seconds=draw(st.floats(min_value=0.0, max_value=1e3)),
+    )
+
+
 class TestTextEncoder:
-    @given(response=wire_responses())
+    @given(response=st.one_of(wire_responses(), answer_responses()))
     @settings(max_examples=300, deadline=None)
     def test_to_json_is_json_dumps_of_to_dict(self, response):
         assert response.to_json() == json.dumps(response.to_dict())
         # The second encode reads the members' memoised text.
         assert response.to_json() == json.dumps(response.to_dict())
+
+    def test_carried_text_never_outlives_a_field_change(self):
+        members = (Juror(0.1, 0.5, juror_id="a"), Juror(0.2, 0.25, juror_id="b"),
+                   Juror(0.3, 0.0, juror_id="c"))
+        answer = altr_answer(JurorColumns.from_jurors(members), 3, 0.125)
+        response = SelectionResponse.from_answer("t", answer, pool_version=4)
+        assert response == SelectionResponse(
+            task_id="t", status="ok", model="AltrM", algorithm="AltrALG", jer=0.125,
+            size=3, total_cost=0.75, budget=None, members=members, pool_version=4,
+        )
+        for changes in ({"task_id": "other"}, {"jer": 0.5}, {"members": members[:1]},
+                        {"total_cost": 9.0}, {"pool_version": 5}, {"budget": 1.0}):
+            changed = dataclasses.replace(response, **changes)
+            assert changed.to_json() == json.dumps(changed.to_dict())
+            assert changed.to_json() != response.to_json()
 
     def test_edge_values_and_a_member_encoded_twice(self):
         shared = Juror(5e-324, -0.0, juror_id="\ud800é")
@@ -481,6 +515,121 @@ class TestWireFlagsAndCaps:
         assert body["error"]["code"] == "bad-request"
         assert body["error"]["detail"]["field"] == "replace"
         assert (after["version"], after["size"]) == (3, 4)
+
+
+    # Numbers and names that used to be coerced with float() / str().
+    _NON_NUMBERS = pytest.mark.parametrize("value", [True, "0.1"], ids=repr)
+    _NUMBER_FIELDS = pytest.mark.parametrize("name", ["error_rate", "requirement"])
+
+    @staticmethod
+    def _rows_with(name: str, value) -> list[dict]:
+        rows = [dict(row) for row in _POOL_ROWS]
+        rows[2][name] = value
+        return rows
+
+    @_NON_NUMBERS
+    @_NUMBER_FIELDS
+    def test_candidate_numbers_must_be_numbers(self, name, value):
+        rows = self._rows_with(name, value)
+        for parse, obj, field in (
+            (SelectionRequest.from_dict, {"task": "t", "candidates": rows}, "candidates"),
+            (PoolCommand.from_dict, {"action": "create", "name": "P", "candidates": rows},
+             "candidates"),
+            (PoolCommand.from_dict, {"action": "update", "name": "P", "add": rows}, "add"),
+        ):
+            with pytest.raises(ProtocolError, match=f"candidate #2: '{name}' must be a number"
+                               ) as excinfo:
+                parse(obj, where="w")
+            assert excinfo.value.detail == {"where": "w", "field": field, "position": 2}
+
+    @_NON_NUMBERS
+    @_NUMBER_FIELDS
+    def test_post_candidate_numbers_answer_400(self, name, value):
+        rows = self._rows_with(name, value)
+        [select] = _post("/v1/select", {"task": "t", "candidates": rows})
+        create, (status, after) = _post(
+            "/v1/pool",
+            {"action": "create", "name": "P", "candidates": rows},
+            {"action": "update", "name": "P"},
+        )
+        for status_, body in (select, create):
+            assert status_ == 400
+            assert body["error"]["code"] == "bad-request"
+            assert body["error"]["detail"]["field"] == "candidates"
+            assert body["error"]["detail"]["position"] == 2
+        assert (status, after["error"]["code"]) == (404, "pool-not-found")
+
+    @_NON_NUMBERS
+    @_NUMBER_FIELDS
+    def test_set_numbers_must_be_numbers(self, name, value):
+        row = {"action": "update", "name": "P", "set": [{"id": "c0"}, {"id": "c1", name: value}]}
+        with pytest.raises(ProtocolError, match=f"set entry #1: '{name}' must be a number"
+                           ) as excinfo:
+            PoolCommand.from_dict(row, where="w")
+        assert excinfo.value.detail == {"where": "w", "field": "set", "position": 1}
+
+    def test_post_set_boolean_requirement_keeps_the_pool(self):
+        create = {"action": "create", "name": "P", "candidates": _POOL_ROWS}
+        update = {"action": "update", "name": "P", "set": [{"id": "c1", "requirement": True}]}
+        (_, created), (status, body), (_, after) = _post(
+            "/v1/pool", create, update, {"action": "update", "name": "P"}
+        )
+        assert created["version"] == 0
+        assert status == 400
+        assert body["error"]["detail"] == {
+            "where": "POST /v1/pool", "field": "set", "position": 0
+        }
+        assert after["version"] == 0
+
+    @_NOT_STRINGS
+    def test_task_must_be_a_string(self, value):
+        with pytest.raises(ProtocolError, match="'task' must be a string") as excinfo:
+            SelectionRequest.from_dict({"task": value, "pool": "P"}, where="w")
+        assert excinfo.value.detail == {"where": "w", "field": "task"}
+
+    @_NOT_STRINGS
+    def test_post_non_string_task_answers_400(self, value):
+        [(status, body)] = _post("/v1/select", {"task": value, "candidates": _POOL_ROWS})
+        assert status == 400
+        assert body["error"]["code"] == "bad-request"
+        assert body["error"]["detail"]["field"] == "task"
+
+    def test_absent_task_keeps_its_default(self):
+        assert SelectionRequest.from_dict({"pool": "P"}).task_id == "task"
+
+    @_NOT_STRINGS
+    def test_remove_entries_must_be_strings(self, value):
+        row = {"action": "update", "name": "P", "remove": ["c0", value]}
+        with pytest.raises(ProtocolError, match="remove entry #1 must be a string") as excinfo:
+            PoolCommand.from_dict(row, where="w")
+        assert excinfo.value.detail == {"where": "w", "field": "remove", "position": 1}
+
+    @_NOT_STRINGS
+    def test_set_ids_must_be_strings(self, value):
+        row = {"action": "update", "name": "P", "set": [{"id": value, "error_rate": 0.2}]}
+        with pytest.raises(ProtocolError, match="set entry #0: 'id' must be a string"
+                           ) as excinfo:
+            PoolCommand.from_dict(row, where="w")
+        assert excinfo.value.detail == {"where": "w", "field": "set", "position": 0}
+
+    @_NOT_STRINGS
+    def test_post_non_string_juror_names_keep_the_pool(self, value):
+        # Jurors named as str() of each value exist, so a coerced name would
+        # remove or re-estimate one of them.
+        rows = [{"id": name, "error_rate": 0.1 + 0.1 * i}
+                for i, name in enumerate(("None", "5", "['x']"))]
+        create = {"action": "create", "name": "P", "candidates": rows}
+        remove = {"action": "update", "name": "P", "remove": [value]}
+        reset = {"action": "update", "name": "P", "set": [{"id": value, "error_rate": 0.4}]}
+        noop = {"action": "update", "name": "P"}
+        (_, created), (removed, body), (reset_status, reset_body), (_, after) = _post(
+            "/v1/pool", create, remove, reset, noop
+        )
+        assert created["size"] == 3
+        assert (removed, reset_status) == (400, 400)
+        assert body["error"]["detail"]["field"] == "remove"
+        assert reset_body["error"]["detail"]["field"] == "set"
+        assert (after["version"], after["size"]) == (0, 3)
 
 
 class TestResponseValidation:

@@ -1,9 +1,11 @@
-"""Ready frontier hits: batches the async tier answers on the event loop.
+"""Ready frontier hits: requests the async tier answers on the event loop.
 
-A batch in which every request is an AltrM select of a resident pool whose
-current version's answer frontier is built runs ``select_many`` on the
+A ready hit is an AltrM select of a resident pool whose current version's
+answer frontier is built.  ``AsyncJuryService.select`` answers one on the
+spot when nothing is queued or in flight and the engine lock is free; a
+batch in which every request is a ready hit runs ``select_many`` on the
 event loop; every other batch keeps the ``asyncio.to_thread`` hop.  These
-tests pin which batches take which path, that the readiness check has no
+tests pin which requests take which path, that the readiness check has no
 side effects, and that the answers stay the sequential reference's.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from repro.api import (
 )
 from repro.api import aio
 from repro.core.juror import Juror
+from repro.errors import ServiceClosedError
 from repro.plan import execute_plan, plan_query
 from repro.plan import pool as pool_module
 from repro.service import PoolRegistry, registry as registry_module
@@ -187,7 +191,10 @@ class TestReadiness:
             return (
                 catalog.stats.lazy_loads,
                 dataclasses.asdict(service.engine.stats),
-                [(pool._frontier, dataclasses.asdict(pool.stats)) for pool in resident],
+                [
+                    (pool._frontier, dict(pool._answers), dataclasses.asdict(pool.stats))
+                    for pool in resident
+                ],
                 list(catalog._resident),
                 len(fingerprints),
             )
@@ -281,3 +288,117 @@ class TestLoopPath:
         first, last = events.index("batch"), len(events) - events[::-1].index("batch")
         assert events.count("batch") == 3
         assert "tick" in events[first:last]
+
+
+class TestOnTheSpot:
+    """``select()`` answers a lone ready hit synchronously, as a batch of one."""
+
+    def test_lone_ready_hit_takes_no_thread_and_no_drainer(self, thread_hops, monkeypatch):
+        service = _service()
+        _warm(service, "P")
+        futures: list[int] = []
+
+        async def run():
+            front = AsyncJuryService(service)
+            loop = asyncio.get_running_loop()
+            real = loop.create_future
+            monkeypatch.setattr(loop, "create_future", lambda: (futures.append(1), real())[1])
+            responses = [await front.select(_hit(f"t{i}", max_size=i or None))
+                         for i in range(4)]
+            drainer, counters = front._drainer, front.stats_snapshot()["async"]
+            created = len(futures)
+            await front.aclose()
+            return responses, drainer, counters, created
+
+        responses, drainer, counters, created = asyncio.run(run())
+        assert thread_hops == [] and created == 0 and drainer is None
+        assert (counters["accepted"], counters["answered"], counters["batches"]) == (4, 4, 4)
+        assert [_without_timings(r) for r in responses] == [
+            _reference(service, _hit(f"t{i}", max_size=i or None)) for i in range(4)
+        ]
+
+    def test_queued_behind_a_pool_command_then_answered_in_order(self):
+        service = _service()
+        _warm(service, "P", "Q")
+        gate = threading.Event()
+        real_pool = service.pool
+        service.pool = lambda command: (gate.wait(5), real_pool(command))[1]
+        answered: list[str] = []
+
+        async def run():
+            front = AsyncJuryService(service)
+
+            async def select(task):
+                response = await front.select(_hit(task))
+                answered.append(task)
+                return response
+
+            command = asyncio.create_task(front.pool(
+                PoolCommand(action="update", name="Q", remove=("Q-0",))
+            ))
+            await asyncio.sleep(0)  # the command now holds the engine lock
+            tasks = [asyncio.create_task(select(f"t{i}")) for i in range(3)]
+            await asyncio.sleep(0.01)
+            # The drainer took them and waits on the lock; none is answered.
+            waiting = front.queued + front.stats_snapshot()["async"]["in_flight"]
+            assert answered == []
+            gate.set()
+            await command
+            # Issued once the command is done: answered after the three
+            # that waited on it.
+            late = asyncio.create_task(select("late"))
+            await asyncio.gather(*tasks, late)
+            counters = front.stats_snapshot()["async"]
+            await front.aclose()
+            return waiting, counters
+
+        waiting, counters = asyncio.run(run())
+        assert waiting == 3
+        assert answered == ["t0", "t1", "t2", "late"]
+        assert counters["accepted"] == counters["answered"] == 4
+
+    def test_queued_behind_a_pending_request(self, thread_hops):
+        service = _service()
+        _warm(service, "P")
+        inline = SelectionRequest(task_id="inline", candidates=_candidates("inline"))
+
+        async def run():
+            front = AsyncJuryService(service)
+            first = asyncio.create_task(front.select(inline))
+            hit = asyncio.create_task(front.select(_hit("hit")))
+            await asyncio.sleep(0)  # both have run; the drainer has not
+            queued = front.queued
+            await asyncio.gather(first, hit)
+            await front.aclose()
+            return queued
+
+        assert asyncio.run(run()) == 2
+        assert thread_hops == [["inline", "hit"]]
+
+    def test_closed_service_refuses_a_ready_hit(self):
+        service = _service()
+        _warm(service, "P")
+
+        async def run():
+            front = AsyncJuryService(service)
+            await front.aclose()
+            with pytest.raises(ServiceClosedError):
+                await front.select(_hit("t"))
+
+        asyncio.run(run())
+
+    def test_select_many_still_forms_one_batch(self, thread_hops):
+        service = _service()
+        _warm(service, "P")
+
+        async def run():
+            front = AsyncJuryService(service)
+            responses = await front.select_many([_hit(f"t{i}") for i in range(5)])
+            counters = front.stats_snapshot()["async"]
+            await front.aclose()
+            return responses, counters
+
+        responses, counters = asyncio.run(run())
+        assert counters["batches"] == 1 and counters["answered"] == 5
+        assert thread_hops == []
+        assert all(response.ok for response in responses)

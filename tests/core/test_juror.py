@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,27 @@ class TestJuror:
         b = Juror(0.2, 0.1, juror_id="x")
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_trusted_juror_is_no_larger_than_a_constructed_one(self):
+        """A trusted juror keeps the class's key-sharing dict: it takes no
+        more memory than one built by the constructor, and equals it."""
+
+        def footprint(make) -> float:
+            tracemalloc.start()
+            base = tracemalloc.get_traced_memory()[0]
+            jurors = [make(f"j{i}") for i in range(2000)]
+            used = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.stop()
+            del jurors
+            return used / 2000
+
+        constructed = footprint(lambda name: Juror(0.25, 1.5, juror_id=name))
+        trusted = footprint(lambda name: Juror._trusted(0.25, 1.5, name))
+        assert trusted <= constructed + 8
+        a, b = Juror(0.25, 1.5, juror_id="a"), Juror._trusted(0.25, 1.5, "a")
+        assert a == b and hash(a) == hash(b)
+        assert sys.getsizeof(b.__dict__) <= sys.getsizeof(a.__dict__)
+        assert list(vars(b)) == list(vars(a))
 
     def test_int_error_rate_rejected_at_bounds(self):
         with pytest.raises(InvalidErrorRateError):
