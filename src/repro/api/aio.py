@@ -17,10 +17,10 @@ stacked, a saving of a tenth at most.
   select of a resident pool whose current version's answer frontier is
   built) that ``select()`` receives while nothing is queued or in flight
   and the engine lock is free is answered on the spot, synchronously: one
-  probe of the frontier and one lookup of the wire text the live pool
-  keeps for that answer, about 13 µs on a 2-CPU x86-64 host.  It takes no
-  capacity slot, future, drainer task or lock round trip, and counts as a
-  batch of one.
+  probe of the frontier and one lookup of the answer text the live pool
+  keeps for its version (``JuryService.select`` plus ``to_json()``: about
+  6 µs on a 2-CPU x86-64 host).  It takes no capacity slot, future,
+  drainer task or lock round trip, and counts as a batch of one.
 * Every other ``select()`` call enqueues onto a shared pending queue and
   awaits its individual response, and so does every call behind it, which
   keeps the order first in, first out.  A single drainer task repeatedly

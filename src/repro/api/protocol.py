@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -84,6 +85,15 @@ def _string(value: object, name: str, where: str) -> str:
     return value
 
 
+def _wire_id(value: object) -> str:
+    """A candidate ``id``: a JSON string, or an integer as its decimal text."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise TypeError(f"'id' must be a string or an integer, got {type(value).__name__}")
+
+
 def _number(value: object, name: str) -> float:
     """A wire number: a JSON number that is not a boolean, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -123,23 +133,14 @@ def _encode_juror(juror: Juror) -> dict:
     }
 
 
-def _juror_json(juror: Juror) -> str:
-    """``json.dumps(_encode_juror(juror))``, memoised on the juror.
-
-    Built from the calls ``json.dumps`` itself makes for these values
-    (``encode_basestring_ascii`` for the id, ``float.__repr__`` for the
-    numbers), so the text is byte-identical.  A juror is immutable, and live
-    pools keep their members across versions, so a member returned by many
-    answers is encoded once.
-    """
-    text = juror.__dict__.get("_json")
-    if text is None:
-        text = juror.__dict__["_json"] = (
-            f'{{"id": {encode_basestring_ascii(juror.juror_id)}, '
-            f'"error_rate": {float.__repr__(juror.error_rate)}, '
-            f'"requirement": {float.__repr__(juror.requirement)}}}'
-        )
-    return text
+def _member_json(juror_id: str, error_rate: float, requirement: float) -> str:
+    """``json.dumps`` of one member's wire object, made with the calls it
+    makes for these values, so the text is byte-identical."""
+    return (
+        f'{{"id": {encode_basestring_ascii(juror_id)}, '
+        f'"error_rate": {float.__repr__(error_rate)}, '
+        f'"requirement": {float.__repr__(requirement)}}}'
+    )
 
 
 class AltrAnswer(NamedTuple):
@@ -150,34 +151,59 @@ class AltrAnswer(NamedTuple):
     """
 
     jer: float
-    members: tuple[Juror, ...]
+    members: JurorColumns
     total_cost: float
     text: str
 
 
-def altr_answer(columns: JurorColumns, size: int, jer: float) -> AltrAnswer:
-    """Encode the AltrM answer made of the first ``size`` rows of ``columns``.
+#: Answer sizes a live pool version keeps whole; the oldest is dropped first.
+_KEPT_ANSWERS = 8
 
-    The live pool keeps the result until its next mutation
-    (:meth:`~repro.service.registry.LivePool.answer`).  ``members`` is a
-    slice of the pool's own jurors.  ``total_cost`` sums the contiguous
-    requirement column pairwise, as ``Jury.total_cost`` sums its copy, so
-    the bits match; a running ``cumsum`` would not.
+
+class AltrAnswers:
+    """One live pool version's AltrM answers, encoded on demand.
+
+    By Lemma 3 the ``size``-member answer is the first ``size`` rows of the
+    version's ``columns``, so every answer's members text is a prefix of one
+    string, kept for the longest answer so far with each member's end
+    offset.  Whole answers are kept for the last ``_KEPT_ANSWERS`` sizes
+    only, so memory stays linear in the pool whatever sizes a client
+    sweeps.  ``total_cost`` sums the requirement column pairwise, as
+    ``Jury.total_cost`` does, so the bits match.
     """
-    members = columns[:size]
-    total_cost = float(columns.reqs[:size].sum())
-    head = json.dumps(
-        {
-            "model": "AltrM",
-            "algorithm": "AltrALG",
-            "jer": jer,
-            "size": size,
-            "total_cost": total_cost,
-            "budget": None,
-        }
-    )
-    text = f'{head[1:-1]}, "members": [{", ".join(map(_juror_json, members))}]'
-    return AltrAnswer(jer, members, total_cost, text)
+
+    __slots__ = ("_columns", "_members", "_ends", "_kept")
+
+    def __init__(self, columns: JurorColumns) -> None:
+        self._columns = columns
+        self._members = ""  # each member's JSON followed by ", "
+        self._ends = [0]  # the offset past each member's ", "
+        self._kept: dict[int, AltrAnswer] = {}
+
+    def __call__(self, size: int, jer: float) -> AltrAnswer:
+        answer = self._kept.get(size)
+        if answer is None:
+            if len(self._kept) == _KEPT_ANSWERS:
+                del self._kept[next(iter(self._kept))]
+            answer = self._kept[size] = self._answer(size, jer)
+        return answer
+
+    def _answer(self, size: int, jer: float) -> AltrAnswer:
+        columns, ends = self._columns, self._ends
+        if size >= len(ends):
+            done = len(ends) - 1
+            fragments = list(map(_member_json, columns.ids[done:size],
+                                 columns.eps[done:size].tolist(),
+                                 columns.reqs[done:size].tolist()))
+            self._members += ", ".join(fragments) + ", "
+            # The last offset is where the new members start: it stays.
+            ends[-1:] = accumulate((len(f) + 2 for f in fragments), initial=ends[-1])
+        total_cost = float(columns.reqs[:size].sum())
+        head = json.dumps({"model": "AltrM", "algorithm": "AltrALG", "jer": jer,
+                           "size": size, "total_cost": total_cost, "budget": None})
+        text = f'{head[1:-1]}, "members": [{self._members[: ends[size] - 2]}]'
+        rows = JurorColumns(columns.ids[:size], columns.eps[:size], columns.reqs[:size])
+        return AltrAnswer(jer, rows, total_cost, text)
 
 
 def _decode_candidates(
@@ -203,7 +229,7 @@ def _decode_candidates(
                 Juror(
                     _number(entry["error_rate"], "error_rate"),
                     _number(entry.get("requirement", 0.0), "requirement"),
-                    juror_id=str(entry["id"]),
+                    juror_id=_wire_id(entry["id"]),
                 )
             )
         except KeyError as exc:
@@ -241,29 +267,29 @@ def _float_column(values: list) -> np.ndarray | None:
 def _decode_candidate_columns(value: object, where: str) -> JurorColumns:
     """Decode a wire candidate array straight into checked columns.
 
-    The one place inline candidate values are checked: every row must be an
-    object with an ``id`` (non-empty after ``str()``) and an ``error_rate``
-    finite in (0, 1), and its ``requirement`` (default 0.0) must be finite
-    and >= 0 — what :class:`Juror` checks, done column-wise.  When any row
-    fails, or holds values other than plain JSON numbers, the array goes
-    through :func:`_decode_candidates`, so the error raised is its located
+    The one place inline and pool-create candidate values are checked: every
+    row must be an object with an ``id`` (a string, or an integer read as
+    its decimal text; non-empty) and an ``error_rate`` finite in (0, 1),
+    and its ``requirement`` (default 0.0) must be finite and >= 0 — what
+    :class:`Juror` checks, done column-wise.  When any row fails, or holds
+    values other than plain JSON numbers, the array goes through
+    :func:`_decode_candidates`, so the error raised is its located
     :class:`ProtocolError`, message and ``detail`` included.
     """
     if isinstance(value, list) and value and set(map(type, value)) == {dict}:
         try:
-            ids = tuple(map(str, [row["id"] for row in value]))
+            raw_ids = [row["id"] for row in value]
+            if not set(map(type, raw_ids)) <= {str, int}:
+                raise TypeError("ids must be strings or integers")
+            ids = tuple(map(str, raw_ids))
             eps = _float_column([row["error_rate"] for row in value])
             reqs = _float_column([row.get("requirement", 0.0) for row in value])
         except (KeyError, TypeError, ValueError, OverflowError):
             eps = reqs = None
-        if (
-            eps is not None
-            and reqs is not None
-            and all(ids)
-            and np.all((eps > 0.0) & (eps < 1.0))
-            and np.all(np.isfinite(reqs) & (reqs >= 0.0))
-        ):
-            return JurorColumns(ids, eps, reqs)
+        if eps is not None and reqs is not None:
+            columns = JurorColumns(ids, eps, reqs)
+            if columns.valid():
+                return columns
     return JurorColumns.from_jurors(_decode_candidates(value, where))
 
 
@@ -529,7 +555,7 @@ class SelectionResponse:
         pool_version: int,
         elapsed_seconds: float = 0.0,
     ) -> "SelectionResponse":
-        """Wrap a named pool's encoded AltrM answer (:func:`altr_answer`).
+        """Wrap a named pool's encoded AltrM answer (:class:`AltrAnswers`).
 
         The response carries the answer's wire text, which :meth:`to_json`
         writes instead of encoding the fields again.  The text is not a
@@ -643,11 +669,11 @@ class SelectionResponse:
     def to_json(self) -> str:
         """The wire form as JSON text: exactly ``json.dumps(self.to_dict())``.
 
-        A response made by :meth:`from_answer` writes the text its live pool
-        keeps, between the task and the version.  Otherwise the envelope
-        goes through ``json.dumps``, and each member comes from the text
-        memoised on its :class:`Juror`, so an answer that returns the same
-        members again does not re-run ``float.__repr__`` on them.
+        A response made by :meth:`from_answer` writes the answer text its
+        live pool's encoder sliced, between the task and the version.
+        Otherwise the envelope goes through ``json.dumps``, and each member
+        through :func:`_member_json`, which makes the calls ``json.dumps``
+        would make for it without building its dict.
         """
         text = self.__dict__.get("_text")
         if text is not None:
@@ -662,10 +688,8 @@ class SelectionResponse:
         if members is None:
             head.update(tail)
             return json.dumps(head)
-        return (
-            f'{json.dumps(head)[:-1]}, "members": '
-            f'[{", ".join(map(_juror_json, members))}], {json.dumps(tail)[1:]}'
-        )
+        body = ", ".join(_member_json(j.juror_id, j.error_rate, j.requirement) for j in members)
+        return f'{json.dumps(head)[:-1]}, "members": [{body}], {json.dumps(tail)[1:]}'
 
     @classmethod
     def from_dict(cls, obj: Mapping, *, where: str = "<response>") -> "SelectionResponse":
@@ -805,7 +829,7 @@ class PoolCommand:
                 raise _located(
                     "pool create needs 'candidates'", where, field="candidates"
                 )
-            candidates = _decode_candidates(obj["candidates"], where)
+            candidates = _decode_candidate_columns(obj["candidates"], where)
         removes = obj.get("remove", [])
         adds = obj.get("add", [])
         sets = obj.get("set", [])

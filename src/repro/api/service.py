@@ -23,12 +23,12 @@ import time
 from collections.abc import Iterable
 
 from repro.api.protocol import (
+    AltrAnswers,
     ErrorInfo,
     PoolCommand,
     PROTOCOL_VERSION,
     SelectionRequest,
     SelectionResponse,
-    altr_answer,
 )
 from repro.core import kernels
 from repro.core.juror import Juror
@@ -209,7 +209,7 @@ class JuryService:
 
         True for a non-explain AltrM select of a named pool that is resident
         in memory and whose current version's answer frontier is built: its
-        answer is one probe and one lookup of text the pool keeps, so the
+        answer is one probe and the text the pool keeps, so the
         async tier answers it on the event loop.  O(1) and side-effect
         free: it never loads a pool, computes a fingerprint, builds a
         frontier or its text, or waits on a lock.
@@ -234,9 +234,9 @@ class JuryService:
         A non-explain AltrM select of a named pool is answered from its
         live pool alone (:meth:`BatchSelectionEngine.answer_named`): a probe
         of the version's answer frontier, built or repaired first if the
-        version is new, and the answer's wire text, which the pool encodes
-        once per version and size.  No query, plan, snapshot, jury or
-        result is built for it.  The other non-explain requests run through
+        version is new, and the answer's wire text, which the pool's encoder
+        keeps for its version.  No query, plan, snapshot, jury, result or
+        juror is built for it.  The other non-explain requests run through
         one :meth:`BatchSelectionEngine.run` pass, so shared and same-sized
         pools are swept together by the vectorized 2-D kernel; explain
         requests are planned without executing.  Each response carries the
@@ -288,7 +288,7 @@ class JuryService:
                 request.pool,
                 budget=request.budget,
                 max_size=request.max_size,
-                encode=altr_answer,
+                encoder=AltrAnswers,
                 task_id=request.task_id,
             )
         except Exception as exc:
@@ -348,16 +348,14 @@ class JuryService:
             pool = self._registry.drop(command.name)
         else:  # update
             pool = self._registry.get(command.name)
-            remove_ids, adds, updates = self._validated_update(pool, command)
-            for juror_id in remove_ids:
+            replacements = self._validated_update(pool, command)
+            for juror_id in command.remove:
                 pool.remove_juror(juror_id)
-            for juror in adds:
+            for juror in command.add:
                 pool.add_juror(juror)
-            for juror_id, replacement in updates:
+            for juror in replacements:
                 pool.update_juror(
-                    juror_id,
-                    error_rate=replacement.error_rate,
-                    requirement=replacement.requirement,
+                    juror.juror_id, error_rate=juror.error_rate, requirement=juror.requirement
                 )
         return {
             "v": PROTOCOL_VERSION,
@@ -370,33 +368,32 @@ class JuryService:
         }
 
     @staticmethod
-    def _validated_update(
-        pool: LivePool, command: PoolCommand
-    ) -> tuple[list[str], list[Juror], list[tuple[str, Juror]]]:
-        """Validate an update fully before any mutation.
+    def _validated_update(pool: LivePool, command: PoolCommand) -> list[Juror]:
+        """Validate an update fully before any mutation; returns its ``set``
+        entries as replacement jurors.
 
-        Simulates the membership through remove -> add -> set order (the
-        order the update is applied in) and re-validates every value a
-        mutation would validate, so no mutation of the returned plan can be
-        rejected once the first one is applied.
+        Simulates the membership of the ids the command touches, and only
+        those, through remove -> add -> set order (the order the update is
+        applied in) and re-validates every value a mutation would validate,
+        so no mutation of the plan can be rejected once the first one is
+        applied.
         """
-        membership = {j.juror_id: j for j in pool.ordered}
-        remove_ids: list[str] = []
+        touched: dict[str, Juror | None] = {}
+
+        def member(juror_id: str) -> Juror | None:
+            return touched[juror_id] if juror_id in touched else pool.get(juror_id)
+
         for juror_id in command.remove:
-            if membership.pop(juror_id, None) is None:
+            if member(juror_id) is None:
                 raise InvalidJuryError(f"juror {juror_id!r} is not in the pool")
-            remove_ids.append(juror_id)
+            touched[juror_id] = None
         for juror in command.add:
-            if juror.juror_id in membership:
-                raise InvalidJuryError(
-                    f"juror {juror.juror_id!r} is already in the pool"
-                )
-            membership[juror.juror_id] = juror
-        updates: list[tuple[str, Juror]] = []
-        for position, (juror_id, error_rate, requirement) in enumerate(
-            command.updates
-        ):
-            current = membership.get(juror_id)
+            if member(juror.juror_id) is not None:
+                raise InvalidJuryError(f"juror {juror.juror_id!r} is already in the pool")
+            touched[juror.juror_id] = juror
+        replacements: list[Juror] = []
+        for position, (juror_id, error_rate, requirement) in enumerate(command.updates):
+            current = member(juror_id)
             if current is None:
                 raise InvalidJuryError(f"juror {juror_id!r} is not in the pool")
             try:
@@ -407,9 +404,9 @@ class JuryService:
                 )
             except ReproError as exc:
                 raise InvalidJuryError(f"set entry #{position}: {exc}") from exc
-            membership[juror_id] = replacement
-            updates.append((juror_id, replacement))
-        return remove_ids, list(command.add), updates
+            touched[juror_id] = replacement
+            replacements.append(replacement)
+        return replacements
 
     # ------------------------------------------------------------------
     # introspection

@@ -203,6 +203,13 @@ class JurorColumns(Sequence):
             else None,
         )
 
+    def valid(self) -> bool:
+        """Whether every row passes :class:`Juror`'s checks (ids already ``str``)."""
+        eps, reqs = self.eps, self.reqs
+        return all(self.ids) and bool(
+            np.all((eps > 0.0) & (eps < 1.0) & np.isfinite(reqs) & (reqs >= 0.0))
+        )
+
     def _members(self, positions: range) -> tuple[Juror, ...]:
         built = self._jurors
         rows = np.arange(positions.start, positions.stop, positions.step)

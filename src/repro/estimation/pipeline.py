@@ -217,8 +217,9 @@ def sync_pool_with_estimate(
     ----------
     pool:
         A :class:`repro.service.registry.LivePool` (or anything with its
-        mutation API: ``ordered``, ``add_juror``, ``remove_juror``,
-        ``update_juror``, ``version``).
+        mutation API: ``columns``, ``add_juror``, ``remove_juror``,
+        ``update_juror``, ``version``).  Its members are read from the
+        columns; no juror is built for them.
     estimation:
         The fresh pipeline output to converge the pool toward.
     top_k:
@@ -237,17 +238,16 @@ def sync_pool_with_estimate(
     target = {j.juror_id: j for j in target_jurors}
     if len(target) != len(target_jurors):
         raise EstimationError("estimation result contains duplicate juror ids")
-    current = {j.juror_id: j for j in pool.ordered}
+    columns = pool.columns
+    current = dict(zip(columns.ids, zip(columns.eps.tolist(), columns.reqs.tolist())))
 
     removed = sorted(set(current) - set(target))
     added = sorted(set(target) - set(current))
     updated = sorted(
         juror_id
         for juror_id in set(target) & set(current)
-        if (
-            target[juror_id].error_rate != current[juror_id].error_rate
-            or target[juror_id].requirement != current[juror_id].requirement
-        )
+        if (target[juror_id].error_rate, target[juror_id].requirement)
+        != current[juror_id]
     )
 
     for juror_id in removed:

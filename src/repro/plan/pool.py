@@ -13,8 +13,8 @@ plus :attr:`CandidatePool.ordered`, the same columns as a
 :class:`~repro.core.juror.Juror` only for a member an answer returns.  The
 physical operators read the arrays directly; the batch engine deduplicates
 the pools of one pass on their content fingerprint.  A live pool
-(:class:`repro.service.registry.LivePool`) hands the sorted columns of its
-current version over as a pool without copying them.
+(:class:`repro.service.registry.LivePool`) is one such set of columns per
+version, and hands its current version over as a pool without copying.
 """
 
 from __future__ import annotations

@@ -186,8 +186,8 @@ class FrontierAnswer(NamedTuple):
 
     The answer is the first ``size`` members of the pool at ``version``
     (Lemma 3); ``considered`` counts the odd prefixes the probe covered.
-    ``encoded`` is what the caller's ``encode`` made of it, kept by the pool
-    until its next mutation (``None`` when no encoder was given).
+    ``encoded`` is what the pool version's ``encoder`` made of it (``None``
+    when no encoder was given).
     """
 
     version: int
@@ -373,14 +373,14 @@ class BatchSelectionEngine:
         *,
         budget: float | None = None,
         max_size: int | None = None,
-        encode: Callable[[JurorColumns, int, float], object] | None = None,
+        encoder: Callable[[JurorColumns], Callable[[int, float], object]] | None = None,
         task_id: str = "task",
     ) -> FrontierAnswer:
         """Answer one AltrM select of a named pool from its version's frontier.
 
         The one path for named-pool AltrM answers: :meth:`run` wraps its
         result in a :class:`SelectionResult`, and the service wraps it in
-        wire text, which ``encode`` builds once per version and size
+        wire text, which the pool version's ``encoder`` builds
         (:meth:`LivePool.answer`).  Everything runs under the engine lock
         and counts as one query, and as a frontier hit, build, repair or
         rebuild by how the pool produced its frontier.  Failures raise
@@ -393,14 +393,14 @@ class BatchSelectionEngine:
         with self._lock:
             self.stats.queries_run += 1
             live = self._live(pool_name, task_id)
-            return self._probe(live, budget, max_size, encode)
+            return self._probe(live, budget, max_size, encoder)
 
     def _probe(
         self,
         live: LivePool,
         budget: float | None,
         max_size: int | None,
-        encode: Callable[[JurorColumns, int, float], object] | None,
+        encoder: Callable[[JurorColumns], Callable[[int, float], object]] | None,
     ) -> FrontierAnswer:
         start = time.perf_counter()
         if not live.size:
@@ -418,7 +418,7 @@ class BatchSelectionEngine:
         if budget is not None:
             validate_budget(budget)
         size, jer, considered = frontier.probe(max_size)
-        encoded = None if encode is None else live.answer(size, jer, encode)
+        encoded = None if encoder is None else live.answer(size, jer, encoder)
         return FrontierAnswer(
             live.version, size, jer, considered, time.perf_counter() - start, encoded
         )

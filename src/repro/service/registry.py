@@ -10,26 +10,22 @@ anything on the *query path*:
 :class:`LivePool`
     A mutable candidate pool whose every mutation (``add_juror`` /
     ``remove_juror`` / ``update_juror``) produces a monotonically increasing
-    ``version``.  The Lemma 3 ordering is delta-maintained by sorted
-    insertion (``O(n)`` per churn event).  The odd-prefix JER profile of a
-    version is swept on first request with
-    :func:`repro.core.jer.batch_prefix_jer_sweep` — the kernel registry call
-    the batch engine makes for frozen pools — so a churn burst costs one
-    sweep at the next query, and the sweep state kept between versions is
-    the ``O(n)`` profile alone.
-
-    Live profiles are therefore **bit-identical** to sweeping a fresh
-    :class:`CandidatePool` of the same members.  One level up, the pool
-    owns its :class:`~repro.plan.frontier.AnswerFrontier`
+    ``version``.  A version is one set of Lemma 3-sorted
+    :class:`~repro.core.juror.JurorColumns` plus an id -> error-rate index,
+    with no object per juror: a mutation finds its row by binary search on
+    the error-rate column, ids breaking ties as in :func:`lemma3_order`, and
+    splices the next version's columns (``O(n)``).  The odd-prefix JER profile of a version is swept on
+    first request with :func:`repro.core.jer.batch_prefix_jer_sweep`, the
+    call the batch engine makes for frozen pools, so live profiles are
+    **bit-identical** to a fresh :class:`CandidatePool`'s.  One level up,
+    the pool owns its :class:`~repro.plan.frontier.AnswerFrontier`
     (:meth:`LivePool.answer_frontier`), from which the batch engine answers
     every AltrM select of the pool: churn at sorted position ``p``
     invalidates only frontier entries past ``(p + 1) // 2``, and repair
     resumes the running argmin from there.  One level further up, the pool
-    keeps each answer of its current version as the service encoded it
-    (:meth:`LivePool.answer`): by Lemma 3 an AltrM answer is the first
-    ``size`` members, fixed by the version and the size alone, so its wire
-    text is built once and a repeat select reuses it.  A mutation drops
-    the text with the version.
+    keeps its version's answer encoder (:meth:`LivePool.answer`): by Lemma 3
+    an AltrM answer is the first ``size`` rows, fixed by the version and the
+    size alone.  A mutation leaves profile, frontier and encoder behind.
 
 :class:`PoolRegistry`
     A name -> :class:`LivePool` namespace shared by the batch engine
@@ -43,21 +39,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import count
 from typing import TypeVar
 
 import numpy as np
 
 from repro.core.jer import batch_prefix_jer_sweep
 from repro.core.juror import Juror, JurorColumns
-from repro.core.selection.base import candidate_key, columns_fingerprint
+from repro.core.selection.base import columns_fingerprint, lemma3_order
 from repro.errors import EmptyCandidateSetError, InvalidJuryError, PoolNotFoundError
 from repro.plan.frontier import AnswerFrontier
 from repro.plan.pool import CandidatePool
 
 __all__ = ["LivePool", "LivePoolStats", "PoolRegistry"]
-
-_pool_uid = count(1)
 
 T = TypeVar("T")
 
@@ -84,8 +77,9 @@ class LivePool:
     Parameters
     ----------
     candidates:
-        Initial members.  The initial population counts as version
-        ``start_version``, not as one mutation per juror.
+        Initial members, as jurors or columns; the pool keeps their values
+        in Lemma 3 order, not the jurors.  The initial population counts as
+        version ``start_version``, not as one mutation per juror.
     pool_id:
         Human-readable label (e.g. the registry name).
     start_version:
@@ -108,7 +102,7 @@ class LivePool:
 
     def __init__(
         self,
-        candidates: Iterable[Juror] = (),
+        candidates: JurorColumns | Iterable[Juror] = (),
         *,
         pool_id: str | None = None,
         start_version: int = 0,
@@ -118,15 +112,20 @@ class LivePool:
                 f"start_version must be >= 0, got {start_version!r}"
             )
         self.pool_id = pool_id
-        self.uid = f"livepool-{next(_pool_uid)}"
-        self._members: dict[str, Juror] = {}
-        self._ordered: list[Juror] = []  # Lemma 3 order
-        self._keys: list[tuple[float, str]] = []  # parallel candidate_key list
-        self._version = 0
+        given = JurorColumns.from_jurors(candidates)
+        order = lemma3_order(given.ids, given.eps)
+        # The current version's read-only columns, replaced (never
+        # rewritten) by each mutation, and each member's error rate by id.
+        self._columns = JurorColumns(
+            tuple(map(given.ids.__getitem__, order.tolist())), given.eps[order], given.reqs[order]
+        )
+        self._index = dict(zip(given.ids, given.eps.tolist()))
+        if len(self._index) != len(given):
+            seen: set[str] = set()
+            duplicate = next(i for i in given.ids if i in seen or seen.add(i))
+            raise InvalidJuryError(f"juror {duplicate!r} is already in the pool")
+        self._version = start_version
         self._fingerprint: str | None = None
-        # The current version's members as sorted columns, built on first
-        # read and dropped (never rewritten) by the next mutation.
-        self._columns: JurorColumns | None = None
         self._profile: tuple[int, np.ndarray, np.ndarray] | None = None
         # Answer-frontier state: the last frontier materialised for this pool
         # and how many of its leading entries survived the churn since (a
@@ -134,17 +133,13 @@ class LivePool:
         # the first (p + 1) // 2 frontier entries — intact).
         self._frontier: AnswerFrontier | None = None
         self._frontier_clean = 0
-        # The current version's encoded AltrM answers by jury size, built on
-        # first request and dropped by the next mutation.
-        self._answers: dict[int, object] = {}
+        # The current version's answer encoder, made on its first answer.
+        self._answers: Callable | None = None
         # Durability hook: when a catalog store is bound, every successful
         # mutation is reported to it (post-bump, so the record carries the
         # new version).  ``None`` keeps the pool purely in-memory.
         self._store = None
         self.stats = LivePoolStats()
-        for juror in candidates:
-            self._insert(juror)
-        self._version = start_version  # initial population is the birth state
 
     # ------------------------------------------------------------------
     # read access
@@ -157,48 +152,44 @@ class LivePool:
     @property
     def size(self) -> int:
         """Current number of candidates."""
-        return len(self._ordered)
+        return len(self._index)
 
     def __len__(self) -> int:
-        return len(self._ordered)
+        return len(self._index)
 
     def __contains__(self, juror_id: str) -> bool:
-        return juror_id in self._members
+        return juror_id in self._index
 
     def __iter__(self) -> Iterator[Juror]:
-        return iter(self._ordered)
+        return iter(self._columns)
 
     @property
-    def ordered(self) -> tuple[Juror, ...]:
-        """Members in Lemma 3 (ascending error-rate) order."""
-        return tuple(self._ordered)
+    def ordered(self) -> JurorColumns:
+        """Members in Lemma 3 (ascending error-rate) order: :attr:`columns`."""
+        return self._columns
 
     def get(self, juror_id: str) -> Juror | None:
-        """The member with this id, or ``None``."""
-        return self._members.get(juror_id)
+        """The member with this id, built for this call, or ``None``."""
+        error_rate = self._index.get(juror_id)
+        if error_rate is None:
+            return None
+        columns = self._columns
+        row = _row(columns.ids, columns.eps, error_rate, juror_id)
+        return Juror._trusted(error_rate, float(columns.reqs[row]), juror_id)
 
     @property
     def columns(self) -> JurorColumns:
         """The current version's members as read-only Lemma 3 columns.
 
-        Built once per version from the members :meth:`add_juror` already
-        validated, and replaced — never rewritten — on mutation, so
-        snapshots and the catalog share them without copying.
+        A mutation replaces them, never rewrites them, so snapshots and the
+        catalog share them without copying.
         """
-        if self._columns is None:
-            members = tuple(self._ordered)
-            self._columns = JurorColumns(
-                [j.juror_id for j in members],
-                [j.error_rate for j in members],
-                [j.requirement for j in members],
-                jurors=members,
-            )
         return self._columns
 
     @property
     def error_rates(self) -> np.ndarray:
         """Error-rate vector in sweep order (the read-only ``eps`` column)."""
-        return self.columns.eps
+        return self._columns.eps
 
     @property
     def fingerprint(self) -> str:
@@ -209,7 +200,7 @@ class LivePool:
         recovery checks it.
         """
         if self._fingerprint is None:
-            columns = self.columns
+            columns = self._columns
             self._fingerprint = columns_fingerprint(
                 columns.ids, columns.eps, columns.reqs
             )
@@ -221,10 +212,10 @@ class LivePool:
         O(1): the pool wraps this version's :attr:`columns`, and adopts the
         fingerprint only if it is already known; it never hashes.
         """
-        if not self._ordered:
+        if not self._index:
             raise EmptyCandidateSetError("cannot snapshot an empty live pool")
         return CandidatePool._sorted(
-            self.columns, fingerprint=self._fingerprint, pool_id=self.pool_id
+            self._columns, fingerprint=self._fingerprint, pool_id=self.pool_id
         )
 
     # ------------------------------------------------------------------
@@ -232,18 +223,16 @@ class LivePool:
     # ------------------------------------------------------------------
     def add_juror(self, juror: Juror) -> int:
         """Add a candidate; returns the new version.  O(n) per call."""
-        self._insert(juror)
-        version = self._bump()
-        if self._store is not None:
-            self._store.on_add(self, juror)
-        return version
+        if not isinstance(juror, Juror):
+            raise InvalidJuryError("only Juror instances can join a pool")
+        if juror.juror_id in self._index:
+            raise InvalidJuryError(f"juror {juror.juror_id!r} is already in the pool")
+        return self._commit(None, juror)
 
     def remove_juror(self, juror_id: str) -> Juror:
         """Remove a candidate by id and return it.  O(n) per call."""
-        juror = self._take(juror_id)
-        self._bump()
-        if self._store is not None:
-            self._store.on_remove(self, juror_id)
+        juror = self._member(juror_id)
+        self._commit(juror, None)
         return juror
 
     def update_juror(
@@ -259,20 +248,13 @@ class LivePool:
         as a single version bump (one churn event, as produced by a pipeline
         re-estimation).
         """
-        current = self._members.get(juror_id)
-        if current is None:
-            raise InvalidJuryError(f"juror {juror_id!r} is not in the pool")
+        current = self._member(juror_id)
         replacement = Juror(
             current.error_rate if error_rate is None else error_rate,
             current.requirement if requirement is None else requirement,
             juror_id=juror_id,
         )
-        self._take(juror_id)
-        self._insert(replacement)
-        version = self._bump()
-        if self._store is not None:
-            self._store.on_update(self, replacement)
-        return version
+        return self._commit(current, replacement)
 
     def update_error_rate(self, juror_id: str, error_rate: float) -> int:
         """Drift a member's error-rate estimate; returns the new version."""
@@ -300,7 +282,7 @@ class LivePool:
         for this version — repeated calls at the same version return the
         cached pair.
         """
-        if not self._ordered:
+        if not self._index:
             raise EmptyCandidateSetError("cannot sweep an empty live pool")
         if self._profile is not None and self._profile[0] == self._version:
             return self._profile[1], self._profile[2]
@@ -363,62 +345,76 @@ class LivePool:
         return rebuilt, mode
 
     def answer(
-        self, size: int, jer: float, encode: Callable[[JurorColumns, int, float], T]
+        self, size: int, jer: float, encoder: Callable[[JurorColumns], Callable[[int, float], T]]
     ) -> T:
-        """The current version's ``size``-member AltrM answer, encoded once.
+        """The current version's ``size``-member AltrM answer, encoded.
 
-        By Lemma 3 that answer is the first ``size`` rows of :attr:`columns`
-        and its JER is ``jer``, both fixed by the version and the size
-        alone, so ``encode(columns, size, jer)`` runs on the first request
-        of each pair and its value is kept until the next mutation.  The
-        service keeps each answer's wire text here; one encoder serves a
-        pool, and callers hold the engine lock.
+        By Lemma 3 that answer is the first ``size`` rows of :attr:`columns`,
+        and its JER ``jer`` is fixed by the version and the size alone.
+        ``encoder(columns)`` makes the version's encoder on its first answer,
+        kept with the text it keeps until the next mutation; each answer is
+        ``encode(size, jer)``.  Callers hold the engine lock.
         """
-        answer = self._answers.get(size)
-        if answer is None:
-            answer = self._answers[size] = encode(self.columns, size, jer)
-        return answer  # type: ignore[return-value]
+        encode = self._answers
+        if encode is None:
+            encode = self._answers = encoder(self._columns)
+        return encode(size, jer)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _insert(self, juror: Juror) -> None:
-        if not isinstance(juror, Juror):
-            raise InvalidJuryError("only Juror instances can join a pool")
-        if juror.juror_id in self._members:
-            raise InvalidJuryError(
-                f"juror {juror.juror_id!r} is already in the pool"
-            )
-        key = candidate_key(juror)
-        position = bisect_left(self._keys, key)
-        self._keys.insert(position, key)
-        self._ordered.insert(position, juror)
-        self._members[juror.juror_id] = juror
-        self._frontier_clean = min(self._frontier_clean, (position + 1) // 2)
-        self._columns = None
-
-    def _take(self, juror_id: str) -> Juror:
-        juror = self._members.get(juror_id)
+    def _member(self, juror_id: str) -> Juror:
+        juror = self.get(juror_id)
         if juror is None:
             raise InvalidJuryError(f"juror {juror_id!r} is not in the pool")
-        position = bisect_left(self._keys, candidate_key(juror))
-        del self._keys[position]
-        del self._ordered[position]
-        del self._members[juror_id]
-        self._frontier_clean = min(self._frontier_clean, (position + 1) // 2)
-        self._columns = None
         return juror
 
-    def _bump(self) -> int:
+    def _splice(self, leaving: Juror | None, joining: Juror | None) -> None:
+        """Make the next version's columns: ``leaving`` out, ``joining`` in.
+
+        Each touched row lowers the frontier's clean prefix, as a sorted
+        removal or insertion at that row would.
+        """
+        ids, eps, reqs = self._columns.ids, self._columns.eps, self._columns.reqs
+        clean = self._frontier_clean
+        if leaving is not None:
+            row = _row(ids, eps, leaving.error_rate, leaving.juror_id)
+            ids = ids[:row] + ids[row + 1 :]
+            eps = np.concatenate((eps[:row], eps[row + 1 :]))
+            reqs = np.concatenate((reqs[:row], reqs[row + 1 :]))
+            del self._index[leaving.juror_id]
+            clean = min(clean, (row + 1) // 2)
+        if joining is not None:
+            row = _row(ids, eps, joining.error_rate, joining.juror_id)
+            ids = ids[:row] + (joining.juror_id,) + ids[row:]
+            eps = np.concatenate((eps[:row], [joining.error_rate], eps[row:]))
+            reqs = np.concatenate((reqs[:row], [joining.requirement], reqs[row:]))
+            self._index[joining.juror_id] = joining.error_rate
+            clean = min(clean, (row + 1) // 2)
+        self._columns = JurorColumns(ids, eps, reqs)
+        self._frontier_clean = clean
+
+    def _commit(self, leaving: Juror | None, joining: Juror | None) -> int:
+        """Apply one mutation as the next version and report it to the store."""
+        self._splice(leaving, joining)
         self._version += 1
         self._fingerprint = None
-        self._answers = {}
+        self._answers = None
         self.stats.mutations += 1
+        if self._store is not None:
+            self._store.on_mutation(self, leaving, joining)
         return self._version
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" id={self.pool_id!r}" if self.pool_id else ""
         return f"LivePool(size={self.size}, version={self._version}{label})"
+
+
+def _row(ids: tuple[str, ...], eps: np.ndarray, error_rate: float, juror_id: str) -> int:
+    """The row of ``(error_rate, juror_id)`` in sorted columns, or where it goes:
+    past smaller error rates and, among equal ones, past smaller ids."""
+    first, last = eps.searchsorted(error_rate, "left"), eps.searchsorted(error_rate, "right")
+    return bisect_left(ids, juror_id, int(first), int(last))
 
 
 class PoolRegistry:

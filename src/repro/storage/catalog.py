@@ -54,7 +54,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.juror import Juror
+from repro.core.juror import Juror, JurorColumns
 from repro.errors import InvalidJuryError, PoolNotFoundError, StorageError
 from repro.service.registry import LivePool
 from repro.storage.snapshot import (
@@ -120,23 +120,21 @@ class CatalogStats:
     last_recovery_ms: float = 0.0
 
 
-def _encode_juror(juror: Juror) -> list:
-    return [juror.juror_id, juror.error_rate, juror.requirement]
-
-
-def _decode_juror(entry: Iterable) -> Juror:
-    juror_id, error_rate, requirement = entry
-    return Juror(float(error_rate), float(requirement), juror_id=str(juror_id))
+def _recovered(name: str, ids, eps, reqs) -> JurorColumns:
+    """Members read back from disk (input from outside), checked column-wise."""
+    columns = JurorColumns(ids, eps, reqs)
+    if not columns.valid():
+        raise StorageError(f"pool {name!r}: recovered members fail validation")
+    return columns
 
 
 class PoolStore:
     """Per-pool durable state: the WAL writer plus snapshot bookkeeping.
 
     A store is bound to its :class:`LivePool` via
-    :meth:`LivePool.bind_store`; the pool calls :meth:`on_add` /
-    :meth:`on_remove` / :meth:`on_update` *after* each successful mutation,
-    so the log records exactly the mutations the pool accepted, in order,
-    tagged with the post-mutation version.
+    :meth:`LivePool.bind_store`; the pool calls :meth:`on_mutation` *after*
+    each successful mutation, so the log records exactly the mutations the
+    pool accepted, in order, tagged with the post-mutation version.
     """
 
     def __init__(
@@ -161,45 +159,29 @@ class PoolStore:
         self._snapshot_version = snapshot_version
 
     # -- record hooks (called by LivePool after each mutation) ---------
-    def on_add(self, pool: LivePool, juror: Juror) -> None:
-        self._append(
-            pool,
-            {
-                "v": 1,
-                "op": "add",
-                "ver": pool.version,
-                "id": juror.juror_id,
-                "e": juror.error_rate,
-                "r": juror.requirement,
-            },
-        )
-
-    def on_remove(self, pool: LivePool, juror_id: str) -> None:
-        self._append(
-            pool, {"v": 1, "op": "remove", "ver": pool.version, "id": juror_id}
-        )
-
-    def on_update(self, pool: LivePool, juror: Juror) -> None:
-        self._append(
-            pool,
-            {
-                "v": 1,
-                "op": "update",
-                "ver": pool.version,
-                "id": juror.juror_id,
-                "e": juror.error_rate,
-                "r": juror.requirement,
-            },
-        )
+    def on_mutation(
+        self, pool: LivePool, leaving: Juror | None, joining: Juror | None
+    ) -> None:
+        """Log an add (no ``leaving``), a remove (no ``joining``) or an update."""
+        if joining is None:
+            record = {"v": 1, "op": "remove", "ver": pool.version, "id": leaving.juror_id}
+        else:
+            record = {"v": 1, "op": "add" if leaving is None else "update",
+                      "ver": pool.version, "id": joining.juror_id,
+                      "e": joining.error_rate, "r": joining.requirement}
+        self._append(pool, record)
 
     def record_create(self, pool: LivePool) -> None:
+        columns = pool.columns
         self._append(
             pool,
             {
                 "v": 1,
                 "op": "create",
                 "ver": pool.version,
-                "members": [_encode_juror(j) for j in pool.ordered],
+                "members": list(
+                    zip(columns.ids, columns.eps.tolist(), columns.reqs.tolist())
+                ),
             },
         )
         self._writer.flush()
@@ -243,10 +225,6 @@ class PoolStore:
     def close(self) -> None:
         self._writer.close()
         self._sync_counters()
-
-    @property
-    def wal_records(self) -> int:
-        return len(self._records)
 
     # -- internals ------------------------------------------------------
     def _append(self, pool: LivePool, record: dict) -> None:
@@ -614,11 +592,11 @@ class PoolCatalog:
         pool: LivePool | None = None
         snapshot_version = -1
         if base is not None:
-            members = [
-                Juror(float(e), float(r), juror_id=i)
-                for e, r, i in zip(base.eps, base.reqs, base.ids)
-            ]
-            pool = LivePool(members, pool_id=name, start_version=base.version)
+            pool = LivePool(
+                _recovered(name, base.ids, base.eps, base.reqs),
+                pool_id=name,
+                start_version=base.version,
+            )
             if pool.fingerprint != base.fingerprint:
                 raise StorageError(
                     f"pool {name!r}: snapshot fingerprint mismatch "
@@ -640,8 +618,12 @@ class PoolCatalog:
             if version <= snapshot_version:
                 continue  # already folded into the snapshot base
             if op == "create":
+                members = record.get("members")
+                ids, eps, reqs = zip(*members) if members else ((), (), ())
+                # The WAL mirror keeps rows as tuples, which the GC stops tracking.
+                record["members"] = list(zip(ids, eps, reqs))
                 pool = LivePool(
-                    [_decode_juror(m) for m in record.get("members", ())],
+                    _recovered(name, tuple(map(str, ids)), eps, reqs),
                     pool_id=name,
                     start_version=version,
                 )

@@ -24,7 +24,7 @@ from repro.api import (
     SelectionRequest,
     SelectionResponse,
 )
-from repro.api.protocol import altr_answer
+from repro.api.protocol import AltrAnswers
 from repro.api.server import HttpServer, http_call
 from repro.core.juror import Juror, JurorColumns
 from repro.errors import ProtocolError
@@ -240,8 +240,12 @@ def answer_responses(draw) -> SelectionResponse:
     members = tuple(
         Juror(draw(_edge_eps), draw(_edge_reqs), juror_id=juror_id) for juror_id in ids
     )
+    answers = AltrAnswers(JurorColumns.from_jurors(members))
+    # Answers of other sizes first, so the members text is sliced and grown.
+    for size in draw(st.lists(st.integers(1, len(members)), max_size=3)):
+        answers(size, 0.5)
     size = draw(st.integers(1, len(members)))
-    answer = altr_answer(JurorColumns.from_jurors(members), size, draw(_edge_eps))
+    answer = answers(size, draw(_edge_eps))
     return SelectionResponse.from_answer(
         draw(_wire_text),
         answer,
@@ -255,13 +259,13 @@ class TestTextEncoder:
     @settings(max_examples=300, deadline=None)
     def test_to_json_is_json_dumps_of_to_dict(self, response):
         assert response.to_json() == json.dumps(response.to_dict())
-        # The second encode reads the members' memoised text.
+        # A second encode of the same response writes the same text.
         assert response.to_json() == json.dumps(response.to_dict())
 
     def test_carried_text_never_outlives_a_field_change(self):
         members = (Juror(0.1, 0.5, juror_id="a"), Juror(0.2, 0.25, juror_id="b"),
                    Juror(0.3, 0.0, juror_id="c"))
-        answer = altr_answer(JurorColumns.from_jurors(members), 3, 0.125)
+        answer = AltrAnswers(JurorColumns.from_jurors(members))(3, 0.125)
         response = SelectionResponse.from_answer("t", answer, pool_version=4)
         assert response == SelectionResponse(
             task_id="t", status="ok", model="AltrM", algorithm="AltrALG", jer=0.125,
@@ -558,6 +562,44 @@ class TestWireFlagsAndCaps:
             assert body["error"]["detail"]["field"] == "candidates"
             assert body["error"]["detail"]["position"] == 2
         assert (status, after["error"]["code"]) == (404, "pool-not-found")
+
+    # Ids that used to become jurors "None", "True", "{'a': 1}", ...
+    _NON_IDS = pytest.mark.parametrize("value", [None, True, 1.5, {"a": 1}, ["x"]], ids=repr)
+
+    @_NON_IDS
+    def test_candidate_ids_must_be_strings_or_integers(self, value):
+        rows = self._rows_with("id", value)
+        for parse, obj, field in (
+            (SelectionRequest.from_dict, {"task": "t", "candidates": rows}, "candidates"),
+            (PoolCommand.from_dict, {"action": "create", "name": "P", "candidates": rows},
+             "candidates"),
+            (PoolCommand.from_dict, {"action": "update", "name": "P", "add": rows}, "add"),
+        ):
+            with pytest.raises(
+                ProtocolError, match="candidate #2: 'id' must be a string or an integer"
+            ) as excinfo:
+                parse(obj, where="w")
+            assert excinfo.value.detail == {"where": "w", "field": field, "position": 2}
+
+    @_NON_IDS
+    def test_post_candidate_ids_answer_400(self, value):
+        rows = self._rows_with("id", value)
+        [select] = _post("/v1/select", {"task": "t", "candidates": rows})
+        create, (_, created), add, (_, after) = _post(
+            "/v1/pool",
+            {"action": "create", "name": "P", "candidates": rows},
+            {"action": "create", "name": "P", "candidates": _POOL_ROWS[:2]},
+            {"action": "update", "name": "P", "add": rows[2:]},
+            {"action": "update", "name": "P"},
+        )
+        for (status, body), field, position in (
+            (select, "candidates", 2), (create, "candidates", 2), (add, "add", 0)
+        ):
+            assert status == 400
+            assert body["error"]["code"] == "bad-request"
+            assert body["error"]["detail"]["field"] == field
+            assert body["error"]["detail"]["position"] == position
+        assert (created["version"], after["version"], after["size"]) == (0, 0, 2)
 
     @_NON_NUMBERS
     @_NUMBER_FIELDS

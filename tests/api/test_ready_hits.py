@@ -192,7 +192,13 @@ class TestReadiness:
                 catalog.stats.lazy_loads,
                 dataclasses.asdict(service.engine.stats),
                 [
-                    (pool._frontier, dict(pool._answers), dataclasses.asdict(pool.stats))
+                    (
+                        pool._frontier,
+                        pool._answers,
+                        dict(pool._answers._kept),
+                        pool._answers._members,
+                        dataclasses.asdict(pool.stats),
+                    )
                     for pool in resident
                 ],
                 list(catalog._resident),

@@ -148,6 +148,33 @@ class TestPoolCommands:
         assert service.registry.get("P1").version == 0
         assert service.registry.get("P1").size == 7
 
+    @pytest.mark.parametrize(
+        "fields, version",
+        [
+            ({"remove": ("A",), "add": (Juror(0.35, juror_id="A"),)}, 2),
+            ({"add": (Juror(0.35, juror_id="new"),), "updates": (("new", 0.05, 1.0),)}, 2),
+            ({"remove": ("B",), "add": (Juror(0.3, juror_id="B"),),
+              "updates": (("B", None, 2.0),)}, 3),
+            ({"remove": ("A", "A")}, None),
+            ({"remove": ("A",), "updates": (("A", 0.15, None),)}, None),
+            ({"add": (Juror(0.35, juror_id="new"), Juror(0.4, juror_id="new"))}, None),
+        ],
+        ids=["remove+add", "add+set", "remove+add+set", "remove-twice", "remove+set",
+             "add-twice"],
+    )
+    def test_update_steps_see_the_earlier_steps(self, fields, version):
+        """Each step is validated against the membership the steps before it
+        leave: a rejected command applies nothing."""
+        service = JuryService()
+        self._create(service)
+        command = PoolCommand(action="update", name="P1", **fields)
+        if version is None:
+            with pytest.raises(InvalidJuryError):
+                service.pool(command)
+            assert service.registry.get("P1").version == 0
+        else:
+            assert service.pool(command)["version"] == version
+
     def test_set_entry_errors_name_their_position(self):
         service = JuryService()
         self._create(service)

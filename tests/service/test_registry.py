@@ -10,13 +10,17 @@ frontier, and a dropped pool's sweep state freed with it.
 from __future__ import annotations
 
 import gc
+import json
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.service.registry as registry_module
+from repro.api import JuryService, PoolCommand, SelectionRequest
 from repro.core.jer import PrefixJERSweeper, best_odd_prefix
 from repro.core.juror import Juror, JurorColumns, jurors_from_arrays
 from repro.core.selection.altr import select_jury_altr
@@ -33,6 +37,7 @@ from repro.service import (
     SelectionQuery,
 )
 from repro.storage import PoolCatalog
+from repro.testing import DEFAULT_SEED
 
 
 def _live_pool(rng, n: int, *, priced: bool = False, pool_id: str | None = None):
@@ -130,6 +135,8 @@ class TestLiveColumns:
         assert third.fingerprint != first.fingerprint
 
     def test_columns_built_once_per_version(self, rng, tmp_path, monkeypatch):
+        """A read never builds columns, and each mutation builds exactly one
+        set: the next version's, spliced from the current one."""
         builds = []
 
         class CountingColumns(JurorColumns):
@@ -139,27 +146,64 @@ class TestLiveColumns:
                 builds.append(1)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(registry_module, "JurorColumns", CountingColumns)
         catalog = PoolCatalog(tmp_path, snapshot_interval=2)
         registry = PoolRegistry(catalog=catalog)
         pool = registry.create("P", jurors_from_arrays(rng.uniform(0.05, 0.9, size=41)))
         engine = BatchSelectionEngine(registry=registry)
+        monkeypatch.setattr(registry_module, "JurorColumns", CountingColumns)
+
+        def read():
+            assert pool.snapshot().fingerprint == pool.fingerprint
+            outcome = engine.run([SelectionQuery(task_id="t", pool_name="P")])[0]
+            assert outcome.ok
+            plan = engine.plan(
+                SelectionQuery(task_id="p", pool_name="P", model="pay", budget=1.0)
+            )
+            assert plan.pool.eps is pool.columns.eps is pool.error_rates
+            return outcome.result.juror_ids
+
+        read()
+        assert builds == []
         # The second WAL record (create, add) writes a columnar snapshot.
         pool.add_juror(Juror(0.07, 0.5, juror_id="late"))
         assert catalog.stats.snapshots == 1 and len(builds) == 1
-        snapshot = pool.snapshot()
-        assert snapshot.fingerprint == pool.fingerprint
-        outcome = engine.run([SelectionQuery(task_id="t", pool_name="P")])[0]
-        assert outcome.ok and "late" in outcome.result.juror_ids
-        plan = engine.plan(
-            SelectionQuery(task_id="p", pool_name="P", model="pay", budget=1.0)
-        )
-        assert plan.pool.eps is snapshot.eps
+        assert "late" in read()
+        assert pool.get("late") == Juror(0.07, 0.5, juror_id="late")
         assert len(builds) == 1
-        pool.remove_juror("late")
-        assert pool.snapshot().fingerprint == pool.fingerprint
+        pool.update_juror("late", error_rate=0.5)
         assert len(builds) == 2
+        read()
+        assert pool.get("late") == Juror(0.5, 0.5, juror_id="late")
+        pool.remove_juror("late")
+        assert len(builds) == 3
+        read()
+        assert len(builds) == 3
         catalog.close()
+
+
+#: Few distinct rates, two of them one ulp apart, so error rates collide.
+_TIE_RATES = st.sampled_from([0.1, 0.2, float(np.nextafter(0.2, 1.0)), 0.3])
+_TIE_REQS = st.sampled_from([0.0, 0.5, 1.0])
+#: Ids that sort on both sides of one another: "B" < "a" < "aa" < "b" < "m1"
+#: < "m10" < "m2" < "é".
+_TIE_IDS = st.sampled_from(["a", "aa", "b", "B", "é", "m1", "m10", "m2"])
+
+
+def _check_against_fresh(pool: LivePool, members: dict) -> None:
+    """The pool's columns, fingerprint and frontier are a fresh pool's."""
+    assert pool.size == len(members) and set(pool.columns.ids) == set(members)
+    if not members:
+        return
+    fresh = CandidatePool([Juror(e, r, juror_id=i) for i, (e, r) in members.items()])
+    columns = pool.columns
+    assert columns.ids == fresh.ids
+    assert columns.eps.tobytes() == fresh.eps.tobytes()
+    assert columns.reqs.tobytes() == fresh.reqs.tobytes()
+    assert pool.fingerprint == fresh.fingerprint
+    ns, jers = map(np.asarray, zip(*PrefixJERSweeper(fresh.error_rates).sweep()))
+    frontier, _ = pool.answer_frontier()
+    for cap in range(1, len(members) + 1):
+        assert frontier.probe(cap)[:2] == best_odd_prefix(ns, jers, max_size=cap)
 
 
 class TestChurnOracle:
@@ -218,6 +262,40 @@ class TestChurnOracle:
 
         assert pool.stats.frontier_repairs > 0  # the frontier's delta path engaged
 
+    @given(
+        initial=st.dictionaries(_TIE_IDS, st.tuples(_TIE_RATES, _TIE_REQS), max_size=6),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "remove", "update", "remove+add"]),
+                _TIE_IDS,
+                _TIE_IDS,
+                _TIE_RATES,
+                _TIE_REQS,
+            ),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_churn_with_error_rate_ties_matches_a_fresh_pool(self, initial, steps):
+        """Adds, removes, updates and remove + add pairs whose error rates
+        collide, with ids on both sides of each tie: after every step the
+        columns, fingerprint and frontier equal a fresh pool of the members
+        the test keeps itself."""
+        members = dict(initial)
+        pool = LivePool([Juror(e, r, juror_id=i) for i, (e, r) in members.items()])
+        _check_against_fresh(pool, members)
+        for op, first, second, error_rate, requirement in steps:
+            if op in ("remove", "remove+add") and first in members:
+                assert pool.remove_juror(first) == Juror(*members.pop(first), juror_id=first)
+            if op == "update" and first in members:
+                pool.update_juror(first, error_rate=error_rate, requirement=requirement)
+                members[first] = (error_rate, requirement)
+            joining = first if op == "add" else second
+            if op in ("add", "remove+add") and joining not in members:
+                pool.add_juror(Juror(error_rate, requirement, juror_id=joining))
+                members[joining] = (error_rate, requirement)
+            _check_against_fresh(pool, members)
+
     def test_profile_cached_per_version(self, rng):
         pool = _live_pool(rng, 9)
         first = pool.sweep_profile()
@@ -247,6 +325,87 @@ class TestChurnOracle:
         finally:
             tracemalloc.stop()
         assert retained < 256 * 1024, f"{retained / 1024:.0f} KB retained"
+
+
+class TestColumnsOnly:
+    """A resident pool is its sorted columns: nothing per juror between
+    versions, and one members text per version however many sizes answer."""
+
+    @staticmethod
+    def _creates(count: int) -> list[dict]:
+        """Wire ``create`` commands of 1,001-candidate pools ``P0``, ``P1``, ..."""
+        rng = np.random.default_rng(DEFAULT_SEED)
+        creates = []
+        for k in range(count):
+            eps, reqs = rng.uniform(0.05, 0.49, 1001).tolist(), rng.uniform(0, 1, 1001).tolist()
+            rows = [
+                {"id": f"p{k}-{j}", "error_rate": e, "requirement": r}
+                for j, (e, r) in enumerate(zip(eps, reqs))
+            ]
+            creates.append({"action": "create", "name": f"P{k}", "candidates": rows})
+        return creates
+
+    @staticmethod
+    def _tracked_per_pool(service: JuryService, creates: list[dict]) -> float:
+        """GC-tracked objects each ``create`` (if given) and one select add;
+        a ninth pool warms every lazily built piece of the path first."""
+        def settle(create, task):
+            if "candidates" in create:
+                service.pool(PoolCommand.from_dict(create))
+            assert service.select(SelectionRequest(task_id=task, pool=create["name"])).ok
+
+        settle(creates[-1], "warm")
+        gc.collect()
+        before = len(gc.get_objects())
+        for create in creates[:-1]:
+            settle(create, "t")
+        gc.collect()
+        return (len(gc.get_objects()) - before) / (len(creates) - 1)
+
+    def test_resident_pools_hold_no_per_juror_objects(self):
+        service = JuryService()
+        try:
+            per_pool = self._tracked_per_pool(service, self._creates(9))
+        finally:
+            service.close()
+        assert per_pool <= 100, f"{per_pool:.0f} GC-tracked objects per pool"
+
+    def test_recovered_pools_hold_no_per_juror_objects(self, tmp_path):
+        creates = self._creates(9)
+        service = JuryService(data_dir=tmp_path)
+        for create in creates:
+            service.pool(PoolCommand.from_dict(create))
+        service.close()
+        service = JuryService(data_dir=tmp_path)  # each select recovers its pool
+        try:
+            per_pool = self._tracked_per_pool(service, [{"name": c["name"]} for c in creates])
+        finally:
+            service.close()
+        assert per_pool <= 100, f"{per_pool:.0f} GC-tracked objects per pool"
+
+    def test_answers_of_every_size_keep_one_members_text(self):
+        """A client sweeping ``max_size`` over a pool whose optimum is the
+        whole pool grows the version's answer memory linearly, not by a
+        copy of every answer."""
+        rng = np.random.default_rng(1)
+        n = 1001
+        candidates = tuple(
+            Juror(e, juror_id=f"c{i}") for i, e in enumerate(rng.uniform(0.45, 0.451, n).tolist())
+        )
+        service = JuryService(registry=PoolRegistry())
+        service.pool(PoolCommand(action="create", name="P", candidates=candidates))
+        assert service.select(SelectionRequest(task_id="t", pool="P")).size == n
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for cap in range(1, n + 1, 2):
+                response = service.select(SelectionRequest(task_id="t", pool="P", max_size=cap))
+                assert response.size == cap
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert response.to_json() == json.dumps(response.to_dict())
+        assert held < 4 * 2**20, f"{held / 2**20:.1f} MB held"
 
 
 class TestPoolRegistry:

@@ -7,8 +7,10 @@ import pytest
 
 from repro.core.juror import Juror
 from repro.errors import InvalidJuryError, PoolNotFoundError, StorageError
+from repro.core.selection.base import columns_fingerprint
 from repro.storage import PoolCatalog, pool_slug, scan_wal
-from repro.storage.snapshot import list_snapshot_versions
+from repro.storage.snapshot import list_snapshot_versions, write_snapshot
+from repro.storage.wal import WalWriter
 
 
 def _j(e, r, i):
@@ -189,6 +191,29 @@ def test_never_silently_wrong_pool(tmp_path):
     cat2 = PoolCatalog(tmp_path)
     with pytest.raises(StorageError):
         cat2.open("alpha")
+    cat2.close()
+
+
+def test_recovery_refuses_invalid_members(tmp_path):
+    """Members read back from disk are checked as jurors are: a snapshot
+    whose checksums and fingerprint hold but whose error rate is 1.5, or a
+    WAL create record with a negative requirement, is refused."""
+    cat = PoolCatalog(tmp_path, snapshot_interval=0)
+    cat.create("alpha", SEED)
+    cat.create("beta", SEED)
+    cat.close()
+    ids, eps, reqs = ("a", "b", "c"), np.array([0.1, 0.2, 1.5]), np.zeros(3)
+    write_snapshot(tmp_path / "pools" / pool_slug("alpha"), version=0,
+                   fingerprint=columns_fingerprint(ids, eps, reqs), eps=eps, reqs=reqs, ids=ids)
+    wal = tmp_path / "pools" / pool_slug("beta") / "wal.log"
+    wal.unlink()
+    writer = WalWriter(wal)
+    writer.append({"v": 1, "op": "create", "ver": 0, "members": [["a", 0.1, -1.0]]})
+    writer.close()
+    cat2 = PoolCatalog(tmp_path)
+    for name in ("alpha", "beta"):
+        with pytest.raises(StorageError, match="fail validation"):
+            cat2.open(name)
     cat2.close()
 
 
