@@ -5,11 +5,12 @@ A platform's candidate population is never frozen — jurors arrive, leave,
 and their estimated error rates drift as the microblog stream flows.  This
 example shows the live-pool stack at its three levels:
 
-1. a :class:`LivePool` mutated directly — versions, one sweep per queried
-   version, and what the answer-frontier repair reused;
+1. a :class:`LivePool` mutated directly — versions, and one sweep and one
+   answer frontier per queried version;
 2. the registry-backed engine — ``pool_name`` queries interleaved with
    churn, each answered from the pool's answer frontier: a repeat probes
-   the version's frontier, tail churn repairs it and head churn rebuilds it;
+   the version's frontier, and the first select after any churn builds the
+   new version's frontier whole;
 3. the estimation pipeline's incremental mode — a fresh
    ``estimate_candidates`` result diffed onto the pool instead of replacing
    it — plus the ``repro-select serve`` wire format for the same session.
@@ -50,28 +51,24 @@ def main() -> None:
     frontier, _ = pool.answer_frontier()  # sweeps version 3, once
     best, _, _ = frontier.probe()
     print(f"  version {pool.version}, size {pool.size}, best odd prefix {best}")
-    # A churn burst that only touches unreliable (high-position) jurors
-    # leaves the head of the answer frontier intact: the new version is
-    # swept again, and the frontier repair reuses the head.
+    # A churn burst of three mutations is three versions, but only the one
+    # queried next is swept, and its frontier built, once; a repeat hits.
     worst = [j.juror_id for j in pool.ordered[-3:]]
     for juror_id in worst:
         pool.update_error_rate(juror_id, float(rng.uniform(0.45, 0.5)))
     _, mode = pool.answer_frontier()
+    _, again = pool.answer_frontier()
     print(
         f"  {pool.stats.mutations} mutations, {pool.stats.repairs} sweeps; "
-        f"frontier {mode}, {pool.stats.frontier_entries_reused} entries reused"
+        f"frontier {mode}, then {'hit' if again == 'cached' else again}"
     )
 
     # -- 2. churn interleaved with registry-backed queries -------------------
     print("== 2. engine queries against the live pool ==")
     # Each query reads which frontier counter of the engine it moved: a hit
-    # is a binary search on the version's frontier; the others sweep it.
-    counters = {
-        "hit": "frontier_hits",
-        "built": "frontier_builds",
-        "repaired": "frontier_repairs",
-        "rebuilt": "frontier_rebuilds",
-    }
+    # is a binary search on the version's frontier; a build sweeps the
+    # version and builds its frontier first.
+    counters = {"hit": "frontier_hits", "built": "frontier_builds"}
 
     def ask(task_id: str) -> None:
         before = {mode: getattr(engine.stats, name) for mode, name in counters.items()}
@@ -82,8 +79,8 @@ def main() -> None:
         ]
         print(f"  {task_id:<8} (v{pool.version}, {how}): {outcome.result.summary()}")
 
-    ask("t-before")  # version 6's frontier was repaired in section 1
-    pool.remove_juror("star")  # sorted position 0: no entry stays clean
+    ask("t-before")  # version 6's frontier was built in section 1
+    pool.remove_juror("star")  # sorted position 0
     ask("t-head")
     pool.update_error_rate(pool.ordered[-1].juror_id, 0.5)  # the sorted tail
     ask("t-tail")

@@ -55,6 +55,13 @@ PROTOCOL_VERSION = 1
 _VARIANTS = ("paper", "improved")
 _METHODS = ("auto", "enumerate", "branch-and-bound")
 _POOL_ACTIONS = ("create", "update", "drop")
+#: The fields each pool action never applies, by wire name.  A command that
+#: carries one is refused, not acknowledged as if it had been applied.
+_POOL_FIELDS_REFUSED = {
+    "create": ("add", "remove", "set"),
+    "update": ("candidates", "replace"),
+    "drop": ("candidates", "add", "remove", "set", "replace"),
+}
 
 
 def _located(message: str, where: str, **positions: object) -> ProtocolError:
@@ -736,7 +743,10 @@ class PoolCommand:
     ``updates`` holds the ``"set"`` entries as ``(juror_id, error_rate,
     requirement)`` triples where ``None`` means "keep the current value";
     the fill happens at apply time against the pool's live state, so the
-    command itself stays a pure value object.
+    command itself stays a pure value object.  Each action takes only its
+    own fields: ``create`` takes ``candidates`` and ``replace``, ``update``
+    takes ``add``, ``remove`` and ``updates`` (``"set"``), and ``drop``
+    none; a command given another action's field raises ``ValueError``.
     """
 
     action: str
@@ -776,6 +786,16 @@ class PoolCommand:
             ),
         )
         object.__setattr__(self, "replace", bool(self.replace))
+        given = {
+            "candidates": self.candidates is not None,
+            "add": self.add,
+            "remove": self.remove,
+            "set": self.updates,
+            "replace": self.replace,
+        }
+        for field_name in _POOL_FIELDS_REFUSED[self.action]:
+            if given[field_name]:
+                raise ValueError(f"pool {self.action} takes no {field_name!r}")
 
     def to_dict(self) -> dict:
         """Wire form; stable under ``from_dict`` round trips."""
@@ -823,6 +843,11 @@ class PoolCommand:
             raise _located(
                 "pool command needs a non-empty 'name'", where, field="name"
             )
+        for field_name in _POOL_FIELDS_REFUSED[action]:
+            if field_name in obj:
+                raise _located(
+                    f"pool {action} takes no '{field_name}'", where, field=field_name
+                )
         candidates = None
         if action == "create":
             if "candidates" not in obj:

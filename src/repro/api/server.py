@@ -29,8 +29,7 @@ Endpoints (all bodies are JSON; protocol shapes from :mod:`repro.api`):
     never waits on the engine lock, so it stays answerable during a long
     exact-enumeration batch.  Surfaces in-pass profile reuse (``cache``),
     the planner's memoised choice, and the named pools' answer-frontier
-    hit/miss/build/repair/rebuild counts (``frontier`` +
-    ``engine.frontier_hits``).
+    hit/miss/build counts (``frontier`` + ``engine.frontier_hits``).
 ``GET /healthz``
     Pure liveness: counters only, no engine, no locks, no threads.
 

@@ -233,11 +233,11 @@ class JuryService:
 
         A non-explain AltrM select of a named pool is answered from its
         live pool alone (:meth:`BatchSelectionEngine.answer_named`): a probe
-        of the version's answer frontier, built or repaired first if the
-        version is new, and the answer's wire text, which the pool's encoder
-        keeps for its version.  No query, plan, snapshot, jury, result or
-        juror is built for it.  The other non-explain requests run through
-        one :meth:`BatchSelectionEngine.run` pass, so shared and same-sized
+        of the version's answer frontier, built first if the version is new,
+        and the answer's wire text, which the pool's encoder keeps for its
+        version.  No query, plan, snapshot, jury, result or juror is built
+        for it.  The other non-explain requests run through one
+        :meth:`BatchSelectionEngine.run` pass, so shared and same-sized
         pools are swept together by the vectorized 2-D kernel; explain
         requests are planned without executing.  Each response carries the
         referenced pool's version at dispatch time; a pool that cannot be
@@ -422,9 +422,9 @@ class JuryService:
         swept (``misses``) within an engine pass; ``planner``, the planner's
         memoised operator choice; ``frontier``, named-pool AltrM selects
         answered from a frontier already built for their version (``hits``)
-        or not (``misses``), and how the misses produced it (``builds``,
-        ``repairs``, ``rebuilds``); and ``engine``, its work counters.  The
-        ``kernels`` block reports the compiled-kernel registry
+        or by building it (``misses``, equal to ``builds``: each version's
+        first select builds its frontier whole); and ``engine``, its work
+        counters.  The ``kernels`` block reports the compiled-kernel registry
         (:func:`repro.core.kernels.stats_snapshot`): the active backend
         (every kernel call runs on it), per-kernel dispatch counters of
         served calls only, and availability (with the reason native is
@@ -474,8 +474,6 @@ class JuryService:
                 "hits": counters.frontier_hits,
                 "misses": live_profiles,
                 "builds": counters.frontier_builds,
-                "repairs": counters.frontier_repairs,
-                "rebuilds": counters.frontier_rebuilds,
             },
             "engine": {
                 "queries_run": counters.queries_run,

@@ -72,6 +72,9 @@ immediately.  Commands:
     {"cmd": "stats"}
     {"cmd": "quit"}
 
+A pool action takes only the fields shown for it (``create`` also takes
+``"replace": true``); another action's field is a ``bad-request``.
+
 Pool responses echo ``{"ok": true, "name", "version", "size"}`` (versions
 increase monotonically, one per mutation); ``select`` responses carry the
 same fields as batch-mode ok rows plus ``ok`` and ``pool_version``; a

@@ -42,7 +42,6 @@ from repro.plan.cost import (
     FRONTIER_MIN_POOL,
     PlanCost,
     estimate_plan_cost,
-    frontier_break_even,
     frontier_eligible,
 )
 from repro.plan.frontier import AnswerFrontier
@@ -65,7 +64,6 @@ __all__ = [
     "as_pool",
     "estimate_plan_cost",
     "execute_plan",
-    "frontier_break_even",
     "frontier_eligible",
     "normalize_model",
     "plan_query",

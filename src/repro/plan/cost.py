@@ -19,11 +19,10 @@ scattered across the execution layer:
   backend (native wherever it activated) for the AltrM sweep, the PayALG
   pairing scan and the branch and bound's whole search; NumPy for the
   enumeration, which scores its blocks in NumPy and dispatches no kernel.
-* answer frontier (:mod:`repro.plan.frontier`): the build-vs-probe
-  crossover — :func:`frontier_eligible` admits AltrM queries over pools of
-  at least :data:`FRONTIER_MIN_POOL` candidates, and
-  :func:`frontier_break_even` says after how many repeat probes
-  materialising the frontier beats re-scanning the profile.
+* answer frontier (:mod:`repro.plan.frontier`): :func:`frontier_eligible`
+  admits AltrM queries over pools of at least :data:`FRONTIER_MIN_POOL`
+  candidates, whose plans list the ``frontier-probe`` estimate
+  (:func:`frontier_probe_ops`) next to the sweep.
 
 Every function here except :func:`kernel_backend_for` (which asks whether
 the native backend activated) is pure and deterministic;
@@ -52,10 +51,7 @@ __all__ = [
     "exact_operator_for",
     "affordable_count",
     "estimate_plan_cost",
-    "frontier_build_ops",
     "frontier_probe_ops",
-    "frontier_scan_ops",
-    "frontier_break_even",
     "frontier_eligible",
 ]
 
@@ -65,9 +61,8 @@ ENUMERATION_CROSSOVER = 14
 
 #: Smallest pool for which the cost model prices the frontier probe.
 #: Below this the profile has at most two odd prefixes, where a binary-search
-#: probe costs no less than the linear ``best_odd_prefix`` scan it replaces
-#: (``frontier_probe_ops == frontier_scan_ops`` at two entries) — the
-#: build-vs-probe crossover never favours building.
+#: probe (``frontier_probe_ops``, 2.0 at two entries) costs no less than the
+#: linear ``best_odd_prefix`` scan it replaces (one step per entry).
 FRONTIER_MIN_POOL = 5
 
 
@@ -141,39 +136,9 @@ def _frontier_entries(pool_size: int) -> int:
     return max(1, (pool_size + 1) // 2)
 
 
-def frontier_scan_ops(pool_size: int) -> float:
-    """Work to answer an AltrM query from a *raw* profile: the linear
-    ``best_odd_prefix`` scan over every odd prefix (the kernel-path cost once
-    the sweep itself is cached)."""
-    return float(_frontier_entries(pool_size))
-
-
 def frontier_probe_ops(pool_size: int) -> float:
     """Work to answer from a *built* frontier: one binary search."""
     return math.log2(_frontier_entries(pool_size)) + 1.0
-
-
-def frontier_build_ops(pool_size: int) -> float:
-    """Extra work to materialise the frontier when the profile is in hand:
-    one running-argmin pass over the odd prefixes."""
-    return float(_frontier_entries(pool_size))
-
-
-def frontier_break_even(pool_size: int) -> int:
-    """Repeat probes after which building the frontier amortises.
-
-    The build costs one linear pass; every subsequent query saves
-    ``scan - probe`` operations over re-scanning the profile.  For any pool
-    at or above :data:`FRONTIER_MIN_POOL` this is a handful of probes — and
-    since the hit path *also* skips ``plan_query`` + ``execute_plan``
-    dispatch entirely, the model's estimate is conservative.  Below the
-    crossover (where scan and probe cost the same) building never pays;
-    callers should consult :func:`frontier_eligible` first.
-    """
-    saved = frontier_scan_ops(pool_size) - frontier_probe_ops(pool_size)
-    if saved <= 0.0:
-        return int(1e9)  # never amortises; effectively "do not build"
-    return max(1, math.ceil(frontier_build_ops(pool_size) / saved))
 
 
 def frontier_eligible(model: str, pool_size: int) -> bool:
@@ -183,9 +148,10 @@ def frontier_eligible(model: str, pool_size: int) -> bool:
     smaller-jury-wins tie-break exactly, whereas the exact solvers tie-break
     by size then lexicographic juror ids and label results differently —
     serving those from the frontier would break bit-identity with the oracle
-    path.  Pools below :data:`FRONTIER_MIN_POOL` fail the build-vs-probe
-    crossover (see :func:`frontier_break_even`); the engine still answers
-    them from their live pool's frontier, since the answers are the same.
+    path.  Pools below :data:`FRONTIER_MIN_POOL` get no ``frontier-probe``
+    estimate, since a probe costs no less than a scan there; the engine
+    still answers them from their live pool's frontier, since the answers
+    are the same.
     """
     return model == "altr" and pool_size >= FRONTIER_MIN_POOL
 

@@ -20,16 +20,16 @@ touching the kernels.
     :class:`~repro.core.selection.base.SelectionResult` the plan pipeline
     builds, field for field and bit for bit.
 
-    On pool churn the frontier is **delta-repaired**, not rebuilt: a mutation
-    at sorted position ``p`` leaves every prefix of size ``<= p`` intact, so
-    the first ``(p + 1) // 2`` frontier entries stay valid and
-    :meth:`AnswerFrontier.repaired` resumes the running argmin from the first
-    dirty entry of the new version's sweep profile.
+    :meth:`AnswerFrontier.build` makes the whole frontier in one pass from
+    the profile alone.  Only a strict prefix minimum of the profile can take
+    over the running argmin, so NumPy filters the profile down to those
+    entries, ``best_odd_prefix``'s own comparison runs over them in Python,
+    and every other entry copies the winner before it.
 
 A live pool (:meth:`repro.service.registry.LivePool.answer_frontier`) owns
-the frontier of its current version: it builds it on the version's first
-AltrM select and repairs it across churn, and the batch engine answers every
-AltrM select of a named pool from one probe of it
+the frontier of its current version: it builds it whole on each version's
+first AltrM select, and the batch engine answers every AltrM select of a
+named pool from one probe of it
 (:meth:`repro.service.batch.BatchSelectionEngine.answer_named`).  The
 service turns the probe's ``(size, jer)`` straight into wire text the pool
 keeps per version and size, with no :class:`SelectionResult`; direct engine
@@ -42,8 +42,7 @@ queries over the same pool *can* return the same jury, but their tie-break
 differs (ties within ``1e-15`` resolve by size then lexicographic juror ids,
 and the result is labelled ``OPT-enumerate``/``OPT-bnb``), so serving them
 from the frontier would break bit-identity with the oracle path.  The
-build-vs-probe crossover the cost model reports lives in
-:mod:`repro.plan.cost`.
+cost model's ``frontier-probe`` estimate lives in :mod:`repro.plan.cost`.
 """
 
 from __future__ import annotations
@@ -62,8 +61,7 @@ __all__ = ["AnswerFrontier", "altr_result"]
 class AnswerFrontier:
     """The running argmin over one pool version's odd-prefix JER profile.
 
-    Construct via :meth:`build` (fresh) or :meth:`repaired` (delta repair
-    from a previous version's frontier).  All three columns are read-only
+    Construct via :meth:`build`.  All three columns are read-only
     float64/int64 arrays; instances are immutable and safe to share across
     threads.
 
@@ -115,64 +113,25 @@ class AnswerFrontier:
         ``fingerprint`` and ``version`` are labels the caller may attach
         (the pool content the profile came from); neither is read here.
         """
-        return cls._compute(ns, jers, 0, None, None, fingerprint, version)
-
-    def repaired(
-        self,
-        ns: np.ndarray,
-        jers: np.ndarray,
-        clean_entries: int,
-        *,
-        fingerprint: str | None = None,
-        version: int | None = None,
-    ) -> AnswerFrontier:
-        """A new frontier for a churned profile, reusing the clean prefix.
-
-        ``clean_entries`` is the number of leading frontier entries still
-        valid — for a mutation burst whose lowest sorted position was ``p``,
-        that is ``(p + 1) // 2`` (prefixes of size ``<= p`` are untouched).
-        The running argmin resumes from the first dirty entry, so repair cost
-        is proportional to the dirty suffix, exactly like the profile repair
-        it piggybacks on.
-        """
-        clean = min(int(clean_entries), self.entries, int(ns.size))
-        return type(self)._compute(
-            ns, jers, max(clean, 0), self.best_ns, self.best_jers,
-            fingerprint, version,
-        )
-
-    @classmethod
-    def _compute(
-        cls,
-        ns: np.ndarray,
-        jers: np.ndarray,
-        clean: int,
-        prev_best_ns: np.ndarray | None,
-        prev_best_jers: np.ndarray | None,
-        fingerprint: str | None,
-        version: int | None,
-    ) -> AnswerFrontier:
         ns = np.ascontiguousarray(ns, dtype=np.int64)
-        size = int(ns.size)
-        best_ns = np.empty(size, dtype=np.int64)
-        best_jers = np.empty(size, dtype=np.float64)
-        if clean > 0:
-            assert prev_best_ns is not None and prev_best_jers is not None
-            best_ns[:clean] = prev_best_ns[:clean]
-            best_jers[:clean] = prev_best_jers[:clean]
-            incumbent_n = int(best_ns[clean - 1])
-            incumbent_jer = float(best_jers[clean - 1])
-        else:
-            incumbent_n, incumbent_jer = -1, float("inf")
-        # The scan below is best_odd_prefix's loop verbatim (same comparison,
-        # same epsilon), checkpointed at every prefix instead of only at the
-        # caller's max_size — that is what makes probes bit-identical.
-        for i in range(clean, size):
+        jers = np.asarray(jers, dtype=np.float64)
+        # Only a strict prefix minimum can take over the incumbent: an
+        # earlier value at or below it either became the incumbent or lost
+        # to one at least as low, so it sets a bar this value cannot clear.
+        lower = np.empty(ns.size, dtype=bool)
+        lower[:1] = True
+        np.less(jers[1:], np.minimum.accumulate(jers[:-1]), out=lower[1:])
+        # best_odd_prefix's comparison (same epsilon), over those entries
+        # only.  Entry 0, a finite JER, always wins first, and every other
+        # entry keeps the winner before it.
+        winner = np.zeros(ns.size, dtype=np.intp)
+        incumbent = float("inf")
+        for i in np.flatnonzero(lower).tolist():
             value = float(jers[i])
-            if value < incumbent_jer - JER_IMPROVEMENT_EPS:
-                incumbent_n, incumbent_jer = int(ns[i]), value
-            best_ns[i] = incumbent_n
-            best_jers[i] = incumbent_jer
+            if value < incumbent - JER_IMPROVEMENT_EPS:
+                winner[i], incumbent = i, value
+        np.maximum.accumulate(winner, out=winner)
+        best_ns, best_jers = ns[winner], jers[winner]
         ns.flags.writeable = False
         best_ns.flags.writeable = False
         best_jers.flags.writeable = False

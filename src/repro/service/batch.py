@@ -9,12 +9,12 @@ strategies, shared or per-task pools — and answers each on one of two paths:
 * **AltrM over a named pool** is answered from the live pool's own answer
   frontier (:meth:`~repro.service.registry.LivePool.answer_frontier`).  By
   Lemma 3 every AltrM answer over a pool version is an odd prefix of its
-  error-rate order, so the frontier, built by the version's first select
-  and delta-repaired across churn, answers any size cap with one
-  ``np.searchsorted``: no fingerprint, no ``plan_query``, no
-  ``execute_plan``.  Its scan is :func:`~repro.core.jer.best_odd_prefix`'s
-  loop, so the answers are bit-identical to the plan pipeline, tie-break
-  included.  :meth:`BatchSelectionEngine.answer_named` is that one probe;
+  error-rate order, so the frontier, built whole by the version's first
+  select, answers any size cap with one ``np.searchsorted``: no
+  fingerprint, no ``plan_query``, no ``execute_plan``.  It runs
+  :func:`~repro.core.jer.best_odd_prefix`'s comparison, so the answers are
+  bit-identical to the plan pipeline, tie-break included.
+  :meth:`BatchSelectionEngine.answer_named` is that one probe;
   :meth:`~BatchSelectionEngine.run` wraps it in a :class:`SelectionResult`,
   and the service in wire text its pool keeps, with no query or result.
 * **Everything else** goes through the plan layer: the engine resolves the
@@ -213,11 +213,9 @@ class EngineStats:
     #: Named-pool AltrM queries answered from a frontier already built for
     #: their pool version: one binary search, no sweep.
     frontier_hits: int = 0
-    #: The first query of each named-pool version, by how its live pool
-    #: produced the frontier (see :meth:`LivePool.answer_frontier`).
+    #: Named-pool AltrM queries that had their live pool build the
+    #: frontier: the first query of each version.
     frontier_builds: int = 0
-    frontier_repairs: int = 0
-    frontier_rebuilds: int = 0
     #: Kernel backend every kernel call dispatches to (``numpy``/``native``)
     #: — resolved at engine construction, compile and self-check included,
     #: so cc compile time never lands in query timings.
@@ -225,8 +223,8 @@ class EngineStats:
 
     @property
     def live_profiles(self) -> int:
-        """Named-pool versions whose frontier a query had its pool produce."""
-        return self.frontier_builds + self.frontier_repairs + self.frontier_rebuilds
+        """Named-pool versions whose frontier a query had its pool build."""
+        return self.frontier_builds
 
 
 class BatchSelectionEngine:
@@ -273,12 +271,11 @@ class BatchSelectionEngine:
             )
         return self._registry.get(pool_name)
 
-    def _resolve(self, query: SelectionQuery) -> tuple[CandidatePool, LivePool | None]:
-        """Resolve a query to a frozen pool (plus its live pool, if any)."""
+    def _resolve(self, query: SelectionQuery) -> CandidatePool:
+        """Resolve a query to a frozen pool."""
         if query.pool_name is None:
-            return query.resolve_pool(), None
-        live = self._live(query.pool_name, query.task_id)
-        return live.snapshot(), live
+            return query.resolve_pool()
+        return self._live(query.pool_name, query.task_id).snapshot()
 
     @staticmethod
     def _plan_for(query: SelectionQuery, pool: CandidatePool) -> SelectionPlan:
@@ -301,8 +298,7 @@ class BatchSelectionEngine:
         operator, the numeric backends, and the cost-model inputs; render it
         with :meth:`~repro.plan.SelectionPlan.describe`.
         """
-        pool, _ = self._resolve(query)
-        return self._plan_for(query, pool)
+        return self._plan_for(query, self._resolve(query))
 
     # ------------------------------------------------------------------
     def select(self, query: SelectionQuery) -> SelectionResult:
@@ -338,16 +334,13 @@ class BatchSelectionEngine:
         ]
         with self._lock:
             self.stats.queries_run += len(batch)
-            resolved: list[
-                tuple[int, SelectionQuery, CandidatePool, LivePool | None]
-            ] = []
+            resolved: list[tuple[int, SelectionQuery, CandidatePool]] = []
             for index, query in enumerate(batch):
                 try:
                     if query.model == "altr" and query.pool_name is not None:
                         self._named_altr(query, outcomes[index])
                     else:
-                        pool, live = self._resolve(query)
-                        resolved.append((index, query, pool, live))
+                        resolved.append((index, query, self._resolve(query)))
                 except Exception as exc:
                     if raise_errors:
                         raise
@@ -382,8 +375,8 @@ class BatchSelectionEngine:
         result in a :class:`SelectionResult`, and the service wraps it in
         wire text, which the pool version's ``encoder`` builds
         (:meth:`LivePool.answer`).  Everything runs under the engine lock
-        and counts as one query, and as a frontier hit, build, repair or
-        rebuild by how the pool produced its frontier.  Failures raise
+        and counts as one query, and as a frontier hit, or as a build when
+        the pool built its version's frontier for it.  Failures raise
         what the plan pipeline raises: an empty pool the snapshot's
         :class:`~repro.errors.EmptyCandidateSetError`, a bad budget the
         error ``plan_query`` raises (AltrM ignores a valid one), and an
@@ -406,15 +399,10 @@ class BatchSelectionEngine:
         if not live.size:
             raise EmptyCandidateSetError("cannot snapshot an empty live pool")
         frontier, mode = live.answer_frontier()
-        stats = self.stats
         if mode == "cached":
-            stats.frontier_hits += 1
-        elif mode == "built":
-            stats.frontier_builds += 1
-        elif mode == "repaired":
-            stats.frontier_repairs += 1
+            self.stats.frontier_hits += 1
         else:
-            stats.frontier_rebuilds += 1
+            self.stats.frontier_builds += 1
         if budget is not None:
             validate_budget(budget)
         size, jer, considered = frontier.probe(max_size)
@@ -437,12 +425,12 @@ class BatchSelectionEngine:
     # ------------------------------------------------------------------
     def _run_altr(
         self,
-        items: Sequence[tuple[int, SelectionQuery, CandidatePool, LivePool | None]],
+        items: Sequence[tuple[int, SelectionQuery, CandidatePool]],
         outcomes: list[QueryOutcome],
         raise_errors: bool,
     ) -> None:
         distinct: dict[str, CandidatePool] = {}
-        for _, _, pool, _ in items:
+        for _, _, pool in items:
             if pool.fingerprint in distinct:
                 self.stats.profiles_reused += 1
             else:
@@ -461,7 +449,7 @@ class BatchSelectionEngine:
             for row, pool in enumerate(pools):
                 profiles[pool.fingerprint] = (ns, jer_matrix[row])
 
-        for index, query, pool, _ in items:
+        for index, query, pool in items:
             start = time.perf_counter()
             try:
                 plan = self._plan_for(query, pool)
@@ -481,11 +469,11 @@ class BatchSelectionEngine:
     # ------------------------------------------------------------------
     def _run_serial(
         self,
-        items: Sequence[tuple[int, SelectionQuery, CandidatePool, LivePool | None]],
+        items: Sequence[tuple[int, SelectionQuery, CandidatePool]],
         outcomes: list[QueryOutcome],
         raise_errors: bool,
     ) -> None:
-        for index, query, pool, _ in items:
+        for index, query, pool in items:
             start = time.perf_counter()
             try:
                 plan = self._plan_for(query, pool)

@@ -14,18 +14,19 @@ anything on the *query path*:
     :class:`~repro.core.juror.JurorColumns` plus an id -> error-rate index,
     with no object per juror: a mutation finds its row by binary search on
     the error-rate column, ids breaking ties as in :func:`lemma3_order`, and
-    splices the next version's columns (``O(n)``).  The odd-prefix JER profile of a version is swept on
-    first request with :func:`repro.core.jer.batch_prefix_jer_sweep`, the
-    call the batch engine makes for frozen pools, so live profiles are
-    **bit-identical** to a fresh :class:`CandidatePool`'s.  One level up,
-    the pool owns its :class:`~repro.plan.frontier.AnswerFrontier`
+    splices the next version's columns (``O(n)``).  The odd-prefix JER
+    profile of a version is swept on first request with
+    :func:`repro.core.jer.batch_prefix_jer_sweep`, the call the batch engine
+    makes for frozen pools, so live profiles are **bit-identical** to a
+    fresh :class:`CandidatePool`'s.  One level up, the pool owns its
+    :class:`~repro.plan.frontier.AnswerFrontier`
     (:meth:`LivePool.answer_frontier`), from which the batch engine answers
-    every AltrM select of the pool: churn at sorted position ``p``
-    invalidates only frontier entries past ``(p + 1) // 2``, and repair
-    resumes the running argmin from there.  One level further up, the pool
-    keeps its version's answer encoder (:meth:`LivePool.answer`): by Lemma 3
-    an AltrM answer is the first ``size`` rows, fixed by the version and the
-    size alone.  A mutation leaves profile, frontier and encoder behind.
+    every AltrM select of the pool; each version's frontier is built whole
+    from its profile on the version's first AltrM select.  One level
+    further up, the pool keeps its version's answer encoder
+    (:meth:`LivePool.answer`): by Lemma 3 an AltrM answer is the first
+    ``size`` rows, fixed by the version and the size alone.  A mutation
+    leaves profile, frontier and encoder behind.
 
 :class:`PoolRegistry`
     A name -> :class:`LivePool` namespace shared by the batch engine
@@ -64,11 +65,9 @@ class LivePoolStats:
     #: ``full_rebuilds`` always equals ``repairs``.
     repairs: int = 0
     full_rebuilds: int = 0
-    #: Answer-frontier lifecycle (see :meth:`LivePool.answer_frontier`).
+    #: Answer frontiers built, one per version selected from (see
+    #: :meth:`LivePool.answer_frontier`).
     frontier_builds: int = 0
-    frontier_repairs: int = 0
-    frontier_rebuilds: int = 0
-    frontier_entries_reused: int = 0
 
 
 class LivePool:
@@ -127,12 +126,9 @@ class LivePool:
         self._version = start_version
         self._fingerprint: str | None = None
         self._profile: tuple[int, np.ndarray, np.ndarray] | None = None
-        # Answer-frontier state: the last frontier materialised for this pool
-        # and how many of its leading entries survived the churn since (a
-        # mutation at sorted position p leaves prefixes of size <= p — hence
-        # the first (p + 1) // 2 frontier entries — intact).
+        # The last answer frontier built for this pool, labelled with its
+        # version.
         self._frontier: AnswerFrontier | None = None
-        self._frontier_clean = 0
         # The current version's answer encoder, made on its first answer.
         self._answers: Callable | None = None
         # Durability hook: when a catalog store is bound, every successful
@@ -306,43 +302,22 @@ class LivePool:
         return frontier is not None and frontier.version == self._version
 
     def answer_frontier(self) -> tuple[AnswerFrontier, str]:
-        """The answer frontier of the current version, delta-repaired.
+        """The answer frontier of the current version.
 
-        Returns ``(frontier, mode)`` where ``mode`` records how this
-        version's frontier was produced: ``"cached"`` (version unchanged
-        since the last call), ``"built"`` (first materialisation),
-        ``"repaired"`` (running argmin resumed past the surviving clean
-        prefix) or ``"rebuilt"`` (churn invalidated every entry; same
-        kernel run from entry 0).  The frontier's probes are bit-identical
-        to :func:`repro.core.jer.best_odd_prefix` over
-        :meth:`sweep_profile` — the delta repair reuses only entries the
-        churn provably left untouched.  No fingerprint is computed.
+        Returns ``(frontier, mode)`` where ``mode`` is ``"cached"`` (built
+        earlier for this version) or ``"built"`` (built now, whole, by
+        :meth:`AnswerFrontier.build` from :meth:`sweep_profile`).  The
+        frontier's probes are bit-identical to
+        :func:`repro.core.jer.best_odd_prefix` over that profile.  No
+        fingerprint is computed.
         """
-        ns, jers = self.sweep_profile()
         frontier = self._frontier
         if frontier is not None and frontier.version == self._version:
             return frontier, "cached"
-        clean = (
-            0
-            if frontier is None
-            else max(0, min(self._frontier_clean, frontier.entries, int(ns.size)))
-        )
-        if frontier is None:
-            rebuilt = AnswerFrontier.build(ns, jers, version=self._version)
-            self.stats.frontier_builds += 1
-            mode = "built"
-        elif clean == 0:
-            rebuilt = AnswerFrontier.build(ns, jers, version=self._version)
-            self.stats.frontier_rebuilds += 1
-            mode = "rebuilt"
-        else:
-            rebuilt = frontier.repaired(ns, jers, clean, version=self._version)
-            self.stats.frontier_repairs += 1
-            self.stats.frontier_entries_reused += clean
-            mode = "repaired"
-        self._frontier = rebuilt
-        self._frontier_clean = rebuilt.entries
-        return rebuilt, mode
+        ns, jers = self.sweep_profile()
+        self._frontier = frontier = AnswerFrontier.build(ns, jers, version=self._version)
+        self.stats.frontier_builds += 1
+        return frontier, "built"
 
     def answer(
         self, size: int, jer: float, encoder: Callable[[JurorColumns], Callable[[int, float], T]]
@@ -370,29 +345,21 @@ class LivePool:
         return juror
 
     def _splice(self, leaving: Juror | None, joining: Juror | None) -> None:
-        """Make the next version's columns: ``leaving`` out, ``joining`` in.
-
-        Each touched row lowers the frontier's clean prefix, as a sorted
-        removal or insertion at that row would.
-        """
+        """Make the next version's columns: ``leaving`` out, ``joining`` in."""
         ids, eps, reqs = self._columns.ids, self._columns.eps, self._columns.reqs
-        clean = self._frontier_clean
         if leaving is not None:
             row = _row(ids, eps, leaving.error_rate, leaving.juror_id)
             ids = ids[:row] + ids[row + 1 :]
             eps = np.concatenate((eps[:row], eps[row + 1 :]))
             reqs = np.concatenate((reqs[:row], reqs[row + 1 :]))
             del self._index[leaving.juror_id]
-            clean = min(clean, (row + 1) // 2)
         if joining is not None:
             row = _row(ids, eps, joining.error_rate, joining.juror_id)
             ids = ids[:row] + (joining.juror_id,) + ids[row:]
             eps = np.concatenate((eps[:row], [joining.error_rate], eps[row:]))
             reqs = np.concatenate((reqs[:row], [joining.requirement], reqs[row:]))
             self._index[joining.juror_id] = joining.error_rate
-            clean = min(clean, (row + 1) // 2)
         self._columns = JurorColumns(ids, eps, reqs)
-        self._frontier_clean = clean
 
     def _commit(self, leaving: Juror | None, joining: Juror | None) -> int:
         """Apply one mutation as the next version and report it to the store."""

@@ -714,3 +714,92 @@ class TestPoolCommandValidation:
                 {"action": "update", "name": "P", "set": [{"error_rate": 0.5}]},
                 where="w",
             )
+
+
+# Each pool action's misplaced fields, as a wire value and as the
+# constructor's keyword argument.
+_MISPLACED_POOL_FIELDS = pytest.mark.parametrize(
+    "action, field",
+    [
+        ("create", "add"), ("create", "remove"), ("create", "set"),
+        ("update", "candidates"), ("update", "replace"),
+        ("drop", "candidates"), ("drop", "add"), ("drop", "remove"),
+        ("drop", "set"), ("drop", "replace"),
+    ],
+)
+_WIRE_VALUES = {
+    "candidates": _POOL_ROWS[:1],
+    "add": _POOL_ROWS[:1],
+    "remove": ["c0"],
+    "set": [{"id": "c0", "error_rate": 0.4}],
+    "replace": True,
+}
+_KWARGS = {
+    "candidates": ("candidates", (Juror(0.1, juror_id="c0"),)),
+    "add": ("add", (Juror(0.1, juror_id="c0"),)),
+    "remove": ("remove", ("c0",)),
+    "set": ("updates", (("c0", 0.4, None),)),
+    "replace": ("replace", True),
+}
+
+
+class TestMisplacedPoolFields:
+    """A pool command carrying a field its action never applies is refused:
+    ``create`` takes no ``add``/``remove``/``set``, ``update`` no
+    ``candidates``/``replace``, ``drop`` none of the five.  Acknowledging
+    such a command would claim a change that never happened."""
+
+    @_MISPLACED_POOL_FIELDS
+    def test_from_dict_refuses_the_field(self, action, field):
+        row = {"action": action, "name": "P", field: _WIRE_VALUES[field]}
+        if action == "create":
+            row["candidates"] = _POOL_ROWS
+        with pytest.raises(ProtocolError, match=f"pool {action} takes no '{field}'"
+                           ) as excinfo:
+            PoolCommand.from_dict(row, where="w")
+        assert excinfo.value.detail == {"where": "w", "field": field}
+
+    @pytest.mark.parametrize("action, field", [("create", "remove"), ("update", "replace")])
+    def test_from_dict_refuses_an_empty_or_false_field_too(self, action, field):
+        row = {"action": action, "name": "P", field: [] if field == "remove" else False}
+        if action == "create":
+            row["candidates"] = _POOL_ROWS
+        with pytest.raises(ProtocolError, match=f"takes no '{field}'"):
+            PoolCommand.from_dict(row, where="w")
+
+    @_MISPLACED_POOL_FIELDS
+    def test_constructor_refuses_the_field(self, action, field):
+        name, value = _KWARGS[field]
+        kwargs = {name: value}
+        if action == "create":
+            kwargs["candidates"] = (Juror(0.2, juror_id="c1"),)
+        with pytest.raises(ValueError, match=f"pool {action} takes no '{field}'"):
+            PoolCommand(action=action, name="P", **kwargs)
+
+    def test_post_create_with_remove_and_set_creates_nothing(self):
+        create = {"action": "create", "name": "P", "candidates": [
+            {"id": "A", "error_rate": 0.1}, {"id": "B", "error_rate": 0.2},
+        ]}
+        stray = {**create, "remove": ["B"], "set": [{"id": "A", "error_rate": 0.4}]}
+        (status, body), (_, created) = _post("/v1/pool", stray, create)
+        assert status == 400
+        assert body["error"]["code"] == "bad-request"
+        assert body["error"]["detail"] == {"where": "POST /v1/pool", "field": "remove"}
+        # No pool was made, so a plain create of the name still succeeds.
+        assert (created["ok"], created["version"], created["size"]) == (True, 0, 2)
+
+    def test_post_misplaced_fields_keep_the_pool(self):
+        create = {"action": "create", "name": "P", "candidates": _POOL_ROWS}
+        update = {"action": "update", "name": "P", "candidates": _POOL_ROWS[:1], "replace": True}
+        drop = {"action": "drop", "name": "P", "add": [{"id": "z", "error_rate": 0.3}]}
+        (_, created), (update_status, update_body), (drop_status, drop_body), (_, after) = _post(
+            "/v1/pool", create, update, drop, {"action": "update", "name": "P"}
+        )
+        assert created["version"] == 0
+        for status, body, field in (
+            (update_status, update_body, "candidates"), (drop_status, drop_body, "add")
+        ):
+            assert status == 400
+            assert body["error"]["code"] == "bad-request"
+            assert body["error"]["detail"] == {"where": "POST /v1/pool", "field": field}
+        assert (after["version"], after["size"]) == (0, len(_POOL_ROWS))

@@ -302,12 +302,10 @@ class TestEndpoints:
         assert stats["server"]["draining"] is False
         # The full counter payload reaches the HTTP surface untouched:
         # in-pass profile reuse, planner memo, and the answer frontier's
-        # lifecycle.
+        # hits and builds.
         assert {"hits", "misses"} == stats["cache"].keys()
         assert {"hits", "misses", "entries", "maxsize"} <= stats["planner"].keys()
-        assert {"hits", "misses", "builds", "repairs", "rebuilds"} <= stats[
-            "frontier"
-        ].keys()
+        assert {"hits", "misses", "builds"} == stats["frontier"].keys()
         assert "frontier_hits" in stats["engine"]
         assert health == {
             "v": PROTOCOL_VERSION,

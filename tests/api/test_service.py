@@ -14,6 +14,7 @@ from repro.core.juror import Juror
 from repro.core.selection.altr import select_jury_altr
 from repro.core.selection.pay import select_jury_pay
 from repro.errors import InvalidJuryError, PoolNotFoundError
+from repro.plan import execute_plan, plan_query
 from repro.service import (
     BatchSelectionEngine,
     PoolRegistry,
@@ -211,13 +212,11 @@ class TestPoolCommands:
         assert stats["pools"]["P1"] == {"version": 0, "size": 7}
         assert stats["queries_run"] == 1
         # Every counter block is surfaced: in-pass profile reuse, planner
-        # memo, answer frontier (full lifecycle), and the engine's work
-        # counters.  The named select above built its pool's frontier.
+        # memo, answer frontier, and the engine's work counters.  The named
+        # select above built its pool's frontier.
         assert stats["cache"] == {"hits": 0, "misses": 0}
         assert {"hits", "misses", "entries", "maxsize"} <= stats["planner"].keys()
-        assert stats["frontier"] == {
-            "hits": 0, "misses": 1, "builds": 1, "repairs": 0, "rebuilds": 0,
-        }
+        assert stats["frontier"] == {"hits": 0, "misses": 1, "builds": 1}
         assert stats["engine"]["queries_run"] == 1
         assert set(stats["engine"]) == {
             "queries_run", "batch_sweeps", "pools_swept", "live_profiles",
@@ -228,30 +227,30 @@ class TestPoolCommands:
 
     def test_stats_frontier_block_counts_every_mode(self):
         """Each named select lands in the counter of the mode its pool's
-        frontier took: a build, a hit, a repair after churn at the sorted
-        tail, a rebuild after churn at the head; every answer is right."""
+        frontier took: the first select of every version builds it whole,
+        whether churn hit the sorted tail or the head, and a repeat hits;
+        every answer is the plan pipeline's on a snapshot of the version."""
         service = JuryService()
         self._create(service)
         for task, updates in [
             ("built", ()),
             ("cached", ()),
-            ("repaired", (("G", 0.45, None),)),
-            ("rebuilt", (("A", 0.05, None),)),
+            ("tail-churn", (("G", 0.45, None),)),
+            ("head-churn", (("A", 0.05, None),)),
         ]:
             if updates:
                 service.pool(PoolCommand(action="update", name="P1", updates=updates))
             response = service.select(SelectionRequest(task_id=task, pool="P1"))
-            expected = select_jury_altr(list(service.registry.get("P1").ordered))
+            live = service.registry.get("P1")
+            expected = execute_plan(plan_query(pool=live.snapshot(), model="altr"))
             assert response.jer == expected.jer
             assert [m.juror_id for m in response.members] == list(expected.juror_ids)
+            assert response.pool_version == live.version
         stats = service.stats()
-        assert stats["frontier"] == {
-            "hits": 1, "misses": 3, "builds": 1, "repairs": 1, "rebuilds": 1,
-        }
+        assert stats["frontier"] == {"hits": 1, "misses": 3, "builds": 3}
         assert stats["engine"]["frontier_hits"] == 1
         assert stats["live_profiles"] == stats["engine"]["live_profiles"] == 3
-        pool = service.registry.get("P1").stats
-        assert (pool.frontier_builds, pool.frontier_repairs, pool.frontier_rebuilds) == (1, 1, 1)
+        assert service.registry.get("P1").stats.frontier_builds == 3
 
 
 class TestConstruction:

@@ -1,11 +1,12 @@
-"""Answer frontier unit tests: probe/build/repair vs ``best_odd_prefix``.
+"""Answer frontier unit tests: probe/build vs ``best_odd_prefix``.
 
 The frontier's one correctness obligation is *bit-identity with the oracle
 tie-break*: for every profile and every ``max_size``, ``probe()`` must return
 exactly what :func:`repro.core.jer.best_odd_prefix` returns — same winning
-size, bitwise-equal JER, same ``ValueError`` when nothing fits — whether the
-frontier was built fresh or delta-repaired from an older version.  The rest
-is the cost model's build-vs-probe crossover.
+size, bitwise-equal JER, same ``ValueError`` when nothing fits.  Profiles
+come from real sweeps and, for the tie-break itself, straight from a grid
+finer than :data:`~repro.core.jer.JER_IMPROVEMENT_EPS`.  The rest is the
+cost model's ``frontier-probe`` estimate.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.jer import best_odd_prefix, prefix_jer_profile
-from repro.plan.cost import (
-    FRONTIER_MIN_POOL,
-    estimate_plan_cost,
-    frontier_break_even,
-    frontier_build_ops,
-    frontier_eligible,
-    frontier_probe_ops,
-    frontier_scan_ops,
-)
+from repro.plan.cost import FRONTIER_MIN_POOL, estimate_plan_cost, frontier_eligible
 from repro.plan.frontier import AnswerFrontier
 
 eps_lists = st.lists(
@@ -82,41 +75,64 @@ class TestProbeOracle:
                 column[0] = 0
 
 
-class TestRepair:
-    @given(
-        eps=st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=2, max_size=40),
-        data=st.data(),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_repaired_equals_fresh_build(self, eps, data):
-        """A repair from *any* clean watermark of *any* older profile must
-        equal a fresh build bit for bit — the old dirty entries carry no
-        information the running argmin is allowed to keep."""
-        old = data.draw(eps_lists)
-        old_ns, old_jers = _profile(old)
-        stale = AnswerFrontier.build(old_ns, old_jers, fingerprint="old")
+#: Near-tie profiles: each value sits on a grid of 3e-16 steps around a base,
+#: so neighbours differ by less than, or just more than, JER_IMPROVEMENT_EPS,
+#: and now and then the profile jumps by a larger step.
+_GRID = 3e-16
+_near_tie_profiles = st.tuples(
+    st.floats(min_value=0.01, max_value=0.49),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-4, max_value=4),
+            st.sampled_from((0, 0, 0, 0, 0, 0, -1, 1)),
+        ),
+        max_size=39,
+    ),
+)
 
-        ns, jers = _profile(eps)
-        # Only entries whose inputs are unchanged may be declared clean.
-        shared = 0
-        limit = min(stale.ns.size, ns.size)
-        while shared < limit and old_jers[shared] == jers[shared]:
-            shared += 1
-        clean = data.draw(st.integers(min_value=0, max_value=shared))
 
-        repaired = stale.repaired(ns, jers, clean, fingerprint="new", version=7)
-        fresh = AnswerFrontier.build(ns, jers, fingerprint="new", version=7)
-        np.testing.assert_array_equal(repaired.best_ns, fresh.best_ns)
-        np.testing.assert_array_equal(repaired.best_jers, fresh.best_jers)
-        assert repaired.fingerprint == "new" and repaired.version == 7
+def _near_tie_profile(drawn):
+    base, steps = drawn
+    level = 0
+    values = []
+    for k, jump in steps:
+        level += jump
+        values.append(base + level * 1e-4 + k * _GRID)
+    jers = np.array(values, dtype=np.float64)
+    return np.arange(1, 2 * jers.size, 2, dtype=np.int64), jers
 
-    def test_repair_clamps_out_of_range_watermarks(self):
-        ns, jers = _profile([0.1, 0.2, 0.3])
-        frontier = AnswerFrontier.build(ns, jers, fingerprint="fp")
-        # A watermark past either profile's length must not crash or read
-        # out of bounds; declaring everything clean reproduces the source.
-        repaired = frontier.repaired(ns, jers, 999, fingerprint="fp2")
-        np.testing.assert_array_equal(repaired.best_jers, frontier.best_jers)
+
+class TestNearTies:
+    """The tie-break at the scale it decides: values within, and just past,
+    ``JER_IMPROVEMENT_EPS`` of each other, which real sweeps almost never
+    produce."""
+
+    @given(drawn=_near_tie_profiles)
+    @settings(max_examples=300, deadline=None)
+    def test_probe_matches_best_odd_prefix_on_near_ties(self, drawn):
+        ns, jers = _near_tie_profile(drawn)
+        frontier = AnswerFrontier.build(ns, jers)
+        for cap in [None, *range(0, 2 * jers.size + 2)]:
+            try:
+                expected = best_odd_prefix(ns, jers, max_size=cap)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    frontier.probe(cap)
+                continue
+            n, jer, _ = frontier.probe(cap)
+            assert n == expected[0]
+            assert np.float64(jer).tobytes() == np.float64(expected[1]).tobytes()
+
+    def test_empty_profile_builds_and_probes_raise_the_oracle_error(self):
+        ns, jers = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        frontier = AnswerFrontier.build(ns, jers)
+        assert frontier.entries == 0
+        with pytest.raises(ValueError) as oracle:
+            best_odd_prefix(ns, jers)
+        for cap in (None, 0, 1, 5):
+            with pytest.raises(ValueError) as probe:
+                frontier.probe(cap)
+            assert str(probe.value) == str(oracle.value)
 
 
 class TestCostModel:
@@ -125,26 +141,6 @@ class TestCostModel:
         assert not frontier_eligible("altr", FRONTIER_MIN_POOL - 1)
         assert not frontier_eligible("pay", 100)
         assert not frontier_eligible("exact", 100)
-
-    def test_break_even_is_finite_for_every_eligible_pool(self):
-        # Eligibility implies the probe is *strictly* cheaper than the scan,
-        # so building always amortises after finitely many repeats.
-        assert frontier_probe_ops(FRONTIER_MIN_POOL) < frontier_scan_ops(
-            FRONTIER_MIN_POOL
-        )
-        assert frontier_break_even(FRONTIER_MIN_POOL) < 10**6
-        # Away from the boundary the payoff is immediate: a handful of
-        # repeat probes recoups the one-pass build.
-        for n in (10, 100, 10_000):
-            assert frontier_probe_ops(n) < frontier_scan_ops(n)
-            assert 1 <= frontier_break_even(n) <= 3
-
-    def test_break_even_never_amortises_below_the_crossover(self):
-        # One odd prefix: scanning IS probing, so building never pays; the
-        # same holds right up to the eligibility boundary.
-        assert frontier_break_even(1) >= 10**6
-        assert frontier_break_even(FRONTIER_MIN_POOL - 1) >= 10**6
-        assert frontier_build_ops(1) == frontier_scan_ops(1) == 1.0
 
     def test_altr_estimates_expose_the_probe_alternative(self):
         cost = estimate_plan_cost(model="altr", pool_size=25, affordable=25)

@@ -123,8 +123,10 @@ class TestKernelShortCircuit:
         after = engine.run([_query("after")])[0]
         assert after.ok
         assert executes == [] and hashes == [] and hashes_of_snapshots == []
+        # Each version's first select builds its frontier whole: two
+        # versions, two builds, and the repeat in between hit.
         stats = engine.stats
-        assert (stats.frontier_builds, stats.frontier_hits, stats.frontier_repairs) == (1, 1, 1)
+        assert (stats.frontier_builds, stats.frontier_hits) == (2, 1)
         _assert_outcomes_identical(after, _reference_named(registry, _query("after")))
 
     def test_capped_repeats_hit_without_the_kernel_too(self, monkeypatch):
@@ -267,36 +269,24 @@ class TestLivePoolFrontierLifecycle:
         _, mode = pool.answer_frontier()
         assert mode == "cached" and pool.stats.frontier_builds == 1
 
-    def test_tail_churn_repairs_head_entries(self):
+    @pytest.mark.parametrize(
+        "juror_id, error_rate", [("c6", 0.7), ("c0", 0.05)], ids=["tail", "head"]
+    )
+    def test_churn_builds_the_next_version_whole(self, juror_id, error_rate):
+        """Churn anywhere in the sorted order, tail or head, leaves the old
+        frontier behind: the new version's first call builds one from its
+        own profile, which answers like the plan pipeline on a snapshot."""
         pool = self._pool()
         first, _ = pool.answer_frontier()
-        pool.update_error_rate("c6", 0.7)  # churn at the sorted tail
+        pool.update_error_rate(juror_id, error_rate)
         second, mode = pool.answer_frontier()
-        assert mode == "repaired"
-        assert pool.stats.frontier_repairs == 1
-        assert pool.stats.frontier_entries_reused >= 1
-        assert second.version == pool.version
-
-    def test_head_churn_rebuilds(self):
-        pool = self._pool()
-        pool.answer_frontier()
-        pool.update_error_rate("c0", 0.05)  # sorted position 0: nothing clean
-        _, mode = pool.answer_frontier()
-        assert mode == "rebuilt" and pool.stats.frontier_rebuilds == 1
-
-    def test_repaired_frontier_equals_fresh_build(self, rng):
-        pool = self._pool(tuple(rng.uniform(0.05, 0.9, size=21)))
-        pool.answer_frontier()
-        victims = [j.juror_id for j in pool.ordered][10:15]
-        for victim in victims:
-            pool.update_error_rate(victim, float(rng.uniform(0.05, 0.9)))
-        repaired, _ = pool.answer_frontier()
-        ns, jers = pool.sweep_profile()
-        from repro.plan.frontier import AnswerFrontier
-
-        fresh = AnswerFrontier.build(ns, jers, fingerprint=pool.fingerprint)
-        np.testing.assert_array_equal(repaired.best_ns, fresh.best_ns)
-        np.testing.assert_array_equal(repaired.best_jers, fresh.best_jers)
+        assert mode == "built" and pool.stats.frontier_builds == 2
+        assert second is not first and second.version == pool.version
+        assert pool.answer_frontier() == (second, "cached")
+        reference = execute_plan(plan_query(pool=pool.snapshot(), model="altr"))
+        size, jer, considered = second.probe(None)
+        assert (size, jer) == (reference.size, reference.jer)
+        assert considered == reference.stats.juries_considered
 
 
 class TestDropAndRecreate:

@@ -24,6 +24,7 @@ from repro.api import JuryService, PoolCommand, SelectionRequest
 from repro.core.jer import PrefixJERSweeper, best_odd_prefix
 from repro.core.juror import Juror, JurorColumns, jurors_from_arrays
 from repro.core.selection.altr import select_jury_altr
+from repro.plan import execute_plan, plan_query
 from repro.errors import (
     EmptyCandidateSetError,
     InvalidJuryError,
@@ -246,21 +247,24 @@ class TestChurnOracle:
             np.testing.assert_array_equal(np.asarray(ns), ref_ns)
             np.testing.assert_array_equal(np.asarray(jers), ref_jers)
 
-            # Frontier: the pool's delta-repaired answer frontier agrees
-            # with a linear best_odd_prefix scan of the reference profile.
-            frontier, _ = pool.answer_frontier()
-            assert frontier.probe(None)[:2] == best_odd_prefix(ref_ns, ref_jers)
-
-            # Selection: bit-identical to the scalar path on a fresh pool.
+            # Selection: the version's first select builds its frontier and
+            # answers like the plan pipeline on a snapshot of the version.
             outcome = engine.run(
                 [SelectionQuery(task_id=f"s{step}", pool_name="P")]
             )[0]
             assert outcome.ok, outcome.error_info
-            single = select_jury_altr(list(pool.ordered))
-            assert outcome.result.jer == single.jer
-            assert outcome.result.juror_ids == single.juror_ids
+            assert engine.stats.frontier_builds == pool.stats.frontier_builds == step + 1
+            planned = execute_plan(plan_query(pool=pool.snapshot(), model="altr"))
+            assert outcome.result.jer == planned.jer
+            assert outcome.result.juror_ids == planned.juror_ids
 
-        assert pool.stats.frontier_repairs > 0  # the frontier's delta path engaged
+            # Frontier: the one it built agrees with a linear
+            # best_odd_prefix scan of the reference profile.
+            frontier, mode = pool.answer_frontier()
+            assert mode == "cached" and frontier.version == pool.version
+            assert frontier.probe(None)[:2] == best_odd_prefix(ref_ns, ref_jers)
+
+        assert engine.stats.frontier_hits == 0
 
     @given(
         initial=st.dictionaries(_TIE_IDS, st.tuples(_TIE_RATES, _TIE_REQS), max_size=6),
@@ -501,8 +505,8 @@ class TestEngineIntegration:
 
 class TestCacheInvalidation:
     """A LivePool mutation must never serve a stale answer: the version bump
-    leaves the pool's frontier behind, and the next select repairs or
-    rebuilds it from a sweep of the new version."""
+    leaves the pool's frontier behind, and the next select builds one from a
+    sweep of the new version."""
 
     def test_mutation_never_serves_stale_profile(self, rng):
         registry = PoolRegistry()
@@ -527,8 +531,8 @@ class TestCacheInvalidation:
 
     def test_identical_readd_answers_like_the_baseline(self, rng):
         """A remove then an identical re-add is two new versions, each
-        answered by repairing the pool's own frontier (no content-addressed
-        revert hit), and the restored content answers like the baseline."""
+        answered by building its own frontier (no content-addressed revert
+        hit), and the restored content answers like the baseline."""
         registry = PoolRegistry()
         pool = registry.create(
             "P", jurors_from_arrays([0.1, 0.2, 0.2, 0.3, 0.3, 0.4, 0.4])
@@ -543,8 +547,12 @@ class TestCacheInvalidation:
         restored = engine.run([SelectionQuery(task_id="c", pool_name="P")])[0]
         assert restored.result.jer == baseline.result.jer
         assert restored.result.juror_ids == baseline.result.juror_ids
+        planned = execute_plan(plan_query(pool=pool.snapshot(), model="altr"))
+        assert (restored.result.jer, restored.result.juror_ids) == (
+            planned.jer, planned.juror_ids,
+        )
         stats = engine.stats
-        assert (stats.frontier_builds, stats.frontier_repairs, stats.frontier_hits) == (1, 2, 0)
+        assert (stats.frontier_builds, stats.frontier_hits) == (3, 0)
         assert pool.version == 2
 
     def test_explicit_invalidation_of_dropped_pool(self, rng):
