@@ -6,11 +6,10 @@ sessions, sockets), each submitting single requests — and answering those
 one by one forfeits the batch shape the engine is built for: the
 vectorized 2-D sweep kernel stacks same-sized inline pools of one batch
 into one call.  That pays on small pools: on native kernels on a 2-CPU
-x86-64 host (five sittings, whose speed varied by 1.7x), a 121-candidate
-sweep took 27–48 µs alone, 17–34 µs per pool stacked two deep and
-10–19 µs per pool stacked eight deep, while a 1,001-candidate sweep took
-1.2–1.8 ms alone and about as long per pool stacked, a saving of a tenth
-at most.
+x86-64 host (AVX-512, five sittings, whose speed varied by 1.7x), a
+121-candidate sweep took 22–38 µs alone, 13–21 µs per pool stacked two
+deep and 5–8 µs per pool stacked eight deep, while a 1,001-candidate
+sweep took 0.32–0.43 ms alone and about as long per pool stacked.
 
 :class:`AsyncJuryService` recovers the batch shape from concurrent traffic:
 

@@ -405,9 +405,16 @@ class HttpServer:
             if not line:
                 return None  # disconnect inside headers
             name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
+            # RFC 9112 §5.1: no whitespace in or around a field name, so a
+            # proxy and this server cannot read different names.
+            if not sep or name.split() != [name]:
                 raise bad(f"malformed header line {line!r}")
-            headers[name.strip().lower()] = value.strip()
+            name = name.lower()
+            # RFC 9112 §6.3: a second length could frame the body differently
+            # for a proxy that reads the first one (request smuggling).
+            if name == "content-length" and name in headers:
+                raise bad("repeated Content-Length")
+            headers[name] = value.strip()
         else:
             raise bad("too many header lines", status=431)
         if "transfer-encoding" in headers:

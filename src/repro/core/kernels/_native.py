@@ -19,7 +19,14 @@ the scalar oracles.  Two things make that achievable in C:
    reference performs (``x*(1-e)`` rounded, ``y*e`` rounded, sum
    rounded).  Compiling with ``-ffp-contract=off`` (and never
    ``-ffast-math``) forbids FMA contraction and reassociation, so each
-   C expression rounds exactly like the NumPy ufunc chain.
+   C expression rounds exactly like the NumPy ufunc chain.  That holds
+   at ``-O3`` and in every vector lane: the sweep's factor fold writes
+   one buffer from another (so it vectorises), and on x86-64 glibc it is
+   compiled as ``target_clones("avx512f", "avx2", "default")``, the
+   loader picking the clone for the CPU.  Each lane rounds the same
+   multiply, multiply and add, and nothing is reassociated, so every
+   clone gives the scalar loop's bits (a clone built with contraction
+   allowed fuses into FMA, and the self-check refuses it).
 
 2. **Pairwise tail summation.**  ``np.sum`` is not sequential — it uses
    pairwise (cascade) summation with an 8-way unrolled base case.
@@ -62,8 +69,10 @@ def _read_source() -> str:
     return _C_SOURCE_PATH.read_text(encoding="utf-8")
 
 # No -ffast-math ever; -ffp-contract=off forbids FMA fusing multiply-adds
-# so every C expression rounds exactly like the NumPy ufunc sequence.
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# so every C expression rounds exactly like the NumPy ufunc sequence.  No
+# -march=native either: the fold's clones already use the CPU's vectors,
+# and a library built for one CPU could be loaded from a cache on another.
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 # Array arguments travel as bare addresses (``ndarray.ctypes.data``): a
 # typed pointer object per array per call costs more than some whole
@@ -182,7 +191,7 @@ class NativeBackend:
         eps = np.ascontiguousarray(eps, dtype=np.float64)
         b, n = eps.shape
         jers = np.empty((b, (n + 1) // 2), dtype=np.float64)
-        work = np.empty(n + 1, dtype=np.float64)
+        work = np.empty(2 * (n + 2), dtype=np.float64)
         self._lib.k_sweep(eps.ctypes.data, b, n, jers.ctypes.data, work.ctypes.data)
         return jers
 

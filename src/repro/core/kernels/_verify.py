@@ -3,14 +3,17 @@
 A compiled backend is only activated after every entry point reproduces
 the reference **bitwise** on a battery that crosses each algorithmic
 boundary (pairwise-summation base case at 8, unroll block at 128, the
-recursive split, multi-admission PayALG scans, and branch-and-bound
-searches crossing every pruning and tie-break rule).  The C helpers the
-scan and the search share (the single-factor extension, the factor fold)
-are checked through those batteries and, for the fold, on its own.  A
-backend that differs in even one bit on this host is refused, the first
-divergence is recorded as its unavailability reason, and dispatch
-degrades to the reference backend — so the repo's bit-identity invariant
-never depends on compiler or libm behaviour we did not verify.
+recursive split, the 4- and 8-lane remainders of the vectorised sweep
+fold, pmf entries in the subnormal range, multi-admission PayALG scans,
+and branch-and-bound searches crossing every pruning and tie-break rule).
+It checks the sweep-fold clone this CPU runs; the tests check each clone.
+The C helpers the scan and the search share (the single-factor extension,
+the factor fold) are checked through those batteries and, for the fold,
+on its own.  A backend that differs in even one bit on this host is
+refused, the first divergence is recorded as its unavailability reason,
+and dispatch degrades to the reference backend — so the repo's
+bit-identity invariant never depends on compiler or libm behaviour we did
+not verify.
 
 The battery is deterministic (fixed seed) and cheap (tens of ms), so it runs
 on every activation rather than being cached: a changed compiler or
@@ -33,7 +36,31 @@ _PAIRWISE_SIZES = (
     0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65, 127, 128, 129,
     255, 256, 257, 511, 512, 513, 1000, 1001, 1024, 2047, 4096,
 )
-_SWEEP_SHAPES = ((1, 1), (2, 3), (3, 7), (2, 65), (1, 129), (2, 130), (1, 515))
+#: ``(b, n, low, high)``: a sweep of ``b`` rows of ``n`` error rates drawn
+#: from ``[low, high)``.  The widths cross the pairwise regimes and the 4-
+#: and 8-lane remainders of the vectorised fold (8, 9, 16, 17).  The last
+#: row's error rates are small enough that its pmf entries pass through
+#: the subnormal range (below 2.2e-308), where a fold that flushed them to
+#: zero changes a few JERs; no full-range row goes below it.
+_SWEEP_ROWS = (
+    (1, 1, 1e-6, 1.0 - 1e-6),
+    (2, 3, 1e-6, 1.0 - 1e-6),
+    (3, 7, 1e-6, 1.0 - 1e-6),
+    (1, 8, 1e-6, 1.0 - 1e-6),
+    (2, 9, 1e-6, 1.0 - 1e-6),
+    (1, 16, 1e-6, 1.0 - 1e-6),
+    (3, 17, 1e-6, 1.0 - 1e-6),
+    (2, 65, 1e-6, 1.0 - 1e-6),
+    (1, 129, 1e-6, 1.0 - 1e-6),
+    (2, 130, 1e-6, 1.0 - 1e-6),
+    (1, 515, 1e-6, 1.0 - 1e-6),
+    (1, 129, 1e-6, 1e-5),
+)
+#: Error-rate scales from near 0 to near 1.  Sorted rows that mix them are
+#: the shape a live pool sweeps (Lemma 3 order), and the shape where the
+#: rounding of pmf entry 0 reaches a JER: a fold that rounds it as
+#: ``in[0] - in[0] * e`` passes every unsorted row above.
+_SWEEP_SCALES = ((1e-6, 1e-5), (1e-4, 1e-3), (0.3, 0.5), (0.47, 0.499), (0.999, 1.0 - 1e-6))
 #: ``k_convolve`` is ``bb_search``'s bound fold.  The B&B battery alone
 #: lets some broken folds through (a reversed fold order, an error rate
 #: one ulp off), so the fold is also held to the reference directly.
@@ -200,9 +227,15 @@ def verify_backend(backend) -> None:
         actual = np.float64(backend.pairwise(values))
         _require_identical(f"pairwise(n={size})", expected, actual)
 
-    for b, n in _SWEEP_SHAPES:
-        eps = rng.uniform(1e-6, 1.0 - 1e-6, size=(b, n))
-        _require_identical(f"sweep{(b, n)}", ref.sweep(eps), backend.sweep(eps))
+    for b, n, low, high in _SWEEP_ROWS:
+        eps = rng.uniform(low, high, size=(b, n))
+        _require_identical(
+            f"sweep({b}, {n}, [{low:g}, {high:g}))", ref.sweep(eps), backend.sweep(eps)
+        )
+    lows, highs = np.array(_SWEEP_SCALES).T
+    scale = rng.integers(len(_SWEEP_SCALES), size=(2, 65))
+    eps = np.sort(rng.uniform(lows[scale], highs[scale]), axis=1)
+    _require_identical("sweep(2, 65) sorted scale mix", ref.sweep(eps), backend.sweep(eps))
 
     for n, k in _CONVOLVE_SHAPES:
         base = rng.dirichlet(np.ones(n))

@@ -7,10 +7,13 @@
  *
  * Bit-identity discipline: every recurrence is written as the same
  * sequence of individually-rounded multiplies and adds the NumPy
- * reference performs, and the build uses -ffp-contract=off (never
+ * reference performs, and the build uses -O3 -ffp-contract=off (never
  * -ffast-math) so no FMA contraction or reassociation changes rounding.
- * The activation self-check compares every entry point bitwise against
- * the NumPy reference before the backend is allowed to serve.
+ * The sweep's fold runs from one buffer into another, so it vectorises,
+ * and on x86-64 glibc it is cloned for AVX-512F, AVX2 and the baseline
+ * ISA (see fold_into).  The activation self-check compares every entry
+ * point bitwise against the NumPy reference before the backend is
+ * allowed to serve.
  */
 #include <math.h>
 #include <stdint.h>
@@ -59,7 +62,7 @@ double k_pairwise(const double *a, int64_t n)
  * Descending update reads only pre-update values, matching the NumPy
  * whole-slice assignment; entry top+1 is zero beforehand so the new top
  * entry rounds as pmf[top]*e exactly (0*(1-e) + x*e == x*e bitwise for
- * finite x >= 0). */
+ * finite x >= 0).  k_convolve's fold; the sweep folds with fold_into. */
 static void fold_factor(double *pmf, int64_t top, double e)
 {
     double c = 1.0 - e;
@@ -68,22 +71,56 @@ static void fold_factor(double *pmf, int64_t top, double e)
     pmf[0] = pmf[0] * c;
 }
 
+/* The sweep's fold is cloned per vector ISA where the toolchain can pick
+ * a clone at load time (GNU ifunc: x86-64 glibc).  Each lane rounds the
+ * same multiply, multiply and add as the scalar loop, and
+ * -ffp-contract=off holds in every clone, so the bits do not depend on
+ * the clone the CPU gets; the activation self-check verifies the one it
+ * got. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define FOLD_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef FOLD_CLONES
+#define FOLD_CLONES
+#endif
+
+/* Two-buffer factor fold: out[0..top+1] is in[0..top] with one factor e.
+ * in[top+1] is zero, so the new top entry rounds as in[top]*e exactly, as
+ * in fold_factor; the buffers do not overlap, so the loop vectorises. */
+FOLD_CLONES
+static void fold_into(const double *restrict in, double *restrict out,
+                      int64_t top, double e)
+{
+    double c = 1.0 - e;
+    out[0] = in[0] * c;
+    for (int64_t j = 1; j <= top + 1; j++)
+        out[j] = in[j] * c + in[j - 1] * e;
+}
+
 /* Odd-prefix JER sweep.  eps: (b, n) row-major; jers: (b, (n+1)/2);
- * work: n+1 scratch doubles. */
+ * work: 2*(n+2) scratch doubles, two pmf buffers that swap after each
+ * factor.  Zeroed per row: entry top+1 of the buffer read at step top
+ * has never been written. */
 void k_sweep(const double *eps, int64_t b, int64_t n, double *jers,
              double *work)
 {
     int64_t kcols = (n + 1) / 2;
     for (int64_t r = 0; r < b; r++) {
         const double *row = eps + r * n;
-        memset(work, 0, (size_t)(n + 1) * sizeof(double));
-        work[0] = 1.0;
+        double *in = work, *out = work + (n + 2);
+        memset(work, 0, (size_t)(2 * (n + 2)) * sizeof(double));
+        in[0] = 1.0;
         for (int64_t idx = 0; idx < n; idx++) {
-            fold_factor(work, idx, row[idx]);
+            fold_into(in, out, idx, row[idx]);
+            double *folded = out;
+            out = in;
+            in = folded;
             if ((idx & 1) == 0) {
                 int64_t m = idx + 1;            /* prefix length, odd */
                 int64_t th = (m + 1) / 2;       /* majority threshold */
-                double t = pairwise_sum(work + th, m + 1 - th);
+                double t = pairwise_sum(in + th, m + 1 - th);
                 jers[r * kcols + idx / 2] = clip01(t);
             }
         }

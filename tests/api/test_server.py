@@ -438,6 +438,47 @@ class TestErrorBodies:
         self._assert_error(body, "bad-request")
         assert body["error"]["message"] == "invalid Content-Length"
 
+    #: A select the server answers 200 when its head is well framed (sent
+    #: with ``Connection: close``, so even a 200 ends the exchange).
+    SELECT = json.dumps(
+        {"v": 1, "task": "t", "candidates": [{"id": "a", "error_rate": 0.1}]}
+    ).encode()
+
+    @pytest.mark.parametrize("first", [b"3", b"%d"])
+    def test_repeated_content_length_is_400(self, first):
+        """A proxy that reads the first length frames the stream differently
+        from one that reads the last (RFC 9112 §6.3): no value may win, not
+        even a repeat of the same one."""
+        length = b"%d" % len(self.SELECT)
+        status, reply = _raw_exchange(
+            b"POST /v1/select HTTP/1.1\r\nConnection: close\r\nContent-Length: "
+            + first.replace(b"%d", length)
+            + b"\r\nContent-Length: "
+            + length
+            + b"\r\n\r\n"
+            + self.SELECT
+        )
+        assert status == 400
+        self._assert_error(reply, "bad-request")
+        assert reply["error"]["message"] == "repeated Content-Length"
+
+    @pytest.mark.parametrize(
+        "name",
+        [b"Content-Length ", b"Content-Length\t", b" Content-Length", b"Content Length", b""],
+    )
+    def test_field_name_with_whitespace_or_empty_is_400(self, name):
+        """RFC 9112 §5.1: whitespace in or around a field name is refused,
+        not trimmed into a name that another parser would not read."""
+        status, reply = _raw_exchange(
+            b"POST /v1/select HTTP/1.1\r\nConnection: close\r\n"
+            + name
+            + b": %d\r\nContent-Length: %d\r\n\r\n" % (len(self.SELECT), len(self.SELECT))
+            + self.SELECT
+        )
+        assert status == 400
+        self._assert_error(reply, "bad-request")
+        assert reply["error"]["message"].startswith("malformed header line")
+
     def test_over_long_header_line_is_431(self):
         """A header line past the 64 KiB stream limit is answered, not
         dropped with an unhandled error in the connection task."""

@@ -14,12 +14,14 @@ looser assertion here.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.jer import extend_pmf, prefix_jer_profile
 from repro.core.juror import Juror
 from repro.core.kernels._reference import NumpyBackend
-from repro.core.kernels._verify import _reference_pay_scan
+from repro.core.kernels._verify import _SWEEP_SCALES, _reference_pay_scan
 from repro.core.selection.altr import select_jury_altr
 from repro.core.selection.exact import select_jury_optimal
 from repro.core.selection.pay import run_pay_greedy
@@ -63,6 +65,21 @@ def _fingerprint(result) -> tuple:
     )
 
 
+@st.composite
+def sweep_rows(draw) -> np.ndarray:
+    """1-3 rows of 1-260 error rates (every width mod 8), drawn from a mix
+    of the self-check's scales, tiny through near 1; sorted or not."""
+    b = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 260))
+    mask = draw(st.integers(1, 2 ** len(_SWEEP_SCALES) - 1))  # a non-empty mix
+    scales = [scale for i, scale in enumerate(_SWEEP_SCALES) if mask >> i & 1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lows, highs = np.array(scales).T
+    pick = rng.integers(len(scales), size=(b, n))
+    eps = rng.uniform(lows[pick], highs[pick])
+    return np.sort(eps, axis=1) if draw(st.booleans()) else eps
+
+
 def test_equivalence_contract_is_bit_identity():
     assert KERNEL_EQUIVALENCE_ULPS == 0
 
@@ -74,6 +91,16 @@ class TestNativeMatchesReference:
         for batch, pool in SWEEP_SHAPES:
             eps = rng.uniform(0.01, 0.6, size=(batch, pool))
             assert _bits(REFERENCE.sweep(eps)) == _bits(native.sweep(eps)), (batch, pool)
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(eps=sweep_rows())
+    def test_sweep_on_mixed_scales(self, native, eps):
+        """Subnormal tails, near-1 rates and every vector remainder."""
+        assert _bits(REFERENCE.sweep(eps)) == _bits(native.sweep(eps)), eps.shape
 
     def test_convolve(self, native, rng):
         """The binding nothing dispatches: the self-check's hook on the fold
