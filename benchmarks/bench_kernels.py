@@ -16,6 +16,11 @@ pool sizes the paper's experiments run at (~1,000 candidates):
   replicates: the paper-shaped N = 22 instance (paper Section 5.1.2) and,
   in full mode, a 40-candidate instance with the ROADMAP's 96-candidate
   shape (error rates 0.3-0.49, budget 0.2 per candidate).
+* **float_reprs** — the number printer behind every answer's members text
+  (not a dispatched kernel), checked text for text against
+  ``float.__repr__`` on the self-check's battery with 100,000 seeded random
+  bit patterns (plus, in full mode, a million), and timed per number on
+  the numbers of 57-member answers.
 
 Each workload calls the NumPy reference backend object (for ``bb_search``,
 the Python search) and the native backend object directly and verifies the
@@ -54,6 +59,7 @@ from repro.core.juror import jurors_from_arrays  # noqa: E402
 from repro.core.kernels._verify import (  # noqa: E402
     _reference_bb_search,
     _reference_pay_scan,
+    repr_battery,
 )
 from repro.core.selection.exact import _id_ranks  # noqa: E402
 from repro.plan import CandidatePool  # noqa: E402
@@ -178,6 +184,35 @@ def bench_bb_search(instance, repeats: int, native) -> dict:
     }
 
 
+def bench_float_reprs(rng, patterns: int, repeats: int, native) -> dict:
+    """The printer on the battery, then timed on answer-shaped numbers."""
+    battery = repr_battery(patterns, seed=BENCH_SEED)
+    # The neighbours of the two form switches, 64 ulps each way.
+    for edge in (1e-4, 1e16):
+        steps = np.arange(-64, 65, dtype=np.int64)
+        battery = np.concatenate(
+            [battery, (np.float64(edge).view(np.int64) + steps).view(np.float64)]
+        )
+    identical = native.float_reprs(battery) == list(map(float.__repr__, battery.tolist()))
+    # 57 members' error rates and requirements, as one answer prints them.
+    numbers = np.concatenate([rng.uniform(0.05, 0.6, 57), rng.uniform(0.0, 1.0, 57)])
+    as_list = numbers.tolist()
+    numpy_seconds = _best_of(lambda: list(map(float.__repr__, as_list)), repeats)
+    compiled_seconds = _best_of(lambda: native.float_reprs(numbers), repeats)
+    return {
+        "kernel": "float_reprs",
+        "backend": native.name,
+        "checked_values": int(battery.size),
+        "numbers": int(numbers.size),
+        "numpy_seconds": numpy_seconds,
+        "compiled_seconds": compiled_seconds,
+        "repr_ns_per_number": numpy_seconds / numbers.size * 1e9,
+        "native_ns_per_number": compiled_seconds / numbers.size * 1e9,
+        "speedup": numpy_seconds / compiled_seconds,
+        "verified_identical": identical,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -220,11 +255,13 @@ def main(argv=None) -> int:
             instances.append(_weak_pool(40))
         for instance in instances:
             rows.append(bench_bb_search(instance, repeats, native))
+        patterns = 100_000 if args.smoke else 1_000_000
+        rows.append(bench_float_reprs(rng, patterns, max(repeats, 200), native))
 
     for row in rows:
         shape = ", ".join(
             f"{k}={row[k]}"
-            for k in ("instance", "batch", "pool_size")
+            for k in ("instance", "batch", "pool_size", "checked_values")
             if k in row
         )
         verdict = "identical" if row["verified_identical"] else "DIVERGED"

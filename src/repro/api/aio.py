@@ -27,7 +27,10 @@ sweep took 0.32–0.43 ms alone and about as long per pool stacked.
   takes up to ``max_batch`` queued requests and answers them with **one**
   :meth:`JuryService.select_many` call, off-loaded to a worker thread via
   :func:`asyncio.to_thread` so the event loop keeps accepting clients while
-  the engine computes.  ``select_many()`` enqueues all its requests before
+  the engine computes.  There the batch's inline AltrM requests share one
+  engine pass that sweeps same-sized pools stacked and encodes each answer
+  from its sorted columns, with its numbers printed natively; PayM and
+  exact requests share one plan pass.  ``select_many()`` enqueues all its requests before
   the drainer runs, so they form batches, none answered on the spot.
 * A queued batch in which every request is a ready frontier hit runs on
   the event loop itself: each answer is a probe and a lookup, cheaper than

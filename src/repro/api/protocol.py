@@ -21,23 +21,33 @@ payloads raise :class:`~repro.errors.ProtocolError` whose message carries
 the caller-supplied ``where`` (``file:line``) and whose ``detail`` mapping
 preserves the position machine-readably (field name, array index), so
 transports never re-implement their own parsers.
+
+:meth:`SelectionResponse.to_json` writes the text ``json.dumps(to_dict())``
+would write, without the dicts: every AltrM answer (named or inline)
+carries text its pool's :class:`AltrAnswers` made from Lemma 3 columns,
+other answers have their members written by :func:`member_texts`, and both
+print the members' numbers with :func:`repro.core.kernels.float_reprs`,
+one native call per answer.  An answer whose ``total_cost`` overflows is an
+``invalid-requirement`` error (:func:`wire_total_cost`): JSON has no
+``Infinity``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.api.codes import error_code
+from repro.core.kernels import float_reprs
 from repro.core.juror import Juror, JurorColumns
 from repro.core.selection.base import SelectionResult
-from repro.errors import ProtocolError
+from repro.errors import InvalidRequirementError, ProtocolError
 from repro.plan import normalize_model
 
 __all__ = [
@@ -140,21 +150,49 @@ def _encode_juror(juror: Juror) -> dict:
     }
 
 
-def _member_json(juror_id: str, error_rate: float, requirement: float) -> str:
-    """``json.dumps`` of one member's wire object, made with the calls it
-    makes for these values, so the text is byte-identical."""
-    return (
-        f'{{"id": {encode_basestring_ascii(juror_id)}, '
-        f'"error_rate": {float.__repr__(error_rate)}, '
-        f'"requirement": {float.__repr__(requirement)}}}'
-    )
+def member_texts(ids, eps, reqs) -> list[str]:
+    """Each member's wire object as ``json.dumps`` writes it, from columns.
+
+    ``ids``, ``eps`` and ``reqs`` are the members' ids, error rates and
+    requirements (validated, so finite).  Ids go through
+    ``encode_basestring_ascii`` and the numbers through
+    :func:`~repro.core.kernels.float_reprs`, the calls ``json.dumps`` makes
+    for them, all of the numbers in one native call where native is active,
+    so the text is byte-identical.
+    """
+    numbers = float_reprs(np.concatenate((eps, reqs)))
+    return [
+        f'{{"id": {encode_basestring_ascii(juror_id)}, "error_rate": {error_rate}, '
+        f'"requirement": {requirement}}}'
+        for juror_id, error_rate, requirement in zip(ids, numbers, numbers[len(ids):])
+    ]
+
+
+def wire_total_cost(requirements: np.ndarray) -> float:
+    """The members' ``total_cost`` as an answer carries it on the wire.
+
+    The requirements are summed pairwise, as ``Jury.total_cost`` sums them,
+    so the bits match.  A sum that overflows to infinity, which JSON cannot
+    carry, raises :class:`~repro.errors.InvalidRequirementError` (wire code
+    ``invalid-requirement``) instead.
+    """
+    with np.errstate(over="ignore"):
+        total = float(requirements.sum())
+    if math.isinf(total):
+        raise InvalidRequirementError(
+            f"total_cost overflows: the requirements of the {requirements.size} "
+            "selected members sum past the largest finite float"
+        )
+    return total
 
 
 class AltrAnswer(NamedTuple):
-    """A named pool's AltrM answer of one version and size, with its text.
+    """An AltrM answer of one pool (a named pool's version, or an inline
+    pool) and size, with its text.
 
     ``text`` is exactly what ``json.dumps(to_dict())`` writes for the answer
-    between ``"status": "ok", `` and ``, "pool_version"``.
+    between ``"status": "ok", `` and the ``pool_version`` or ``timings``
+    that follow it.
     """
 
     jer: float
@@ -168,23 +206,23 @@ _KEPT_ANSWERS = 8
 
 
 class AltrAnswers:
-    """One live pool version's AltrM answers, encoded on demand.
+    """One pool's AltrM answers, encoded on demand: a live pool version's,
+    or an inline pool's.
 
     By Lemma 3 the ``size``-member answer is the first ``size`` rows of the
-    version's ``columns``, so every answer's members text is a prefix of one
-    string, kept for the longest answer so far with each member's end
-    offset.  Whole answers are kept for the last ``_KEPT_ANSWERS`` sizes
+    pool's ``columns``, so every answer's members are a prefix of one list
+    of member texts (:func:`member_texts`), kept for the longest answer so
+    far.  Whole answers are kept for the last ``_KEPT_ANSWERS`` sizes
     only, so memory stays linear in the pool whatever sizes a client
-    sweeps.  ``total_cost`` sums the requirement column pairwise, as
-    ``Jury.total_cost`` does, so the bits match.
+    sweeps.  ``total_cost`` is :func:`wire_total_cost` of the members, so an
+    answer whose cost overflows raises instead of being kept.
     """
 
-    __slots__ = ("_columns", "_members", "_ends", "_kept")
+    __slots__ = ("_columns", "_members", "_kept")
 
     def __init__(self, columns: JurorColumns) -> None:
         self._columns = columns
-        self._members = ""  # each member's JSON followed by ", "
-        self._ends = [0]  # the offset past each member's ", "
+        self._members: list[str] = []  # the first rows' texts
         self._kept: dict[int, AltrAnswer] = {}
 
     def __call__(self, size: int, jer: float) -> AltrAnswer:
@@ -196,19 +234,16 @@ class AltrAnswers:
         return answer
 
     def _answer(self, size: int, jer: float) -> AltrAnswer:
-        columns, ends = self._columns, self._ends
-        if size >= len(ends):
-            done = len(ends) - 1
-            fragments = list(map(_member_json, columns.ids[done:size],
-                                 columns.eps[done:size].tolist(),
-                                 columns.reqs[done:size].tolist()))
-            self._members += ", ".join(fragments) + ", "
-            # The last offset is where the new members start: it stays.
-            ends[-1:] = accumulate((len(f) + 2 for f in fragments), initial=ends[-1])
-        total_cost = float(columns.reqs[:size].sum())
+        columns, members = self._columns, self._members
+        total_cost = wire_total_cost(columns.reqs[:size])
+        done = len(members)
+        if size > done:
+            members += member_texts(
+                columns.ids[done:size], columns.eps[done:size], columns.reqs[done:size]
+            )
         head = json.dumps({"model": "AltrM", "algorithm": "AltrALG", "jer": jer,
                            "size": size, "total_cost": total_cost, "budget": None})
-        text = f'{head[1:-1]}, "members": [{self._members[: ends[size] - 2]}]'
+        text = f'{head[1:-1]}, "members": [{", ".join(members[:size])}]'
         rows = JurorColumns(columns.ids[:size], columns.eps[:size], columns.reqs[:size])
         return AltrAnswer(jer, rows, total_cost, text)
 
@@ -559,10 +594,11 @@ class SelectionResponse:
         task_id: str,
         answer: AltrAnswer,
         *,
-        pool_version: int,
+        pool_version: int | None = None,
         elapsed_seconds: float = 0.0,
     ) -> "SelectionResponse":
-        """Wrap a named pool's encoded AltrM answer (:class:`AltrAnswers`).
+        """Wrap an encoded AltrM answer (:class:`AltrAnswers`): a named
+        pool's, with its version, or an inline pool's, with none.
 
         The response carries the answer's wire text, which :meth:`to_json`
         writes instead of encoding the fields again.  The text is not a
@@ -677,17 +713,22 @@ class SelectionResponse:
         """The wire form as JSON text: exactly ``json.dumps(self.to_dict())``.
 
         A response made by :meth:`from_answer` writes the answer text its
-        live pool's encoder sliced, between the task and the version.
-        Otherwise the envelope goes through ``json.dumps``, and each member
-        through :func:`_member_json`, which makes the calls ``json.dumps``
-        would make for it without building its dict.
+        pool's encoder made, after the task, and the version only when the
+        answer has one, as ``json.dumps`` does.  Otherwise the envelope goes
+        through ``json.dumps``, and the members through :func:`member_texts`,
+        which makes the calls ``json.dumps`` would make for them without
+        building their dicts.
         """
         text = self.__dict__.get("_text")
         if text is not None:
+            version = (
+                "" if self.pool_version is None
+                else f'"pool_version": {self.pool_version}, '
+            )
             return (
                 f'{{"v": {PROTOCOL_VERSION}, '
                 f'"task": {encode_basestring_ascii(self.task_id)}, '
-                f'"status": "ok", {text}, "pool_version": {self.pool_version}, '
+                f'"status": "ok", {text}, {version}'
                 f'"timings": {{"elapsed_seconds": '
                 f"{float.__repr__(self.elapsed_seconds)}}}}}"
             )
@@ -695,7 +736,11 @@ class SelectionResponse:
         if members is None:
             head.update(tail)
             return json.dumps(head)
-        body = ", ".join(_member_json(j.juror_id, j.error_rate, j.requirement) for j in members)
+        body = ", ".join(member_texts(
+            [j.juror_id for j in members],
+            [j.error_rate for j in members],
+            [j.requirement for j in members],
+        ))
         return f'{json.dumps(head)[:-1]}, "members": [{body}], {json.dumps(tail)[1:]}'
 
     @classmethod

@@ -29,10 +29,11 @@ from repro.api.protocol import (
     PROTOCOL_VERSION,
     SelectionRequest,
     SelectionResponse,
+    wire_total_cost,
 )
 from repro.core import kernels
 from repro.core.juror import Juror
-from repro.errors import InvalidJuryError, ReproError
+from repro.errors import InvalidJuryError, InvalidRequirementError, ReproError
 from repro.plan import planner_cache_info
 from repro.service.batch import BatchSelectionEngine, SelectionQuery
 from repro.service.registry import LivePool, PoolRegistry
@@ -49,6 +50,11 @@ def _data_dir_from_env() -> str | None:
 def _named_altr(request: SelectionRequest) -> bool:
     """Whether a request is a non-explain AltrM select of a named pool."""
     return not request.explain and request.model == "altr" and request.pool is not None
+
+
+def _inline_altr(request: SelectionRequest) -> bool:
+    """Whether a request is a non-explain AltrM select of inline candidates."""
+    return not request.explain and request.model == "altr" and request.candidates is not None
 
 
 class JuryService:
@@ -231,22 +237,27 @@ class JuryService:
     ) -> list[SelectionResponse]:
         """Answer a batch of requests, in input order.
 
-        A non-explain AltrM select of a named pool is answered from its
-        live pool alone (:meth:`BatchSelectionEngine.answer_named`): a probe
+        A non-explain AltrM select is answered from Lemma 3 columns alone,
+        with no query, plan, jury, result or juror: over a named pool from
+        its live pool (:meth:`BatchSelectionEngine.answer_named`: a probe
         of the version's answer frontier, built first if the version is new,
         and the answer's wire text, which the pool's encoder keeps for its
-        version.  No query, plan, snapshot, jury, result or juror is built
-        for it.  The other non-explain requests run through one
-        :meth:`BatchSelectionEngine.run` pass, so shared and same-sized
-        pools are swept together by the vectorized 2-D kernel; explain
-        requests are planned without executing.  Each response carries the
-        referenced pool's version at dispatch time; a pool that cannot be
-        resolved (say, one whose lazy recovery fails) fails only the
-        requests that name it.
+        version); over inline candidates from one
+        :meth:`BatchSelectionEngine.answer_altr` pass for all of them, which
+        sweeps same-sized pools together with the vectorized 2-D kernel and
+        encodes each answer from its sorted columns.  PayM and exact
+        requests run through one :meth:`BatchSelectionEngine.run` pass;
+        explain requests are planned without executing.  Each response
+        carries the referenced pool's version at dispatch time; a pool that
+        cannot be resolved (say, one whose lazy recovery fails) fails only
+        the requests that name it.  An answer whose ``total_cost``
+        overflows to infinity, which JSON cannot carry, is an
+        ``invalid-requirement`` error.
         """
         batch = list(requests)
         responses: list[SelectionResponse | None] = [None] * len(batch)
         versions: list[int | None] = [None] * len(batch)
+        inline: list[int] = []
         queries: list[SelectionQuery] = []
         positions: list[int] = []
         for index, request in enumerate(batch):
@@ -255,6 +266,9 @@ class JuryService:
                 continue
             if _named_altr(request):
                 responses[index] = self._answer_named(request)
+                continue
+            if _inline_altr(request):
+                inline.append(index)
                 continue
             try:
                 versions[index] = self._pool_version(request)
@@ -265,21 +279,40 @@ class JuryService:
                 )
                 continue
             positions.append(index)
+        if inline:
+            answers = self._engine.answer_altr(
+                [(batch[i].candidates, batch[i].budget, batch[i].max_size) for i in inline],
+                encoder=AltrAnswers,
+            )
+            for index, answer in zip(inline, answers):
+                task_id = batch[index].task_id
+                if isinstance(answer, Exception):
+                    responses[index] = SelectionResponse.from_error(
+                        task_id, ErrorInfo.from_exception(answer)
+                    )
+                else:
+                    responses[index] = SelectionResponse.from_answer(
+                        task_id, answer.encoded, elapsed_seconds=answer.elapsed_seconds
+                    )
         outcomes = self._engine.run(queries) if queries else []
         for index, outcome in zip(positions, outcomes):
-            if outcome.ok:
-                responses[index] = SelectionResponse.from_result(
-                    outcome.task_id,
-                    outcome.result,
-                    elapsed_seconds=outcome.elapsed_seconds,
-                    pool_version=versions[index],
-                )
-            else:
+            error = outcome.error_info
+            if error is None:
+                try:
+                    wire_total_cost(outcome.result.jury.requirements)
+                except InvalidRequirementError as exc:
+                    error = ErrorInfo.from_exception(exc)
+            if error is not None:
                 responses[index] = SelectionResponse.from_error(
-                    outcome.task_id,
-                    outcome.error_info,
-                    elapsed_seconds=outcome.elapsed_seconds,
+                    outcome.task_id, error, elapsed_seconds=outcome.elapsed_seconds
                 )
+                continue
+            responses[index] = SelectionResponse.from_result(
+                outcome.task_id,
+                outcome.result,
+                elapsed_seconds=outcome.elapsed_seconds,
+                pool_version=versions[index],
+            )
         return responses  # type: ignore[return-value]
 
     def _answer_named(self, request: SelectionRequest) -> SelectionResponse:
@@ -418,13 +451,15 @@ class JuryService:
         everything here is a plain counter read, and the pool listing is a
         best-effort snapshot (a pool created or dropped mid-read may be
         missed — liveness probes must never block on the engine).  The
-        blocks: ``cache``, frozen-pool AltrM profiles reused (``hits``) or
-        swept (``misses``) within an engine pass; ``planner``, the planner's
-        memoised operator choice; ``frontier``, named-pool AltrM selects
-        answered from a frontier already built for their version (``hits``)
-        or by building it (``misses``, equal to ``builds``: each version's
-        first select builds its frontier whole); and ``engine``, its work
-        counters.  The ``kernels`` block reports the compiled-kernel registry
+        blocks: ``cache``, inline and frozen-pool AltrM sweep rows reused by
+        a later query holding the same pool object (``hits``) or swept
+        (``misses``) within an engine pass; ``planner``, the planner's
+        memoised operator choice (PayM, exact and explain requests);
+        ``frontier``, named-pool AltrM selects answered from a frontier
+        already built for their version (``hits``) or by building it
+        (``builds``: each version's first select builds its frontier
+        whole); and ``engine``, its work counters.  The ``kernels`` block
+        reports the compiled-kernel registry
         (:func:`repro.core.kernels.stats_snapshot`): the active backend
         (every kernel call runs on it), per-kernel dispatch counters of
         served calls only, and availability (with the reason native is
@@ -452,14 +487,12 @@ class JuryService:
             pools[name] = {"version": pool.version, "size": pool.size}
         planner_info = planner_cache_info()
         counters = self._engine.stats
-        live_profiles = counters.live_profiles
         payload = {
             "v": PROTOCOL_VERSION,
             "ok": True,
             "cmd": "stats",
             "pools": pools,
             "queries_run": counters.queries_run,
-            "live_profiles": live_profiles,
             "cache": {
                 "hits": counters.profiles_reused,
                 "misses": counters.pools_swept,
@@ -472,14 +505,12 @@ class JuryService:
             },
             "frontier": {
                 "hits": counters.frontier_hits,
-                "misses": live_profiles,
                 "builds": counters.frontier_builds,
             },
             "engine": {
                 "queries_run": counters.queries_run,
                 "batch_sweeps": counters.batch_sweeps,
                 "pools_swept": counters.pools_swept,
-                "live_profiles": live_profiles,
                 "frontier_hits": counters.frontier_hits,
                 "kernel_backend": counters.kernel_backend,
             },

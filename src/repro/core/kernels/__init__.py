@@ -35,11 +35,18 @@ fails, every call runs on the reference and the reason is reported under
 The native ``convolve`` binding is dispatched by nothing: ``k_convolve``
 is a C helper of ``k_bb_search``'s bound, and the binding is the
 self-check's hook for testing it on its own.
+
+:func:`float_reprs` is not a kernel either: it prints an answer's numbers
+for the wire encoder, natively where native activated (``k_repr``, held to
+``float.__repr__`` by the same self-check) and with ``float.__repr__``
+otherwise, and it counts no dispatch.
 """
 
 from __future__ import annotations
 
 import threading
+
+import numpy as np
 
 from repro.core.kernels._reference import NumpyBackend
 
@@ -48,6 +55,7 @@ __all__ = [
     "backend_for",
     "dispatch_counts",
     "ensure_ready",
+    "float_reprs",
     "lazy_activations",
     "native_backend",
     "reset_dispatch_counters",
@@ -120,6 +128,18 @@ def backend_for(kernel: str):
         key = (kernel, backend.name)
         _dispatch_counts[key] = _dispatch_counts.get(key, 0) + 1
     return backend
+
+
+def float_reprs(values) -> list[str]:
+    """``float.__repr__`` of each value, as ``json.dumps`` writes a finite float.
+
+    One native call prints them all where native is active; otherwise each
+    goes through ``float.__repr__``.  Either way the text is the same.
+    """
+    backend = native_backend()
+    if backend is None:
+        return list(map(float.__repr__, np.asarray(values, dtype=np.float64).tolist()))
+    return backend.float_reprs(values)
 
 
 def native_backend():

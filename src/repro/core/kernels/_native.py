@@ -46,6 +46,7 @@ reference backend — correctness never rides on the optimisation.
 
 from __future__ import annotations
 
+import array
 import ctypes
 import hashlib
 import os
@@ -79,6 +80,34 @@ _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 # kernel calls on tiny pools.  Each method makes every array C-contiguous
 # with its C dtype (double or int64_t) before taking its address.
 _PTR = ctypes.c_void_p
+
+
+#: Rows of the printer's two power-of-five tables (``REPR_POW5_ROWS`` and
+#: ``REPR_INV5_ROWS`` in the C source): every 5^i and 5^-q a finite
+#: double's shortest digits can need.
+_POW5_ROWS = 326
+_INV5_ROWS = 291
+#: Room ``k_repr`` may take per number: 24 characters and a separator.
+_REPR_WIDTH = 25
+
+
+def _repr_tables() -> bytes:
+    """The printer's 128-bit powers of five, from exact integers.
+
+    First, for each 5^i, its top 125 bits; then, for each 5^-q,
+    ``floor(2^(bitlen(5^q) - 1 + 125) / 5^q) + 1``: the two tables of Ryu
+    (Adams, PLDI 2018), each row a (low, high) pair of native uint64 words.
+    """
+    low = (1 << 64) - 1
+    rows = []
+    for i in range(_POW5_ROWS):
+        power = 5**i
+        shift = power.bit_length() - 125
+        rows.append(power >> shift if shift >= 0 else power << -shift)
+    for q in range(_INV5_ROWS):
+        power = 5**q
+        rows.append((1 << (power.bit_length() - 1 + 125)) // power + 1)
+    return array.array("Q", [w for row in rows for w in (row & low, row >> 64)]).tobytes()
 
 
 def _find_compiler() -> str | None:
@@ -184,6 +213,9 @@ class NativeBackend:
             _PTR, _PTR, _PTR, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
             ctypes.c_int64, _PTR, _PTR, _PTR, _PTR, _PTR,
         ]
+        lib.k_repr.restype = ctypes.c_int64
+        lib.k_repr.argtypes = [_PTR, ctypes.c_int64, _PTR, _PTR]
+        self._repr_tables = _repr_tables()
 
     # -- kernel entry points -------------------------------------------------
 
@@ -287,6 +319,20 @@ class NativeBackend:
         )
         indices = tuple(best[:size].tolist()) if size else None
         return indices, float(jer[0]), counters.tolist()
+
+    def float_reprs(self, values: np.ndarray) -> list[str]:
+        """``float.__repr__`` of each value, printed by ``k_repr`` in one call.
+
+        The values travel as ``bytes`` and the text comes back through a
+        ctypes buffer: neither pays ``ndarray.ctypes``' per-array toll.
+        """
+        data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+        count = len(data) // 8
+        if not count:
+            return []
+        out = ctypes.create_string_buffer(_REPR_WIDTH * count)
+        length = self._lib.k_repr(data, count, out, self._repr_tables)
+        return ctypes.string_at(out, length).decode("ascii").split(" ")
 
     def pairwise(self, values: np.ndarray) -> float:
         values = np.ascontiguousarray(values, dtype=np.float64)

@@ -7,6 +7,10 @@ recursive split, the 4- and 8-lane remainders of the vectorised sweep
 fold, pmf entries in the subnormal range, multi-admission PayALG scans,
 and branch-and-bound searches crossing every pruning and tie-break rule).
 It checks the sweep-fold clone this CPU runs; the tests check each clone.
+The number printer is held to ``float.__repr__`` text for text on
+:func:`repr_battery`: seeded random bit patterns, every power of two and
+of ten with both neighbours, the exponent-form switches, subnormals, signed
+zeros and exact halfway ties.
 The C helpers the scan and the search share (the single-factor extension,
 the factor fold) are checked through those batteries and, for the fold,
 on its own.  A backend that differs in even one bit on this host is
@@ -65,6 +69,39 @@ _SWEEP_SCALES = ((1e-6, 1e-5), (1e-4, 1e-3), (0.3, 0.5), (0.47, 0.499), (0.999, 
 #: lets some broken folds through (a reversed fold order, an error rate
 #: one ulp off), so the fold is also held to the reference directly.
 _CONVOLVE_SHAPES = ((1, 1), (3, 4), (10, 120), (129, 130))
+
+
+#: Seeded random 64-bit patterns the activation battery adds to its fixed
+#: values; the CI smoke runs ``repr_battery`` with many more.
+_REPR_RANDOM = 1000
+
+
+def repr_battery(random_patterns: int = _REPR_RANDOM, seed: int = _CHECK_SEED) -> np.ndarray:
+    """Finite doubles that cross every branch of the shortest printer.
+
+    Zero, the subnormal range down to 5e-324, powers of two and of ten
+    across the exponent range (the uneven gap below each power of two, the
+    form switches at 1e-4 and 1e16), each with both neighbours,
+    eighths in the binades where two shortest candidates tie exactly
+    (2^46 + 1/8 prints as ``...664.12``: ties go to the even digit), and
+    ``random_patterns`` seeded bit patterns of either sign, with their
+    non-finite draws dropped.
+    """
+    fixed = [0.0, 5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, 9.999999999999999e-05, 9999999999999998.0,
+             0.1, 0.2, 0.30000000000000004, 1 / 3, 2 / 3]
+    fixed += [2.0**k for k in range(-1074, 1024, 11)]
+    fixed += [10.0**k for k in range(-323, 308, 3)] + [1e-5, 1e-4, 1e15, 1e16]
+    fixed += [2.0**b + j / 8 for b in (46, 47, 48, 49, 50, 51) for j in range(1, 16)]
+    values = np.array(fixed, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        values = np.concatenate(
+            [-values[:3], values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)]
+        )
+    rng = np.random.default_rng(seed)
+    patterns = rng.integers(0, 2**64, size=random_patterns, dtype=np.uint64)
+    values = np.concatenate([values, patterns.view(np.float64)])
+    return values[np.isfinite(values)]
 
 
 class KernelSelfCheckError(AssertionError):
@@ -248,3 +285,18 @@ def verify_backend(backend) -> None:
 
     _check_pay_scan(backend, rng)
     _check_bb_search(backend)
+    check_float_reprs(backend, repr_battery())
+
+
+def check_float_reprs(backend, values: np.ndarray) -> None:
+    """Raise :class:`KernelSelfCheckError` unless the backend prints every
+    value exactly as ``float.__repr__`` does."""
+    got = backend.float_reprs(values)
+    expected = list(map(float.__repr__, values.tolist()))
+    if got == expected:
+        return
+    _require(len(got) == len(expected), f"float_reprs: {len(got)} texts for {len(expected)}")
+    value, text, want = next(
+        (v, t, w) for v, t, w in zip(values.tolist(), got, expected) if t != w
+    )
+    raise KernelSelfCheckError(f"float_reprs({value.hex()}): {text!r} != {want!r}")

@@ -386,3 +386,239 @@ int64_t k_bb_search(const double *eps, const double *req,
     *jer = c.best_jer;
     return c.best_len;
 }
+
+/* Shortest round-trip double printer (Adams, "Ryu: Fast Float-to-String
+ * Conversion", PLDI 2018).  k_repr writes exactly float.__repr__'s text:
+ * the shortest digits that read back as the same double, the one nearest
+ * the double when several do, ties to an even last digit; positional form
+ * for decimal exponents -4..15 ("1e-05", "0.0001", "1e+16",
+ * "1000000000000000.0"), the exponent form otherwise.  Not a dispatched
+ * kernel: the wire encoder calls it for the numbers of an answer's members,
+ * and the activation self-check holds it to float.__repr__.
+ *
+ * The 128-bit powers of five come from the caller (_native.py builds them
+ * from Python's exact integers): REPR_POW5_ROWS rows of 5^i's top 125
+ * bits, then REPR_INV5_ROWS rows of floor(2^(bitlen(5^q) - 1 + 125) / 5^q)
+ * + 1, each row as (low word, high word). */
+#define REPR_POW5_ROWS 326
+#define REPR_INV5_ROWS 291
+
+typedef unsigned __int128 repr_u128;
+
+/* (m * mul) >> j for a 128-bit mul; j >= 64. */
+static uint64_t repr_mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    repr_u128 low = (repr_u128)m * mul[0];
+    repr_u128 high = (repr_u128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
+}
+
+/* Whether 5^p divides v (v > 0). */
+static int repr_pow5_divides(uint64_t v, int32_t p)
+{
+    int32_t count = 0;
+    while (v % 5 == 0) {
+        v /= 5;
+        count++;
+    }
+    return count >= p;
+}
+
+/* ceil(log2(5^e)) for e >= 1 (1 for e = 0). */
+static int32_t repr_pow5_bits(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 1217359u) >> 19) + 1;
+}
+
+/* The shortest digits of a finite positive double's bits, nearest first,
+ * ties to even: *digits times 10^*exp10. */
+static void repr_shortest(uint64_t bits, const uint64_t *tables,
+                          uint64_t *digits, int32_t *exp10)
+{
+    const uint64_t *pow5 = tables;
+    const uint64_t *inv5 = tables + 2 * REPR_POW5_ROWS;
+    uint64_t fraction = bits & ((1ull << 52) - 1);
+    int32_t biased = (int32_t)(bits >> 52);
+    int32_t e2;
+    uint64_t m2;
+    if (biased == 0) {
+        e2 = 1 - 1023 - 52 - 2;
+        m2 = fraction;
+    } else {
+        e2 = biased - 1023 - 52 - 2;
+        m2 = (1ull << 52) | fraction;
+    }
+    int even = (m2 & 1) == 0;
+    uint64_t mv = 4 * m2;
+    /* The gap below is half the gap above at a power of two. */
+    uint64_t mm_shift = fraction != 0 || biased <= 1;
+    uint64_t vr, vp, vm;
+    int32_t e10;
+    int vm_zeros = 0, vr_zeros = 0;
+    if (e2 >= 0) {
+        int32_t q = (int32_t)(((uint32_t)e2 * 78913u) >> 18) - (e2 > 3);
+        int32_t shift = -e2 + q + 125 + repr_pow5_bits(q) - 1;
+        const uint64_t *mul = inv5 + 2 * q;
+        e10 = q;
+        vr = repr_mul_shift(mv, mul, shift);
+        vp = repr_mul_shift(mv + 2, mul, shift);
+        vm = repr_mul_shift(mv - 1 - mm_shift, mul, shift);
+        if (q <= 21) {
+            if (mv % 5 == 0)
+                vr_zeros = repr_pow5_divides(mv, q);
+            else if (even)
+                vm_zeros = repr_pow5_divides(mv - 1 - mm_shift, q);
+            else
+                vp -= (uint64_t)repr_pow5_divides(mv + 2, q);
+        }
+    } else {
+        int32_t q = (int32_t)(((uint32_t)(-e2) * 732923u) >> 20) - (-e2 > 1);
+        int32_t i = -e2 - q;
+        int32_t shift = q - (repr_pow5_bits(i) - 125);
+        const uint64_t *mul = pow5 + 2 * i;
+        e10 = q + e2;
+        vr = repr_mul_shift(mv, mul, shift);
+        vp = repr_mul_shift(mv + 2, mul, shift);
+        vm = repr_mul_shift(mv - 1 - mm_shift, mul, shift);
+        if (q <= 1) {
+            vr_zeros = 1;
+            if (even)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((1ull << q) - 1)) == 0;
+        }
+    }
+
+    int32_t removed = 0;
+    uint64_t last = 0;
+    if (vm_zeros || vr_zeros) {
+        /* Rare: a bound or the value itself ends in zeros at this scale. */
+        while (vp / 10 > vm / 10) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = vr % 10;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        if (vm_zeros) {
+            while (vm % 10 == 0) {
+                vr_zeros &= last == 0;
+                last = vr % 10;
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+                removed++;
+            }
+        }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4;  /* exactly halfway: keep the even digit */
+        *digits = vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
+    } else {
+        int round_up = 0;
+        while (vp / 10 > vm / 10) {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        *digits = vr + (vr == vm || round_up);
+    }
+    *exp10 = e10 + removed;
+}
+
+/* float.__repr__ of x at p; returns the end. */
+static char *repr_write(double x, char *p, const uint64_t *tables)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t magnitude = bits & ~(1ull << 63);
+    if (magnitude >> 52 == 0x7ff) {
+        if (magnitude != 0x7ffull << 52) {
+            memcpy(p, "nan", 3);
+            return p + 3;
+        }
+        if (bits >> 63)
+            *p++ = '-';
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (magnitude == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    uint64_t digits;
+    int32_t exp10;
+    repr_shortest(magnitude, tables, &digits, &exp10);
+    char text[20];
+    int32_t n = 0;
+    uint64_t d = digits;
+    do {
+        n++;
+    } while (d /= 10);
+    int32_t k = n;
+    do {
+        text[--k] = (char)('0' + digits % 10);
+    } while (digits /= 10);
+    /* value = 0.text * 10^point */
+    int32_t point = exp10 + n;
+    if (point > -4 && point <= 16) {
+        if (point <= 0) {
+            *p++ = '0';
+            *p++ = '.';
+            for (int32_t k = point; k < 0; k++)
+                *p++ = '0';
+            memcpy(p, text, (size_t)n);
+            return p + n;
+        }
+        if (point < n) {
+            memcpy(p, text, (size_t)point);
+            p += point;
+            *p++ = '.';
+            memcpy(p, text + point, (size_t)(n - point));
+            return p + (n - point);
+        }
+        memcpy(p, text, (size_t)n);
+        p += n;
+        for (int32_t k = n; k < point; k++)
+            *p++ = '0';
+        *p++ = '.';
+        *p++ = '0';
+        return p;
+    }
+    *p++ = text[0];
+    if (n > 1) {
+        *p++ = '.';
+        memcpy(p, text + 1, (size_t)(n - 1));
+        p += n - 1;
+    }
+    int32_t e = point - 1;
+    *p++ = 'e';
+    *p++ = e < 0 ? '-' : '+';
+    if (e < 0)
+        e = -e;
+    if (e >= 100)
+        *p++ = (char)('0' + e / 100);
+    *p++ = (char)('0' + e / 10 % 10);
+    *p++ = (char)('0' + e % 10);
+    return p;
+}
+
+/* float.__repr__ of x[0..n), separated by single spaces, into out (at
+ * least 25 bytes per value).  Returns the bytes written. */
+int64_t k_repr(const double *x, int64_t n, char *out, const uint64_t *tables)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        if (i)
+            *p++ = ' ';
+        p = repr_write(x[i], p, tables);
+    }
+    return (int64_t)(p - out);
+}

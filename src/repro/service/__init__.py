@@ -7,9 +7,10 @@ restructures the execution path for that workload shape:
 :class:`BatchSelectionEngine`
     Accepts a batch of :class:`SelectionQuery` objects (mixed AltrM / PayM /
     exact, shared or per-task candidate pools) and executes them in-process:
-    frozen pools are deduplicated within a pass and swept together by
-    vectorized kernels, and named pools answer AltrM selects from their own
-    answer frontier.
+    AltrM selects over inline candidates or frozen pools are answered from
+    their sorted columns, same-sized pools swept together by vectorized
+    kernels, and named pools answer AltrM selects from their own answer
+    frontier.
 :class:`CandidatePool`
     An immutable, fingerprinted candidate set shareable across queries
     (defined in :mod:`repro.plan.pool`, re-exported here).

@@ -4,7 +4,8 @@ The paper's workload is inherently batched: a crowdsourcing platform must
 select juries for thousands of concurrent decision tasks, frequently drawing
 on the same candidate pool.  :class:`BatchSelectionEngine` accepts many
 :class:`SelectionQuery` objects at once — mixed AltrM / PayM / exact
-strategies, shared or per-task pools — and answers each on one of two paths:
+strategies, shared or per-task pools — and answers each on one of three
+paths:
 
 * **AltrM over a named pool** is answered from the live pool's own answer
   frontier (:meth:`~repro.service.registry.LivePool.answer_frontier`).  By
@@ -17,25 +18,30 @@ strategies, shared or per-task pools — and answers each on one of two paths:
   :meth:`BatchSelectionEngine.answer_named` is that one probe;
   :meth:`~BatchSelectionEngine.run` wraps it in a :class:`SelectionResult`,
   and the service in wire text its pool keeps, with no query or result.
-* **Everything else** goes through the plan layer: the engine resolves the
+* **AltrM over inline candidates or a frozen pool** is the same kind of
+  answer, an odd prefix of the candidates in Lemma 3 order, and
+  :meth:`BatchSelectionEngine.answer_altr` computes it from the columns
+  alone: the duplicate-id and budget checks ``plan_query`` would make, the
+  Lemma 3 sort, one stacked sweep per pool size
+  (:func:`repro.core.jer.batch_prefix_jer_sweep`, the vectorized 2-D
+  kernel), and :func:`~repro.core.jer.best_odd_prefix` over the pool's row.
+  Queries of one pass that hold the same pool object share one row; pools
+  that are merely equal are swept one row each.  The service has the rows
+  encoded as wire text; :meth:`~BatchSelectionEngine.run` wraps each answer
+  in a :class:`SelectionResult`.  Nothing is kept across passes.
+* **PayM and exact** go through the plan layer: the engine resolves the
   query to a frozen :class:`CandidatePool`, calls
   :func:`repro.plan.plan_query` (the single front door that parses model
   strings and picks the physical operator) and executes the plan with
-  :func:`repro.plan.execute_plan`.  AltrM queries over inline candidates or
-  a passed-in pool are deduplicated by fingerprint within one pass, and
-  distinct pools of equal size are stacked into one matrix and swept
-  together by the vectorized 2-D kernel
-  (:func:`repro.core.jer.batch_prefix_jer_sweep`); each plan's sweep
-  operator reads its pool's row.  Nothing is kept across passes.  PayM
-  queries execute the columnar greedy operator and exact queries the
-  enumeration / branch-and-bound operator the cost model picks, one query
-  at a time.
+  :func:`repro.plan.execute_plan`, one query at a time: the columnar greedy
+  operator for PayM, the enumeration / branch-and-bound operator the cost
+  model picks for exact.
 
 Everything runs in-process, one engine pass at a time.  Results are
 **bit-identical** to the single-query selectors, which run the same
-plan->operator pipeline over the same columnar arrays.
-:meth:`BatchSelectionEngine.plan` returns the plan for a query *without*
-executing it (the ``repro-select explain`` surface).
+plan->operator pipeline over the same columnar arrays; the tests hold the
+two AltrM paths to it.  :meth:`BatchSelectionEngine.plan` returns the plan
+for a query *without* executing it (the ``repro-select explain`` surface).
 """
 
 from __future__ import annotations
@@ -50,13 +56,14 @@ import numpy as np
 
 from repro._validation import validate_budget
 from repro.core import kernels
-from repro.core.jer import batch_prefix_jer_sweep
+from repro.core.jer import batch_prefix_jer_sweep, best_odd_prefix
 from repro.core.juror import Juror, JurorColumns
 from repro.core.selection.base import SelectionResult
 from repro.errors import EmptyCandidateSetError
 from repro.plan import (
     CandidatePool,
     SelectionPlan,
+    as_pool,
     execute_plan,
     normalize_model,
     plan_query,
@@ -64,7 +71,17 @@ from repro.plan import (
 from repro.plan.frontier import altr_result
 from repro.service.registry import LivePool, PoolRegistry
 
-__all__ = ["SelectionQuery", "QueryOutcome", "FrontierAnswer", "BatchSelectionEngine"]
+__all__ = [
+    "SelectionQuery",
+    "QueryOutcome",
+    "FrontierAnswer",
+    "PrefixAnswer",
+    "BatchSelectionEngine",
+]
+
+#: Makes a pool's answer encoder from its Lemma 3 columns; the encoder
+#: turns ``(size, jer)`` into whatever the caller serves.
+Encoder = Callable[[JurorColumns], Callable[[int, float], object]]
 
 
 @dataclass(frozen=True)
@@ -80,9 +97,8 @@ class SelectionQuery:
         :class:`~repro.core.juror.JurorColumns` a decoded request carries;
         mutually exclusive with ``pool`` and ``pool_name``.
     pool:
-        A shared :class:`CandidatePool`.  Queries of one engine pass that
-        reference the same pool object (or pools with equal fingerprints)
-        share one prefix sweep.
+        A shared :class:`CandidatePool`.  AltrM queries of one engine pass
+        that reference the same pool object share one prefix sweep.
     pool_name:
         Name of a :class:`~repro.service.registry.LivePool` in the engine's
         registry.  The query runs against the pool's state at resolution
@@ -198,17 +214,36 @@ class FrontierAnswer(NamedTuple):
     encoded: object = None
 
 
+class PrefixAnswer(NamedTuple):
+    """An AltrM answer over inline candidates or a frozen pool.
+
+    The answer is the first ``size`` rows of ``columns``, the candidates in
+    Lemma 3 order; ``considered`` counts the odd prefixes under the size
+    cap.  ``elapsed_seconds`` covers this query's own engine work (its
+    checks, sort, probe and encoding; the stacked sweep it shares is not
+    split).  ``encoded`` is what the ``encoder`` made of it (``None`` when
+    no encoder was given).
+    """
+
+    columns: JurorColumns
+    size: int
+    jer: float
+    considered: int
+    elapsed_seconds: float
+    encoded: object = None
+
+
 @dataclass
 class EngineStats:
     """Counters describing the work an engine has performed (cumulative)."""
 
     queries_run: int = 0
-    #: Frozen-pool AltrM sweeps: one 2-D kernel call per distinct pool size
-    #: in a pass, covering ``pools_swept`` distinct pools.
+    #: Inline and frozen-pool AltrM sweeps: one 2-D kernel call per distinct
+    #: pool size in a pass, covering ``pools_swept`` distinct pool objects.
     batch_sweeps: int = 0
     pools_swept: int = 0
-    #: Frozen-pool AltrM queries that read a profile an earlier query of the
-    #: same pass had swept.
+    #: Inline and frozen-pool AltrM queries that read the row an earlier
+    #: query of the same pass had swept for the same pool object.
     profiles_reused: int = 0
     #: Named-pool AltrM queries answered from a frontier already built for
     #: their pool version: one binary search, no sweep.
@@ -220,11 +255,6 @@ class EngineStats:
     #: — resolved at engine construction, compile and self-check included,
     #: so cc compile time never lands in query timings.
     kernel_backend: str = "numpy"
-
-    @property
-    def live_profiles(self) -> int:
-        """Named-pool versions whose frontier a query had its pool build."""
-        return self.frontier_builds
 
 
 class BatchSelectionEngine:
@@ -334,26 +364,40 @@ class BatchSelectionEngine:
         ]
         with self._lock:
             self.stats.queries_run += len(batch)
-            resolved: list[tuple[int, SelectionQuery, CandidatePool]] = []
+            frozen_altr: list[int] = []
+            other: list[tuple[int, SelectionQuery, CandidatePool]] = []
             for index, query in enumerate(batch):
                 try:
-                    if query.model == "altr" and query.pool_name is not None:
+                    if query.model != "altr":
+                        other.append((index, query, self._resolve(query)))
+                    elif query.pool_name is not None:
                         self._named_altr(query, outcomes[index])
                     else:
-                        resolved.append((index, query, self._resolve(query)))
+                        frozen_altr.append(index)
                 except Exception as exc:
                     if raise_errors:
                         raise
                     outcomes[index].exception = exc
 
-            frozen_altr = []
-            other = []
-            for item in resolved:
-                if item[1].model == "altr":
-                    frozen_altr.append(item)
-                else:
-                    other.append(item)
-            self._run_altr(frozen_altr, outcomes, raise_errors)
+            answers = self._answer_altr(
+                [
+                    (q.pool if q.pool is not None else q.candidates, q.budget, q.max_size)
+                    for q in map(batch.__getitem__, frozen_altr)
+                ],
+                None,
+            )
+            for index, answer in zip(frozen_altr, answers):
+                if isinstance(answer, Exception):
+                    if raise_errors:
+                        raise answer
+                    outcomes[index].exception = answer
+                    continue
+                result = altr_result(
+                    answer.columns[: answer.size], answer.jer, answer.considered
+                )
+                result.stats.elapsed_seconds = answer.elapsed_seconds
+                outcomes[index].result = result
+                outcomes[index].elapsed_seconds = answer.elapsed_seconds
             self._run_serial(other, outcomes, raise_errors)
         return outcomes
 
@@ -366,7 +410,7 @@ class BatchSelectionEngine:
         *,
         budget: float | None = None,
         max_size: int | None = None,
-        encoder: Callable[[JurorColumns], Callable[[int, float], object]] | None = None,
+        encoder: Encoder | None = None,
         task_id: str = "task",
     ) -> FrontierAnswer:
         """Answer one AltrM select of a named pool from its version's frontier.
@@ -393,7 +437,7 @@ class BatchSelectionEngine:
         live: LivePool,
         budget: float | None,
         max_size: int | None,
-        encoder: Callable[[JurorColumns], Callable[[int, float], object]] | None,
+        encoder: Encoder | None,
     ) -> FrontierAnswer:
         start = time.perf_counter()
         if not live.size:
@@ -421,48 +465,102 @@ class BatchSelectionEngine:
         outcome.elapsed_seconds = answer.elapsed_seconds
 
     # ------------------------------------------------------------------
-    # AltrM over frozen pools: shared vectorized sweeps within one pass
+    # AltrM over inline candidates and frozen pools: stacked sweeps
     # ------------------------------------------------------------------
-    def _run_altr(
+    def answer_altr(
         self,
-        items: Sequence[tuple[int, SelectionQuery, CandidatePool]],
-        outcomes: list[QueryOutcome],
-        raise_errors: bool,
-    ) -> None:
-        distinct: dict[str, CandidatePool] = {}
-        for _, _, pool in items:
-            if pool.fingerprint in distinct:
+        sources: Sequence[
+            tuple[CandidatePool | JurorColumns | Sequence[Juror], float | None, int | None]
+        ],
+        *,
+        encoder: Encoder | None = None,
+    ) -> list[PrefixAnswer | Exception]:
+        """Answer AltrM selects over inline candidates or frozen pools.
+
+        Each source is ``(candidates, budget, max_size)``: a
+        :class:`CandidatePool`, or columns or jurors in any order.  One
+        engine pass, under the lock: each query counts once in
+        ``queries_run``, its candidates get the checks ``plan_query`` makes
+        for AltrM (duplicate ids, then the budget, with the same errors),
+        and one stacked sweep per pool size feeds
+        :func:`~repro.core.jer.best_odd_prefix` for every query.  No
+        fingerprint, plan, :class:`SelectionResult` or jury is made; with an
+        ``encoder``, each pool's encoder turns its answer into
+        :attr:`PrefixAnswer.encoded`.  A query that fails gets its
+        exception in its slot, and the others are answered.
+        """
+        batch = list(sources)
+        with self._lock:
+            self.stats.queries_run += len(batch)
+            return self._answer_altr(batch, encoder)
+
+    def _answer_altr(self, sources, encoder: Encoder | None) -> list[PrefixAnswer | Exception]:
+        """:meth:`answer_altr` for callers holding the lock."""
+        answers: list = [None] * len(sources)
+        elapsed = [0.0] * len(sources)
+        # Keyed by pool object: its Lemma 3 columns (or why it has none) and
+        # its sweep row.  Equal pools that are distinct objects get a row each.
+        pools: dict[int, JurorColumns | Exception] = {}
+        profiles: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
+        by_size: dict[int, list[int]] = {}
+        for index, (candidates, budget, _) in enumerate(sources):
+            start = time.perf_counter()
+            key = id(candidates)
+            columns = pools.get(key)
+            if columns is None:
+                try:
+                    columns = as_pool(candidates).ordered
+                except Exception as exc:
+                    columns = exc
+                pools[key] = columns
+            try:
+                if isinstance(columns, Exception):
+                    raise columns
+                if budget is not None:
+                    validate_budget(budget)
+            except Exception as exc:
+                answers[index] = exc
+                continue
+            if key in profiles:
                 self.stats.profiles_reused += 1
             else:
-                distinct[pool.fingerprint] = pool
+                profiles[key] = None
+                by_size.setdefault(len(columns), []).append(key)
+            elapsed[index] = time.perf_counter() - start
 
-        # One vectorized 2-D sweep per distinct pool size.
-        by_size: dict[int, list[CandidatePool]] = {}
-        for pool in distinct.values():
-            by_size.setdefault(pool.size, []).append(pool)
-        profiles: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for pools in by_size.values():
-            matrix = np.stack([pool.error_rates for pool in pools])
-            ns, jer_matrix = batch_prefix_jer_sweep(matrix)
+        for keys in by_size.values():
+            ns, jer_matrix = batch_prefix_jer_sweep(np.stack([pools[key].eps for key in keys]))
             self.stats.batch_sweeps += 1
-            self.stats.pools_swept += len(pools)
-            for row, pool in enumerate(pools):
-                profiles[pool.fingerprint] = (ns, jer_matrix[row])
+            self.stats.pools_swept += len(keys)
+            for key, jers in zip(keys, jer_matrix):
+                profiles[key] = (ns, jers)
 
-        for index, query, pool in items:
-            start = time.perf_counter()
-            try:
-                plan = self._plan_for(query, pool)
-                result = execute_plan(plan, profile=profiles[pool.fingerprint])
-            except Exception as exc:
-                if raise_errors:
-                    raise
-                outcomes[index].exception = exc
+        encoders: dict[int, Callable[[int, float], object]] = {}
+        for index, (candidates, _, max_size) in enumerate(sources):
+            if answers[index] is not None:
                 continue
-            elapsed = time.perf_counter() - start
-            result.stats.elapsed_seconds = elapsed
-            outcomes[index].result = result
-            outcomes[index].elapsed_seconds = elapsed
+            start = time.perf_counter()
+            key = id(candidates)
+            ns, jers = profiles[key]
+            try:
+                size, jer = best_odd_prefix(ns, jers, max_size=max_size)
+                considered = ns.size if max_size is None else int(
+                    ns.searchsorted(max_size, side="right")
+                )
+                encoded = None
+                if encoder is not None:
+                    encode = encoders.get(key)
+                    if encode is None:
+                        encode = encoders[key] = encoder(pools[key])
+                    encoded = encode(size, jer)
+            except Exception as exc:
+                answers[index] = exc
+                continue
+            answers[index] = PrefixAnswer(
+                pools[key], size, jer, considered,
+                elapsed[index] + time.perf_counter() - start, encoded,
+            )
+        return answers
 
     # ------------------------------------------------------------------
     # PayM / exact: per-query plan execution

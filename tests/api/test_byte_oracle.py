@@ -1,4 +1,5 @@
-"""Named-pool answers, byte for byte against the sequential reference.
+"""Named-pool and inline answers, byte for byte against the sequential
+reference.
 
 A seeded stream shaped like servebench's ``pool-repeat`` and ``pool-churn``
 (four 201-candidate pools with a strong head over a weak tail, selects of
@@ -12,12 +13,23 @@ byte for byte: ``plan_query`` over the version's snapshot, executed, and
 encoded by ``json.dumps(to_dict())``, which shares no code with the text a
 live pool keeps for its answers.  Every pool acknowledgement must equal
 the reference's too.
+
+An inline stream (121-candidate AltrM and PayM pools and small exact ones;
+caps of 1, 3 and 7, one above the pool size, and none; valid, negative and
+non-finite budgets; duplicate ids; error-rate ties with the ids on both
+sides; ``-0.0`` requirements; error rates near 5e-324; requirements whose
+sum overflows) is answered the same three ways against ``plan_query`` over
+the request's candidates, executed.  Its answers are text made from sorted
+columns and numbers printed natively, so the reference shares none of
+their code either.  Every HTTP response must be JSON without ``Infinity``
+or ``NaN``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import re
 
 import numpy as np
@@ -31,7 +43,8 @@ from repro.api import (
     SelectionResponse,
 )
 from repro.api.server import HttpServer
-from repro.core.juror import Juror
+from repro.core.juror import Juror, JurorColumns
+from repro.errors import InvalidRequirementError
 from repro.plan import execute_plan, plan_query
 from repro.service import PoolRegistry
 from repro.testing import DEFAULT_SEED
@@ -41,6 +54,7 @@ CAPS = (1, 3, 7, 11, 15, 21, None)
 ODD_TASK = 'vote "ja" é日本 \\ ☃'
 UPDATE_EVERY = 6
 OPS = 240
+INLINE_OPS = 60
 
 
 def _stream(seed: int = DEFAULT_SEED):
@@ -90,6 +104,76 @@ def _strip(text: str) -> str:
     return text if cut < 0 else text[:cut]
 
 
+def _inline_stream(seed: int = DEFAULT_SEED) -> list[SelectionRequest]:
+    """Inline selects of every model and every edge the column path checks."""
+    rng = np.random.default_rng([seed, 1])
+    requests = []
+    for i in range(INLINE_OPS):
+        model = {7: "pay", 9: "exact"}.get(i % 10, "altr")
+        size = 9 if model == "exact" else 121
+        eps = rng.uniform(0.05, 0.6, size)
+        reqs = rng.uniform(0.0, 1.0, size)
+        ids = [f"c{i}-{j}" for j in range(size)]
+        if i % 4 == 1:  # ties, the larger id first in the input
+            eps[1], eps[4], eps[5] = eps[0], eps[3], eps[3]
+            ids[0], ids[1] = f"c{i}-z", f"c{i}-a"
+        if i % 6 == 2:
+            reqs[::3] = -0.0
+        if i % 8 == 3:
+            eps[2], eps[7] = 5e-324, 1e-323
+        if i % 11 == 5:
+            ids[8] = ids[3]
+        if i % 13 == 4:
+            reqs[:] = 1e308  # any two members' sum overflows
+        if model == "altr":
+            budget = {0: 2.0, 3: -1.0, 6: math.inf, 8: math.nan}.get(i % 10)
+        elif model == "pay":
+            budget = 2.0 if i % 20 < 10 else -1.0
+        else:
+            budget = 1.5 if i % 20 < 10 else None
+        caps = (1, 3, 7, size + 1, None)
+        requests.append(SelectionRequest(
+            task_id=ODD_TASK if i % 9 == 0 else f"i{i}",
+            candidates=JurorColumns(tuple(ids), eps, reqs),
+            model=model,
+            budget=budget,
+            max_size=None if model == "pay" else caps[int(rng.integers(len(caps)))],
+        ))
+    return requests
+
+
+def _overflow_checked(result):
+    """The result, unless its total cost does not fit a float (JSON has no
+    ``Infinity``): then the service's ``invalid-requirement`` error."""
+    with np.errstate(over="ignore"):
+        total = result.total_cost
+    if math.isinf(total):
+        raise InvalidRequirementError(
+            f"total_cost overflows: the requirements of the {result.size} "
+            "selected members sum past the largest finite float"
+        )
+    return result
+
+
+def _inline_reference(requests) -> list[str]:
+    expected = []
+    for obj in requests:
+        try:
+            plan = plan_query(candidates=obj.candidates, model=obj.model, budget=obj.budget,
+                              max_size=obj.max_size, task_id=obj.task_id)
+            response = SelectionResponse.from_result(
+                obj.task_id, _overflow_checked(execute_plan(plan))
+            )
+        except Exception as exc:
+            response = SelectionResponse.from_error(obj.task_id, ErrorInfo.from_exception(exc))
+        expected.append(_strip(json.dumps(response.to_dict())))
+    return expected
+
+
+def _refuse_constant(name: str):
+    raise AssertionError(f"{name} is not JSON")
+
+
 def _reference(creates, ops) -> list[str]:
     """Each operation's expected text, computed one at a time."""
     service = JuryService(registry=PoolRegistry())
@@ -115,6 +199,8 @@ def _reference(creates, ops) -> list[str]:
 
 CREATES, OPS_STREAM = _stream()
 EXPECTED = _reference(CREATES, OPS_STREAM)
+INLINE = _inline_stream()
+EXPECTED_INLINE = _inline_reference(INLINE)
 
 
 def test_the_stream_covers_every_case():
@@ -178,6 +264,68 @@ def test_in_pairs_through_select_many():
     assert got == EXPECTED
 
 
+def test_the_inline_stream_covers_every_case():
+    texts = [json.loads(text + "}") for text in EXPECTED_INLINE]
+    codes = {t["error"]["code"] for t in texts if t["status"] == "error"}
+    assert {"invalid-budget", "invalid-jury", "invalid-requirement"} <= codes
+    answers = [t for t in texts if t["status"] == "ok"]
+    assert {a["model"] for a in answers} == {"AltrM", "PayM"}
+    assert any(a["algorithm"].startswith("OPT") for a in answers)
+    assert {1, 3, 7} <= {a["size"] for a in answers} and max(a["size"] for a in answers) > 21
+    joined = "\n".join(EXPECTED_INLINE)
+    assert '"requirement": -0.0' in joined and '"error_rate": 5e-324' in joined
+    assert "\\u65e5" in joined
+    # A tie straddled by an answer: the smaller id first, as Lemma 3 sorts.
+    ties = [[m["id"][-2:] for m in a["members"] if m["id"][-2:] in ("-a", "-z")]
+            for a in answers]
+    assert ["-a", "-z"] in ties
+
+
+def test_inline_alone_through_the_async_service():
+    async def run():
+        front = AsyncJuryService(JuryService(registry=PoolRegistry()))
+        got = [_strip((await front.select(obj)).to_json()) for obj in INLINE]
+        await front.aclose()
+        return got
+
+    assert asyncio.run(run()) == EXPECTED_INLINE
+
+
+def test_inline_in_pairs_through_select_many():
+    service = JuryService(registry=PoolRegistry())
+    got = []
+    for i in range(0, len(INLINE), 2):
+        got.extend(_strip(r.to_json()) for r in service.select_many(INLINE[i:i + 2]))
+    assert got == EXPECTED_INLINE
+
+
+def test_inline_over_http_on_two_connections():
+    """Every response is JSON with no ``Infinity`` or ``NaN``: the overflow
+    answers are errors."""
+
+    async def run():
+        service = AsyncJuryService(JuryService(registry=PoolRegistry()))
+        async with HttpServer(service, port=0) as server:
+            connections = [
+                await asyncio.open_connection(server.host, server.port) for _ in range(2)
+            ]
+            got: dict[int, str] = {}
+
+            async def client(connection, side):
+                for index in range(side, len(INLINE), 2):
+                    got[index] = await _post(*connection, "/v1/select", INLINE[index].to_dict())
+
+            await asyncio.gather(*(client(c, side) for side, c in enumerate(connections)))
+            for _, writer in connections:
+                writer.close()
+            return [got[index] for index in range(len(INLINE))]
+
+    texts = asyncio.run(run())
+    for text in texts:
+        json.loads(text, parse_constant=_refuse_constant)
+    assert [_strip(text) for text in texts] == EXPECTED_INLINE
+
+
 async def _post(reader, writer, path: str, payload: dict) -> str:
     body = json.dumps(payload).encode("utf-8")
     writer.write(
@@ -207,6 +355,7 @@ def test_over_http_on_two_connections():
             async def client(connection, indices):
                 for index in indices:
                     text = await _post(*connection, "/v1/select", OPS_STREAM[index][1].to_dict())
+                    raw.append(text)
                     got[index] = _strip(text)
 
             segment: list[int] = []
@@ -223,6 +372,10 @@ def test_over_http_on_two_connections():
                     got[index] = await _post(*connections[0], "/v1/pool", obj.to_dict())
             for _, writer in connections:
                 writer.close()
-            return [got[index] for index in range(len(OPS_STREAM))]
+            return [got[index] for index in range(len(OPS_STREAM))], raw
 
-    assert asyncio.run(run()) == EXPECTED
+    raw: list[str] = []
+    got, raw = asyncio.run(run())
+    assert got == EXPECTED
+    for text in raw:
+        json.loads(text, parse_constant=_refuse_constant)

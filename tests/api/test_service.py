@@ -216,12 +216,14 @@ class TestPoolCommands:
         # select above built its pool's frontier.
         assert stats["cache"] == {"hits": 0, "misses": 0}
         assert {"hits", "misses", "entries", "maxsize"} <= stats["planner"].keys()
-        assert stats["frontier"] == {"hits": 0, "misses": 1, "builds": 1}
+        assert stats["frontier"] == {"hits": 0, "builds": 1}
         assert stats["engine"]["queries_run"] == 1
         assert set(stats["engine"]) == {
-            "queries_run", "batch_sweeps", "pools_swept", "live_profiles",
-            "frontier_hits", "kernel_backend",
+            "queries_run", "batch_sweeps", "pools_swept", "frontier_hits",
+            "kernel_backend",
         }
+        # frontier.builds is the one count of versions built: no alias.
+        assert "live_profiles" not in stats
         # One execution path: no scheduler, shard or worker blocks.
         assert not {"scheduler", "shards", "workers", "in_process"} & stats.keys()
 
@@ -247,10 +249,46 @@ class TestPoolCommands:
             assert [m.juror_id for m in response.members] == list(expected.juror_ids)
             assert response.pool_version == live.version
         stats = service.stats()
-        assert stats["frontier"] == {"hits": 1, "misses": 3, "builds": 3}
+        assert stats["frontier"] == {"hits": 1, "builds": 3}
         assert stats["engine"]["frontier_hits"] == 1
-        assert stats["live_profiles"] == stats["engine"]["live_profiles"] == 3
         assert service.registry.get("P1").stats.frontier_builds == 3
+
+
+class TestOverflowingCost:
+    """Requirements whose sum overflows: JSON has no ``Infinity``, so the
+    select is an ``invalid-requirement`` error on every path, and AltrM
+    answers it with no NumPy warning.  The library's result keeps its
+    ``inf``."""
+
+    HUGE = tuple(Juror(0.1 * k, 1e308, juror_id=f"h{k}") for k in (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param("inline", marks=pytest.mark.filterwarnings("error")),
+            pytest.param("named", marks=pytest.mark.filterwarnings("error")),
+            # The exact solver's own cost arithmetic warns on the way.
+            pytest.param("exact", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        ],
+    )
+    def test_select_is_an_error(self, source):
+        service = JuryService()
+        if source == "named":
+            service.pool(PoolCommand(action="create", name="H", candidates=self.HUGE))
+            request = SelectionRequest(task_id="t", pool="H")
+        else:
+            model = "exact" if source == "exact" else "altr"
+            request = SelectionRequest(task_id="t", candidates=self.HUGE, model=model)
+        for response in (service.select(request), service.select_many([request])[0]):
+            assert response.status == "error"
+            assert response.error.code == "invalid-requirement"
+            assert "overflows" in response.error.message
+            assert "Infinity" not in response.to_json()
+        service.close()
+
+    def test_library_result_keeps_inf(self):
+        with pytest.warns(RuntimeWarning):
+            assert select_jury_altr(list(self.HUGE)).total_cost == float("inf")
 
 
 class TestConstruction:

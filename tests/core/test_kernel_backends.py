@@ -102,6 +102,25 @@ class TestNativeMatchesReference:
         """Subnormal tails, near-1 rates and every vector remainder."""
         assert _bits(REFERENCE.sweep(eps)) == _bits(native.sweep(eps)), eps.shape
 
+    @settings(
+        max_examples=2000,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(patterns=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_float_reprs_on_raw_bit_patterns(self, native, patterns):
+        """The printer writes ``float.__repr__``'s text for any finite double."""
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        assert native.float_reprs(values) == list(map(float.__repr__, values.tolist()))
+
+    def test_float_reprs_through_the_registry(self):
+        """The wire encoder's entry point: native or not, the same text."""
+        values = [0.1, -0.0, 5e-324, 1e16, 9.999999999999999e-05, 2.0**46 + 0.125]
+        assert kernels.float_reprs(values) == list(map(float.__repr__, values))
+        assert kernels.float_reprs([]) == []
+        assert "float_reprs" not in kernels.dispatch_counts()
+
     def test_convolve(self, native, rng):
         """The binding nothing dispatches: the self-check's hook on the fold
         behind ``bb_search``'s bound."""

@@ -3,7 +3,8 @@
 ``k_extend_block`` is a helper of the pay-scan and branch-and-bound
 kernels, ``k_convolve`` folds the branch and bound's bound with
 ``fold_factor``, and ``fold_into`` is the sweep's two-buffer factor fold.
-None of them is dispatched on its own, so the self-check must catch their
+``k_repr``, the number printer, is held to ``float.__repr__``.  None of them
+is dispatched on its own, so the self-check must catch their
 defects through the kernels that call them (and, for ``k_convolve``,
 through the binding kept for the purpose).  Each case compiles the
 shipped source with one deliberate defect and asserts that
@@ -76,6 +77,23 @@ MUTANTS = {
         "out[j] = in[j] * c + in[j - 1] * e;",
         "{ double v = in[j] * c + in[j - 1] * e; "
         "out[j] = v < 2.2250738585072014e-308 ? 0.0 : v; }",
+    ),
+    # The printer: an exact halfway tie rounded up, not to the even digit.
+    "repr-tie-rounds-up": (
+        "if (vr_zeros && last == 5 && vr % 2 == 0)",
+        "if (0)",
+    ),
+    # The printer stops one digit early, dropping a digit the shortest
+    # round-trip text needs.
+    "repr-drops-a-shortest-digit": (
+        "        *digits = vr + (vr == vm || round_up);",
+        "        if (vr >= 10) { round_up = vr % 10 >= 5; vr /= 10; vm /= 10; removed++; }\n"
+        "        *digits = vr + (vr == vm || round_up);",
+    ),
+    # The printer switches to the exponent form one decade early (at 1e15).
+    "repr-exponent-switch": (
+        "if (point > -4 && point <= 16) {",
+        "if (point > -4 && point <= 15) {",
     ),
 }
 

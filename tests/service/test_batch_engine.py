@@ -149,17 +149,22 @@ class TestSharedPoolCaching:
         assert engine.stats.pools_swept == 1
         assert engine.stats.profiles_reused == 99
 
-    def test_equal_content_pools_deduplicated(self, rng):
+    def test_equal_content_pools_swept_one_row_each(self, rng):
+        """Rows are shared by pool object, not by content: equal candidate
+        sets held by distinct objects are swept one row each, in one
+        stacked call, and answer alike; no fingerprint is taken."""
         eps = rng.uniform(0.05, 0.95, size=11)
         make = lambda: tuple(jurors_from_arrays(eps))  # noqa: E731
+        shared = make()
         engine = BatchSelectionEngine()
-        engine.run(
-            [
-                SelectionQuery(task_id=f"t{i}", candidates=make())
-                for i in range(4)
-            ]
+        outcomes = engine.run(
+            [SelectionQuery(task_id=f"t{i}", candidates=make()) for i in range(4)]
+            + [SelectionQuery(task_id=f"s{i}", candidates=shared) for i in range(3)]
         )
-        assert engine.stats.pools_swept == 1
+        assert engine.stats.batch_sweeps == 1
+        assert engine.stats.pools_swept == 5
+        assert engine.stats.profiles_reused == 2
+        assert len({(o.result.jer, o.result.size) for o in outcomes}) == 1
 
     def test_pools_resweep_across_runs(self, rng):
         """Deduplication is per pass: nothing is kept between runs, and a

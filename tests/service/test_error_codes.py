@@ -54,7 +54,11 @@ def raising_execute_plan(monkeypatch):
 
 
 def _fault_request(cls: type[BaseException]) -> SelectionRequest:
-    return SelectionRequest(task_id=f"{MARKER}{cls.__name__}", candidates=CANDIDATES)
+    # Exact: inline AltrM selects are answered from their columns, without
+    # a plan to execute.
+    return SelectionRequest(
+        task_id=f"{MARKER}{cls.__name__}", candidates=CANDIDATES, model="exact"
+    )
 
 
 def _ids(pair):
@@ -137,6 +141,7 @@ class TestErrorCodeThreading:
                     {"id": "b", "error_rate": 0.2},
                     {"id": "c", "error_rate": 0.3},
                 ],
+                "model": "exact",
             },
             {"cmd": "quit"},
         ]

@@ -338,20 +338,24 @@ class TestSequentialReference:
 
 
 class TestInlinePools:
-    def test_inline_repeats_hit_by_fingerprint(self):
-        """Inline candidate sets with equal fingerprints share one sweep
-        profile within a pass, counted as ``cache`` hits.  They never get a
-        frontier, and the next pass sweeps them again."""
+    def test_inline_repeats_share_a_row_only_as_one_object(self):
+        """Inline candidate sets are not fingerprinted: equal ones in
+        distinct requests are swept one row each, and only a request object
+        repeated within a pass reads the row it already has, counted as a
+        ``cache`` hit.  They never get a frontier, and the next pass sweeps
+        them again."""
         service = JuryService()
         requests = [
             SelectionRequest(task_id=task, candidates=_jurors(EPS)) for task in "abc"
         ]
+        requests.append(requests[0])
         first = service.select_many(requests)
-        assert service.stats()["cache"] == {"hits": 2, "misses": 1}
+        assert service.stats()["cache"] == {"hits": 1, "misses": 3}
         second = service.select_many(requests)
         stats = service.stats()
-        assert stats["cache"] == {"hits": 4, "misses": 2}
-        assert stats["frontier"]["hits"] == stats["frontier"]["misses"] == 0
+        assert stats["cache"] == {"hits": 2, "misses": 6}
+        assert stats["engine"]["batch_sweeps"] == 2
+        assert stats["frontier"] == {"hits": 0, "builds": 0}
         expected = select_jury_altr(list(_jurors(EPS)))
         for response in first + second:
             assert response.jer == expected.jer

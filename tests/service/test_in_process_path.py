@@ -302,11 +302,11 @@ class TestCachesAndLifecycle:
         registry.create("P", list(jurors_from_arrays(rng.uniform(0.05, 0.9, 13))))
         engine = BatchSelectionEngine(registry=registry)
         first = engine.run([SelectionQuery(task_id="t1", pool_name="P")])[0]
-        assert engine.stats.live_profiles == 1
+        assert engine.stats.frontier_builds == 1
         second = engine.run([SelectionQuery(task_id="t2", pool_name="P")])[0]
         # The second pass probes the version's frontier instead of asking
         # the live pool to sweep again, and never sweeps in the engine.
-        assert engine.stats.live_profiles == 1
+        assert engine.stats.frontier_builds == 1
         assert engine.stats.frontier_hits == 1
         assert registry.get("P").stats.repairs == 1
         assert engine.stats.batch_sweeps == 0
@@ -325,7 +325,6 @@ class TestCachesAndLifecycle:
             "queries_run": engine.queries_run,
             "batch_sweeps": engine.batch_sweeps,
             "pools_swept": engine.pools_swept,
-            "live_profiles": engine.live_profiles,
             "frontier_hits": engine.frontier_hits,
             "kernel_backend": engine.kernel_backend,
         }
@@ -357,7 +356,7 @@ class TestCachesAndLifecycle:
         )
         assert all(response.status == "ok" for response in first)
 
-        live_profiles_before = engine.stats.live_profiles
+        builds_before = engine.stats.frontier_builds
         service.pool(PoolCommand(action="drop", name="P"))
         service.pool(PoolCommand(action="create", name="P", candidates=members))
         assert service.registry.get("P").fingerprint == fingerprint
@@ -368,7 +367,7 @@ class TestCachesAndLifecycle:
         assert again.status == "ok"
         if model == "altr":
             # Freshly pulled from the new live pool, not served from a cache.
-            assert engine.stats.live_profiles == live_profiles_before + 1
+            assert engine.stats.frontier_builds == builds_before + 1
             assert again.jer == first[0].jer
 
         oracle = BatchSelectionEngine().select(

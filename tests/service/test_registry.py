@@ -483,7 +483,7 @@ class TestEngineIntegration:
             [SelectionQuery(task_id=f"t{i}", pool_name="P") for i in range(10)]
         )
         assert all(o.ok for o in outcomes)
-        assert engine.stats.live_profiles == 1  # one profile pull, shared
+        assert engine.stats.frontier_builds == 1  # one profile pull, shared
         assert engine.stats.batch_sweeps == 0  # no engine-side sweep at all
 
     def test_pay_and_exact_against_live_pools(self, rng):
@@ -527,7 +527,7 @@ class TestCacheInvalidation:
         assert mutated.result.jer == single.jer
         assert mutated.result.juror_ids == single.juror_ids
         assert "star" in mutated.result.juror_ids
-        assert engine.stats.live_profiles == 2  # version bump: swept again
+        assert engine.stats.frontier_builds == 2  # version bump: swept again
 
     def test_identical_readd_answers_like_the_baseline(self, rng):
         """A remove then an identical re-add is two new versions, each

@@ -232,7 +232,6 @@ class TestServeSession:
         stats = rows[-1]
         assert stats["pools"] == {"P1": {"version": 0, "size": 5}}
         assert stats["queries_run"] == 2
-        assert stats["live_profiles"] == 1
         # The first select builds the version's answer frontier; the
         # repeat is answered from it.  Named pools never reach the in-pass
         # profile counters.
