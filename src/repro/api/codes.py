@@ -36,6 +36,7 @@ from repro.errors import (
     ServiceClosedError,
     SimulationError,
     StorageError,
+    StorageUnavailableError,
 )
 
 __all__ = ["ERROR_CODES", "error_code"]
@@ -61,6 +62,7 @@ ERROR_CODES: dict[type[BaseException], str] = {
     ServiceClosedError: "service-closed",
     OverloadedError: "overloaded",
     StorageError: "storage-corrupt",
+    StorageUnavailableError: "storage-unavailable",
     ReproError: "repro-error",
     # Transport-level failures and fallbacks from outside the hierarchy.
     JSONDecodeError: "invalid-json",

@@ -23,7 +23,8 @@ Endpoints (all bodies are JSON; protocol shapes from :mod:`repro.api`):
     order preserved.  The batch rides the same coalescing queue.
 ``POST /v1/pool``
     One :class:`~repro.api.PoolCommand` wire object; answers the registry
-    acknowledgement.  Unknown pools are 404, invalid commands 400.
+    acknowledgement.  Unknown pools are 404, invalid commands 400, and a
+    failed storage call (``storage-unavailable``) 503.
 ``GET /v1/stats``
     The service's lock-free counter snapshot plus transport counters —
     never waits on the engine lock, so it stays answerable during a long
@@ -64,6 +65,7 @@ from repro.errors import (
     ProtocolError,
     ReproError,
     ServiceClosedError,
+    StorageUnavailableError,
 )
 
 __all__ = ["HttpServer", "http_call"]
@@ -481,7 +483,7 @@ class HttpServer:
             return await handler(body)
         except _HttpError as exc:
             return exc.status, _error_payload(exc.info)
-        except (ServiceClosedError, OverloadedError) as exc:
+        except (ServiceClosedError, OverloadedError, StorageUnavailableError) as exc:
             return 503, _error_payload(ErrorInfo.from_exception(exc))
         except PoolNotFoundError as exc:
             return 404, _error_payload(ErrorInfo.from_exception(exc))

@@ -3,7 +3,7 @@
 The service owns a :class:`~repro.service.registry.PoolRegistry` of live
 pools and a :class:`~repro.service.batch.BatchSelectionEngine`, and speaks
 the typed protocol of :mod:`repro.api.protocol`: requests in, responses out,
-pool commands validated in full before their first mutation, so a rejected
+pool commands validated in full before they change anything, so a rejected
 command changes nothing.  The CLI modes (``single``/``explain``/
 ``batch``/``serve``), the examples, and library callers all dispatch through
 it — there is no second parser and no second encoder anywhere in the repo.
@@ -32,11 +32,10 @@ from repro.api.protocol import (
     wire_total_cost,
 )
 from repro.core import kernels
-from repro.core.juror import Juror
-from repro.errors import InvalidJuryError, InvalidRequirementError, ReproError
+from repro.errors import InvalidRequirementError
 from repro.plan import planner_cache_info
 from repro.service.batch import BatchSelectionEngine, SelectionQuery
-from repro.service.registry import LivePool, PoolRegistry
+from repro.service.registry import PoolRegistry
 
 __all__ = ["JuryService"]
 
@@ -365,13 +364,10 @@ class JuryService:
     def pool(self, command: PoolCommand) -> dict:
         """Apply one registry mutation; returns the wire acknowledgement.
 
-        An update's whole ``remove -> add -> set`` plan is validated against
-        a simulated membership before the first mutation, so a command that
-        is rejected leaves the pool untouched.  The plan is then applied one
-        juror mutation at a time, and a durable pool logs each as its own
-        WAL record, so a crash part-way through can recover a command half
-        applied.  Raises :class:`~repro.errors.ReproError` subclasses on
-        failure.
+        An update is one :meth:`LivePool.apply
+        <repro.service.registry.LivePool.apply>` call, so a rejected or
+        failed command leaves the pool as it was.  Raises
+        :class:`~repro.errors.ReproError` subclasses on failure.
         """
         if command.action == "create":
             pool = self._registry.create(
@@ -381,15 +377,7 @@ class JuryService:
             pool = self._registry.drop(command.name)
         else:  # update
             pool = self._registry.get(command.name)
-            replacements = self._validated_update(pool, command)
-            for juror_id in command.remove:
-                pool.remove_juror(juror_id)
-            for juror in command.add:
-                pool.add_juror(juror)
-            for juror in replacements:
-                pool.update_juror(
-                    juror.juror_id, error_rate=juror.error_rate, requirement=juror.requirement
-                )
+            pool.apply(command.remove, command.add, command.updates)
         return {
             "v": PROTOCOL_VERSION,
             "ok": True,
@@ -399,47 +387,6 @@ class JuryService:
             "version": pool.version,
             "size": pool.size,
         }
-
-    @staticmethod
-    def _validated_update(pool: LivePool, command: PoolCommand) -> list[Juror]:
-        """Validate an update fully before any mutation; returns its ``set``
-        entries as replacement jurors.
-
-        Simulates the membership of the ids the command touches, and only
-        those, through remove -> add -> set order (the order the update is
-        applied in) and re-validates every value a mutation would validate,
-        so no mutation of the plan can be rejected once the first one is
-        applied.
-        """
-        touched: dict[str, Juror | None] = {}
-
-        def member(juror_id: str) -> Juror | None:
-            return touched[juror_id] if juror_id in touched else pool.get(juror_id)
-
-        for juror_id in command.remove:
-            if member(juror_id) is None:
-                raise InvalidJuryError(f"juror {juror_id!r} is not in the pool")
-            touched[juror_id] = None
-        for juror in command.add:
-            if member(juror.juror_id) is not None:
-                raise InvalidJuryError(f"juror {juror.juror_id!r} is already in the pool")
-            touched[juror.juror_id] = juror
-        replacements: list[Juror] = []
-        for position, (juror_id, error_rate, requirement) in enumerate(command.updates):
-            current = member(juror_id)
-            if current is None:
-                raise InvalidJuryError(f"juror {juror_id!r} is not in the pool")
-            try:
-                replacement = Juror(
-                    current.error_rate if error_rate is None else error_rate,
-                    current.requirement if requirement is None else requirement,
-                    juror_id=juror_id,
-                )
-            except ReproError as exc:
-                raise InvalidJuryError(f"set entry #{position}: {exc}") from exc
-            touched[juror_id] = replacement
-            replacements.append(replacement)
-        return replacements
 
     # ------------------------------------------------------------------
     # introspection

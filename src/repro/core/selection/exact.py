@@ -140,10 +140,13 @@ def enumerate_optimal(
             idx = np.array(block, dtype=np.intp)
             stats.juries_considered += idx.shape[0]
             # Sequential left-to-right accumulation, matching the scalar
-            # ``sum(j.requirement for j in combo)`` rounding exactly.
+            # ``sum(j.requirement for j in combo)`` rounding exactly.  A sum
+            # that overflows is ``inf``, which still compares correctly
+            # against the budget.
             costs = np.zeros(idx.shape[0], dtype=np.float64)
-            for col in range(k):
-                costs += reqs[idx[:, col]]
+            with np.errstate(over="ignore"):
+                for col in range(k):
+                    costs += reqs[idx[:, col]]
             feasible = np.nonzero(costs <= b)[0]
             if feasible.size == 0:
                 continue
@@ -249,25 +252,27 @@ def _python_search(
     ``limit``, the incumbent carried across sizes.  Returns the incumbent's
     ``(indices | None, jer)``; the native ``bb_search`` kernel must
     reproduce it and the four search counters of ``stats`` exactly."""
-    # cheapest_sum[i][m]: minimum total requirement of any m candidates taken
-    # from the suffix starting at index i.  Used for cost pruning.
-    cheapest_sum = _suffix_cheapest_sums(reqs)
     best: dict[str, object] = {"jer": math.inf, "indices": None}
-
-    for k in range(1, limit + 1, 2):
-        threshold = majority_threshold(k)
-        _bb_search(
-            ids,
-            eps,
-            reqs,
-            cheapest_sum,
-            k,
-            threshold,
-            budget,
-            use_jer_bound,
-            best,
-            stats,
-        )
+    # A cost sum that overflows is ``inf``, which still prunes and compares
+    # correctly against the budget, as in the native search.
+    with np.errstate(over="ignore"):
+        # cheapest_sum[i][m]: minimum total requirement of any m candidates
+        # taken from the suffix starting at index i.  Used for cost pruning.
+        cheapest_sum = _suffix_cheapest_sums(reqs)
+        for k in range(1, limit + 1, 2):
+            threshold = majority_threshold(k)
+            _bb_search(
+                ids,
+                eps,
+                reqs,
+                cheapest_sum,
+                k,
+                threshold,
+                budget,
+                use_jer_bound,
+                best,
+                stats,
+            )
     return best["indices"], float(best["jer"])  # type: ignore[return-value,arg-type]
 
 

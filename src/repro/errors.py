@@ -27,6 +27,7 @@ __all__ = [
     "ServiceClosedError",
     "OverloadedError",
     "StorageError",
+    "StorageUnavailableError",
 ]
 
 
@@ -148,3 +149,16 @@ class ProtocolError(ReproError, ValueError):
     def __init__(self, message: str, *, detail: dict | None = None) -> None:
         super().__init__(message)
         self.detail = detail
+
+
+class StorageUnavailableError(ReproError, RuntimeError):
+    """A storage call of the durable pool catalog failed; the caller may retry.
+
+    Raised by :mod:`repro.storage` when the disk refuses a write, a short
+    write, an fsync or a snapshot (ENOSPC, EIO, …).  The command that hit it
+    was not acknowledged: it is absent, or, when the failure came after its
+    WAL record was durable (a snapshot or compaction), fully applied —
+    never half applied.  Carried on the wire as HTTP 503 with the stable
+    code ``storage-unavailable``; unlike :class:`StorageError`, it says
+    nothing is wrong with what is already on disk.
+    """

@@ -16,8 +16,8 @@ work: most users' estimates barely move between pipeline runs.
 :func:`sync_pool_with_estimate` is the incremental mode — it diffs a fresh
 :class:`EstimationResult` against a live registry pool
 (:class:`repro.service.registry.LivePool`) and applies only the changed
-jurors, so the pool's answer frontier keeps every entry the refresh left
-intact.
+jurors, as one command: one version per changed juror, and one WAL record
+when the pool is durable.
 """
 
 from __future__ import annotations
@@ -208,18 +208,17 @@ def sync_pool_with_estimate(
     cut to its ``top_k`` best-scored users, or any juror sequence) against
     the current members of ``pool`` and applies only the differences:
     departures are removed, arrivals added, and drifted estimates updated in
-    place.  Jurors whose error rate and requirement are bit-equal to the
+    place, all as one :meth:`~repro.service.registry.LivePool.apply`
+    command.  Jurors whose error rate and requirement are bit-equal to the
     pool's are not touched, so the pool's version advances by exactly the
-    churn count and its answer frontier keeps every entry below the lowest
-    churned position.
+    churn count; a refresh that changes nothing keeps the version.
 
     Parameters
     ----------
     pool:
         A :class:`repro.service.registry.LivePool` (or anything with its
-        mutation API: ``columns``, ``add_juror``, ``remove_juror``,
-        ``update_juror``, ``version``).  Its members are read from the
-        columns; no juror is built for them.
+        ``columns``, ``apply`` and ``version``).  Its members are read from
+        the columns; no juror is built for them.
     estimation:
         The fresh pipeline output to converge the pool toward.
     top_k:
@@ -250,16 +249,11 @@ def sync_pool_with_estimate(
         != current[juror_id]
     )
 
-    for juror_id in removed:
-        pool.remove_juror(juror_id)
-    for juror_id in added:
-        pool.add_juror(target[juror_id])
-    for juror_id in updated:
-        pool.update_juror(
-            juror_id,
-            error_rate=target[juror_id].error_rate,
-            requirement=target[juror_id].requirement,
-        )
+    pool.apply(
+        removed,
+        [target[juror_id] for juror_id in added],
+        [(i, target[i].error_rate, target[i].requirement) for i in updated],
+    )
 
     return PoolSyncReport(
         added=tuple(added),

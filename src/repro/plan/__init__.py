@@ -20,7 +20,7 @@ operators that answer it, database-style:
 :mod:`repro.plan.cost`
     The cost model: jer ``dp``/``cba`` and pmf ``dp``/``conv`` crossovers,
     ``enumerate`` vs ``branch-and-bound`` from pool size and budget
-    tightness, and the frontier build-vs-probe crossover.
+    tightness, and the ``frontier-probe`` estimate AltrM plans list.
 :mod:`repro.plan.frontier`
     The answer frontier: a pool version's running argmin over the odd-prefix
     JER profile, probed by binary search.  Live pools own one per version,
@@ -28,13 +28,15 @@ operators that answer it, database-style:
     planning or touching the kernels.
 
 The scalar selectors (:func:`repro.select_jury_altr`,
-:func:`repro.select_jury_pay`, :func:`repro.select_jury_optimal`), the
-batch engine (:class:`repro.service.BatchSelectionEngine`), the
-``repro-select`` CLI modes and the experiment runners all execute through
-``plan_query() -> execute_plan()``, so their answers cannot diverge.  The
-one exception, a named pool's AltrM select, reads its live pool's answer
-frontier, whose scan is ``best_odd_prefix``'s loop checkpointed at every
-prefix.
+:func:`repro.select_jury_pay`, :func:`repro.select_jury_optimal`) and the
+experiment runners execute through ``plan_query() -> execute_plan()``, as
+the batch engine (:class:`repro.service.BatchSelectionEngine`) does for
+PayM and exact queries.  The engine answers AltrM selects from Lemma 3
+columns instead: a named pool's from its live pool's answer frontier, whose
+scan is ``best_odd_prefix``'s loop checkpointed at every prefix, and inline
+candidates' from one stacked sweep and ``best_odd_prefix``
+(:meth:`~repro.service.BatchSelectionEngine.answer_altr`).  The tests hold
+both to the plan pipeline's answers bit for bit, so no path can diverge.
 """
 
 from repro.plan.cost import (

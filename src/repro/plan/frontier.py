@@ -34,8 +34,10 @@ named pool from one probe of it
 service turns the probe's ``(size, jer)`` straight into wire text the pool
 keeps per version and size, with no :class:`SelectionResult`; direct engine
 callers get one from :func:`altr_result`, as :meth:`AnswerFrontier.select`
-builds it.  Frozen pools get no frontier; the engine answers them through
-``plan_query() -> execute_plan()``.
+builds it.  Frozen pools and inline candidates get no frontier: the engine
+answers their AltrM selects from their sorted columns
+(:meth:`repro.service.batch.BatchSelectionEngine.answer_altr`), and their
+PayM and exact selects through ``plan_query() -> execute_plan()``.
 
 Only ``model="altr"`` queries are answered from a frontier.  ``exact``
 queries over the same pool *can* return the same jury, but their tie-break

@@ -11,8 +11,9 @@ order once, as parallel read-only columns —
 plus :attr:`CandidatePool.ordered`, the same columns as a
 :class:`~repro.core.juror.JurorColumns` sequence, which builds a
 :class:`~repro.core.juror.Juror` only for a member an answer returns.  The
-physical operators read the arrays directly; the batch engine deduplicates
-the pools of one pass on their content fingerprint.  A live pool
+physical operators read the arrays directly; the batch engine shares one
+sweep among the queries of a pass that hold the same pool object, and
+hashes nothing to find pools that are merely equal.  A live pool
 (:class:`repro.service.registry.LivePool`) is one such set of columns per
 version, and hands its current version over as a pool without copying.
 """
@@ -101,9 +102,8 @@ class CandidatePool:
         self.eps = ordered.eps
         self.reqs = ordered.reqs
         self.ids = ordered.ids
-        # Computed lazily: only the engine's in-pass AltrM deduplication
-        # consults it, so PayM, exact and named-pool queries never pay for
-        # the hash.
+        # Computed lazily, on the first equality test, hash or repr: no
+        # query path consults it.
         self._fingerprint = fingerprint
         self.pool_id = pool_id
 

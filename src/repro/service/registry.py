@@ -8,11 +8,14 @@ re-sort.  This module keeps the *update path* cheap without giving up
 anything on the *query path*:
 
 :class:`LivePool`
-    A mutable candidate pool whose every mutation (``add_juror`` /
-    ``remove_juror`` / ``update_juror``) produces a monotonically increasing
-    ``version``.  A version is one set of Lemma 3-sorted
+    A mutable candidate pool that changes only through
+    :meth:`LivePool.apply`: one command of removes, adds and ``set`` entries,
+    checked whole, logged by a bound store as one record, then published as
+    the next version (``add_juror`` / ``remove_juror`` / ``update_juror``
+    are one-mutation commands).  The ``version`` advances by one per juror
+    mutation.  A version is one set of Lemma 3-sorted
     :class:`~repro.core.juror.JurorColumns` plus an id -> error-rate index,
-    with no object per juror: a mutation finds its row by binary search on
+    with no object per juror: a command finds its rows by binary search on
     the error-rate column, ids breaking ties as in :func:`lemma3_order`, and
     splices the next version's columns (``O(n)``).  The odd-prefix JER
     profile of a version is swept on first request with
@@ -47,7 +50,7 @@ import numpy as np
 from repro.core.jer import batch_prefix_jer_sweep
 from repro.core.juror import Juror, JurorColumns
 from repro.core.selection.base import columns_fingerprint, lemma3_order
-from repro.errors import EmptyCandidateSetError, InvalidJuryError, PoolNotFoundError
+from repro.errors import EmptyCandidateSetError, InvalidJuryError, PoolNotFoundError, ReproError
 from repro.plan.frontier import AnswerFrontier
 from repro.plan.pool import CandidatePool
 
@@ -131,9 +134,8 @@ class LivePool:
         self._frontier: AnswerFrontier | None = None
         # The current version's answer encoder, made on its first answer.
         self._answers: Callable | None = None
-        # Durability hook: when a catalog store is bound, every successful
-        # mutation is reported to it (post-bump, so the record carries the
-        # new version).  ``None`` keeps the pool purely in-memory.
+        # Durability hook: a bound catalog store logs each command before
+        # it is published.  ``None`` keeps the pool purely in-memory.
         self._store = None
         self.stats = LivePoolStats()
 
@@ -217,18 +219,53 @@ class LivePool:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
+    def apply(
+        self,
+        remove: Iterable[str] = (),
+        add: Iterable[Juror] = (),
+        updates: Iterable[tuple[str, float | None, float | None]] = (),
+    ) -> int:
+        """Apply one command as the next version; returns that version.
+
+        The only way a pool changes.  Removes, then adds, then ``set``
+        entries ``(juror_id, error_rate, requirement)`` (``None`` keeps a
+        value) are checked once, each against the membership the steps
+        before it leave.  A bound store logs the command as one record
+        before columns, index and version are published together, so a
+        rejected or failed command changes nothing.  The version advances by
+        one per juror mutation; an empty command keeps it.  O(n) per mutation.
+        """
+        remove, add = tuple(remove), tuple(add)
+        changes, replacements = self._checked(remove, add, updates)
+        if not changes:
+            return self._version
+        version = self._version + len(remove) + len(add) + len(replacements)
+        columns = self._next_columns(changes)
+
+        def publish() -> None:
+            for juror_id, juror in changes.items():
+                if juror is None:
+                    del self._index[juror_id]
+                else:
+                    self._index[juror_id] = juror.error_rate
+            self.stats.mutations += version - self._version
+            self._columns, self._fingerprint, self._answers = columns, None, None
+            self._version = version
+
+        if self._store is None:
+            publish()
+        else:
+            self._store.on_command(self, version, (remove, add, replacements), publish)
+        return version
+
     def add_juror(self, juror: Juror) -> int:
         """Add a candidate; returns the new version.  O(n) per call."""
-        if not isinstance(juror, Juror):
-            raise InvalidJuryError("only Juror instances can join a pool")
-        if juror.juror_id in self._index:
-            raise InvalidJuryError(f"juror {juror.juror_id!r} is already in the pool")
-        return self._commit(None, juror)
+        return self.apply(add=(juror,))
 
     def remove_juror(self, juror_id: str) -> Juror:
         """Remove a candidate by id and return it.  O(n) per call."""
-        juror = self._member(juror_id)
-        self._commit(juror, None)
+        juror = self.get(juror_id)
+        self.apply(remove=(juror_id,))
         return juror
 
     def update_juror(
@@ -242,15 +279,12 @@ class LivePool:
 
         Equivalent to remove + re-add of a juror with the same id, but counts
         as a single version bump (one churn event, as produced by a pipeline
-        re-estimation).
+        re-estimation).  A bad value raises the error :class:`Juror` would.
         """
-        current = self._member(juror_id)
-        replacement = Juror(
-            current.error_rate if error_rate is None else error_rate,
-            current.requirement if requirement is None else requirement,
-            juror_id=juror_id,
-        )
-        return self._commit(current, replacement)
+        try:
+            return self.apply(updates=((juror_id, error_rate, requirement),))
+        except InvalidJuryError as exc:
+            raise exc.__cause__ or exc from None
 
     def update_error_rate(self, juror_id: str, error_rate: float) -> int:
         """Drift a member's error-rate estimate; returns the new version."""
@@ -259,10 +293,11 @@ class LivePool:
     def bind_store(self, store) -> None:
         """Attach (or detach, with ``None``) a durable catalog store.
 
-        While bound, every successful mutation is reported to the store
-        *after* it is applied in memory, so the WAL only ever records
-        mutations the pool accepted.  The catalog binds a store after
-        create/recovery and detaches it on eviction and close.
+        While bound, :meth:`apply` hands each command to ``store.on_command(
+        pool, version, (remove, add, replacements), publish)``, which logs it
+        before it calls ``publish``.  The catalog binds a store after
+        create/recovery and detaches it on drop and close; an evicted pool
+        keeps its closed store, which refuses commands.
         """
         self._store = store
 
@@ -338,39 +373,64 @@ class LivePool:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _member(self, juror_id: str) -> Juror:
-        juror = self.get(juror_id)
-        if juror is None:
-            raise InvalidJuryError(f"juror {juror_id!r} is not in the pool")
-        return juror
+    def _checked(
+        self,
+        remove: tuple[str, ...],
+        add: tuple[Juror, ...],
+        updates: Iterable[tuple[str, float | None, float | None]],
+    ) -> tuple[dict[str, Juror | None], list[Juror]]:
+        """Validate a command in remove -> add -> set order: each touched
+        id's member after it (``None`` once removed), and each ``set`` entry's
+        replacement juror."""
+        changes: dict[str, Juror | None] = {}
 
-    def _splice(self, leaving: Juror | None, joining: Juror | None) -> None:
-        """Make the next version's columns: ``leaving`` out, ``joining`` in."""
+        def member(juror_id: str) -> Juror | None:
+            return changes[juror_id] if juror_id in changes else self.get(juror_id)
+
+        for juror_id in remove:
+            if member(juror_id) is None:
+                raise InvalidJuryError(f"juror {juror_id!r} is not in the pool")
+            changes[juror_id] = None
+        for juror in add:
+            if not isinstance(juror, Juror):
+                raise InvalidJuryError("only Juror instances can join a pool")
+            if member(juror.juror_id) is not None:
+                raise InvalidJuryError(f"juror {juror.juror_id!r} is already in the pool")
+            changes[juror.juror_id] = juror
+        replacements: list[Juror] = []
+        for position, (juror_id, error_rate, requirement) in enumerate(updates):
+            current = member(juror_id)
+            if current is None:
+                raise InvalidJuryError(f"juror {juror_id!r} is not in the pool")
+            try:
+                replacement = Juror(
+                    current.error_rate if error_rate is None else error_rate,
+                    current.requirement if requirement is None else requirement,
+                    juror_id=juror_id,
+                )
+            except ReproError as exc:
+                raise InvalidJuryError(f"set entry #{position}: {exc}") from exc
+            changes[juror_id] = replacement
+            replacements.append(replacement)
+        return changes, replacements
+
+    def _next_columns(self, changes: dict[str, Juror | None]) -> JurorColumns:
+        """The next version's columns: each touched member's current row
+        spliced out, and its member after the command spliced in where it
+        sorts, without touching the current columns."""
         ids, eps, reqs = self._columns.ids, self._columns.eps, self._columns.reqs
-        if leaving is not None:
-            row = _row(ids, eps, leaving.error_rate, leaving.juror_id)
-            ids = ids[:row] + ids[row + 1 :]
-            eps = np.concatenate((eps[:row], eps[row + 1 :]))
-            reqs = np.concatenate((reqs[:row], reqs[row + 1 :]))
-            del self._index[leaving.juror_id]
-        if joining is not None:
-            row = _row(ids, eps, joining.error_rate, joining.juror_id)
-            ids = ids[:row] + (joining.juror_id,) + ids[row:]
-            eps = np.concatenate((eps[:row], [joining.error_rate], eps[row:]))
-            reqs = np.concatenate((reqs[:row], [joining.requirement], reqs[row:]))
-            self._index[joining.juror_id] = joining.error_rate
-        self._columns = JurorColumns(ids, eps, reqs)
-
-    def _commit(self, leaving: Juror | None, joining: Juror | None) -> int:
-        """Apply one mutation as the next version and report it to the store."""
-        self._splice(leaving, joining)
-        self._version += 1
-        self._fingerprint = None
-        self._answers = None
-        self.stats.mutations += 1
-        if self._store is not None:
-            self._store.on_mutation(self, leaving, joining)
-        return self._version
+        for juror_id, joining in changes.items():
+            if juror_id in self._index:
+                row = _row(ids, eps, self._index[juror_id], juror_id)
+                ids = ids[:row] + ids[row + 1 :]
+                eps = np.concatenate((eps[:row], eps[row + 1 :]))
+                reqs = np.concatenate((reqs[:row], reqs[row + 1 :]))
+            if joining is not None:
+                row = _row(ids, eps, joining.error_rate, juror_id)
+                ids = ids[:row] + (juror_id,) + ids[row:]
+                eps = np.concatenate((eps[:row], [joining.error_rate], eps[row:]))
+                reqs = np.concatenate((reqs[:row], [joining.requirement], reqs[row:]))
+        return JurorColumns(ids, eps, reqs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" id={self.pool_id!r}" if self.pool_id else ""

@@ -5,21 +5,29 @@
 split the ROADMAP names (Polynesia's transactional/analytical separation):
 
 * the **mutation path** is an append-only WAL per pool
-  (:mod:`repro.storage.wal`) — every ``add``/``remove``/``update`` the live
-  pool applies is recorded, checksummed and fsync-batched *after* the
-  in-memory mutation succeeds, so the log never contains a mutation the
-  pool rejected;
+  (:mod:`repro.storage.wal`): the pool's :class:`PoolStore` writes each
+  command :meth:`LivePool.apply <repro.service.registry.LivePool.apply>`
+  accepted as one checksummed, fsync-batched record *before* the pool
+  publishes it, so memory never gets ahead of the log.  The WAL file is
+  the log's only copy;
 * the **analytical path** is periodic columnar snapshots
   (:mod:`repro.storage.snapshot`) of exactly the struct-of-arrays layout
   the sweep kernels consume, written every ``snapshot_interval`` WAL
-  records and on clean close;
+  records;
 * **recovery** loads the newest verifiable snapshot and replays the WAL
-  tail through the ordinary :class:`~repro.service.registry.LivePool`
-  mutation methods — which means the Lemma 3 order, the sweep profile and
-  the answer frontier are all rebuilt exactly as they would have been in
-  the original process.  A recovered pool is **bit-identical** to the
-  pre-crash pool: same fingerprint (verified against the snapshot
-  manifest), same sweep profile, same selections.
+  tail, one :meth:`LivePool.apply` call per record — which means the
+  Lemma 3 order, the sweep profile and the answer frontier are all rebuilt
+  exactly as they would have been in the original process.  A recovered
+  pool is **bit-identical** to the pre-crash pool: same fingerprint
+  (verified against the snapshot manifest), same sweep profile, same
+  selections.
+
+A failed storage call raises :class:`~repro.errors.StorageUnavailableError`
+and evicts the pool, whose next access recovers it from disk (dropping a
+torn record), so memory equals a recovery of the disk.  A failed WAL fsync
+instead keeps the pool at its last acknowledged version, refusing writes
+until restart: what it left on disk is unknown, and a retry could report
+success falsely.
 
 On-disk layout::
 
@@ -45,27 +53,37 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import shutil
 import threading
 import time
 from collections import OrderedDict
 from collections.abc import Iterable
-from dataclasses import dataclass
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.core.juror import Juror, JurorColumns
-from repro.errors import InvalidJuryError, PoolNotFoundError, StorageError
+from repro.errors import (
+    InvalidJuryError,
+    PoolNotFoundError,
+    StorageError,
+    StorageUnavailableError,
+)
 from repro.service.registry import LivePool
 from repro.storage.snapshot import (
     SnapshotData,
+    fsync_dir,
+    fsync_file,
     gc_snapshots,
     list_snapshot_versions,
     load_snapshot,
     snapshot_dir,
+    write_file,
     write_snapshot,
 )
-from repro.storage.wal import MAGIC, WalWriter, scan_wal
+from repro.storage.wal import MAGIC, WalWriter, log_bytes, scan_wal
 
 __all__ = [
     "DEFAULT_MAX_RESIDENT",
@@ -116,6 +134,8 @@ class CatalogStats:
     recovered_truncated: int = 0
     evictions: int = 0
     tombstones: int = 0
+    storage_failures: int = 0  # each answered ``storage-unavailable``
+    read_only: int = 0  # pools refusing writes until restart: a WAL fsync failed
     recovery_ms: float = 0.0
     last_recovery_ms: float = 0.0
 
@@ -128,13 +148,25 @@ def _recovered(name: str, ids, eps, reqs) -> JurorColumns:
     return columns
 
 
+def _rows(jurors) -> list[list]:
+    return [[j.juror_id, j.error_rate, j.requirement] for j in jurors]
+
+
+#: Each mutation record (older logs hold one per juror) as command rows.
+_AS_COMMAND = {
+    "cmd": lambda r: (r.get("remove", ()), r.get("add", ()), r.get("set", ())),
+    "add": lambda r: ((), [(r["id"], r["e"], r["r"])], ()),
+    "remove": lambda r: ([r["id"]], (), ()),
+    "update": lambda r: ((), (), [(r["id"], r["e"], r["r"])]),
+}
+
+
 class PoolStore:
     """Per-pool durable state: the WAL writer plus snapshot bookkeeping.
 
-    A store is bound to its :class:`LivePool` via
-    :meth:`LivePool.bind_store`; the pool calls :meth:`on_mutation` *after*
-    each successful mutation, so the log records exactly the mutations the
-    pool accepted, in order, tagged with the post-mutation version.
+    Bound to its :class:`LivePool` via :meth:`LivePool.bind_store`, it
+    logs each command, tagged with the version it produces, before the pool
+    publishes it (:meth:`on_command`).
     """
 
     def __init__(
@@ -144,58 +176,52 @@ class PoolStore:
         directory: Path,
         writer: WalWriter,
         *,
-        records: list[dict] | None = None,
-        snapshot_version: int = -1,
+        since_snapshot: int = 0,
     ) -> None:
         self._catalog = catalog
         self.name = name
         self.directory = directory
         self._writer = writer
         self._fsyncs_seen = writer.fsyncs
-        # In-memory mirror of the live WAL records, needed so compaction
-        # can rewrite the log without re-reading it.  Bounded: compaction
-        # trims it in lockstep with the file.
-        self._records: list[dict] = list(records or ())
-        self._snapshot_version = snapshot_version
+        # Records appended since the last snapshot: the snapshot trigger.
+        self._since_snapshot = since_snapshot
+        #: Set when a WAL fsync failed: the store refuses every write.
+        self.read_only = False
 
-    # -- record hooks (called by LivePool after each mutation) ---------
-    def on_mutation(
-        self, pool: LivePool, leaving: Juror | None, joining: Juror | None
-    ) -> None:
-        """Log an add (no ``leaving``), a remove (no ``joining``) or an update."""
-        if joining is None:
-            record = {"v": 1, "op": "remove", "ver": pool.version, "id": leaving.juror_id}
-        else:
-            record = {"v": 1, "op": "add" if leaving is None else "update",
-                      "ver": pool.version, "id": joining.juror_id,
-                      "e": joining.error_rate, "r": joining.requirement}
-        self._append(pool, record)
+    def on_command(self, pool: LivePool, version: int, command, publish) -> None:
+        """Log ``command``, ``(remove ids, added jurors, set replacements)``,
+        as one record; then ``publish`` it as ``version``; then snapshot if
+        due.  A failed snapshot comes after the record is durable."""
+        remove, add, replacements = command
+        rows = {"remove": list(remove), "add": _rows(add), "set": _rows(replacements)}
+        record = {"v": 1, "op": "cmd", "ver": version, **{k: v for k, v in rows.items() if v}}
+        with self._writing():
+            self._append(record)
+            publish()
+            self._snapshot_if_due(pool)
 
     def record_create(self, pool: LivePool) -> None:
+        """Log the create record durably; :meth:`PoolCatalog.create` handles
+        a failure."""
         columns = pool.columns
-        self._append(
-            pool,
-            {
-                "v": 1,
-                "op": "create",
-                "ver": pool.version,
-                "members": list(
-                    zip(columns.ids, columns.eps.tolist(), columns.reqs.tolist())
-                ),
-            },
-        )
+        members = list(zip(columns.ids, columns.eps.tolist(), columns.reqs.tolist()))
+        self._append({"v": 1, "op": "create", "ver": pool.version, "members": members})
         self._writer.flush()
         self._sync_counters()
+        self._snapshot_if_due(pool)
 
     def record_drop(self, version: int) -> None:
-        self._writer.append({"v": 1, "op": "drop", "ver": version})
-        self._writer.flush()
-        self._catalog.stats.wal_appends += 1
-        self._sync_counters()
+        with self._writing():
+            self._append({"v": 1, "op": "drop", "ver": version})
+            self._writer.flush()
 
     # -- snapshot / lifecycle ------------------------------------------
-    def take_snapshot(self, pool: LivePool) -> None:
-        """Freeze the pool's current columns and compact the WAL."""
+    def _snapshot_if_due(self, pool: LivePool) -> None:
+        """Freeze the pool's current columns, once ``snapshot_interval``
+        records followed the last snapshot, and compact the WAL."""
+        interval = self._catalog.snapshot_interval
+        if not interval or self._since_snapshot < interval:
+            return
         columns = pool.columns
         write_snapshot(
             self.directory,
@@ -205,55 +231,74 @@ class PoolStore:
             reqs=columns.reqs,
             ids=columns.ids,
         )
-        self._snapshot_version = pool.version
+        self._since_snapshot = 0
         self._catalog.stats.snapshots += 1
         gc_snapshots(self.directory, keep=self._catalog.keep_snapshots)
         # Compact: every kept snapshot must stay a usable recovery base,
         # so records are dropped only up to the *oldest kept* generation.
         kept = list_snapshot_versions(self.directory)
-        cutoff = min(kept) if len(kept) >= 2 else -1
-        survivors = [r for r in self._records if r["ver"] > cutoff]
-        if len(survivors) != len(self._records):
-            self._records = survivors
-            self._rewrite_wal()
-        self._sync_counters()
+        if len(kept) >= 2:
+            self._compact(min(kept))
 
     def flush(self) -> None:
-        self._writer.flush()
+        with self._catalog._unavailable(self.name):
+            self._writer.flush()
         self._sync_counters()
 
     def close(self) -> None:
-        self._writer.close()
+        with self._catalog._unavailable(self.name):
+            self._writer.close()
         self._sync_counters()
 
     # -- internals ------------------------------------------------------
-    def _append(self, pool: LivePool, record: dict) -> None:
-        self._writer.append(record)
-        self._records.append(record)
-        self._catalog.stats.wal_appends += 1
-        self._sync_counters()
-        if (
-            self._catalog.snapshot_interval
-            and len(self._records) >= self._catalog.snapshot_interval
-        ):
-            self.take_snapshot(pool)
-
-    def _rewrite_wal(self) -> None:
-        """Rewrite the log to hold exactly ``self._records``, atomically."""
-        fsync_batch = self._writer.fsync_batch
-        self._writer.close()
-        tmp = self.directory / f".tmp-{_WAL_NAME}"
-        writer = WalWriter(tmp, fsync_batch=0)
+    @contextmanager
+    def _writing(self):
+        """Refuse writes once the store failed; fail it on a failed call."""
+        if self.read_only or self._writer.closed:
+            raise StorageUnavailableError(
+                f"pool {self.name!r} refuses writes until restart: a WAL fsync failed"
+                if self.read_only
+                else f"pool {self.name!r} was evicted from its catalog; open it again"
+            )
         try:
-            for record in self._records:
-                writer.append(record)
+            with self._catalog._unavailable(self.name):
+                yield
+        except StorageUnavailableError:
+            if self._writer.sync_failed:
+                self.read_only = True
+                self._catalog.stats.read_only += 1
+            else:
+                self._catalog._evict(self.name)
+            raise
         finally:
-            writer.close()
-        (tmp).replace(self.directory / _WAL_NAME)
-        self._writer = WalWriter(
-            self.directory / _WAL_NAME, fsync_batch=fsync_batch
-        )
-        self._fsyncs_seen = self._writer.fsyncs
+            self._sync_counters()
+
+    def _append(self, record: dict) -> None:
+        self._writer.append(record)
+        self._catalog.stats.wal_appends += 1
+        self._since_snapshot += 1
+
+    def _compact(self, cutoff: int) -> None:
+        """Drop the records at or below version ``cutoff`` from the log.
+
+        The survivors, read back from the file, are written and fsynced to a
+        temporary log renamed over the live one before the writer moves to
+        it, so a failure on the way leaves the old log and writer in place.
+        """
+        path = self.directory / _WAL_NAME
+        records = scan_wal(path).records
+        survivors = [r for r in records if r["ver"] > cutoff]
+        if len(survivors) == len(records):
+            return
+        tmp = self.directory / f".tmp-{_WAL_NAME}"
+        write_file(tmp, log_bytes(survivors))
+        fsync_file(tmp)
+        os.replace(tmp, path)
+        fsync_dir(self.directory)
+        self._sync_counters()
+        old = self._writer
+        self._writer, self._fsyncs_seen = WalWriter(path, fsync_batch=old.fsync_batch), 0
+        old.close()
 
     def _sync_counters(self) -> None:
         delta = self._writer.fsyncs - self._fsyncs_seen
@@ -373,7 +418,12 @@ class PoolCatalog:
         *,
         replace: bool = False,
     ) -> LivePool:
-        """Register a new durable pool; same semantics as the registry."""
+        """Register a new durable pool; same semantics as the registry.
+
+        ``META.json`` is written last, after the create record is durable,
+        and a failure removes the directory: a failed create leaves no pool.
+        ``replace`` drops the old pool first, so a failure then leaves neither.
+        """
         if not isinstance(name, str) or not name:
             raise ValueError(f"pool name must be a non-empty string, got {name!r}")
         with self._lock:
@@ -386,18 +436,25 @@ class PoolCatalog:
                 self.drop(name)
             pool = LivePool(candidates, pool_id=name)
             directory = self._pools_dir / pool_slug(name)
-            if directory.exists():  # leftover debris from a crashed drop
-                shutil.rmtree(directory)
-            directory.mkdir(parents=True)
-            meta = directory / _META_NAME
-            meta.write_text(
-                json.dumps({"v": 1, "name": name}) + "\n", encoding="utf-8"
-            )
-            writer = WalWriter(
-                directory / _WAL_NAME, fsync_batch=self.fsync_batch
-            )
-            store = PoolStore(self, name, directory, writer)
-            store.record_create(pool)
+            writer = None
+            try:
+                with self._unavailable(name):
+                    if directory.exists():  # leftover debris from a crashed drop
+                        shutil.rmtree(directory)
+                    directory.mkdir(parents=True)
+                    writer = WalWriter(directory / _WAL_NAME, fsync_batch=self.fsync_batch)
+                    store = PoolStore(self, name, directory, writer)
+                    store.record_create(pool)
+                    write_file(
+                        directory / _META_NAME,
+                        (json.dumps({"v": 1, "name": name}) + "\n").encode("utf-8"),
+                    )
+            except StorageUnavailableError:
+                if writer is not None:
+                    with suppress(OSError):
+                        writer.close()
+                shutil.rmtree(directory, ignore_errors=True)
+                raise
             pool.bind_store(store)
             self._index[name] = directory
             self._resident[name] = (pool, store)
@@ -418,7 +475,8 @@ class PoolCatalog:
                 raise PoolNotFoundError(
                     f"no pool named {name!r} in the registry"
                 )
-            pool, store = self._recover(name, directory)
+            with self._unavailable(name):
+                pool, store = self._recover(name, directory)
             self._resident[name] = (pool, store)
             self._resident.move_to_end(name)
             self._evict_over_limit()
@@ -439,24 +497,28 @@ class PoolCatalog:
                 raise PoolNotFoundError(
                     f"no pool named {name!r} in the registry"
                 )
-            entry = self._resident.pop(name, None)
+            entry = self._resident.get(name)
             if entry is not None:
                 pool, store = entry
                 store.record_drop(pool.version + 1)
-                store.close()
+                del self._resident[name]
+                with suppress(StorageUnavailableError):
+                    store.close()
                 pool.bind_store(None)
             else:
-                scan = scan_wal(directory / _WAL_NAME)
-                last_ver = scan.records[-1]["ver"] if scan.records else 0
-                writer = WalWriter(
-                    directory / _WAL_NAME,
-                    fsync_batch=1,
-                    valid_bytes=scan.valid_bytes,
-                )
-                try:
-                    writer.append({"v": 1, "op": "drop", "ver": last_ver + 1})
-                finally:
-                    writer.close()
+                with self._unavailable(name):
+                    scan = scan_wal(directory / _WAL_NAME)
+                    last_ver = scan.records[-1]["ver"] if scan.records else 0
+                    writer = WalWriter(
+                        directory / _WAL_NAME,
+                        fsync_batch=1,
+                        valid_bytes=scan.valid_bytes,
+                    )
+                    try:
+                        writer.append({"v": 1, "op": "drop", "ver": last_ver + 1})
+                    finally:
+                        with suppress(OSError):
+                            writer.close()
                 self.stats.wal_appends += 1
                 self.stats.fsyncs += writer.fsyncs
             # Durable tombstone in place; now reclaim, marking META first
@@ -477,17 +539,22 @@ class PoolCatalog:
                 store.flush()
 
     def close(self) -> None:
-        """Flush and close every resident store.  Idempotent and terminal."""
+        """Flush and close every resident store, then raise the first failure.
+        Idempotent and terminal."""
         with self._lock:
             if self._closed:
                 return
-            for _, store in self._resident.values():
-                store.flush()
-                store.close()
-            for pool, _ in self._resident.values():
+            failures = []
+            for pool, store in self._resident.values():
+                try:
+                    store.close()
+                except StorageUnavailableError as exc:
+                    failures.append(exc)
                 pool.bind_store(None)
             self._resident.clear()
             self._closed = True
+            if failures:
+                raise failures[0]
 
     @property
     def closed(self) -> bool:
@@ -503,16 +570,7 @@ class PoolCatalog:
             "max_resident": self.max_resident,
             "snapshot_interval": self.snapshot_interval,
             "fsync_batch": self.fsync_batch,
-            "wal_appends": s.wal_appends,
-            "fsyncs": s.fsyncs,
-            "snapshots": s.snapshots,
-            "snapshot_fallbacks": s.snapshot_fallbacks,
-            "replays": s.replays,
-            "records_replayed": s.records_replayed,
-            "lazy_loads": s.lazy_loads,
-            "recovered_truncated": s.recovered_truncated,
-            "evictions": s.evictions,
-            "tombstones": s.tombstones,
+            **asdict(s),
             "recovery_ms": round(s.recovery_ms, 3),
             "last_recovery_ms": round(s.last_recovery_ms, 3),
         }
@@ -540,7 +598,8 @@ class PoolCatalog:
             except (OSError, json.JSONDecodeError):
                 # A directory without readable META is debris from a
                 # crashed drop (META is the first file deleted state
-                # passes through) — reclaim it.
+                # passes through) or a create that never finished (META
+                # is its last file) — reclaim it.
                 shutil.rmtree(entry, ignore_errors=True)
                 continue
             if meta.get("dropped"):
@@ -550,22 +609,42 @@ class PoolCatalog:
             if isinstance(name, str) and name:
                 self._index[name] = entry
 
-    def _write_tombstone_meta(self, directory: Path, name: str) -> None:
+    @contextmanager
+    def _unavailable(self, name: str):
+        """Answer a failed storage call as :class:`StorageUnavailableError`."""
         try:
-            (directory / _META_NAME).write_text(
-                json.dumps({"v": 1, "name": name, "dropped": True}) + "\n",
-                encoding="utf-8",
+            yield
+        except OSError as exc:
+            self.stats.storage_failures += 1
+            raise StorageUnavailableError(
+                f"pool {name!r}: storage call failed: {exc}"
+            ) from exc
+
+    def _write_tombstone_meta(self, directory: Path, name: str) -> None:
+        with suppress(OSError):  # the record already made the drop durable
+            write_file(
+                directory / _META_NAME,
+                (json.dumps({"v": 1, "name": name, "dropped": True}) + "\n").encode("utf-8"),
             )
-        except OSError:  # pragma: no cover - directory already gone
-            pass
 
     def _evict_over_limit(self) -> None:
-        while len(self._resident) > self.max_resident:
-            _, (pool, store) = self._resident.popitem(last=False)
-            store.flush()
-            store.close()
-            pool.bind_store(None)
+        """Evict the coldest pools past ``max_resident``, except a read-only
+        one, whose next access would write after a failed fsync."""
+        for name in [n for n, (_, store) in self._resident.items() if not store.read_only]:
+            if len(self._resident) <= self.max_resident:
+                break
+            self._evict(name)
             self.stats.evictions += 1
+
+    def _evict(self, name: str) -> None:
+        """Close a resident pool's store and forget the pool; its next access
+        recovers it.  The closed store stays bound to the evicted pool, so a
+        command through a stale handle is refused, not applied in memory alone.
+        """
+        with self._lock:
+            _, store = self._resident.pop(name)
+            with suppress(StorageUnavailableError):  # counted in storage_failures
+                store.close()
 
     def _load_snapshot_base(
         self, directory: Path
@@ -620,8 +699,6 @@ class PoolCatalog:
             if op == "create":
                 members = record.get("members")
                 ids, eps, reqs = zip(*members) if members else ((), (), ())
-                # The WAL mirror keeps rows as tuples, which the GC stops tracking.
-                record["members"] = list(zip(ids, eps, reqs))
                 pool = LivePool(
                     _recovered(name, tuple(map(str, ids)), eps, reqs),
                     pool_id=name,
@@ -634,27 +711,16 @@ class PoolCatalog:
                     f"pool {name!r}: WAL names version {version} but no "
                     "snapshot or create record provides a base state"
                 )
+            as_command = _AS_COMMAND.get(op)
+            if as_command is None:
+                raise StorageError(f"pool {name!r}: unknown WAL op {op!r}")
             try:
-                if op == "add":
-                    pool.add_juror(
-                        Juror(
-                            float(record["e"]),
-                            float(record["r"]),
-                            juror_id=str(record["id"]),
-                        )
-                    )
-                elif op == "remove":
-                    pool.remove_juror(str(record["id"]))
-                elif op == "update":
-                    pool.update_juror(
-                        str(record["id"]),
-                        error_rate=float(record["e"]),
-                        requirement=float(record["r"]),
-                    )
-                else:
-                    raise StorageError(
-                        f"pool {name!r}: unknown WAL op {op!r}"
-                    )
+                remove, add, updates = as_command(record)
+                pool.apply(
+                    [str(juror_id) for juror_id in remove],
+                    [Juror(float(e), float(r), juror_id=str(i)) for i, e, r in add],
+                    [(str(i), float(e), float(r)) for i, e, r in updates],
+                )
             except (KeyError, InvalidJuryError, TypeError, ValueError) as exc:
                 raise StorageError(
                     f"pool {name!r}: WAL record at version {version} cannot "
@@ -676,14 +742,7 @@ class PoolCatalog:
             fsync_batch=self.fsync_batch,
             valid_bytes=max(scan.valid_bytes, len(MAGIC)),
         )
-        store = PoolStore(
-            self,
-            name,
-            directory,
-            writer,
-            records=scan.records,
-            snapshot_version=snapshot_version,
-        )
+        store = PoolStore(self, name, directory, writer, since_snapshot=replayed)
         pool.bind_store(store)
         elapsed_ms = (time.perf_counter() - started) * 1e3
         self.stats.lazy_loads += 1

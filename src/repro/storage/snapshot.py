@@ -38,6 +38,7 @@ state than fits in RAM, paying page-ins only for pools actually queried.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -54,10 +55,13 @@ from repro.errors import StorageError
 __all__ = [
     "SNAPSHOT_PREFIX",
     "SnapshotData",
+    "fsync_dir",
+    "fsync_file",
     "gc_snapshots",
     "list_snapshot_versions",
     "load_snapshot",
     "snapshot_dir",
+    "write_file",
     "write_snapshot",
 ]
 
@@ -111,7 +115,8 @@ def list_snapshot_versions(pool_dir: Path) -> list[int]:
     return versions
 
 
-def _fsync_file(path: Path) -> None:
+def fsync_file(path: Path) -> None:
+    """Fsync a file by path."""
     fd = os.open(str(path), os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -119,7 +124,20 @@ def _fsync_file(path: Path) -> None:
         os.close(fd)
 
 
-def _fsync_dir(path: Path) -> None:
+def write_file(path: Path, data: bytes) -> None:
+    """Write ``data`` as the whole of ``path``; a short write raises
+    :class:`OSError`, as a failed one does."""
+    fd = os.open(str(path), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        written = os.write(fd, data)
+        if written != len(data):
+            raise OSError(errno.EIO, f"short write to {path}: {written} of {len(data)} bytes")
+    finally:
+        os.close(fd)
+
+
+def fsync_dir(path: Path) -> None:
+    """Fsync a directory, so renames and creations in it are durable."""
     try:
         fd = os.open(str(path), os.O_RDONLY)
     except OSError:  # pragma: no cover - platforms without dir-open
@@ -166,7 +184,7 @@ def write_snapshot(
             path = tmp / blob
             np.save(path, array, allow_pickle=False)
             checksums[blob] = zlib.crc32(path.read_bytes())
-            _fsync_file(path)
+            fsync_file(path)
         manifest = {
             "v": FORMAT,
             "version": int(version),
@@ -174,18 +192,15 @@ def write_snapshot(
             "count": int(arrays["eps.npy"].size),
             "checksums": checksums,
         }
-        manifest_path = tmp / _MANIFEST
-        manifest_path.write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-        )
-        _fsync_file(manifest_path)
+        write_file(tmp / _MANIFEST, (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+        fsync_file(tmp / _MANIFEST)
         if target.exists():
             shutil.rmtree(target)
         os.replace(tmp, target)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    _fsync_dir(pool_dir)
+    fsync_dir(pool_dir)
     return target
 
 

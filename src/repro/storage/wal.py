@@ -1,17 +1,22 @@
 """Append-only mutation log (WAL) for the durable pool catalog.
 
-One log file per pool records every membership mutation —
-``create``/``add``/``remove``/``update``/``drop`` — as a length-prefixed,
-CRC-checksummed JSON record.  The format is deliberately boring:
+One log file per pool records its history as length-prefixed,
+CRC-checksummed JSON records, one per pool command: ``create`` (the
+members), ``cmd`` (one update command: its ``remove`` ids, then its ``add``
+and ``set`` rows ``[id, error_rate, requirement]``, each ``set`` row with
+its kept values filled in) and ``drop``.  Logs written before ``cmd``
+existed hold one ``add``/``remove``/``update`` record per juror mutation;
+recovery still reads them, and code that predates ``cmd`` refuses a log
+holding one.  The format is deliberately boring:
 
 * **File header** — a 6-byte magic ``RWAL1\\n`` naming the format version.
   A future format bumps the digit; readers refuse magics they don't know.
 * **Record** — an 8-byte little-endian header ``(payload_len, crc32)``
   followed by ``payload_len`` bytes of compact JSON.  The payload carries
-  the operation, the pool version *after* the mutation, and the mutated
-  member's fields.  Floats round-trip bit-exactly: ``json`` serialises via
-  ``float.__repr__`` (shortest round-trip form), so a replayed error rate
-  is the *same double* the live pool held.
+  the operation, the pool version *after* it (which advances by one per
+  juror mutation) and its rows.  Floats round-trip bit-exactly: ``json``
+  serialises via ``float.__repr__`` (shortest round-trip form), so a
+  replayed error rate is the *same double* the live pool held.
 
 Torn-tail discipline (the crash contract)
 -----------------------------------------
@@ -29,11 +34,14 @@ prefix so new records never follow garbage.
 Durability is fsync-batched: :class:`WalWriter` issues ``os.fsync`` every
 ``fsync_batch`` appended records (1 = every record, the default; 0 = only
 on explicit :meth:`WalWriter.flush`/:meth:`WalWriter.close`), which is the
-group-commit knob the catalog benchmark sweeps.
+group-commit knob the catalog benchmark sweeps.  A write that comes back
+short raises :class:`OSError`, like one that fails: a torn record is never
+acknowledged, and the next recovery truncates it.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import struct
@@ -41,7 +49,7 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["MAGIC", "WalScan", "WalWriter", "scan_wal"]
+__all__ = ["MAGIC", "WalScan", "WalWriter", "log_bytes", "scan_wal"]
 
 #: File-format magic; the digit is the WAL format version.
 MAGIC = b"RWAL1\n"
@@ -57,6 +65,11 @@ _MAX_RECORD = 64 * 1024 * 1024
 def _encode(record: dict) -> bytes:
     payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def log_bytes(records) -> bytes:
+    """A whole log file holding ``records``, as :class:`WalWriter` writes it."""
+    return MAGIC + b"".join(map(_encode, records))
 
 
 @dataclass
@@ -141,8 +154,9 @@ class WalWriter:
         Records per ``os.fsync``: ``1`` syncs every append (strict
         durability, the default), ``N > 1`` group-commits every N records,
         ``0`` never syncs automatically (OS page cache only — the
-        "durability off" end of the benchmark).  :meth:`flush`,
-        :meth:`reset` and :meth:`close` always sync pending writes.
+        "durability off" end of the benchmark).  :meth:`flush` and
+        :meth:`close` sync pending writes, unless an fsync has already
+        failed (:attr:`sync_failed`): a failed fsync is not retried.
     valid_bytes:
         Recovered prefix length from a prior :func:`scan_wal`; the file is
         truncated to it before the first append, so fresh records never
@@ -162,6 +176,9 @@ class WalWriter:
         self.fsync_batch = fsync_batch
         self.appends = 0
         self.fsyncs = 0
+        #: Whether an ``os.fsync`` of this log failed.  What it held is
+        #: then unknown, and a retry could report success falsely.
+        self.sync_failed = False
         self._pending = 0
         self._fd = os.open(
             str(self.path), os.O_RDWR | os.O_CREAT, 0o644
@@ -176,7 +193,7 @@ class WalWriter:
             if size < len(MAGIC):
                 os.ftruncate(self._fd, 0)
                 os.lseek(self._fd, 0, os.SEEK_SET)
-                os.write(self._fd, MAGIC)
+                self._write(MAGIC)
             else:
                 os.lseek(self._fd, 0, os.SEEK_END)
         except BaseException:
@@ -192,7 +209,7 @@ class WalWriter:
         """Append one record; fsyncs when the batch threshold is reached."""
         if self._closed:
             raise ValueError(f"WAL writer for {self.path} is closed")
-        os.write(self._fd, _encode(record))
+        self._write(_encode(record))
         self.appends += 1
         self._pending += 1
         if self.fsync_batch and self._pending >= self.fsync_batch:
@@ -200,35 +217,32 @@ class WalWriter:
 
     def flush(self) -> None:
         """Force pending appends to stable storage (one fsync, if needed)."""
-        if not self._closed and self._pending:
+        if not self._closed and self._pending and not self.sync_failed:
             self._sync()
-
-    def reset(self) -> None:
-        """Discard every record (post-snapshot compaction) and sync.
-
-        The file shrinks back to the bare magic; records folded into a
-        durable snapshot are dead weight on the next recovery anyway.
-        """
-        if self._closed:
-            raise ValueError(f"WAL writer for {self.path} is closed")
-        os.ftruncate(self._fd, len(MAGIC))
-        os.lseek(self._fd, 0, os.SEEK_END)
-        self._pending += 1  # the truncate itself must reach the platter
-        self._sync()
 
     def close(self) -> None:
         """Flush and release the file descriptor.  Idempotent."""
         if self._closed:
             return
         try:
-            if self._pending:
-                self._sync()
+            self.flush()
         finally:
             self._closed = True
             os.close(self._fd)
 
+    def _write(self, data: bytes) -> None:
+        written = os.write(self._fd, data)
+        if written != len(data):
+            raise OSError(
+                errno.EIO, f"short write to {self.path}: {written} of {len(data)} bytes"
+            )
+
     def _sync(self) -> None:
-        os.fsync(self._fd)
+        try:
+            os.fsync(self._fd)
+        except OSError:
+            self.sync_failed = True
+            raise
         self.fsyncs += 1
         self._pending = 0
 

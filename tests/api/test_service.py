@@ -262,23 +262,22 @@ class TestOverflowingCost:
 
     HUGE = tuple(Juror(0.1 * k, 1e308, juror_id=f"h{k}") for k in (1, 2, 3))
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "source",
-        [
-            pytest.param("inline", marks=pytest.mark.filterwarnings("error")),
-            pytest.param("named", marks=pytest.mark.filterwarnings("error")),
-            # The exact solver's own cost arithmetic warns on the way.
-            pytest.param("exact", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
-        ],
+        "source", ["inline", "named", "exact", "exact-enumerate", "exact-branch-and-bound"]
     )
     def test_select_is_an_error(self, source):
         service = JuryService()
         if source == "named":
             service.pool(PoolCommand(action="create", name="H", candidates=self.HUGE))
             request = SelectionRequest(task_id="t", pool="H")
+        elif source.startswith("exact"):
+            method = source.removeprefix("exact").lstrip("-") or "auto"
+            request = SelectionRequest(
+                task_id="t", candidates=self.HUGE, model="exact", method=method
+            )
         else:
-            model = "exact" if source == "exact" else "altr"
-            request = SelectionRequest(task_id="t", candidates=self.HUGE, model=model)
+            request = SelectionRequest(task_id="t", candidates=self.HUGE)
         for response in (service.select(request), service.select_many([request])[0]):
             assert response.status == "error"
             assert response.error.code == "invalid-requirement"

@@ -300,6 +300,48 @@ class TestChurnOracle:
                 members[joining] = (error_rate, requirement)
             _check_against_fresh(pool, members)
 
+    @given(
+        initial=st.dictionaries(_TIE_IDS, st.tuples(_TIE_RATES, _TIE_REQS), max_size=6),
+        commands=st.lists(
+            st.tuples(
+                st.lists(_TIE_IDS, max_size=3),
+                st.lists(st.tuples(_TIE_IDS, _TIE_RATES, _TIE_REQS), max_size=3),
+                st.lists(
+                    st.tuples(_TIE_IDS, st.none() | _TIE_RATES, st.none() | _TIE_REQS),
+                    max_size=3,
+                ),
+            ),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_commands_with_error_rate_ties_match_a_fresh_pool(self, initial, commands):
+        """One :meth:`LivePool.apply` per command of removes, adds and sets
+        whose error rates collide: each advances the version by its juror
+        mutations, and the columns, fingerprint and frontier equal a fresh
+        pool of the members the test keeps itself."""
+        members = dict(initial)
+        pool = LivePool([Juror(e, r, juror_id=i) for i, (e, r) in members.items()])
+        for removes, adds, sets in commands:
+            remove = [i for i in dict.fromkeys(removes) if i in members]
+            for juror_id in remove:
+                del members[juror_id]
+            add = []
+            for juror_id, error_rate, requirement in adds:
+                if juror_id not in members:
+                    members[juror_id] = (error_rate, requirement)
+                    add.append(Juror(error_rate, requirement, juror_id=juror_id))
+            updates = [entry for entry in sets if entry[0] in members]
+            for juror_id, error_rate, requirement in updates:
+                current = members[juror_id]
+                members[juror_id] = (
+                    current[0] if error_rate is None else error_rate,
+                    current[1] if requirement is None else requirement,
+                )
+            version = pool.version + len(remove) + len(add) + len(updates)
+            assert pool.apply(remove, add, updates) == version
+            _check_against_fresh(pool, members)
+
     def test_profile_cached_per_version(self, rng):
         pool = _live_pool(rng, 9)
         first = pool.sweep_profile()

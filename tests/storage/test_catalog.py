@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.juror import Juror
-from repro.errors import InvalidJuryError, PoolNotFoundError, StorageError
+from repro.errors import InvalidJuryError, PoolNotFoundError, StorageError, StorageUnavailableError
 from repro.core.selection.base import columns_fingerprint
+from repro.service.registry import LivePool
 from repro.storage import PoolCatalog, pool_slug, scan_wal
 from repro.storage.snapshot import list_snapshot_versions, write_snapshot
 from repro.storage.wal import WalWriter
@@ -307,3 +308,81 @@ def test_stats_snapshot_shape(tmp_path):
     assert snapshot["wal_appends"] == 2  # create + add
     assert snapshot["fsyncs"] >= 2
     cat.close()
+
+
+def test_log_mixing_per_juror_records_with_commands_recovers(tmp_path):
+    """A log written one record per juror mutation, as older code wrote it,
+    then extended with one-record commands, replays through the same apply
+    call to the state an in-memory pool reaches."""
+    directory = tmp_path / "pools" / pool_slug("alpha")
+    directory.mkdir(parents=True)
+    (directory / "META.json").write_text('{"v": 1, "name": "alpha"}\n')
+    writer = WalWriter(directory / "wal.log")
+    for record in (
+        {"v": 1, "op": "create", "ver": 0, "members": [[j.juror_id, j.error_rate, j.requirement]
+                                                       for j in SEED]},
+        {"v": 1, "op": "add", "ver": 1, "id": "x", "e": 0.15, "r": 1.0},
+        {"v": 1, "op": "remove", "ver": 2, "id": "b"},
+        {"v": 1, "op": "update", "ver": 3, "id": "a", "e": 0.12, "r": 1.0},
+    ):
+        writer.append(record)
+    writer.close()
+    oracle = LivePool(SEED, pool_id="alpha")
+    oracle.add_juror(_j(0.15, 1.0, "x"))
+    oracle.remove_juror("b")
+    oracle.update_juror("a", error_rate=0.12)
+
+    cat = PoolCatalog(tmp_path, snapshot_interval=0)
+    pool = cat.open("alpha")
+    assert (pool.version, pool.fingerprint) == (oracle.version, oracle.fingerprint)
+    command = (("x",), (_j(0.4, 2.0, "y"),), (("c", None, 3.0), ("y", 0.35, None)))
+    assert pool.apply(*command) == oracle.apply(*command) == 7
+    cat.close()
+    records = scan_wal(directory / "wal.log").records
+    assert [r["op"] for r in records] == ["create", "add", "remove", "update", "cmd"]
+    assert records[-1] == {"v": 1, "op": "cmd", "ver": 7, "remove": ["x"],
+                           "add": [["y", 0.4, 2.0]], "set": [["c", 0.3, 3.0], ["y", 0.35, 2.0]]}
+    cat2 = PoolCatalog(tmp_path)
+    recovered = cat2.open("alpha")
+    assert (recovered.version, recovered.fingerprint) == (7, oracle.fingerprint)
+    assert cat2.stats.records_replayed == 5
+    cat2.close()
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"v": 1, "op": "cmd", "ver": 2, "remove": ["ghost"]}, "cannot be replayed"),
+        ({"v": 1, "op": "cmd", "ver": 3, "remove": ["a"]}, "discontinuity"),
+        ({"v": 1, "op": "cmd", "ver": 2, "set": [["a", 1.5, 1.0]]}, "cannot be replayed"),
+        ({"v": 1, "op": "merge", "ver": 2}, "unknown WAL op"),
+    ],
+)
+def test_command_records_that_cannot_replay_refuse_the_pool(tmp_path, record, message):
+    cat = PoolCatalog(tmp_path, snapshot_interval=0)
+    cat.create("alpha", SEED).add_juror(_j(0.4, 1.0, "x"))
+    cat.close()
+    writer = WalWriter(tmp_path / "pools" / pool_slug("alpha") / "wal.log")
+    writer.append(record)
+    writer.close()
+    cat2 = PoolCatalog(tmp_path)
+    with pytest.raises(StorageError, match=message):
+        cat2.open("alpha")
+    cat2.close()
+
+
+def test_a_stale_handle_of_an_evicted_pool_refuses_commands(tmp_path):
+    """Eviction closes a pool's store; a command through a handle taken
+    before it is refused, where it used to be applied in memory alone and
+    lost on reopen."""
+    cat = PoolCatalog(tmp_path, max_resident=1)
+    stale = cat.create("alpha", SEED)
+    cat.create("beta", SEED)  # evicts alpha
+    with pytest.raises(StorageUnavailableError, match="evicted"):
+        stale.add_juror(_j(0.4, 1.0, "x"))
+    assert stale.version == 0 and "x" not in stale
+    assert cat.open("alpha").add_juror(_j(0.4, 1.0, "x")) == 1
+    cat.close()
+    cat2 = PoolCatalog(tmp_path)
+    assert "x" in cat2.open("alpha")
+    cat2.close()

@@ -1,9 +1,9 @@
 """The churn-then-crash-then-recover oracle (the PR's acceptance bar).
 
-Property: for ANY random churn sequence and ANY hard truncation of the WAL
-(a crash may tear the log at any byte, not just at record boundaries), the
-recovered pool is **bit-identical** to an in-memory oracle pool that
-replays exactly the surviving operation prefix:
+Property: for ANY random sequence of pool commands and ANY hard truncation
+of the WAL (a crash may tear the log at any byte, not just at record
+boundaries), the recovered pool is **bit-identical** to an in-memory
+oracle pool that replays exactly the surviving command prefix:
 
 * same fingerprint (content hash over ids and exact doubles),
 * same version,
@@ -11,12 +11,13 @@ replays exactly the surviving operation prefix:
 * same answer-frontier probes,
 * same selections through a real :class:`BatchSelectionEngine`.
 
-The recovered version *is* the surviving prefix length (every operation
-bumps the version by exactly one), so the oracle needs no knowledge of the
-storage layout: it replays ``ops[:version]`` against the same seed members.
-Snapshots make the property stronger, not weaker — a truncation that chops
-records already folded into a snapshot must still recover to at least the
-snapshot version.
+A command holds one to three juror mutations and is logged as one record,
+so a truncation at any byte recovers to a command boundary: the recovered
+version is the version after some prefix of the commands, never one that
+splits a command.  The oracle needs no knowledge of the storage layout: it
+replays that prefix against the same seed members.  Snapshots make the
+property stronger, not weaker — a truncation that chops records already
+folded into a snapshot must still recover to at least the snapshot version.
 """
 
 from __future__ import annotations
@@ -59,42 +60,44 @@ def _seed_members():
     ]
 
 
-def _apply(pool: LivePool, op) -> None:
-    """Apply one abstract op, made total deterministically.
+def _apply(pool: LivePool, ops) -> None:
+    """Apply abstract ops as one command, made total deterministically.
 
-    ``adds_so_far`` is derived from the membership itself (ids are
-    sequential), so a replayed prefix mints the same ids.
+    Removes resolve first, then adds, then updates, the order
+    :meth:`LivePool.apply` runs them in, each against the membership the
+    steps before it leave.  A remove that would empty the pool is skipped.
+    Minted ids continue from the highest ``j`` id in the pool, so a replayed
+    prefix mints the same ids.
     """
-    kind, payload = op
-    if kind == "remove" and pool.size <= 1:
-        kind, payload = "add", 0.5  # never empty the pool
-    if kind == "add":
-        minted = 1 + max(
-            (
-                int(j.juror_id[1:])
-                for j in pool.ordered
-                if j.juror_id.startswith("j")
-            ),
-            default=-1,
-        )
-        pool.add_juror(Juror(payload, 1.0, juror_id=f"j{minted}"))
-    elif kind == "remove":
-        victim = pool.ordered[payload % pool.size]
-        pool.remove_juror(victim.juror_id)
-    else:
-        index, error_rate = payload
-        target = pool.ordered[index % pool.size]
-        pool.update_juror(target.juror_id, error_rate=error_rate)
+    ids = list(pool.columns.ids)
+    remove = []
+    for kind, payload in ops:
+        if kind == "remove" and len(ids) > 1:
+            remove.append(ids.pop(payload % len(ids)))
+    minted = 1 + max(
+        (int(i[1:]) for i in pool.columns.ids if i.startswith("j")), default=-1
+    )
+    add = []
+    for kind, payload in ops:
+        if kind == "add":
+            add.append(Juror(payload, 1.0, juror_id=f"j{minted + len(add)}"))
+    ids += [j.juror_id for j in add]
+    updates = []
+    for kind, payload in ops:
+        if kind == "update":
+            index, error_rate = payload
+            updates.append((ids[index % len(ids)], error_rate, None))
+    pool.apply(remove, add, updates)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    ops=st.lists(_op, min_size=1, max_size=20),
+    commands=st.lists(st.lists(_op, min_size=1, max_size=3), min_size=1, max_size=12),
     cut_fraction=st.floats(0.0, 1.0),
     snapshot_interval=st.sampled_from([0, 3, 7]),
 )
 def test_recovered_pool_bit_identical_to_oracle(
-    tmp_path_factory, ops, cut_fraction, snapshot_interval
+    tmp_path_factory, commands, cut_fraction, snapshot_interval
 ):
     tmp_path = tmp_path_factory.mktemp("oracle")
 
@@ -103,9 +106,10 @@ def test_recovered_pool_bit_identical_to_oracle(
         tmp_path, snapshot_interval=snapshot_interval, fsync_batch=1
     )
     pool = catalog.create("P", _seed_members())
-    for op in ops:
-        _apply(pool, op)
-    assert pool.version == len(ops)
+    boundaries = [0]  # the version after each command prefix
+    for ops in commands:
+        _apply(pool, ops)
+        boundaries.append(pool.version)
     catalog.close()
 
     wal = tmp_path / "pools" / pool_slug("P") / "wal.log"
@@ -127,12 +131,12 @@ def test_recovered_pool_bit_identical_to_oracle(
         recovered_catalog.close()
         return
     version = recovered.version
-    assert 0 <= version <= len(ops)
+    assert version in boundaries  # a command boundary, never inside one
 
     # -- oracle: replay exactly the surviving prefix in memory -----------
     oracle = LivePool(_seed_members(), pool_id="P")
-    for op in ops[:version]:
-        _apply(oracle, op)
+    for ops in commands[: boundaries.index(version)]:
+        _apply(oracle, ops)
 
     assert recovered.fingerprint == oracle.fingerprint
     assert recovered.version == oracle.version

@@ -173,17 +173,6 @@ def test_fsync_batch_zero_only_syncs_explicitly(tmp_path):
     assert writer.fsyncs == 1  # close always lands pending appends
 
 
-def test_reset_shrinks_to_magic(tmp_path):
-    path = tmp_path / "wal.log"
-    writer = WalWriter(path)
-    writer.append({"op": "add", "ver": 1})
-    writer.reset()
-    writer.append({"op": "add", "ver": 9})
-    writer.close()
-    scan = scan_wal(path)
-    assert [r["ver"] for r in scan.records] == [9]
-
-
 def test_closed_writer_refuses_appends(tmp_path):
     writer = WalWriter(tmp_path / "wal.log")
     writer.close()
